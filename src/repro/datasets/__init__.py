@@ -10,6 +10,8 @@ table); the partitioners reproduce the paper's splits exactly.
 
 from repro.datasets.core import ClassificationDataset, DataBatchIterator, train_test_split
 from repro.datasets.partition import (
+    Partition,
+    contiguous_partition,
     dirichlet_partition,
     iid_partition,
     label_distribution,
@@ -30,7 +32,9 @@ __all__ = [
     "ClassificationDataset",
     "DataBatchIterator",
     "train_test_split",
+    "Partition",
     "iid_partition",
+    "contiguous_partition",
     "dirichlet_partition",
     "shard_partition",
     "partition_by_name",

@@ -9,9 +9,12 @@ models (guide: be easy on the memory).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.datasets.core import ClassificationDataset
+from repro.datasets.partition import Partition
 from repro.nn.models import Sequential
 from repro.nn.serialization import num_params
 from repro.utils.rng import SeedSequenceFactory
@@ -313,11 +316,11 @@ class Device:
 
 def make_devices(
     dataset: ClassificationDataset,
-    parts: list[np.ndarray],
+    parts: Partition | Sequence[np.ndarray],
     unit_times: np.ndarray,
     trainer: LocalTrainer,
 ) -> list[Device]:
-    """Assemble one :class:`Device` per partition entry."""
+    """Assemble one :class:`Device` per shard of the partition."""
     if len(parts) != len(unit_times):
         raise ValueError(
             f"parts ({len(parts)}) and unit_times ({len(unit_times)}) disagree"

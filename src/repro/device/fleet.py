@@ -30,9 +30,12 @@ their shape.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.datasets.core import ClassificationDataset
+from repro.datasets.partition import Partition
 from repro.device.device import Device, LocalTrainer
 
 __all__ = ["DeviceFleet", "FleetDevice", "FleetState", "make_fleet"]
@@ -132,7 +135,8 @@ class DeviceFleet:
         order so every device shard is a zero-copy slice
         ``x[start_i:stop_i]`` instead of a per-device fancy-index copy.
     parts:
-        One index array per device (a partition of ``dataset``).
+        The :class:`~repro.datasets.partition.Partition` of ``dataset``
+        (or any sequence of per-device index arrays, normalised to one).
     unit_times:
         Per-device virtual time per local-training unit.
     trainer:
@@ -142,19 +146,20 @@ class DeviceFleet:
     def __init__(
         self,
         dataset: ClassificationDataset,
-        parts: list[np.ndarray],
+        parts: Partition | Sequence[np.ndarray],
         unit_times: np.ndarray,
         trainer: LocalTrainer,
         name: str | None = None,
     ) -> None:
-        if len(parts) != len(unit_times):
+        partition = Partition.of(parts, len(dataset))
+        n = len(partition)
+        if n != len(unit_times):
             raise ValueError(
-                f"parts ({len(parts)}) and unit_times ({len(unit_times)}) disagree"
+                f"parts ({n}) and unit_times ({len(unit_times)}) disagree"
             )
-        if not len(parts):
+        if not n:
             raise ValueError("need at least one device")
-        n = len(parts)
-        lengths = np.array([len(p) for p in parts], dtype=np.intp)
+        lengths = partition.sizes
         empty = np.flatnonzero(lengths == 0)
         if empty.size:
             raise ValueError(f"device {int(empty[0])} has an empty shard")
@@ -170,7 +175,7 @@ class DeviceFleet:
         # scheme million-device profiles use) skips the gather entirely:
         # the fleet aliases the dataset's block, so building the fleet
         # costs O(devices) index arrays, never a second copy of the data.
-        order = np.concatenate([np.asarray(p, dtype=np.intp) for p in parts])
+        order = partition.indices
         if order.size == len(dataset) and np.array_equal(
             order, np.arange(order.size, dtype=np.intp)
         ):
@@ -428,7 +433,7 @@ class FleetDevice(Device):
 
 def make_fleet(
     dataset: ClassificationDataset,
-    parts: list[np.ndarray],
+    parts: Partition | Sequence[np.ndarray],
     unit_times: np.ndarray,
     trainer: LocalTrainer,
     name: str | None = None,

@@ -107,7 +107,7 @@ class ExperimentSpec:
     dataset: str = "mnist_like"
     num_samples: int = 2000
     num_devices: int = 20
-    partition: str = "dirichlet"  # "iid" | "dirichlet" | "shard"
+    partition: str = "dirichlet"  # "iid" | "dirichlet" | "shard" | "contiguous"
     beta: float = 0.3
     participation: float = 1.0
     # Heterogeneity: either unit counts in [units_low, units_high] (paper

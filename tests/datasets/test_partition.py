@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.datasets.core import ClassificationDataset
 from repro.datasets.partition import (
+    Partition,
     contiguous_partition,
     dirichlet_partition,
     iid_partition,
@@ -145,6 +146,16 @@ class TestPartitionByName:
     def test_case_insensitive(self):
         assert len(partition_by_name("IID", make_ds(), 3, seed=0)) == 3
 
+    @pytest.mark.parametrize("name", ["iid", "contiguous"])
+    def test_unused_arguments_rejected(self, name):
+        """beta means nothing to these schemes: refuse it, don't drop it."""
+        with pytest.raises(TypeError, match=f"{name}.*beta"):
+            partition_by_name(name, make_ds(), 4, seed=0, beta=0.3)
+
+    def test_unknown_dirichlet_argument_rejected(self):
+        with pytest.raises(TypeError):
+            partition_by_name("dirichlet", make_ds(), 4, seed=0, shards_per_device=2)
+
 
 class TestLabelDistribution:
     def test_shape_and_totals(self):
@@ -158,6 +169,15 @@ class TestLabelDistribution:
         ds = make_ds(n=20, classes=2)
         hist = label_distribution(ds, [np.arange(20), np.empty(0, dtype=np.intp)])
         assert hist[1].sum() == 0
+
+    def test_matches_per_device_bincount(self):
+        ds = make_ds(n=300, classes=7)
+        parts = dirichlet_partition(ds, 9, beta=0.2, seed=1)
+        want = np.stack([np.bincount(ds.y[idx], minlength=7) for idx in parts])
+        for given in (parts, list(parts)):
+            hist = label_distribution(ds, given)
+            assert hist.dtype == np.int64
+            np.testing.assert_array_equal(hist, want)
 
 
 class TestContiguousPartition:
@@ -185,3 +205,82 @@ class TestContiguousPartition:
             contiguous_partition(ds, 6)
         with pytest.raises(ValueError):
             contiguous_partition(ds, 0)
+
+
+SCHEMES = {
+    "iid": lambda ds, n, seed: iid_partition(ds, n, seed=seed),
+    "dirichlet": lambda ds, n, seed: dirichlet_partition(ds, n, beta=0.3, seed=seed),
+    "shard": lambda ds, n, seed: shard_partition(ds, n, seed=seed),
+    "contiguous": lambda ds, n, seed: contiguous_partition(ds, n, seed=seed),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+class TestPartitionContainer:
+    """Every scheme returns the CSR container, and the container keeps the
+    list-of-index-arrays behaviour callers rely on."""
+
+    def test_csr_conservation(self, scheme):
+        ds = make_ds(n=203)
+        parts = SCHEMES[scheme](ds, 9, 4)
+        assert isinstance(parts, Partition)
+        assert parts.indices.dtype == parts.offsets.dtype == np.intp
+        assert parts.offsets.shape == (10,)
+        np.testing.assert_array_equal(np.sort(parts.indices), np.arange(203))
+        np.testing.assert_array_equal(parts.sizes, [p.size for p in parts])
+        assert parts.sizes.min() >= 1
+        assert all(np.all(np.diff(p) > 0) for p in parts)  # shards ascending
+
+    def test_deterministic(self, scheme):
+        ds = make_ds(n=203)
+        a, b = SCHEMES[scheme](ds, 9, 4), SCHEMES[scheme](ds, 9, 4)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a.offsets, b.offsets)
+
+    def test_sequence_behaviour(self, scheme):
+        parts = SCHEMES[scheme](make_ds(n=203), 9, 4)
+        assert len(parts) == 9
+        for dev, shard in enumerate(parts):
+            np.testing.assert_array_equal(parts[dev], shard)
+            assert np.shares_memory(parts[dev], parts.indices)  # a view
+        np.testing.assert_array_equal(parts[-1], parts[8])
+        np.testing.assert_array_equal(parts[np.intp(2)], parts[2])
+        np.testing.assert_array_equal(np.concatenate(parts), parts.indices)
+        for bad in (9, -10):
+            with pytest.raises(IndexError):
+                parts[bad]
+
+
+class TestPartitionValidation:
+    def test_hand_built(self):
+        parts = Partition([4, 0, 2, 1], [0, 1, 1, 4], num_samples=5)
+        assert [p.tolist() for p in parts] == [[4], [], [0, 2, 1]]
+        assert parts.sizes.tolist() == [1, 0, 3]
+
+    def test_from_sequence_of_arrays(self):
+        parts = Partition.of([[3, 1], np.array([0]), []], 4)
+        assert parts.indices.tolist() == [3, 1, 0]
+        assert parts.offsets.tolist() == [0, 2, 3, 3]
+        assert Partition.of(parts, 4) is parts
+
+    @pytest.mark.parametrize(
+        "indices,offsets,match",
+        [
+            ([0, 1, 2], [1, 3], "offsets must run from 0"),
+            ([0, 1, 2], [0, 2], "offsets must run from 0"),
+            ([0, 1, 2], [0, 2, 1, 3], "non-decreasing"),
+            ([0, 1, 2], [], "offsets"),
+            ([0, -1, 2], [0, 3], "indices must lie in"),
+            ([0, 1, 5], [0, 3], "indices must lie in"),
+        ],
+    )
+    def test_rejects_malformed(self, indices, offsets, match):
+        with pytest.raises(ValueError, match=match):
+            Partition(indices, offsets, num_samples=5)
+
+    def test_range_checked_against_the_dataset_it_is_used_with(self):
+        parts = iid_partition(make_ds(n=40), 4, seed=0)
+        with pytest.raises(ValueError, match="indices must lie in"):
+            Partition.of(parts, 30)
+        with pytest.raises(ValueError, match="indices must lie in"):
+            label_distribution(make_ds(n=30), parts)

@@ -24,10 +24,10 @@ FEATURES = 16
 CLASSES = 10  # mnist_like is a fixed 10-class task
 
 
-def _substrate(momentum=0.0, partition="dirichlet"):
+def _substrate(momentum=0.0):
     """(trainer, fleet, w0) over ragged dirichlet shards."""
     dataset = mnist_like(num_samples=700, seed=5, feature_dim=FEATURES)
-    parts = partition_by_name(partition, dataset, NUM_DEVICES, seed=6, beta=0.3)
+    parts = partition_by_name("dirichlet", dataset, NUM_DEVICES, seed=6, beta=0.3)
     counts = sample_unit_counts(NUM_DEVICES, 1, 10, seed=7)
     model = paper_mlp(FEATURES, CLASSES, seed=0, hidden=(12, 8))
     trainer = LocalTrainer(

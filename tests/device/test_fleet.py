@@ -57,6 +57,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty shard"):
             make_fleet(train_set, parts, np.ones(2), tiny_trainer)
 
+    def test_out_of_range_index_raises(self, tiny_split, tiny_trainer):
+        """-1 must not silently wrap to the last sample."""
+        train_set, _ = tiny_split
+        for bad in (-1, len(train_set)):
+            parts = [np.arange(4), np.array([4, bad, 6])]
+            with pytest.raises(ValueError, match="indices must lie in"):
+                make_fleet(train_set, parts, np.ones(2), tiny_trainer)
+
+    def test_partition_and_equivalent_list_agree(self, tiny_split, tiny_trainer):
+        train_set, _ = tiny_split
+        parts = _parts(train_set)
+        times = unit_times_from_counts(np.array([1, 2, 4, 1, 2, 4, 1, 2]))
+        from_csr = make_fleet(train_set, parts, times, tiny_trainer)
+        from_list = make_fleet(train_set, list(parts), times, tiny_trainer)
+        for attr in ("x", "y", "shard_starts", "shard_stops", "num_samples"):
+            np.testing.assert_array_equal(
+                getattr(from_csr, attr), getattr(from_list, attr), err_msg=attr
+            )
+        np.testing.assert_array_equal(from_csr.num_samples, parts.sizes)
+
     def test_nonpositive_unit_time_raises(self, tiny_split, tiny_trainer):
         train_set, _ = tiny_split
         parts = [np.arange(4), np.arange(4, 8)]
@@ -288,6 +308,10 @@ class TestContiguousAlias:
         )
         assert fleet.x is train_set.x
         assert fleet.y is train_set.y
+        as_list = make_fleet(
+            train_set, list(parts), unit_times_from_counts(np.ones(8)), tiny_trainer
+        )
+        assert as_list.x is train_set.x
         # Shards are still correct zero-copy slices.
         for dev in range(8):
             shard = fleet.shard(dev)
