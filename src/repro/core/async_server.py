@@ -26,24 +26,31 @@ The device lifecycle (one state machine per cohort member):
    (FedBuff).  The server replies with the current global model, which
    feeds step 1.
 
-**Batched events** (the million-device path): with no fault model armed,
-the server packs same-timestamp work into single scheduler entries — one
-``unit_complete`` carrying an int32 id array for a whole completion wave,
-one ``upload_arrival``/``broadcast_arrival`` per distinct link latency —
-instead of one event per device.  The quantized unit-time schedule
-(``unit_times_from_counts`` yields ``round_length / k`` for small integer
-``k``) makes devices that start together complete together, so waves are
-large and the event engine's per-device overhead amortizes away.  Handlers
-consume the id arrays **in array order**, which makes a batch
-observationally identical to the per-device events it replaces: the same
-rng draws in the same order (training streams, the shared drop stream),
-the same metering, the same aggregation sequence.  Packing follows the
-scheduler's tie-break contract — members of a batch were scheduled
-consecutively at one moment, so no foreign event's sequence number can
-fall between them.  Arming a fault model disables batching (per-member
-``unit_complete`` cancellation and crash/heartbeat tie ordering need
-per-device handles); ``event_batching = False`` forces the per-device
-path for A/B equivalence tests.
+**Waves** (the one event path, and the million-device path): every
+``unit_complete`` / ``upload_arrival`` / ``broadcast_arrival`` entry
+carries a *wave* — an int32 id array plus, for the message kinds, lists of
+per-member columns — and each kind has exactly one handler, which consumes
+the members **in array order**.  A lone device is a wave of one.  Consuming
+in array order makes a wave observationally identical to ``len(ids)``
+consecutive single-device events: the same rng draws in the same order
+(training streams, the shared drop stream, the fault stream), the same
+metering, the same aggregation sequence
+(``tests/golden/async/event_matrix.json`` freezes what one event per
+device produced; ``test_batched_events_match_per_device_observables``
+replays it).
+
+How members share entries is one rule in one helper, :meth:`_emit`.  With
+no fault model armed, members that mature at the same time share an entry
+— they were scheduled consecutively at one moment, so by the scheduler's
+tie-break contract no foreign event's sequence number can fall between
+them.  The quantized unit-time schedule (``unit_times_from_counts`` yields
+``round_length / k`` for small integer ``k``) makes devices that start
+together complete together, so waves are large and the event engine's
+per-device overhead amortizes away.  With a fault model armed, every
+member gets its own entry, in member order: a crash cancels *its* device's
+``unit_complete`` handle, and the tie order of timers against completions
+on the quantized time grid decides the drop/fault rng order — packing
+armed waves would change results, so it is not done.
 
 **Staleness** is version-counted: the server increments a global version
 per aggregation, every dispatched model is stamped with it, and an upload
@@ -121,26 +128,6 @@ __all__ = [
     "AsyncFederatedServer",
 ]
 
-
-def _wave_groups(
-    times: np.ndarray, ids: np.ndarray
-) -> list[tuple[float, np.ndarray]]:
-    """Split ``ids`` into maturity groups: one ``(time, ids_at_time)`` pair
-    per distinct value of ``times``, in increasing time, preserving the
-    input order of ids inside each group (stable sort) — the batched
-    analogue of scheduling ``len(ids)`` consecutive per-device events."""
-    if len(ids) == 1:
-        return [(float(times[0]), ids)]
-    order = np.argsort(times, kind="stable")
-    st = times[order]
-    sids = ids[order]
-    cuts = np.flatnonzero(st[1:] != st[:-1]) + 1
-    if not cuts.size:
-        return [(float(st[0]), sids)]
-    bounds = [0, *cuts.tolist(), len(sids)]
-    return [
-        (float(st[a]), sids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-    ]
 
 #: The staleness-decay families (FedAsync Section 5.2, adopted by FedBuff):
 #: ``constant`` ignores staleness, ``polynomial`` damps as
@@ -231,18 +218,12 @@ class AsyncFederatedServer(FederatedServer):
         super().__init__(*args, **kwargs)
         # Set True (e.g. by tests) before fit() to record the event trace.
         self.record_trace = False
-        # Batched event kinds (id-array payloads) on the clean path; set
-        # False before fit() to force one event per device — the per-device
-        # path the equivalence tests compare against.  Arming a fault model
-        # disables batching regardless (per-member timer cancellation).
-        self.event_batching = True
         # Server aggregation counter — the staleness reference frame.
         self._version = 0
         self._finished = False
         # Off until fit() arms it with a non-null fault model; here so
         # live_target() works when hooks are driven outside the loop.
         self._fault_machinery = False
-        self._suspected: set[int] = set()
 
     # ---------------------------------------------------------------- hook
 
@@ -337,17 +318,6 @@ class AsyncFederatedServer(FederatedServer):
             codec.decode(enc),
         )
 
-    def _dispatch_global(self, dev_id: int) -> None:
-        """Reply to a device with the current global model (stamped with
-        the current version) through the downlink."""
-        lat, payload = self._send_down(self._by_id[dev_id])
-        if lat is not None:
-            self.scheduler.at(
-                self.scheduler.now + lat,
-                BROADCAST_ARRIVAL,
-                (dev_id, payload, self._version),
-            )
-
     def live_target(self, goal: int) -> int:
         """``goal`` capped at the unsuspected cohort size — how many
         distinct contributors an aggregation can still hope for.  The
@@ -355,220 +325,198 @@ class AsyncFederatedServer(FederatedServer):
         for K uploads must not count devices the detector has written off.
         Exactly ``goal`` while nothing is suspected (the clean-path
         bit-identity guarantee)."""
-        if not self._fault_machinery or not self._suspected:
+        if not self._fault_machinery:
             return goal
-        return max(1, min(goal, len(self._all_ids) - len(self._suspected)))
+        suspected = int(np.count_nonzero(self._suspected))
+        if not suspected:
+            return goal
+        return max(1, min(goal, len(self._cohort_ids) - suspected))
+
+    # -------------------------------------------------------------- waves
+
+    def _emit(self, kind: str, times, ids, *columns) -> list:
+        """Schedule a wave of ``kind``: member ``k`` is device ``ids[k]``,
+        matures at ``times[k]`` and carries ``column[k]`` of every column.
+        An entry's payload is its int32 member array, or — when there are
+        columns — the tuple ``(members, *member_columns)``.  Returns the
+        scheduled entries, in scheduling order.
+
+        This is the one place that decides packing.  Clean path: members
+        maturing at the same time share an entry, groups in increasing
+        time, input order kept inside each (stable sort) — what scheduling
+        ``len(ids)`` consecutive single-device events dispatches.  Fault
+        model armed: one member per entry, in member order, so a crash can
+        cancel its own device's ``unit_complete`` and same-time ties
+        against timers resolve exactly as per-device scheduling would.
+        """
+        ids = np.asarray(ids, dtype=np.int32)
+        times = np.asarray(times, dtype=np.float64)
+        n = len(ids)
+        if self._fault_machinery:
+            order, cuts = np.arange(n), np.arange(1, n)
+        else:
+            order = np.argsort(times, kind="stable")
+            due = times[order]
+            cuts = np.flatnonzero(due[1:] != due[:-1]) + 1
+        bounds = [0, *cuts.tolist(), n]
+        entries = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            idx = order[a:b]
+            members = ids[idx]
+            payload = None
+            if columns:
+                picks = idx.tolist()
+                payload = (members, *([col[k] for k in picks] for col in columns))
+            entries.append(
+                self.scheduler.at_many(float(times[idx[0]]), kind, members, payload)
+            )
+        return entries
+
+    def _emit_after(self, kind: str, rows: list[tuple]) -> None:
+        """:meth:`_emit` for message rows ``(latency, dev_id, *columns)``
+        collected by a handler's member loop, maturing ``latency`` from
+        now.  Lost messages never became rows; no rows, no wave."""
+        if rows:
+            lats, ids, *columns = zip(*rows)
+            self._emit(kind, self.scheduler.now + np.asarray(lats), ids, *columns)
+
+    def _wake(self, ids: np.ndarray) -> None:
+        """Start a unit on every device of ``ids`` that is parked, online
+        and not crashed — the one wake test."""
+        ready = ids[
+            self._parked_mask[ids] & ~self._offline_mask[ids] & ~self._crashed[ids]
+        ]
+        if ready.size:
+            self._parked_mask[ready] = False
+            self._begin_units(ready)
+
+    def _begin_units(self, ids: np.ndarray) -> None:
+        """Start each member's next unit from the freshest model on hand:
+        the newest arrived server push, else its own latest result.  The
+        clean path then emits the completions as one wave set — the
+        grouping the quantized unit-time schedule makes large.
+
+        With the fault machinery armed a unit's duration picks up the
+        model's straggler slowdown, and its crash draw may schedule a
+        ``device_crash`` strictly inside the unit — which will cancel the
+        pending ``unit_complete`` handle kept in ``_unit_events``.  Each
+        member's completion and crash are scheduled inside the loop, so
+        the sequence is UC(a), CR(a), UC(b), CR(b).
+        """
+        armed = self._fault_machinery
+        now = self.scheduler.now
+        unit_times = self._unit_time_of[ids]
+        for k, dev_id in enumerate(ids.tolist()):
+            arrival = self._inbox.pop(dev_id, None)
+            if arrival is not None:
+                self._start_model[dev_id], self._base_version[dev_id] = arrival
+            else:
+                self._start_model[dev_id] = self._own_model[dev_id]
+            if not armed:
+                continue
+            unit_time = float(unit_times[k])
+            slow = self.faults.unit_slowdown(dev_id, self._fault_rng)
+            if slow != 1.0:
+                self.resilience.injected_slowdowns += 1
+                unit_time *= slow
+            crash = self.faults.unit_crash(dev_id, self._fault_rng)
+            (self._unit_events[dev_id],) = self._emit(
+                UNIT_COMPLETE, [now + unit_time], [dev_id]
+            )
+            if crash is not None:
+                frac, downtime = crash
+                lost = frac * unit_time
+                self.scheduler.at(now + lost, DEVICE_CRASH, (dev_id, lost, downtime))
+        if not armed:
+            self._emit(UNIT_COMPLETE, now + unit_times, ids)
 
     # ------------------------------------------------------------- handlers
 
-    def _begin_unit(self, dev_id: int) -> None:
-        """Start the device's next unit from the freshest model on hand:
-        the newest arrived server push, else its own latest result.
-
-        With the fault machinery armed the unit's duration picks up the
-        model's straggler slowdown and its crash draw may schedule a
-        ``device_crash`` strictly inside the unit — which will cancel the
-        pending ``unit_complete`` handle kept in ``_unit_events``.
-        """
-        arrival = self._inbox.pop(dev_id, None)
-        if arrival is not None:
-            self._start_model[dev_id], self._base_version[dev_id] = arrival
-        else:
-            self._start_model[dev_id] = self._own_model[dev_id]
-        if not self._fault_machinery:
-            self.scheduler.at(
-                self.scheduler.now + self._unit_time[dev_id], UNIT_COMPLETE, dev_id
-            )
-            return
-        unit_time = self._unit_time[dev_id]
-        slow = self.faults.unit_slowdown(dev_id, self._fault_rng)
-        if slow != 1.0:
-            self.resilience.injected_slowdowns += 1
-            unit_time *= slow
-        crash = self.faults.unit_crash(dev_id, self._fault_rng)
-        self._unit_events[dev_id] = self.scheduler.at(
-            self.scheduler.now + unit_time, UNIT_COMPLETE, dev_id
-        )
-        if crash is not None:
-            frac, downtime = crash
-            lost = frac * unit_time
-            self.scheduler.at(
-                self.scheduler.now + lost, DEVICE_CRASH, (dev_id, lost, downtime)
-            )
-
-    def _begin_units(self, ids: np.ndarray) -> None:
-        """Batched :meth:`_begin_unit` (clean path only): pop inboxes in id
-        order, then schedule one ``unit_complete`` per distinct maturity
-        time — the wave grouping the quantized unit-time schedule makes
-        large."""
-        inbox = self._inbox
-        start = self._start_model
-        basev = self._base_version
-        own = self._own_model
-        for dev_id in ids.tolist():
-            arrival = inbox.pop(dev_id, None)
-            if arrival is not None:
-                start[dev_id], basev[dev_id] = arrival
-            else:
-                start[dev_id] = own[dev_id]
-        times = self.scheduler.now + self._unit_time_of[ids]
-        for t, group in _wave_groups(times, ids):
-            if len(group) == 1:
-                self.scheduler.at(t, UNIT_COMPLETE, int(group[0]))
-            else:
-                self.scheduler.at_many(t, UNIT_COMPLETE, group)
-
     def _on_broadcast_arrival(self, ev) -> None:
-        dev_id, weights, version = ev.payload
-        if isinstance(dev_id, np.ndarray):
-            self._on_broadcast_batch(dev_id, weights, version)
-            return
-        banked = self._inbox.get(dev_id)
-        # Newest version wins; an older in-flight reply never clobbers it.
-        if banked is None or version >= banked[1]:
-            self._inbox[dev_id] = (weights, version)
-        if (
-            self._parked_mask[dev_id]
-            and not self._offline_mask[dev_id]
-            and dev_id not in self._crashed
-        ):
-            self._parked_mask[dev_id] = False
-            self._begin_unit(dev_id)
-
-    def _on_broadcast_batch(self, ids, weights, version) -> None:
-        """A broadcast wave lands (clean path): ``weights``/``version`` are
-        either one shared payload (provisioning) or lists aligned with
-        ``ids`` (grouped replies stamped at different server versions)."""
+        """A broadcast wave lands: bank each member's push, then wake the
+        idle members.  ``weights``/``versions`` are lists aligned with
+        ``ids`` (replies of one upload wave are stamped at different
+        server versions)."""
+        ids, weights, versions = ev.payload
         inbox = self._inbox
-        if isinstance(weights, np.ndarray):
-            for dev_id in ids.tolist():
-                banked = inbox.get(dev_id)
-                if banked is None or version >= banked[1]:
-                    inbox[dev_id] = (weights, version)
-        else:
-            for k, dev_id in enumerate(ids.tolist()):
-                banked = inbox.get(dev_id)
-                if banked is None or version[k] >= banked[1]:
-                    inbox[dev_id] = (weights[k], version[k])
-        wake = ids[self._parked_mask[ids] & ~self._offline_mask[ids]]
-        if wake.size:
-            self._parked_mask[wake] = False
-            self._begin_units(wake)
+        for k, dev_id in enumerate(ids.tolist()):
+            banked = inbox.get(dev_id)
+            # Newest version wins; an older in-flight reply never clobbers it.
+            if banked is None or versions[k] >= banked[1]:
+                inbox[dev_id] = (weights[k], versions[k])
+        self._wake(ids)
 
     def _on_unit_complete(self, ev) -> None:
-        dev_id = ev.payload
-        if isinstance(dev_id, np.ndarray):
-            self._on_unit_batch(dev_id)
-            return
-        self._unit_events.pop(dev_id, None)
-        dev = self._by_id[dev_id]
-        start = self._start_model[dev_id]
-        trained = dev.run_unit(
-            start, self.config.local_epochs, 0, self._unit_idx[dev_id], sync=False
-        )
-        self._unit_idx[dev_id] += 1
-        self._own_model[dev_id] = trained
-        if self._offline_mask[dev_id]:
-            # Went offline mid-unit: the result stays local, the device
-            # parks until a later availability epoch brings it back.
-            self._parked_mask[dev_id] = True
-            return
-        payload = trained
-        if self._fault_machinery and self.faults.is_byzantine(dev_id):
-            # The device trains honestly (its own state is `trained`) but
-            # lies on the wire.
-            payload = self.faults.corrupt(trained, dev_id, self._fault_rng)
-            self.resilience.injected_corruptions += 1
-        self._send_attempt(dev, payload, start, self._base_version[dev_id], 0)
-        self._begin_unit(dev_id)
-
-    def _on_unit_batch(self, ids) -> None:
-        """A completion wave (clean path).  Members are processed in array
-        order — run_unit calls, the shared drop-stream draws and upload
-        metering happen exactly as ``len(ids)`` consecutive per-device
-        events would — then the follow-up uploads and next units are
-        regrouped by maturity time into batched events of their own."""
+        """A completion wave.  Members are processed in array order — the
+        ``run_unit`` calls, the shared drop-stream draws and the upload
+        metering happen exactly as ``len(ids)`` consecutive single-device
+        events would — then the uploads and the next units go out as
+        waves of their own."""
         epochs = self.config.local_epochs
-        offline = self._offline_mask
-        up: list[tuple] = []  # (lat, dev_id, delivered, start, base_version)
+        armed = self._fault_machinery
+        uploads: list[tuple] = []
         next_ids: list[int] = []
-        for dev_id in ids.tolist():
-            dev = self._by_id[dev_id]
+        for dev_id in ev.payload.tolist():
+            if armed:
+                self._unit_events.pop(dev_id, None)
             start = self._start_model[dev_id]
-            trained = dev.run_unit(
-                start, epochs, 0, self._unit_idx[dev_id], sync=False
+            # int(): numpy scalars must not leak into rng stream keys.
+            trained = self._by_id[dev_id].run_unit(
+                start, epochs, 0, int(self._unit_idx[dev_id]), sync=False
             )
             self._unit_idx[dev_id] += 1
             self._own_model[dev_id] = trained
-            if offline[dev_id]:
+            if self._offline_mask[dev_id]:
+                # Went offline mid-unit: the result stays local, the device
+                # parks until a later availability epoch brings it back.
                 self._parked_mask[dev_id] = True
                 continue
-            lat, delivered = self._send_up(dev, trained, start)
-            if lat is not None:
-                up.append((lat, dev_id, delivered, start, self._base_version[dev_id]))
+            payload = trained
+            if armed and self.faults.is_byzantine(dev_id):
+                # The device trains honestly (its own state is `trained`) but
+                # lies on the wire.
+                payload = self.faults.corrupt(trained, dev_id, self._fault_rng)
+                self.resilience.injected_corruptions += 1
+            row = self._send_attempt(
+                dev_id, payload, start, int(self._base_version[dev_id]), 0
+            )
+            if row is not None:
+                uploads.append(row)
             next_ids.append(dev_id)
-        if up:
-            now = self.scheduler.now
-            lats = np.asarray([u[0] for u in up])
-            for t, gidx in _wave_groups(lats, np.arange(len(up))):
-                if len(gidx) == 1:
-                    _, d, delivered, start, basev = up[int(gidx[0])]
-                    self.scheduler.at(
-                        now + t, UPLOAD_ARRIVAL, (d, delivered, start, basev, None)
-                    )
-                else:
-                    members = [up[int(k)] for k in gidx.tolist()]
-                    mids = np.asarray([m[1] for m in members], dtype=np.int32)
-                    self.scheduler.at_many(
-                        now + t,
-                        UPLOAD_ARRIVAL,
-                        mids,
-                        payload=(
-                            mids,
-                            [m[2] for m in members],
-                            [m[3] for m in members],
-                            [m[4] for m in members],
-                        ),
-                    )
+        self._emit_after(UPLOAD_ARRIVAL, uploads)
         if next_ids:
             self._begin_units(np.asarray(next_ids, dtype=np.intp))
 
     def _send_attempt(
         self,
-        dev: Device,
+        dev_id: int,
         payload: np.ndarray,
         start: np.ndarray,
         base_version: int,
         attempt: int,
-    ) -> None:
-        """One upload transmission (original or retry).  With the fault
-        machinery armed every attempt arms an ``upload_timeout``
-        retransmission timer, cancelled when the delivery is processed."""
-        dev_id = dev.device_id
-        lat, delivered = self._send_up(dev, payload, start)
-        if not self._fault_machinery:
-            if lat is not None:
-                self.scheduler.at(
-                    self.scheduler.now + lat,
-                    UPLOAD_ARRIVAL,
-                    (dev_id, delivered, start, base_version, None),
-                )
-            return
-        self.resilience.uploads_sent += 1
-        token = self._upload_seq
-        self._upload_seq += 1
-        timer = self.scheduler.at(
-            self.scheduler.now + self.config.upload_timeout, UPLOAD_TIMEOUT, token
-        )
-        self._upload_timers[token] = (
-            timer, dev_id, payload, start, base_version, attempt,
-        )
-        if lat is not None:
-            self.scheduler.at(
-                self.scheduler.now + lat,
-                UPLOAD_ARRIVAL,
-                (dev_id, delivered, start, base_version, token),
+    ) -> tuple | None:
+        """One upload transmission (original or retry): returns the
+        ``(latency, dev_id, delivered, start, base_version, token)`` row
+        for the caller to emit as an ``upload_arrival``, None when the
+        message is lost.  With the fault machinery armed every attempt
+        first arms an ``upload_timeout`` retransmission timer — its
+        ``token`` rides with the upload and cancels the timer when the
+        delivery is processed; ``token`` is None on the clean path."""
+        lat, delivered = self._send_up(self._by_id[dev_id], payload, start)
+        token = None
+        if self._fault_machinery:
+            self.resilience.uploads_sent += 1
+            token = self._upload_seq
+            self._upload_seq += 1
+            timer = self.scheduler.at(
+                self.scheduler.now + self.config.upload_timeout, UPLOAD_TIMEOUT, token
             )
+            self._upload_timers[token] = (
+                timer, dev_id, payload, start, base_version, attempt,
+            )
+        if lat is None:
+            return None
+        return lat, dev_id, delivered, start, base_version, token
 
     def _on_upload_timeout(self, ev) -> None:
         """The retransmission timer matured unacknowledged: the upload was
@@ -594,11 +542,16 @@ class AsyncFederatedServer(FederatedServer):
 
     def _on_retry_upload(self, ev) -> None:
         dev_id, payload, start, base_version, attempt = ev.payload
-        if dev_id in self._crashed:
-            # The retransmission queue dies with its device.
+        if self._crashed[dev_id]:
+            # The retransmission queue dies with its device: the retry the
+            # timeout booked is never sent, so it is reclassified as a
+            # drop (upload_timeouts == retries + dropped_updates).
+            self.resilience.retries -= 1
             self.resilience.dropped_updates += 1
             return
-        self._send_attempt(self._by_id[dev_id], payload, start, base_version, attempt)
+        row = self._send_attempt(dev_id, payload, start, base_version, attempt)
+        if row is not None:
+            self._emit_after(UPLOAD_ARRIVAL, [row])
 
     def _on_device_crash(self, ev) -> None:
         """Fail-stop mid-unit: the pending ``unit_complete`` is cancelled
@@ -611,7 +564,7 @@ class AsyncFederatedServer(FederatedServer):
         beat = self._beat_events.pop(dev_id, None)
         if beat is not None:
             self.scheduler.cancel(beat)
-        self._crashed.add(dev_id)
+        self._crashed[dev_id] = True
         self._crash_detected[dev_id] = False
         self._parked_mask[dev_id] = False
         res = self.resilience
@@ -621,14 +574,14 @@ class AsyncFederatedServer(FederatedServer):
 
     def _on_device_restart(self, ev) -> None:
         dev_id = ev.payload
-        self._crashed.discard(dev_id)
+        self._crashed[dev_id] = False
         # Immediate rejoin announcement: the beat un-suspects the device
         # and restarts its heartbeat chain.
         self._schedule_beat(dev_id, self.scheduler.now)
-        if self._offline_mask[dev_id]:
-            self._parked_mask[dev_id] = True
-        else:
-            self._begin_unit(dev_id)
+        # Back idle: a unit starts now if the device is online, else at
+        # the availability epoch that brings it back.
+        self._parked_mask[dev_id] = True
+        self._wake(np.asarray([dev_id]))
 
     def _schedule_beat(self, dev_id: int, time: float) -> None:
         self._beat_events[dev_id] = self.scheduler.at(time, HEARTBEAT, dev_id)
@@ -637,7 +590,7 @@ class AsyncFederatedServer(FederatedServer):
         dev_id = ev.payload
         self._last_heard[dev_id] = ev.time
         # A beat from a suspected device is a rejoin: forgive it.
-        self._suspected.discard(dev_id)
+        self._suspected[dev_id] = False
         self._schedule_beat(dev_id, ev.time + self.config.heartbeat_period)
 
     def _on_suspect(self, ev) -> None:
@@ -647,78 +600,45 @@ class AsyncFederatedServer(FederatedServer):
         suspicion its next beat will clear."""
         cfg: AsyncServerConfig = self.config  # type: ignore[assignment]
         now = ev.time
-        res = self.resilience
-        for dev_id in sorted(self._all_ids):
-            if dev_id in self._suspected:
-                continue
-            if now - self._last_heard[dev_id] > cfg.suspicion_timeout:
-                self._suspected.add(dev_id)
-                if dev_id in self._crashed:
-                    if not self._crash_detected.get(dev_id, False):
-                        self._crash_detected[dev_id] = True
-                        res.detected_crashes += 1
-                else:
-                    res.false_suspicions += 1
+        ids = self._cohort_ids
+        silent = ids[
+            ~self._suspected[ids]
+            & (now - self._last_heard[ids] > cfg.suspicion_timeout)
+        ]
+        self._suspected[silent] = True
+        crashed = self._crashed[silent]
+        detected = silent[crashed & ~self._crash_detected[silent]]
+        self._crash_detected[detected] = True
+        self.resilience.detected_crashes += len(detected)
+        self.resilience.false_suspicions += int(np.count_nonzero(~crashed))
         self.scheduler.at(now + cfg.heartbeat_period, SUSPECT)
 
     def _on_upload_arrival(self, ev) -> None:
-        payload = ev.payload
-        if isinstance(payload[0], np.ndarray):
-            self._on_upload_batch(*payload)
-            return
-        dev_id, trained, base, base_version, token = payload
-        if token is not None:
-            record = self._upload_timers.pop(token, None)
-            if record is not None:
-                self.scheduler.cancel(record[0])
-        staleness = self._version - base_version
-        aggregated = self.apply_upload(dev_id, trained, base, staleness)
-        if aggregated:
-            self._deployed_weights = self.global_weights
-            self._after_aggregate()
-        if not self._finished:
-            self._dispatch_global(dev_id)
-
-    def _on_upload_batch(self, ids, payloads, starts, versions) -> None:
-        """An upload wave lands (clean path).  Members aggregate in array
-        order — staleness is read against the version as it stands when
-        each member's turn comes, exactly as consecutive per-device events
-        would — and the replies are regrouped by downlink latency, each
+        """An upload wave lands.  Members aggregate in array order —
+        staleness is read against the version as it stands when each
+        member's turn comes, exactly as consecutive single-device events
+        would — and the replies go out as a wave of their own, each
         stamped with the version current at its member's reply moment."""
-        down: list[tuple] = []  # (lat, dev_id, reply_payload, version)
+        ids, payloads, starts, versions, tokens = ev.payload
+        replies: list[tuple] = []
         for k, dev_id in enumerate(ids.tolist()):
+            if tokens[k] is not None:
+                record = self._upload_timers.pop(tokens[k], None)
+                if record is not None:
+                    self.scheduler.cancel(record[0])
             staleness = self._version - versions[k]
-            aggregated = self.apply_upload(dev_id, payloads[k], starts[k], staleness)
-            if aggregated:
+            if self.apply_upload(dev_id, payloads[k], starts[k], staleness):
                 self._deployed_weights = self.global_weights
                 self._after_aggregate()
             if self._finished:
-                # Per-device semantics: stop() keeps the rest of the wave
-                # from ever dispatching, and the finisher gets no reply.
+                # stop() keeps the rest of the wave from ever dispatching
+                # (so it is un-counted), and the finisher gets no reply.
+                self.scheduler.events_processed -= len(ids) - (k + 1)
                 break
             lat, reply = self._send_down(self._by_id[dev_id])
             if lat is not None:
-                down.append((lat, dev_id, reply, self._version))
-        if down:
-            now = self.scheduler.now
-            lats = np.asarray([d[0] for d in down])
-            for t, gidx in _wave_groups(lats, np.arange(len(down))):
-                if len(gidx) == 1:
-                    _, d, reply, ver = down[int(gidx[0])]
-                    self.scheduler.at(now + t, BROADCAST_ARRIVAL, (d, reply, ver))
-                else:
-                    members = [down[int(k)] for k in gidx.tolist()]
-                    mids = np.asarray([m[1] for m in members], dtype=np.int32)
-                    self.scheduler.at_many(
-                        now + t,
-                        BROADCAST_ARRIVAL,
-                        mids,
-                        payload=(
-                            mids,
-                            [m[2] for m in members],
-                            [m[3] for m in members],
-                        ),
-                    )
+                replies.append((lat, dev_id, reply, self._version))
+        self._emit_after(BROADCAST_ARRIVAL, replies)
 
     def _on_availability_change(self, ev) -> None:
         """Churn epoch boundary: re-draw who is online (same rng stream
@@ -726,36 +646,18 @@ class AsyncFederatedServer(FederatedServer):
         departures at their next unit end, wake returners now.
 
         O(active) churn: the draw is one vectorized mask over the cohort
-        id array, the offline set is a population-sized boolean mask
-        rebuilt by one scatter, and the only devices *touched* are the
-        wakers — parked devices whose state actually flips online."""
+        id array, the offline mask is rewritten by one scatter over the
+        cohort, and the only devices *touched* are the wakers — parked
+        devices whose state actually flips online."""
         epoch = ev.payload
         rng = self._seeds.generator(epoch, _AVAILABILITY_STREAM)
         cohort_ids = self._cohort_ids
-        if self.fleet is not None:
-            online_mask = self.env.online_mask_ids(
-                epoch, cohort_ids, self._unit_times[cohort_ids], rng
-            )
-        else:
-            online = self.env.available(epoch, self.cohort, rng)
-            online_set = {d.device_id for d in online}
-            online_mask = np.fromiter(
-                (d.device_id in online_set for d in self.cohort),
-                dtype=bool,
-                count=len(self.cohort),
-            )
-        new_off = np.zeros(self._id_bound, dtype=bool)
-        new_off[cohort_ids[~online_mask]] = True
-        self.unavailable_count += int(len(cohort_ids) - online_mask.sum())
-        wake = np.flatnonzero(self._parked_mask & ~new_off)
-        self._offline_mask = new_off
-        if wake.size:
-            self._parked_mask[wake] = False
-            if self._batch:
-                self._begin_units(wake)
-            else:
-                for dev_id in wake.tolist():
-                    self._begin_unit(dev_id)
+        online = self.env.online_mask_ids(
+            epoch, cohort_ids, self._unit_time_of[cohort_ids], rng
+        )
+        self._offline_mask[cohort_ids] = ~online
+        self.unavailable_count += int(len(cohort_ids) - online.sum())
+        self._wake(self._sorted_ids)
         self.scheduler.at(
             (epoch + 1) * self._churn_period, AVAILABILITY_CHANGE, epoch + 1
         )
@@ -801,33 +703,31 @@ class AsyncFederatedServer(FederatedServer):
 
         self.cohort = self._select_cohort()
         ids = [d.device_id for d in self.cohort]
-        self._cohort_ids = np.asarray(ids, dtype=np.intp)
-        self._all_ids = set(ids)
-        self._by_id = {d.device_id: d for d in self.cohort}
-        self._unit_time = {d.device_id: d.unit_time for d in self.cohort}
+        self._cohort_ids = cohort_ids = np.asarray(ids, dtype=np.intp)
+        # Ascending ids: the order wake-ups and heartbeats are scheduled in.
+        self._sorted_ids = np.sort(cohort_ids)
+        # Object-valued state (device facades, model references, event
+        # handles) is keyed by cohort member — never population-sized.
+        self._by_id = dict(zip(ids, self.cohort))
         self._start_model: dict[int, np.ndarray] = {}
-        self._base_version = {i: 0 for i in ids}
-        self._own_model = {i: self.global_weights for i in ids}
+        self._own_model = dict.fromkeys(ids, self.global_weights)
         self._inbox: dict[int, tuple[np.ndarray, int]] = {}
-        self._unit_idx = {i: 0 for i in ids}
-        # Park/offline state lives in population-sized boolean masks (ids
-        # index them directly), so churn epochs and wake-ups are array ops
-        # over the cohort instead of per-device set churn.
-        self._id_bound = int(self._cohort_ids.max()) + 1 if ids else 1
-        self._offline_mask = np.zeros(self._id_bound, dtype=bool)
-        self._parked_mask = np.zeros(self._id_bound, dtype=bool)
-        self._parked_mask[self._cohort_ids] = True
-        if self.fleet is not None:
-            self._unit_time_of = np.asarray(self._unit_times, dtype=np.float64)
-        else:
-            ut = np.zeros(self._id_bound, dtype=np.float64)
-            for i in ids:
-                ut[i] = self._unit_time[i]
-            self._unit_time_of = ut
+        # Numeric per-device state lives in id-indexed arrays (ids index
+        # them directly; untouched pages of a sparse cohort stay unmapped),
+        # so churn epochs, wake-ups and suspicion sweeps are array ops over
+        # the cohort instead of per-device dict/set churn.
+        bound = int(cohort_ids.max()) + 1 if ids else 1
+        self._unit_idx = np.zeros(bound, dtype=np.int64)
+        self._base_version = np.zeros(bound, dtype=np.int64)
+        self._unit_time_of = np.zeros(bound, dtype=np.float64)
+        self._unit_time_of[cohort_ids] = [d.unit_time for d in self.cohort]
+        self._offline_mask = np.zeros(bound, dtype=bool)
+        self._parked_mask = np.zeros(bound, dtype=bool)
+        self._parked_mask[cohort_ids] = True
         self._churn_period = (
             cfg.churn_period
             if cfg.churn_period is not None
-            else float(max(self._unit_time.values()))
+            else float(self._unit_time_of[cohort_ids].max())
         )
 
         # Fault-tolerance state.  The containers exist unconditionally (so
@@ -835,14 +735,14 @@ class AsyncFederatedServer(FederatedServer):
         # and no fault event is ever scheduled — unless the machinery is
         # armed by a non-null fault model.
         self._fault_machinery = not self.faults.is_null
-        self._crashed: set[int] = set()
-        self._suspected: set[int] = set()
-        self._crash_detected: dict[int, bool] = {}
+        self._crashed = np.zeros(bound, dtype=bool)
+        self._suspected = np.zeros(bound, dtype=bool)
+        self._crash_detected = np.zeros(bound, dtype=bool)
+        self._last_heard = np.zeros(bound, dtype=np.float64)
         self._unit_events: dict[int, object] = {}
         self._beat_events: dict[int, object] = {}
         self._upload_timers: dict[int, tuple] = {}
         self._upload_seq = 0
-        self._last_heard = {i: 0.0 for i in ids}
 
         sched.on(BROADCAST_ARRIVAL, self._on_broadcast_arrival)
         sched.on(UNIT_COMPLETE, self._on_unit_complete)
@@ -857,7 +757,7 @@ class AsyncFederatedServer(FederatedServer):
             sched.on(DEVICE_RESTART, self._on_device_restart)
             sched.on(HEARTBEAT, self._on_heartbeat)
             sched.on(SUSPECT, self._on_suspect)
-            for dev_id in sorted(ids):
+            for dev_id in self._sorted_ids.tolist():
                 self._schedule_beat(dev_id, cfg.heartbeat_period)
             sched.at(cfg.suspicion_timeout, SUSPECT)
         if not self.env.availability.always_on:
@@ -865,51 +765,24 @@ class AsyncFederatedServer(FederatedServer):
         if cfg.eval_time_every is not None:
             sched.at(cfg.eval_time_every, EVAL_CHECKPOINT)
 
-        # Per-device downlink codec references; seeded by provisioning.
-        self._down_refs: dict[int, np.ndarray] = {}
-
-        # Batched events need per-member timer-free dispatch: arming the
-        # fault machinery (per-member unit cancellation, crash/heartbeat
-        # tie ordering) falls back to one event per device.
-        self._batch = bool(self.event_batching) and not self._fault_machinery
-
         # t=0 provisioning: the server pushes the initial model to the
         # whole cohort.  Metered per link but lossless and dense — a fleet
         # is provisioned with the initial model out of band, and a "lost"
         # provisioning push would just re-deliver the identical vector.
-        # The dense push establishes every device's downlink reference.
-        if self._batch and len(ids) > 1:
-            self.meter.record_download(len(ids))
-            net = self.env.network
-            if net.is_instant:
-                lats = np.zeros(len(ids))
-            else:
-                lats = net.server_transfer_times(self._cohort_ids, 1.0)
-            if not self.codec.is_identity:
-                for i in ids:
-                    self._down_refs[i] = self.global_weights
-            for t, group in _wave_groups(lats, self._cohort_ids):
-                if len(group) == 1:
-                    sched.at(
-                        t, BROADCAST_ARRIVAL, (int(group[0]), self.global_weights, 0)
-                    )
-                else:
-                    g32 = np.ascontiguousarray(group, dtype=np.int32)
-                    sched.at_many(
-                        t,
-                        BROADCAST_ARRIVAL,
-                        g32,
-                        payload=(g32, self.global_weights, 0),
-                    )
-        else:
-            for dev in self.cohort:
-                self.meter.record_download(1)
-                lat = self.env.network.transfer_time(SERVER, dev.device_id, 1.0)
-                sched.at(
-                    lat, BROADCAST_ARRIVAL, (dev.device_id, self.global_weights, 0)
-                )
-                if not self.codec.is_identity:
-                    self._down_refs[dev.device_id] = self.global_weights
+        # The dense push establishes every device's downlink reference
+        # (the per-device codec chains replies then advance).
+        n = len(ids)
+        w0 = self.global_weights
+        self.meter.record_download(n)
+        net = self.env.network
+        lats = (
+            np.zeros(n) if net.is_instant
+            else net.server_transfer_times(cohort_ids, 1.0)
+        )
+        self._down_refs: dict[int, np.ndarray] = (
+            {} if self.codec.is_identity else dict.fromkeys(ids, w0)
+        )
+        self._emit(BROADCAST_ARRIVAL, lats, cohort_ids, [w0] * n, [0] * n)
 
         sched.run()
         return self._assemble_result()

@@ -4,20 +4,34 @@ Two independent axes, both of which must be observationally invisible:
 
 * **Engine** — calendar queue vs the heap reference.  Whole event traces
   (every dispatched ``(time, kind, tag)``) must be identical.
-* **Batching** — id-array events vs one event per device.  Traces differ
-  by construction (packing changes the entries), so the comparison is on
-  run observables: final weights, history, virtual time, meters, churn
-  accounting.
+* **Packing** — waves (id-array events) vs one event per device.  The
+  async server has one event path; what per-device events produced is
+  frozen in ``tests/golden/async/event_matrix.json`` (captured from the
+  last commit that had a per-device path — see ``tests/golden/generate.py``)
+  and every cell must be replayed bit for bit: final weights, history,
+  virtual time, meters, churn accounting, the resilience ledger and the
+  dispatched-event count.
 
-Both axes are crossed with {fedasync, fedbuff} x {ideal, churn,
-flaky_mobile} x faults on/off — the acceptance matrix of the calendar
-queue + batched-event work.
+The base matrix is {fedasync, fedbuff} x {ideal, churn, flaky_mobile} x
+faults on/off; the frozen record adds partial participation, a lossy
+codec, crashes racing drops, checkpoints and a stop in mid-wave.
 """
 
-import numpy as np
+import json
+
 import pytest
 
 from repro.experiments import ExperimentSpec, build_experiment
+from repro.simulation.scheduler import (
+    BROADCAST_ARRIVAL,
+    UNIT_COMPLETE,
+    UPLOAD_ARRIVAL,
+)
+from tests.golden.generate import (
+    EVENT_MATRIX,
+    EVENT_MATRIX_PATH,
+    event_observables,
+)
 
 MATRIX = [
     (method, env, faults)
@@ -26,57 +40,67 @@ MATRIX = [
     for faults in ("none", "compound")
 ]
 
+FROZEN = json.loads(EVENT_MATRIX_PATH.read_text())
 
-def _run(method, env, faults, *, batching, engine, trace=False):
-    kwargs = dict(
-        method=method, num_samples=300, num_devices=10, rounds=5,
-        local_epochs=1, seed=0, participation=1.0, env=env, faults=faults,
+HOT_KINDS = (UNIT_COMPLETE, UPLOAD_ARRIVAL, BROADCAST_ARRIVAL)
+
+
+def _run(method, env, faults, *, engine):
+    server = build_experiment(
+        ExperimentSpec(**EVENT_MATRIX[f"{method}-{env}-{faults}"])
     )
-    if method == "fedbuff":
-        kwargs["buffer_goal"] = 3
-    server = build_experiment(ExperimentSpec(**kwargs))
-    server.event_batching = batching
     server.scheduler_engine = engine
-    server.record_trace = trace
-    result = server.fit()
-    return server, result
+    server.record_trace = True
+    server.fit()
+    return server
+
+
+def _wave_sizes(server):
+    """Member counts of every dispatched hot-kind entry — the first field
+    of the ``(len, first, last)`` trace tag."""
+    return [
+        tag[0] for _, kind, tag in server.scheduler.trace if kind in HOT_KINDS
+    ]
 
 
 @pytest.mark.parametrize("method,env,faults", MATRIX)
 def test_calendar_engine_trace_identical_to_heap(method, env, faults):
-    s_cal, _ = _run(method, env, faults, batching=True, engine="calendar",
-                    trace=True)
-    s_heap, _ = _run(method, env, faults, batching=True, engine="heap",
-                     trace=True)
+    s_cal = _run(method, env, faults, engine="calendar")
+    s_heap = _run(method, env, faults, engine="heap")
     assert s_cal.scheduler.trace == s_heap.scheduler.trace
     assert s_cal.scheduler.events_processed == s_heap.scheduler.events_processed
 
 
-@pytest.mark.parametrize("method,env,faults", MATRIX)
-def test_batched_events_match_per_device_observables(method, env, faults):
-    s_b, r_b = _run(method, env, faults, batching=True, engine="calendar")
-    s_p, r_p = _run(method, env, faults, batching=False, engine="heap")
-    np.testing.assert_array_equal(r_b.final_weights, r_p.final_weights)
-    assert r_b.history.accuracies == r_p.history.accuracies
-    assert r_b.history.times == r_p.history.times
-    assert r_b.history.server_transfers == r_p.history.server_transfers
-    assert s_b.clock.now == s_p.clock.now
-    assert s_b.meter.server_down == s_p.meter.server_down
-    assert s_b.meter.server_up == s_p.meter.server_up
-    assert s_b.unavailable_count == s_p.unavailable_count
-    assert s_b._version == s_p._version
+def test_frozen_record_covers_the_matrix():
+    assert set(FROZEN) == set(EVENT_MATRIX)
+    assert {f"{m}-{e}-{f}" for m, e, f in MATRIX} <= set(FROZEN)
+
+
+@pytest.mark.parametrize("cell", sorted(EVENT_MATRIX))
+def test_batched_events_match_per_device_observables(cell):
+    """The one path equals the frozen per-device record, in every
+    observable of every cell — fault-armed cells included."""
+    frozen = FROZEN[cell]
+    assert frozen["spec"] == EVENT_MATRIX[cell]
+    # Through JSON, like the record: tuples/ints normalize the same way
+    # and floats round-trip exactly.
+    got = json.loads(json.dumps(event_observables(EVENT_MATRIX[cell])))
+    for name, want in frozen["observables"].items():
+        assert got[name] == want, f"{cell}: '{name}' diverged"
 
 
 def test_fault_machinery_forces_per_device_events():
-    """Arming a fault model disables batching regardless of the knob —
-    per-member timer cancellation needs per-device handles."""
-    server, _ = _run("fedasync", "ideal", "compound", batching=True,
-                     engine="calendar")
+    """An armed run packs nothing: per-member timer cancellation and
+    timer/completion tie order need one entry per device."""
+    server = _run("fedasync", "flaky_mobile", "compound", engine="calendar")
     assert server._fault_machinery
-    assert server._batch is False
+    sizes = _wave_sizes(server)
+    assert sizes and set(sizes) == {1}
 
 
 def test_clean_path_batches_by_default():
-    server, _ = _run("fedasync", "ideal", "none", batching=True,
-                     engine="calendar")
-    assert server._batch is True
+    """A clean run rides waves: at least one hot-kind entry carries more
+    than one member."""
+    server = _run("fedasync", "ideal", "none", engine="calendar")
+    assert not server._fault_machinery
+    assert max(_wave_sizes(server)) > 1

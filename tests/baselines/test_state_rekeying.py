@@ -11,11 +11,13 @@ fleet server to the per-object server bit for bit.
 import numpy as np
 import pytest
 
+from repro.baselines.fedasync import FedAsyncConfig, FedAsyncServer
 from repro.baselines.fedat import FedATConfig, FedATServer
+from repro.baselines.fedbuff import FedBuffConfig, FedBuffServer
 from repro.baselines.scaffold import ScaffoldConfig, ScaffoldServer
 from repro.datasets.partition import dirichlet_partition
 from repro.device import make_devices, make_fleet, unit_times_from_counts
-from repro.env.availability import TraceAvailability
+from repro.env.availability import BernoulliAvailability, TraceAvailability
 from repro.env.environment import Environment
 from repro.env.network import IdealNetwork, UniformNetwork
 from repro.experiments import METHODS, ExperimentSpec, run_experiment
@@ -94,11 +96,15 @@ class TestFedATRekeying:
 
 class TestFleetMatchesPerObject:
     """The fleet server is the per-object server, bit for bit, for the
-    stateful methods under partial participation + churn."""
+    stateful methods under partial participation + churn — and for the
+    event loop, whose unit-time scatter and churn epochs read a
+    hand-built device list through the same id-indexed arrays."""
 
     @pytest.mark.parametrize("server_cls,config_cls", [
         (ScaffoldServer, ScaffoldConfig),
         (FedATServer, FedATConfig),
+        (FedAsyncServer, FedAsyncConfig),
+        (FedBuffServer, FedBuffConfig),
     ])
     def test_bitwise_equal_histories(
         self, tiny_split, tiny_trainer, server_cls, config_cls
@@ -115,6 +121,34 @@ class TestFleetMatchesPerObject:
             srv = server_cls(pop, test_set, cfg, env=_churn_env())
             results.append(srv.fit(initial_weights=w0))
         fleet_res, object_res = results
+        np.testing.assert_array_equal(
+            fleet_res.final_weights, object_res.final_weights
+        )
+        assert fleet_res.history.to_dict() == object_res.history.to_dict()
+
+    @pytest.mark.parametrize("server_cls,config_cls", [
+        (FedAsyncServer, FedAsyncConfig),
+        (FedBuffServer, FedBuffConfig),
+    ])
+    def test_event_loop_bitwise_equal_under_drawn_churn(
+        self, tiny_split, tiny_trainer, server_cls, config_cls
+    ):
+        """Churn epochs that really draw (and really park cohort members):
+        a device list goes through ``online_mask_ids`` like a fleet."""
+        from repro.nn.serialization import get_flat_params
+
+        w0 = get_flat_params(tiny_trainer.model)
+        runs = []
+        for as_fleet in (True, False):
+            pop, test_set = _population(tiny_split, tiny_trainer, as_fleet)
+            cfg = config_cls(rounds=30, local_epochs=1, participation=0.6, seed=9)
+            env = Environment(
+                IdealNetwork(), BernoulliAvailability(up_prob=0.5), name="coin"
+            )
+            srv = server_cls(pop, test_set, cfg, env=env)
+            runs.append((srv, srv.fit(initial_weights=w0)))
+        (fleet_srv, fleet_res), (object_srv, object_res) = runs
+        assert fleet_srv.unavailable_count == object_srv.unavailable_count > 0
         np.testing.assert_array_equal(
             fleet_res.final_weights, object_res.final_weights
         )

@@ -81,6 +81,26 @@ class TestRetransmission:
         # Every timeout either retried or dropped the update.
         assert res["upload_timeouts"] == res["retries"] + res["dropped_updates"]
 
+    @pytest.mark.parametrize("method", ["fedasync", "fedbuff"])
+    @pytest.mark.parametrize("env", ["churn", "wan"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_retry_ledger_balances_under_crashes_and_drops(
+        self, method, env, seed
+    ):
+        """A retransmission whose device crashed before the backoff
+        matured is never sent: it is a drop, not a retry *and* a drop.
+        The ledger must balance — also with retries still pending when
+        the run stops."""
+        res = run_experiment(_spec(method=method, num_devices=12, rounds=40,
+                                   env=env, env_kwargs={"drop_prob": 0.3},
+                                   faults="compound",
+                                   fault_kwargs={"crash_prob": 0.3},
+                                   seed=seed)).resilience
+        assert res["injected_crashes"] > 0
+        assert res["upload_timeouts"] > 0
+        assert res["upload_timeouts"] == res["retries"] + res["dropped_updates"]
+        assert 0 <= res["retries"] <= res["uploads_sent"]
+
     def test_zero_retries_drops_immediately(self):
         res = run_experiment(_spec(env="ideal",
                                    env_kwargs={"drop_prob": 0.5},
@@ -132,9 +152,12 @@ class TestFailureDetector:
         # Outside fit() the machinery is off: the goal passes through.
         assert server.live_target(10) == 10
         server._fault_machinery = True
-        server._all_ids = set(range(8))
-        server._suspected = {0, 1, 2}
+        server._cohort_ids = np.arange(8)
+        server._suspected = np.zeros(8, dtype=bool)
+        # Armed but nothing suspected: still the goal, even above the cohort.
+        assert server.live_target(10) == 10
+        server._suspected[[0, 1, 2]] = True
         assert server.live_target(10) == 5
         assert server.live_target(3) == 3
-        server._suspected = set(range(8))
+        server._suspected[:] = True
         assert server.live_target(10) == 1  # never zero

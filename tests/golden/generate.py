@@ -1,8 +1,9 @@
-"""Regenerate the golden metric histories for the env="ideal" equivalence tests.
+"""Regenerate the golden records the equivalence tests replay.
 
 Run from the repo root::
 
-    PYTHONPATH=src python tests/golden/generate.py
+    PYTHONPATH=src python tests/golden/generate.py          # method goldens
+    PYTHONPATH=src python tests/golden/generate.py events   # async event matrix
 
 The files under ``tests/golden/`` pin the exact per-round metric histories
 of every registered method on one small experiment.  They were first
@@ -10,16 +11,33 @@ captured at the commit *before* the environment layer existed, so the
 equivalence tests prove that ``env="ideal"`` reproduces pre-refactor
 behavior bit-for-bit.  Only regenerate them when a PR deliberately changes
 training semantics (and say so in the PR).
+
+``tests/golden/async/event_matrix.json`` (a subdirectory: the glob in
+``tests/test_golden_equivalence.py`` maps ``tests/golden/*.json`` onto the
+method registry) pins the event loop itself.  It was captured at the last
+commit that still had a one-event-per-device path in
+``AsyncFederatedServer`` — that path, on the ``heap`` queue, with the
+retry-ledger fix of ISSUE 19 applied — so
+``test_batched_events_match_per_device_observables`` (tests/baselines)
+proves the single wave path replays what per-device events produced,
+fault-armed cells included.  Regenerating it from the wave path would
+turn that proof into a tautology: do it only for a deliberate semantic
+change, and say so in the PR.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 from pathlib import Path
 
-from repro.experiments import ExperimentSpec, run_experiment
+import numpy as np
+
+from repro.experiments import ExperimentSpec, build_experiment, run_experiment
 
 GOLDEN_DIR = Path(__file__).resolve().parent
+EVENT_MATRIX_PATH = GOLDEN_DIR / "async" / "event_matrix.json"
 
 #: One small-but-nontrivial setup: heterogeneous fleet, Dirichlet skew,
 #: several rounds, every method on identical data.  Full participation is
@@ -41,6 +59,104 @@ GOLDEN_SPEC = dict(
 #: fedbuff's buffer goal is shrunk so its K-sized flushes actually cycle
 #: several times inside the tiny golden run.
 METHOD_KWARGS = {"fedhisyn": {"num_classes": 3}, "fedbuff": {"buffer_goal": 2}}
+
+
+def _event_cell(method: str, env: str, faults: str, **overrides) -> dict:
+    """Spec kwargs of one event-matrix cell (the 10-device base shape)."""
+    kwargs = dict(
+        method=method, num_samples=300, num_devices=10, rounds=5,
+        local_epochs=1, seed=0, participation=1.0, env=env, faults=faults,
+    )
+    if method == "fedbuff":
+        kwargs["buffer_goal"] = 3
+    kwargs.update(overrides)
+    return kwargs
+
+
+_MID = dict(num_samples=600, num_devices=24, rounds=120, participation=0.8)
+_CRASHY = dict(num_samples=400, num_devices=12, rounds=150,
+               fault_kwargs={"crash_prob": 0.3})
+#: Timers an order of magnitude under the unit times, so timeouts, backoff
+#: chains and retry budgets all mature inside a short run.
+_FAST_TIMERS = {"upload_timeout": 0.02, "retry_backoff": 0.005}
+
+#: ``cell id -> spec kwargs``: {fedasync, fedbuff} x {ideal, churn,
+#: flaky_mobile} x {none, compound} at full participation, then the cells
+#: that reach what those cannot — partial participation, a lossy codec's
+#: per-link reference chains, crashes racing drops (retransmission timers
+#: dying with their device), long downtimes (detection, the shrinking
+#: flush goal), the time-checkpoint process and a stop mid-wave.
+EVENT_MATRIX: dict[str, dict] = {
+    f"{method}-{env}-{faults}": _event_cell(method, env, faults)
+    for method in ("fedasync", "fedbuff")
+    for env in ("ideal", "churn", "flaky_mobile")
+    for faults in ("none", "compound")
+}
+EVENT_MATRIX.update({
+    "fedasync-churn-none-partial": _event_cell(
+        "fedasync", "churn", "none", **_MID),
+    "fedbuff-flaky_mobile-none-partial-topk": _event_cell(
+        "fedbuff", "flaky_mobile", "none", codec="topk", **_MID),
+    "fedasync-wan-straggler-partial-topk": _event_cell(
+        "fedasync", "wan", "straggler", codec="topk",
+        env_kwargs={"drop_prob": 0.2}, **_MID),
+    "fedbuff-wan-crash-drops": _event_cell(
+        "fedbuff", "wan", "crash", env_kwargs={"drop_prob": 0.3}, **_CRASHY),
+    "fedasync-ideal-crash-drops-fast-timers": _event_cell(
+        "fedasync", "ideal", "crash", env_kwargs={"drop_prob": 0.4},
+        max_retries=2, method_kwargs=dict(_FAST_TIMERS), **_CRASHY),
+    "fedasync-flaky_mobile-compound-crashy": _event_cell(
+        "fedasync", "flaky_mobile", "compound", **_CRASHY),
+    "fedbuff-churn-crash-long-downtime": _event_cell(
+        "fedbuff", "churn", "crash", num_samples=800, num_devices=40,
+        rounds=60, participation=0.8, buffer_goal=30,
+        fault_kwargs={"crash_prob": 0.3, "downtime": 20.0}),
+    "fedbuff-ideal-none-checkpoints": _event_cell(
+        "fedbuff", "ideal", "none", num_devices=16, rounds=40,
+        eval_every=8, eval_time_every=0.5),
+    # The final aggregation lands in the middle of an upload wave: the
+    # members behind it never dispatch, and ``events_processed`` says so.
+    "fedasync-ideal-none-stops-mid-wave": _event_cell(
+        "fedasync", "ideal", "none", num_samples=600, num_devices=16,
+        rounds=40),
+    "fedbuff-lan-none-partial-stops-mid-wave": _event_cell(
+        "fedbuff", "lan", "none", num_samples=600, num_devices=24,
+        rounds=30, participation=0.8, seed=1),
+})
+
+
+def event_observables(spec_kwargs: dict) -> dict:
+    """Run one event-matrix cell and collect everything the event loop
+    can move: weights, history, clock, meters, ledgers, event count."""
+    server = build_experiment(ExperimentSpec(**spec_kwargs))
+    result = server.fit()
+    weights = np.ascontiguousarray(result.final_weights)
+    return {
+        "final_weights_sha256": hashlib.sha256(weights.tobytes()).hexdigest(),
+        "final_weights_sum": float(weights.sum()),
+        "history": result.history.to_dict(),
+        "clock_now": server.clock.now,
+        "server_up": server.meter.server_up,
+        "server_down": server.meter.server_down,
+        "dropped_messages": server.dropped_messages,
+        "unavailable_count": server.unavailable_count,
+        "version": server._version,
+        "events_processed": server.scheduler.events_processed,
+        "transport": result.transport,
+        "resilience": result.resilience,
+    }
+
+
+def write_event_matrix() -> None:
+    record = {
+        cell: {"spec": spec, "observables": event_observables(spec)}
+        for cell, spec in EVENT_MATRIX.items()
+    }
+    EVENT_MATRIX_PATH.parent.mkdir(exist_ok=True)
+    # One line per cell: a diff names the cells that moved.
+    lines = [f"{json.dumps(c)}: {json.dumps(e)}" for c, e in record.items()]
+    EVENT_MATRIX_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {EVENT_MATRIX_PATH} ({len(record)} cells)")
 
 
 def main() -> None:
@@ -66,4 +182,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:] == ["events"]:
+        write_event_matrix()
+    else:
+        main()
