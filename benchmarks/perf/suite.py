@@ -13,26 +13,14 @@ Four hot paths, matching where the reproduction spends its runtime:
 * ``fedhisyn_round`` — wall time per round of a small end-to-end FedHiSyn
   run (trajectory number; no legacy pair).
 
-Fleet-scale pair (the struct-of-arrays device layer vs the per-object
-path it replaced, :mod:`benchmarks.perf.legacy_fleet`):
+Fleet-scale round (5,000+ devices, the struct-of-arrays population):
 
-* ``fleet_build`` — population construction: one gathered data block vs
-  per-device shard copies + objects.
-* ``fleet_round`` — FedAvg **round execution** over thousands of devices
-  under a non-ideal (lossless) environment: selection, availability,
-  slowest-link charging, result movement, aggregation.  Local SGD is
-  replaced by a shared weights-through stub on *both* sides — it is
-  bit-identical math either way, and including it would only dilute the
-  device-layer measurement being made.  Finals are asserted bitwise
-  equal between the two paths, and the report records peak device-state
-  bytes for each (the O(dim x participants) vs O(dim x ever-active)
-  story).
 * ``fedavg_round_batched`` — one round's training phase only, the
   stacked-GEMM batched engine (:mod:`repro.device.batched`) vs the
   sequential per-device loop on identical inputs and shuffle streams.
-* ``fedavg_round_e2e`` — the same pair with *real* local training and
-  the batched engine enabled on the fleet side: the honest end-to-end
-  round number.
+* ``fedavg_round_e2e`` — whole FedAvg rounds with *real* local training,
+  one fleet server toggled between the batched engine and
+  ``batched_trainer=None``: the honest end-to-end round number.
 * ``fault_injection_overhead`` — the e2e workload on one server, armed
   null-rate fault model vs ``faults="none"``: the cost of the fault
   machinery when it injects nothing.  Here ``speedup`` reads as the
@@ -66,11 +54,6 @@ from benchmarks.perf.legacy import (
     legacy_paper_mlp,
     legacy_set_flat_params,
 )
-from benchmarks.perf.legacy_fleet import (
-    NullTrainer,
-    PerObjectFedAvgServer,
-    legacy_make_devices,
-)
 from repro.baselines.fedavg import FedAvgConfig, FedAvgServer
 from repro.compression import QSGDCodec, TopKCodec
 from repro.core.aggregation import sample_weighted_average, uniform_average
@@ -81,9 +64,7 @@ from repro.device.batched import BatchedTrainer
 from repro.device.device import LocalTrainer
 from repro.device.fleet import make_fleet
 from repro.device.heterogeneity import sample_unit_counts, unit_times_from_counts
-from repro.env.availability import CapacityCorrelatedAvailability
 from repro.env.environment import Environment
-from repro.env.network import SampledNetwork
 from repro.experiments import ExperimentSpec, build_experiment, run_experiment
 from repro.faults import NoFaults, make_fault_model
 from repro.nn.models import paper_mlp
@@ -111,11 +92,9 @@ class PerfScale:
     round_devices: int
     round_samples: int
     rounds: int
-    # Fleet-scale pair (struct-of-arrays layer vs the per-object path).
+    # Fleet-scale round benches (batched training, e2e, fault overhead).
     fleet_devices: int
     fleet_samples: int
-    fleet_rounds: int
-    fleet_participation: float
     e2e_participation: float
     # Scheduler-throughput bench (the async runtime's hot loop).
     scheduler_devices: int
@@ -142,8 +121,6 @@ SCALES = {
         rounds=2,
         fleet_devices=5000,
         fleet_samples=12500,
-        fleet_rounds=3,
-        fleet_participation=1.0,
         e2e_participation=0.1,
         scheduler_devices=5000,
         scheduler_horizon=2.0,
@@ -166,8 +143,6 @@ SCALES = {
         rounds=5,
         fleet_devices=10000,
         fleet_samples=25000,
-        fleet_rounds=3,
-        fleet_participation=1.0,
         e2e_participation=0.1,
         scheduler_devices=5000,
         scheduler_horizon=5.0,
@@ -336,7 +311,7 @@ def _bench_fedhisyn_round(scale: PerfScale) -> dict:
 
 
 def _fleet_substrate(scale: PerfScale):
-    """Shared data/partition/heterogeneity for the fleet-scale pair."""
+    """Shared data/partition/heterogeneity for the fleet-scale benches."""
     dataset = mnist_like(
         num_samples=scale.fleet_samples, seed=11, feature_dim=scale.feature_dim
     )
@@ -346,25 +321,22 @@ def _fleet_substrate(scale: PerfScale):
     return train_set, test_set, parts, unit_times_from_counts(counts)
 
 
-def _fleet_env() -> Environment:
-    """Non-ideal but lossless world: per-device link quality + churn.
-
-    Exercises the vectorized availability masks and slowest-link charging
-    (the per-object path pays a Python transfer-time call per device per
-    channel call); drop_prob stays 0 so both paths are deterministic and
-    the fleet recycles its round arena.
-    """
-    return Environment(
-        SampledNetwork(
-            latency=0.02,
-            bandwidth=200.0,
-            latency_spread=0.3,
-            bandwidth_spread=0.3,
-            seed=5,
-        ),
-        CapacityCorrelatedAvailability(up_prob=0.9, slow_penalty=0.3),
-        name="fleet-bench",
+def _fleet_server(scale: PerfScale, rounds: int):
+    """``(server, w0)``: a FedAvg server over the fleet-scale population
+    (ideal environment, sequential training until a bench says otherwise)."""
+    model = paper_mlp(scale.feature_dim, scale.num_classes, seed=0, hidden=(32, 16))
+    trainer = LocalTrainer(model, lr=0.1, batch_size=50, seed=2)
+    train_set, test_set, parts, unit_times = _fleet_substrate(scale)
+    fleet = make_fleet(train_set, parts, unit_times, trainer)
+    config = FedAvgConfig(
+        rounds=rounds,
+        participation=scale.e2e_participation,
+        local_epochs=1,
+        eval_every=rounds,
+        seed=3,
     )
+    server = FedAvgServer(fleet, test_set, config, env=Environment.ideal())
+    return server, get_flat_params(trainer.model)
 
 
 def _reset_server(server) -> None:
@@ -375,138 +347,47 @@ def _reset_server(server) -> None:
     server.unavailable_count = 0
 
 
-def _bench_fleet_build(scale: PerfScale) -> dict:
-    model = paper_mlp(scale.feature_dim, scale.num_classes, seed=0, hidden=(32, 16))
-    trainer = LocalTrainer(model, lr=0.1, batch_size=50, seed=2)
-    train_set, _, parts, unit_times = _fleet_substrate(scale)
-    repeats = 3
-
-    after, before = _best_pair(
-        lambda: make_fleet(train_set, parts, unit_times, trainer),
-        lambda: legacy_make_devices(train_set, parts, unit_times, trainer),
-        repeats,
-    )
-    return _pair(before, after, devices=scale.fleet_devices)
-
-
-def _fleet_round_pair(scale: PerfScale, trainer, participation: float, rounds: int,
-                      env_factory, batched: bool = False):
-    """(after_server, before_server, fleet, legacy_devices, w0) on one
-    shared substrate + trainer, finals asserted equal.
-
-    With ``batched=True`` the fleet server additionally runs the stacked-GEMM
-    training engine; since BLAS builds may compute a stacked GEMM slice with
-    different instruction selection than its 2-D equivalent, the finals
-    assertion relaxes to 1e-12 relative (bit-identical on builds where the
-    slices match — the common case, pinned by the nn test suite)."""
-    train_set, test_set, parts, unit_times = _fleet_substrate(scale)
-    fleet = make_fleet(train_set, parts, unit_times, trainer)
-    legacy_devices = legacy_make_devices(train_set, parts, unit_times, trainer)
-    config = FedAvgConfig(
-        rounds=rounds,
-        participation=participation,
-        local_epochs=1,
-        eval_every=rounds,
-        seed=3,
-    )
-    after_srv = FedAvgServer(fleet, test_set, config, env=env_factory())
-    if batched:
-        after_srv.set_device_batching("auto")
-        assert after_srv.batched_trainer is not None
-    before_srv = PerObjectFedAvgServer(
-        legacy_devices, test_set, config, env=env_factory()
-    )
-    w0 = get_flat_params(trainer.model)
-
-    # The fleet path must be the per-object path, bit for bit (1e-12 under
-    # batching, see above): same selection/availability draws, same charged
-    # transfer times, same finals — before any timing is trusted.
-    res_after = after_srv.fit(initial_weights=w0)
-    res_before = before_srv.fit(initial_weights=w0)
-    if batched:
-        np.testing.assert_allclose(
-            res_after.final_weights, res_before.final_weights,
-            rtol=1e-12, atol=1e-12,
-        )
-    else:
-        np.testing.assert_array_equal(
-            res_after.final_weights, res_before.final_weights
-        )
-    assert after_srv.clock.now == before_srv.clock.now
-    assert after_srv.meter.server_total == before_srv.meter.server_total
-    return after_srv, before_srv, fleet, legacy_devices, w0
-
-
-def _state_detail(scale: PerfScale, fleet, legacy_devices) -> dict:
-    per_object_rows = sum(1 for d in legacy_devices if d.weights is not None)
-    per_object_bytes = sum(
-        d.weights.nbytes for d in legacy_devices if d.weights is not None
-    )
-    return {
-        "fleet_state_mb": round(fleet.state_nbytes / 1e6, 3),
-        "per_object_state_mb": round(per_object_bytes / 1e6, 3),
-        "fleet_rows": fleet.materialized_rows,
-        "per_object_rows": per_object_rows,
-        "dim": fleet.dim,
-    }
-
-
-def _bench_fleet_round(scale: PerfScale) -> dict:
-    model = paper_mlp(scale.feature_dim, scale.num_classes, seed=0, hidden=(32, 16))
-    trainer = NullTrainer(model, lr=0.1, batch_size=50, seed=2)
-    after_srv, before_srv, fleet, legacy_devices, w0 = _fleet_round_pair(
-        scale, trainer, scale.fleet_participation, scale.fleet_rounds, _fleet_env
-    )
-
-    def run_after() -> None:
-        _reset_server(after_srv)
-        after_srv.fit(initial_weights=w0)
-
-    def run_before() -> None:
-        _reset_server(before_srv)
-        before_srv.fit(initial_weights=w0)
-
-    repeats = max(3, scale.repeats // 3)
-    after, before = _best_pair(run_after, run_before, repeats)
-    rounds = scale.fleet_rounds
-    return _pair(
-        before / rounds,
-        after / rounds,
-        devices=scale.fleet_devices,
-        rounds=rounds,
-        participation=scale.fleet_participation,
-        **_state_detail(scale, fleet, legacy_devices),
-    )
-
-
 def _bench_fedavg_e2e(scale: PerfScale) -> dict:
-    """The honest end-to-end round: fleet layer *plus* the batched training
-    engine vs the per-object seed path with sequential training."""
-    model = paper_mlp(scale.feature_dim, scale.num_classes, seed=0, hidden=(32, 16))
-    trainer = LocalTrainer(model, lr=0.1, batch_size=50, seed=2)
+    """The honest end-to-end round: one fleet server, the batched training
+    engine vs ``batched_trainer=None`` (the sequential per-device loop).
+
+    Since BLAS builds may compute a stacked GEMM slice with different
+    instruction selection than its 2-D equivalent, the finals are asserted
+    equal to 1e-12 relative (bit-identical on builds where the slices
+    match — the common case, pinned by the nn test suite) before any
+    timing is trusted."""
     rounds = 2
-    after_srv, before_srv, fleet, legacy_devices, w0 = _fleet_round_pair(
-        scale, trainer, scale.e2e_participation, rounds, Environment.ideal,
-        batched=True,
+    server, w0 = _fleet_server(scale, rounds)
+    fleet = server.fleet
+    server.set_device_batching("auto")
+    batched = server.batched_trainer
+    assert batched is not None
+
+    def _fit(batched_trainer) -> object:
+        _reset_server(server)
+        server.batched_trainer = batched_trainer
+        return server.fit(initial_weights=w0)
+
+    res_after, res_before = _fit(batched), _fit(None)
+    np.testing.assert_allclose(
+        res_after.final_weights, res_before.final_weights,
+        rtol=1e-12, atol=1e-12,
     )
-
-    def run_after() -> None:
-        _reset_server(after_srv)
-        after_srv.fit(initial_weights=w0)
-
-    def run_before() -> None:
-        _reset_server(before_srv)
-        before_srv.fit(initial_weights=w0)
+    assert res_after.history.times == res_before.history.times
 
     repeats = max(5, scale.repeats // 4)
-    after, before = _best_pair(run_after, run_before, repeats)
+    after, before = _best_pair(
+        lambda: _fit(batched), lambda: _fit(None), repeats
+    )
     return _pair(
         before / rounds,
         after / rounds,
         devices=scale.fleet_devices,
         rounds=rounds,
         participation=scale.e2e_participation,
-        **_state_detail(scale, fleet, legacy_devices),
+        fleet_state_mb=round(fleet.state_nbytes / 1e6, 3),
+        fleet_rows=fleet.materialized_rows,
+        dim=fleet.dim,
     )
 
 
@@ -520,19 +401,8 @@ def _bench_fedavg_round_batched(scale: PerfScale) -> dict:
     BLAS builds whose stacked-GEMM slices match their 2-D equivalents)
     before timing is trusted.
     """
-    model = paper_mlp(scale.feature_dim, scale.num_classes, seed=0, hidden=(32, 16))
-    trainer = LocalTrainer(model, lr=0.1, batch_size=50, seed=2)
-    train_set, test_set, parts, unit_times = _fleet_substrate(scale)
-    fleet = make_fleet(train_set, parts, unit_times, trainer)
-    config = FedAvgConfig(
-        rounds=1,
-        participation=scale.e2e_participation,
-        local_epochs=1,
-        eval_every=1,
-        seed=3,
-    )
-    server = FedAvgServer(fleet, test_set, config, env=Environment.ideal())
-    w0 = get_flat_params(trainer.model)
+    server, w0 = _fleet_server(scale, rounds=1)
+    fleet, trainer = server.fleet, server.trainer
     participants = server.select_participants(1)
     ids = server.ids_of(participants)
     duration = server.round_duration(participants)
@@ -585,20 +455,8 @@ def _bench_fault_overhead(scale: PerfScale) -> dict:
     armed-null identity contract), so the pair's ``speedup`` field is the
     pure overhead ratio armed / unarmed; CI asserts it stays under 1.02.
     """
-    model = paper_mlp(scale.feature_dim, scale.num_classes, seed=0, hidden=(32, 16))
-    trainer = LocalTrainer(model, lr=0.1, batch_size=50, seed=2)
-    train_set, test_set, parts, unit_times = _fleet_substrate(scale)
-    fleet = make_fleet(train_set, parts, unit_times, trainer)
     rounds = 2
-    config = FedAvgConfig(
-        rounds=rounds,
-        participation=scale.e2e_participation,
-        local_epochs=1,
-        eval_every=rounds,
-        seed=3,
-    )
-    server = FedAvgServer(fleet, test_set, config, env=Environment.ideal())
-    w0 = get_flat_params(trainer.model)
+    server, w0 = _fleet_server(scale, rounds)
     null_model = make_fault_model(
         "compound", crash_prob=0.0, straggle_prob=0.0, fraction=0.0
     )
@@ -889,8 +747,6 @@ def run_suite(scale_name: str = "quick", repeats: int | None = None) -> dict:
         "flatten_unflatten": _bench_flatten(scale),
         "aggregation": _bench_aggregation(scale),
         "fedhisyn_round": _bench_fedhisyn_round(scale),
-        "fleet_build": _bench_fleet_build(scale),
-        "fleet_round": _bench_fleet_round(scale),
         "fedavg_round_batched": _bench_fedavg_round_batched(scale),
         "fedavg_round_e2e": _bench_fedavg_e2e(scale),
         "fault_injection_overhead": _bench_fault_overhead(scale),

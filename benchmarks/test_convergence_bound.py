@@ -15,7 +15,7 @@ import numpy as np
 from benchmarks.conftest import emit
 from repro.analysis.convergence import gamma_heterogeneity, theorem51_bound
 from repro.datasets import dirichlet_partition, make_dataset, train_test_split
-from repro.device import LocalTrainer, make_devices
+from repro.device import LocalTrainer, make_fleet
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.nn.models import logistic_model
 from repro.nn.serialization import get_flat_params, set_flat_params
@@ -30,7 +30,7 @@ def estimate_gammas(scale):
     parts = dirichlet_partition(train_set, 8, beta=0.3, seed=2)
     model = logistic_model(train_set.flat_features, train_set.num_classes, seed=3)
     trainer = LocalTrainer(model, lr=0.1, batch_size=50, seed=4)
-    devices = make_devices(train_set, parts, np.ones(8), trainer)
+    devices = make_fleet(train_set, parts, np.ones(8), trainer)
     w0 = get_flat_params(model)
 
     def global_loss(w):

@@ -17,7 +17,7 @@ import numpy as np
 from benchmarks.conftest import emit
 from repro.analysis.observations import COMMUNICATION_MODES, communication_mode_experiment
 from repro.datasets import dirichlet_partition, iid_partition, make_dataset, train_test_split
-from repro.device import LocalTrainer, make_devices
+from repro.device import LocalTrainer, make_fleet
 from repro.experiments import build_model
 from repro.nn.serialization import get_flat_params
 from repro.utils.tables import format_table
@@ -36,7 +36,7 @@ def run_fig2(scale):
         ("IID", iid_partition(train_set, scale.num_devices, seed=4)),
         ("Dir(0.3)", dirichlet_partition(train_set, scale.num_devices, beta=0.3, seed=4)),
     ):
-        devices = make_devices(train_set, parts, np.ones(scale.num_devices), trainer)
+        devices = make_fleet(train_set, parts, np.ones(scale.num_devices), trainer)
         for mode in COMMUNICATION_MODES:
             res = communication_mode_experiment(
                 mode, devices, test_set, w0, rounds=rounds,

@@ -17,7 +17,7 @@ import numpy as np
 from benchmarks.conftest import emit
 from repro.analysis.observations import ring_order_experiment
 from repro.datasets import dirichlet_partition, iid_partition, make_dataset, train_test_split
-from repro.device import LocalTrainer, make_devices, unit_times_from_ratio
+from repro.device import LocalTrainer, make_fleet, unit_times_from_ratio
 from repro.experiments import build_model
 from repro.nn.serialization import get_flat_params
 from repro.utils.tables import format_table
@@ -42,7 +42,7 @@ def run_fig3(scale):
             finals = []
             for seed in scale.seeds:
                 times = unit_times_from_ratio(scale.num_devices, 10.0, seed=10 + seed)
-                devices = make_devices(train_set, parts, times, trainer)
+                devices = make_fleet(train_set, parts, times, trainer)
                 res = ring_order_experiment(
                     order, devices, test_set, w0, rounds=rounds,
                     epochs_per_unit=scale.local_epochs, seed=20 + seed,

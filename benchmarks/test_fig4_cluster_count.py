@@ -12,7 +12,7 @@ from __future__ import annotations
 from benchmarks.conftest import emit
 from repro.analysis.observations import cluster_count_experiment
 from repro.datasets import dirichlet_partition, make_dataset, train_test_split
-from repro.device import LocalTrainer, make_devices, unit_times_from_ratio
+from repro.device import LocalTrainer, make_fleet, unit_times_from_ratio
 from repro.experiments import build_model
 from repro.nn.serialization import get_flat_params
 from repro.utils.tables import format_table
@@ -31,7 +31,7 @@ def run_fig4(scale):
     model = build_model(test_set, "mlp", "small", seed=3)
     trainer = LocalTrainer(model, lr=0.1, batch_size=50, seed=4)
     times = unit_times_from_ratio(scale.num_devices, 10.0, seed=5)
-    devices = make_devices(train_set, parts, times, trainer)
+    devices = make_fleet(train_set, parts, times, trainer)
     w0 = get_flat_params(model)
 
     table = {}

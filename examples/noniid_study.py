@@ -18,7 +18,7 @@ from repro.analysis.divergence import label_divergence
 from repro.analysis.observations import communication_mode_experiment
 from repro.campaign import Campaign, sweep
 from repro.datasets import dirichlet_partition, label_distribution, make_dataset, train_test_split
-from repro.device import LocalTrainer, make_devices
+from repro.device import LocalTrainer, make_fleet
 from repro.experiments import ExperimentSpec, build_model
 from repro.nn.serialization import get_flat_params
 
@@ -52,7 +52,7 @@ def main() -> None:
         # Observation 1: decentralized device accuracy with/without ring.
         model = build_model(test_set, "mlp", "small", seed=3)
         trainer = LocalTrainer(model, lr=0.1, batch_size=50, seed=4)
-        devices = make_devices(train_set, parts, np.ones(num_devices), trainer)
+        devices = make_fleet(train_set, parts, np.ones(num_devices), trainer)
         w0 = get_flat_params(model)
         none = communication_mode_experiment(
             "none", devices, test_set, w0, rounds=10)

@@ -13,7 +13,7 @@ import numpy as np
 from repro.core.clustering import cluster_by_capacity
 from repro.core.ring import build_rings
 from repro.datasets import dirichlet_partition, make_dataset, train_test_split
-from repro.device import LocalTrainer, make_devices, unit_times_from_counts
+from repro.device import LocalTrainer, make_fleet, unit_times_from_counts
 from repro.device.heterogeneity import heterogeneity_ratio, sample_unit_counts
 from repro.experiments import build_model
 from repro.nn.serialization import get_flat_params, set_flat_params
@@ -30,7 +30,7 @@ def main() -> None:
 
     counts = sample_unit_counts(12, 1, 10, seed=5)  # units per round
     unit_times = unit_times_from_counts(counts)
-    devices = make_devices(train_set, parts, unit_times, trainer)
+    devices = make_fleet(train_set, parts, unit_times, trainer)
     print(f"fleet of {len(devices)} devices, H = "
           f"{heterogeneity_ratio(unit_times):.1f}")
 

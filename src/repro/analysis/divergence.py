@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.core import ClassificationDataset
-from repro.device.device import Device
+from repro.device.fleet import DeviceFleet
 from repro.nn.serialization import set_flat_params
 
 __all__ = ["per_device_divergence", "label_divergence", "empirical_divergence_proxy"]
@@ -44,7 +44,7 @@ def label_divergence(label_hist: np.ndarray) -> float:
 
 
 def empirical_divergence_proxy(
-    devices: list[Device],
+    devices: DeviceFleet,
     test_set: ClassificationDataset,
     weight_stacks: np.ndarray,
 ) -> float:
@@ -56,7 +56,7 @@ def empirical_divergence_proxy(
     """
     if weight_stacks.shape[0] != len(devices):
         raise ValueError("one weight vector per device required")
-    model = devices[0].trainer.model
+    model = devices.trainer.model
     accs = np.empty(len(devices))
     for i, w in enumerate(weight_stacks):
         set_flat_params(model, w)

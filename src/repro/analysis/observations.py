@@ -16,14 +16,16 @@ for the divergence D of Eq. (4):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.clustering import cluster_by_capacity
-from repro.core.ring import build_ring
+from repro.core.ring import build_ring, build_rings
 from repro.datasets.core import ClassificationDataset
 from repro.device.device import Device
+from repro.device.fleet import DeviceFleet
 from repro.nn.serialization import set_flat_params
 from repro.simulation.engine import RingRoundEngine
 from repro.utils.rng import SeedSequenceFactory
@@ -54,7 +56,7 @@ class ObservationResult:
 
 
 def _mean_device_accuracy(
-    devices: list[Device], test_set: ClassificationDataset
+    devices: Sequence[Device], test_set: ClassificationDataset
 ) -> float:
     model = devices[0].trainer.model
     accs = []
@@ -66,7 +68,7 @@ def _mean_device_accuracy(
 
 def communication_mode_experiment(
     mode: str,
-    devices: list[Device],
+    devices: DeviceFleet,
     test_set: ClassificationDataset,
     initial_weights: np.ndarray,
     rounds: int = 10,
@@ -118,7 +120,7 @@ def communication_mode_experiment(
 
 def ring_order_experiment(
     order: str,
-    devices: list[Device],
+    devices: DeviceFleet,
     test_set: ClassificationDataset,
     initial_weights: np.ndarray,
     rounds: int = 10,
@@ -135,10 +137,9 @@ def ring_order_experiment(
     if rounds <= 0:
         raise ValueError("rounds must be positive")
     engine = RingRoundEngine(devices, epochs_per_unit=epochs_per_unit)
-    ids = [d.device_id for d in devices]
-    times = [d.unit_time for d in devices]
-    ring = build_ring(ids, times, order=order, seed=seed)
-    duration = max(times)
+    times = devices.unit_times
+    ring = build_ring(devices.device_ids.tolist(), times, order=order, seed=seed)
+    duration = float(times.max())
     result = ObservationResult(label=order)
 
     current: dict[int, np.ndarray] = {
@@ -153,7 +154,7 @@ def ring_order_experiment(
 
 def cluster_count_experiment(
     num_clusters: int,
-    devices: list[Device],
+    devices: DeviceFleet,
     test_set: ClassificationDataset,
     initial_weights: np.ndarray,
     rounds: int = 10,
@@ -165,15 +166,10 @@ def cluster_count_experiment(
     per round.  Devices carry their models across rounds."""
     if rounds <= 0:
         raise ValueError("rounds must be positive")
-    times = np.array([d.unit_time for d in devices])
-    ids = [d.device_id for d in devices]
+    times = devices.unit_times
     classes = cluster_by_capacity(times, num_clusters)
-    rings = [
-        build_ring([ids[i] for i in cls], times[cls], order="small_to_large")
-        for cls in classes
-    ]
-    by_id = {d.device_id: d for d in devices}
-    fastest = [by_id[ids[i]] for i in classes[0]]
+    rings = build_rings(classes, devices.device_ids.tolist(), times)
+    fastest = [devices[i] for i in classes[0]]
     engine = RingRoundEngine(devices, epochs_per_unit=epochs_per_unit)
     duration = float(times.max())
     result = ObservationResult(label=f"K={num_clusters}")

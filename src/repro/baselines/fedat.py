@@ -62,26 +62,17 @@ class FedATServer(FederatedServer):
         # history of one device population under partial participation.
         # The assignment is computed from the population's unit-time
         # *array* (no per-device objects) and kept both as a dense array
-        # (``tier_of[device_id]``, the fleet-scale lookup) and as the
-        # ``device_tier`` dict the original API exposed.
+        # (``tier_of[device_id]``, the fleet-scale lookup — ids equal
+        # positions) and as the ``device_tier`` dict the original API
+        # exposed.
         num_tiers = getattr(self.config, "num_tiers", 5)
-        n = len(self.devices)
-        if self.fleet is not None:
-            times = self._unit_times
-            ids = self.fleet.device_ids
-        else:
-            times = np.array([d.unit_time for d in self.devices])
-            ids = np.fromiter(
-                (d.device_id for d in self.devices), dtype=np.intp, count=n
-            )
-        classes = cluster_by_capacity(times, min(num_tiers, n))
+        n = len(self.fleet)
+        classes = cluster_by_capacity(self._unit_times, min(num_tiers, n))
         tiers = np.empty(n, dtype=np.intp)
         for tier_idx, members in enumerate(classes):
             tiers[members] = tier_idx
-        self.tier_of = tiers  # position-aligned with the population arrays
-        self.device_tier: dict[int, int] = {
-            int(dev_id): int(t) for dev_id, t in zip(ids, tiers)
-        }
+        self.tier_of = tiers
+        self.device_tier: dict[int, int] = dict(enumerate(tiers.tolist()))
         self._tier_models: dict[int, np.ndarray] = {}
         self._tier_update_counts: dict[int, int] = {}
 
@@ -114,19 +105,12 @@ class FedATServer(FederatedServer):
         self.register_round(participants)
 
         # This round's participants grouped by their stable tier, in
-        # participant order; absent tiers simply run no tier-round.  With
-        # a fleet, ids equal positions, so the dense array resolves the
-        # whole participant list in one gather.
+        # participant order; absent tiers simply run no tier-round.  The
+        # dense array resolves the whole participant list in one gather.
         members_by_tier: dict[int, list[Device]] = {}
-        if self.fleet is not None:
-            tiers = self.tier_of[self.ids_of(participants)].tolist()
-            for dev, tier in zip(participants, tiers):
-                members_by_tier.setdefault(tier, []).append(dev)
-        else:
-            for dev in participants:
-                members_by_tier.setdefault(
-                    self.device_tier[dev.device_id], []
-                ).append(dev)
+        tiers = self.tier_of[self.ids_of(participants)].tolist()
+        for dev, tier in zip(participants, tiers):
+            members_by_tier.setdefault(tier, []).append(dev)
 
         current = global_weights
         # Tier-round completion times over this reporting round: tier m

@@ -151,7 +151,9 @@ def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
                         "virtual-time deadline and charge the deadline")
     g.add_argument("--over-select", type=float, default=None,
                    help="sync rounds: over-sample participants by this "
-                        "margin to compensate for deadline losses")
+                        "margin to compensate for deadline losses "
+                        "(default Bernoulli draw only; rejected with "
+                        "--selection)")
     g.add_argument("--max-retries", type=int, default=None,
                    help="async methods: upload retransmissions before an "
                         "update is dropped")

@@ -247,16 +247,12 @@ class AsyncFederatedServer(FederatedServer):
 
     def _select_cohort(self) -> list[Device]:
         """The devices participating in this run — the server's shared
-        Bernoulli(participation) sampling core, drawn once on stream
-        ``(0, 1)`` (sync rounds use ``(round >= 1, 1)``).  Availability is
-        *not* filtered here: churn is event-driven over the run's span."""
-        rng = self._seeds.generator(0, 1)
-        if self.selection_policy is not None:
-            return list(self.selection_policy.select(0, self.devices, rng))
-        if self.fleet is not None:
-            ids = self._bernoulli_ids(rng)
-            return list(map(self.fleet.device, np.asarray(ids).tolist()))
-        return self._bernoulli_devices(rng)
+        selection core (the installed policy, else Bernoulli(participation)),
+        drawn once on stream ``(0, 1)`` (sync rounds use ``(round >= 1,
+        1)``).  Availability is *not* filtered here: churn is event-driven
+        over the run's span."""
+        ids = self._select_ids(0, self._seeds.generator(0, 1))
+        return list(map(self.fleet.device, ids.tolist()))
 
     def _send_down(self, dev: Device) -> tuple[float | None, np.ndarray | None]:
         """Meter one server→device push of the current global model.

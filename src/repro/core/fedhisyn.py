@@ -17,7 +17,6 @@ Per round the server
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from repro.core.ring import RING_ORDERS, build_rings
 from repro.core.server import FederatedServer, ServerConfig
 from repro.datasets.core import ClassificationDataset
 from repro.device.device import Device
+from repro.device.fleet import DeviceFleet
 from repro.device.network import LinkDelayModel
 from repro.env.environment import Environment
 from repro.simulation.engine import RingRoundEngine
@@ -78,7 +78,7 @@ class FedHiSynServer(FederatedServer):
 
     def __init__(
         self,
-        devices: Sequence[Device],
+        devices: DeviceFleet,
         test_set: ClassificationDataset,
         config: FedHiSynConfig | None = None,
         delay_model: LinkDelayModel | None = None,
@@ -132,7 +132,7 @@ class FedHiSynServer(FederatedServer):
         receivers, view = self.broadcast_model(participants, global_weights)
         start = self.start_views(participants, receivers, view)
         # Ring results snapshot into recycled fleet rows for the upload
-        # stack below (no-op for lossy envs / plain device lists).
+        # stack below (no-op for lossy envs).
         self.register_round(participants)
 
         # (4) ring training for the round duration (lines 7-16).  Ring

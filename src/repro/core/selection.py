@@ -7,16 +7,20 @@ the data held by slow devices.  This module implements those strategies as
 pluggable policies so the claim is testable against FedHiSyn's
 keep-everyone-busy design (the ``selection`` ablation bench).
 
-A policy maps (round index, devices, rng) to the participating subset.
-:class:`~repro.core.server.FederatedServer` uses :class:`BernoulliSelection`
-(the paper's per-device participation probability) by default.
+A policy maps (round index, fleet, rng) to the participating device *ids*,
+read off the population arrays (``fleet.device_ids`` / ``unit_times`` /
+``num_samples``) — it never touches a per-device object, so selecting from
+a million devices materializes nothing.  The order of the returned array
+is the participant order.  :class:`~repro.core.server.FederatedServer`
+draws :func:`bernoulli_ids` (the paper's per-device participation
+probability) when no policy is installed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.device.device import Device
+from repro.device.fleet import DeviceFleet
 from repro.utils.config import validate_fraction
 
 __all__ = [
@@ -25,19 +29,36 @@ __all__ = [
     "FastestSelection",
     "DataSizeSelection",
     "SELECTION_POLICIES",
+    "bernoulli_ids",
     "make_policy",
 ]
 
 
+def bernoulli_ids(
+    fleet: DeviceFleet, p: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Bernoulli(``p``) draw over device ids, at least one.  The one place
+    for the mask, the empty-draw fallback and their rng consumption order —
+    shared by the server's default sampling, the async cohort draw and
+    :class:`BernoulliSelection`."""
+    if p >= 1.0:
+        return fleet.device_ids
+    ids = np.flatnonzero(rng.random(len(fleet)) < p)
+    if not len(ids):
+        ids = np.array([int(rng.integers(len(fleet)))], dtype=np.intp)
+    return ids
+
+
 class SelectionPolicy:
-    """Interface: pick this round's participants (never empty)."""
+    """Interface: pick this round's participant ids (never empty)."""
 
     def select(
         self,
         round_idx: int,
-        devices: list[Device],
+        fleet: DeviceFleet,
         rng: np.random.Generator,
-    ) -> list[Device]:
+    ) -> np.ndarray:
+        """Intp id array of the participants, in participant order."""
         raise NotImplementedError
 
     @property
@@ -52,14 +73,6 @@ class SelectionPolicy:
         """
         return None
 
-    @staticmethod
-    def _non_empty(
-        chosen: list[Device], devices: list[Device], rng: np.random.Generator
-    ) -> list[Device]:
-        if chosen:
-            return chosen
-        return [devices[rng.integers(len(devices))]]
-
 
 class BernoulliSelection(SelectionPolicy):
     """The paper's setting: each device joins with probability ``p``."""
@@ -72,12 +85,8 @@ class BernoulliSelection(SelectionPolicy):
     def expected_fraction(self) -> float:
         return self.participation
 
-    def select(self, round_idx, devices, rng):
-        if self.participation >= 1.0:
-            return list(devices)
-        mask = rng.random(len(devices)) < self.participation
-        chosen = [d for d, m in zip(devices, mask) if m]
-        return self._non_empty(chosen, devices, rng)
+    def select(self, round_idx, fleet, rng):
+        return bernoulli_ids(fleet, self.participation, rng)
 
 
 class FastestSelection(SelectionPolicy):
@@ -92,10 +101,11 @@ class FastestSelection(SelectionPolicy):
     def expected_fraction(self) -> float:
         return self.fraction
 
-    def select(self, round_idx, devices, rng):
-        k = max(1, int(round(self.fraction * len(devices))))
-        ranked = sorted(devices, key=lambda d: (d.unit_time, d.device_id))
-        return ranked[:k]
+    def select(self, round_idx, fleet, rng):
+        k = max(1, int(round(self.fraction * len(fleet))))
+        # Ranked (unit time, then id) order is the participant order — the
+        # aggregation sums depend on it, so the ids are not re-sorted.
+        return np.lexsort((fleet.device_ids, fleet.unit_times))[:k]
 
 
 class DataSizeSelection(SelectionPolicy):
@@ -111,13 +121,12 @@ class DataSizeSelection(SelectionPolicy):
     def expected_fraction(self) -> float:
         return self.fraction
 
-    def select(self, round_idx, devices, rng):
-        k = max(1, int(round(self.fraction * len(devices))))
-        sizes = np.array([d.num_samples for d in devices], dtype=np.float64)
-        probs = sizes / sizes.sum()
-        idx = rng.choice(len(devices), size=min(k, len(devices)),
-                         replace=False, p=probs)
-        return [devices[i] for i in sorted(idx)]
+    def select(self, round_idx, fleet, rng):
+        n = len(fleet)
+        k = max(1, int(round(self.fraction * n)))
+        sizes = fleet.num_samples.astype(np.float64)
+        idx = rng.choice(n, size=min(k, n), replace=False, p=sizes / sizes.sum())
+        return np.sort(idx)
 
 
 #: Name -> class map; ``ExperimentSpec.selection`` and the CLI's

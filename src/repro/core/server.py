@@ -18,12 +18,13 @@ implementations never touch the meter or the network model directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.compression.base import UpdateCodec
 from repro.compression.codecs import IdentityCodec
+from repro.core.selection import bernoulli_ids
 from repro.datasets.core import ClassificationDataset
 from repro.device.device import Device
 from repro.device.fleet import DeviceFleet
@@ -129,40 +130,26 @@ class FederatedServer:
 
     def __init__(
         self,
-        devices: Sequence[Device] | DeviceFleet,
+        devices: DeviceFleet,
         test_set: ClassificationDataset,
         config: ServerConfig | None = None,
         logger: RunLogger | None = None,
         env: Environment | None = None,
     ) -> None:
-        if not len(devices):
-            raise ValueError("need at least one device")
         self.test_set = test_set
         self.config = config if config is not None else ServerConfig()
         self.logger = logger if logger is not None else NullLogger()
         self.env = env if env is not None else Environment.ideal()
-        if isinstance(devices, DeviceFleet):
-            # Fleet mode: the population lives in struct-of-arrays storage;
-            # `self.devices` keeps the sequence protocol (facades are built
-            # lazily per participant, never for idle devices).
-            self.fleet = devices
-            self.devices: Sequence[Device] = devices
-            self.trainer = devices.trainer
-            self._unit_times = devices.unit_times
-            # With lossless channels nothing reads a device's weights
-            # across rounds, so fleet rows can be recycled per round —
-            # the O(dim x participants) peak-memory mode.
-            self.fleet.retain_history = self.env.network.drop_prob > 0.0
-        else:
-            self.fleet = None
-            self.devices = list(devices)
-            self.trainer = self.devices[0].trainer
-            for d in self.devices:
-                if d.trainer is not self.trainer:
-                    raise ValueError("all devices must share one LocalTrainer")
-            # Device ids of a hand-built list need not equal positions, so
-            # the id-indexed array fast paths are fleet-only.
-            self._unit_times = None
+        # The population lives in struct-of-arrays storage; `self.devices`
+        # is the same object under its sequence protocol (facades are built
+        # lazily per participant, never for idle devices).
+        self.fleet = self.devices = DeviceFleet.require(devices)
+        self.trainer = devices.trainer
+        self._unit_times = devices.unit_times
+        # With lossless channels nothing reads a device's weights across
+        # rounds, so fleet rows can be recycled per round — the
+        # O(dim x participants) peak-memory mode.
+        self.fleet.retain_history = self.env.network.drop_prob > 0.0
         self.meter = TransmissionMeter()
         self.meter.bytes_per_unit = 8.0 * self.trainer.dim
         self.clock = VirtualClock()
@@ -260,30 +247,16 @@ class FederatedServer:
             return min(1.0, self.config.participation * (1.0 + margin))
         return self.config.participation
 
-    def _bernoulli_ids(self, rng: np.random.Generator) -> np.ndarray:
-        """Fleet-path Bernoulli(participation) draw over device *ids*,
-        at least one.  The sampling core shared by the per-round selection
-        and the async cohort draw — one place for the mask, the empty-draw
-        fallback and their rng consumption order."""
-        p = self._participation
-        if p >= 1.0:
-            return self.fleet.device_ids
-        mask = rng.random(len(self.fleet)) < p
-        ids = np.flatnonzero(mask)
-        if not len(ids):
-            ids = np.array([int(rng.integers(len(self.fleet)))], dtype=np.intp)
-        return ids
-
-    def _bernoulli_devices(self, rng: np.random.Generator) -> list[Device]:
-        """Object-path twin of :meth:`_bernoulli_ids` (identical draws)."""
-        p = self._participation
-        if p >= 1.0:
-            return list(self.devices)
-        mask = rng.random(len(self.devices)) < p
-        chosen = [d for d, m in zip(self.devices, mask) if m]
-        if not chosen:
-            chosen = [self.devices[rng.integers(len(self.devices))]]
-        return chosen
+    def _select_ids(self, round_idx: int, rng: np.random.Generator) -> np.ndarray:
+        """Ids picked for ``round_idx``, before availability: the installed
+        policy's choice, else the paper's Bernoulli(participation) draw.
+        Shared by the per-round selection and the async cohort draw."""
+        if self.selection_policy is not None:
+            return np.asarray(
+                self.selection_policy.select(round_idx, self.fleet, rng),
+                dtype=np.intp,
+            )
+        return bernoulli_ids(self.fleet, self._participation, rng)
 
     def select_participants(self, round_idx: int) -> list[Device]:
         """Bernoulli(participation) per device, at least one participant.
@@ -293,42 +266,23 @@ class FederatedServer:
         through the environment's availability model (offline devices were
         picked but never show up), still guaranteeing one participant.
 
-        With a fleet the whole selection runs as array ops over device
-        *ids* — mask, availability, transfer charging never touch a
-        Python object — and facades are materialized only for the final
-        participant set.  Both paths consume identical rng draws, so a
-        fleet-backed run is bit-for-bit the device-list run.
+        The whole selection runs as array ops over device *ids* — policy,
+        availability, transfer charging never touch a Python object — and
+        facades are materialized only for the final participant set.
         """
-        rng = self._seeds.generator(round_idx, 1)
-        if self.fleet is not None and self.selection_policy is None:
-            ids = self._bernoulli_ids(rng)
-            if not self.env.availability.always_on:
-                online = self.env.available_ids(
-                    round_idx,
-                    ids,
-                    self._unit_times[ids],
-                    self._seeds.generator(round_idx, _AVAILABILITY_STREAM),
-                )
-                self.unavailable_count += len(ids) - len(online)
-                ids = online
-            chosen = list(map(self.fleet.device, ids.tolist()))
-            self._round_list = chosen
-            self._round_ids = np.asarray(ids, dtype=np.intp)
-            return chosen
-        if self.selection_policy is not None:
-            chosen = self.selection_policy.select(round_idx, self.devices, rng)
-        else:
-            chosen = self._bernoulli_devices(rng)
+        ids = self._select_ids(round_idx, self._seeds.generator(round_idx, 1))
         if not self.env.availability.always_on:
-            online = self.env.available(
+            online = self.env.available_ids(
                 round_idx,
-                chosen,
+                ids,
+                self._unit_times[ids],
                 self._seeds.generator(round_idx, _AVAILABILITY_STREAM),
             )
-            self.unavailable_count += len(chosen) - len(online)
-            chosen = online
+            self.unavailable_count += len(ids) - len(online)
+            ids = online
+        chosen = list(map(self.fleet.device, ids.tolist()))
         self._round_list = chosen
-        self._round_ids = None
+        self._round_ids = ids
         return chosen
 
     # ------------------------------------------------------ fault machinery
@@ -351,16 +305,15 @@ class FederatedServer:
         """Enable (``"auto"``) or disable (``"off"``) the batched engine.
 
         ``"auto"`` installs a :class:`~repro.device.batched.BatchedTrainer`
-        when the population is a fleet and the model is batchable
-        (Dense/ReLU stacks under softmax cross-entropy); anything else —
-        per-object device lists, CNNs, custom layers — silently keeps the
-        sequential path, since batching is an execution strategy, not a
-        semantic knob.
+        when the model is batchable (Dense/ReLU stacks under softmax
+        cross-entropy); anything else — CNNs, custom layers — silently
+        keeps the sequential path, since batching is an execution
+        strategy, not a semantic knob.
         """
         if mode not in ("auto", "off"):
             raise ValueError(f"device_batching must be 'auto' or 'off', got {mode!r}")
         self.batched_trainer = None
-        if mode == "off" or self.fleet is None:
+        if mode == "off":
             return
         from repro.device.batched import BatchedTrainer
 
@@ -450,7 +403,7 @@ class FederatedServer:
         produced this round (the lossless-channel common case); otherwise
         one pass over the objects.
         """
-        if devices is self._round_list and self._round_ids is not None:
+        if devices is self._round_list:
             return self._round_ids
         return np.fromiter(
             (d.device_id for d in devices), dtype=np.intp, count=len(devices)
@@ -458,15 +411,11 @@ class FederatedServer:
 
     def unit_times_of(self, devices: list[Device]) -> np.ndarray:
         """Per-device unit times aligned with ``devices``, vectorized."""
-        if self.fleet is not None:
-            return self._unit_times[self.ids_of(devices)]
-        return np.array([d.unit_time for d in devices], dtype=np.float64)
+        return self._unit_times[self.ids_of(devices)]
 
     def counts_of(self, devices: list[Device]) -> np.ndarray:
         """Per-device sample counts aligned with ``devices``."""
-        if self.fleet is not None:
-            return self.fleet.num_samples[self.ids_of(devices)]
-        return np.array([d.num_samples for d in devices])
+        return self.fleet.num_samples[self.ids_of(devices)]
 
     def local_epochs_for(self, device: Device, duration: float) -> int:
         """Maximum achievable epochs within the round (paper Section 6.1):
@@ -498,7 +447,7 @@ class FederatedServer:
         matrix: ``run_unit`` snapshots results into per-device rows via
         the ``weights`` setter, preserving drop-fallback history.
         """
-        if self.fleet is not None and not self.fleet.retain_history:
+        if self.rows_live:
             return self.fleet.round_matrix(self.ids_of(devices))
         return np.empty((len(devices), self.trainer.dim))
 
@@ -507,7 +456,7 @@ class FederatedServer:
         """True when :meth:`round_rows` hands out *registered* fleet rows:
         training into them updates device state directly, so callers skip
         the per-device ``weights`` sync entirely."""
-        return self.fleet is not None and not self.fleet.retain_history
+        return not self.fleet.retain_history
 
     def register_round(self, devices: list[Device]) -> None:
         """Pin this round's devices to recycled fleet rows.
@@ -516,16 +465,14 @@ class FederatedServer:
         tier stacks, the ring engine, async mixing): every ``weights``
         assignment during the round then snapshots into the reused arena
         instead of materializing per-device rows that outlive the round.
-        No-op without a fleet or when history must be retained.
+        No-op when history must be retained.
         """
-        if self.fleet is not None and not self.fleet.retain_history:
+        if self.rows_live:
             self.fleet.round_matrix(self.ids_of(devices))
 
     def stack_weights(self, devices: list[Device]) -> np.ndarray:
         """Stacked current weights of ``devices`` (aggregation input)."""
-        if self.fleet is not None:
-            return self.fleet.stack_weights(self.ids_of(devices))
-        return np.stack([d.weights for d in devices])
+        return self.fleet.stack_weights(self.ids_of(devices))
 
     def train_round(
         self,
@@ -746,12 +693,7 @@ class FederatedServer:
         and the clock is untouched.  ``model_units`` may be a per-device
         array (codec uploads have per-sender wire sizes).
         """
-        if self.fleet is not None:
-            t = self.env.server_transfer_time_ids(
-                self.ids_of(devices), model_units
-            )
-        else:
-            t = self.env.server_transfer_time(devices, model_units)
+        t = self.env.server_transfer_time_ids(self.ids_of(devices), model_units)
         if t > 0.0:
             self.clock.advance_by(t)
 
@@ -791,9 +733,7 @@ class FederatedServer:
 
     def round_duration(self, participants: list[Device]) -> float:
         """Paper convention: the slowest participant's unit time."""
-        if self.fleet is not None:
-            return float(self.unit_times_of(participants).max())
-        return max(d.unit_time for d in participants)
+        return float(self.unit_times_of(participants).max())
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float]:
         """(accuracy, loss) of ``weights`` on the held-out test set.

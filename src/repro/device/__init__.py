@@ -12,8 +12,8 @@ settings map directly:
   (:func:`~repro.device.heterogeneity.heterogeneity_ratio`).
 """
 
-from repro.device.device import Device, LocalTrainer, make_devices
-from repro.device.fleet import DeviceFleet, FleetDevice, FleetState, make_fleet
+from repro.device.device import Device, LocalTrainer
+from repro.device.fleet import DeviceFleet, FleetState, make_fleet
 from repro.device.heterogeneity import (
     heterogeneity_ratio,
     sample_unit_counts,
@@ -25,10 +25,8 @@ from repro.device.network import LinkDelayModel, UniformDelay
 __all__ = [
     "Device",
     "DeviceFleet",
-    "FleetDevice",
     "FleetState",
     "LocalTrainer",
-    "make_devices",
     "make_fleet",
     "sample_unit_counts",
     "unit_times_from_counts",

@@ -9,17 +9,19 @@ models (guide: be easy on the memory).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.datasets.core import ClassificationDataset
-from repro.datasets.partition import Partition
 from repro.nn.models import Sequential
 from repro.nn.serialization import num_params
 from repro.utils.rng import SeedSequenceFactory
 
-__all__ = ["LocalTrainer", "Device", "make_devices"]
+if TYPE_CHECKING:
+    from repro.device.fleet import DeviceFleet
+
+__all__ = ["LocalTrainer", "Device"]
 
 
 class LocalTrainer:
@@ -183,69 +185,64 @@ class LocalTrainer:
 
 
 class Device:
-    """One federated participant.
+    """One federated participant: the row facade over a
+    :class:`~repro.device.fleet.DeviceFleet` slot.
+
+    Owns no arrays — ``shard`` is a zero-copy slice of the fleet's
+    gathered data block (built on first access), ``weights`` reads are
+    zero-copy views into the fleet's weight rows — and is built lazily by
+    :meth:`DeviceFleet.device`, never for an idle device.
 
     ``buffer`` realizes Algorithm 1's per-device stack B_i: the *back*
     (last element) is the model the device trains next; ring predecessors
     push onto it via :meth:`receive`.
 
-    **Weight-ownership rule.**  Arrays handed to :meth:`reset_buffer` and
-    :meth:`receive` are *borrowed, read-only*: the device aliases them
-    (no copy) and never mutates a buffered array in place — training
-    copies the start model into the shared trainer first.  The flip side
-    of the zero-copy alias is that the caller must not mutate an array
-    after handing it over; the server upholds this by always *replacing*
-    ``global_weights`` with a freshly produced vector rather than updating
-    it in place.  Vectors a device produces (:meth:`run_unit`) are owned
-    by the device (a fresh array, or its fleet row for
-    :class:`~repro.device.fleet.FleetDevice`) and stay valid until its
-    next training unit overwrites them.
+    **Weight-ownership rule.**  :meth:`receive` *borrows*: the buffer
+    aliases the array (no copy) and never mutates it — training copies the
+    start model into the shared trainer first — so the sender must not
+    mutate an array after handing it over; the server upholds this by
+    always *replacing* ``global_weights`` with a freshly produced vector
+    rather than updating it in place.  Assigning ``weights`` (and so
+    :meth:`reset_buffer` and :meth:`run_unit`) *snapshots* the value into
+    the device's fleet row, which stays valid until the device's next
+    training unit — or, with recycled rows, the next round — overwrites
+    it.
     """
 
-    def __init__(
-        self,
-        device_id: int,
-        shard: ClassificationDataset,
-        unit_time: float,
-        trainer: LocalTrainer,
-        weights: np.ndarray | None = None,
-        buffer: list[np.ndarray] | None = None,
-    ) -> None:
-        if unit_time <= 0:
-            raise ValueError(f"unit_time must be positive, got {unit_time}")
-        if len(shard) == 0:
-            raise ValueError(f"device {device_id} has an empty shard")
+    def __init__(self, fleet: DeviceFleet, device_id: int) -> None:
+        # The fleet constructor already validated unit times and shard sizes.
+        self.fleet = fleet
         self.device_id = device_id
-        self.shard = shard
-        self.unit_time = unit_time
-        self.trainer = trainer
-        self.buffer: list[np.ndarray] = [] if buffer is None else buffer
-        self._weights = weights
+        self.trainer = fleet.trainer
+        self.unit_time = float(fleet.unit_times[device_id])
+        self.buffer: list[np.ndarray] = []
+        self._shard: ClassificationDataset | None = None
 
     @property
-    def weights(self) -> np.ndarray | None:
-        """The device's current model (None until it first trains/resets).
-
-        A plain attribute here; :class:`~repro.device.fleet.FleetDevice`
-        overrides the pair so reads are zero-copy views into the fleet's
-        weights matrix and writes land in the device's fleet row.
-        """
-        return self._weights
-
-    @weights.setter
-    def weights(self, value: np.ndarray | None) -> None:
-        self._weights = value
+    def shard(self) -> ClassificationDataset:
+        if self._shard is None:
+            self._shard = self.fleet.shard(self.device_id)
+        return self._shard
 
     @property
     def num_samples(self) -> int:
-        return len(self.shard)
+        return int(self.fleet.num_samples[self.device_id])
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        """The device's current model (None until it first trains/resets)."""
+        return self.fleet.weights_row(self.device_id)
+
+    @weights.setter
+    def weights(self, value: np.ndarray | None) -> None:
+        if value is None:
+            self.fleet.clear_weights(self.device_id)
+        else:
+            self.fleet.set_weights(self.device_id, value)
 
     def reset_buffer(self, weights: np.ndarray) -> None:
-        """Algorithm 1 lines 8-9: clear B_i and push the round-start model.
-
-        ``weights`` is borrowed (aliased, never mutated) — see the class
-        docstring's ownership rule.
-        """
+        """Algorithm 1 lines 8-9: clear B_i and push the round-start model
+        (borrowed by the buffer, snapshotted into the device's row)."""
         self.buffer.clear()
         self.buffer.append(weights)
         self.weights = weights
@@ -312,25 +309,3 @@ class Device:
         self.buffer.clear()
         self.buffer.append(new_weights)
         return new_weights
-
-
-def make_devices(
-    dataset: ClassificationDataset,
-    parts: Partition | Sequence[np.ndarray],
-    unit_times: np.ndarray,
-    trainer: LocalTrainer,
-) -> list[Device]:
-    """Assemble one :class:`Device` per shard of the partition."""
-    if len(parts) != len(unit_times):
-        raise ValueError(
-            f"parts ({len(parts)}) and unit_times ({len(unit_times)}) disagree"
-        )
-    return [
-        Device(
-            device_id=i,
-            shard=dataset.subset(idx, name=f"{dataset.name}/dev{i}"),
-            unit_time=float(unit_times[i]),
-            trainer=trainer,
-        )
-        for i, idx in enumerate(parts)
-    ]

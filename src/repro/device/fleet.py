@@ -22,10 +22,9 @@ Two storage modes, chosen by the server from the environment:
   with the set of ever-active devices, which is inherent: state someone
   may still read cannot be recycled.
 
-The existing :class:`~repro.device.device.Device` contract survives as
-:class:`FleetDevice`, a thin row-view facade (built lazily, cached), so
-the ring engine's ``run_unit`` choreography and all method code keep
-their shape.
+A :class:`~repro.device.device.Device` is the row-view facade over one
+slot (built lazily, cached): the object the ring engine's ``run_unit``
+choreography and the methods' ``run_round`` hooks handle.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.datasets.core import ClassificationDataset
 from repro.datasets.partition import Partition
 from repro.device.device import Device, LocalTrainer
 
-__all__ = ["DeviceFleet", "FleetDevice", "FleetState", "make_fleet"]
+__all__ = ["DeviceFleet", "FleetState", "make_fleet"]
 
 
 class FleetState:
@@ -213,15 +212,26 @@ class DeviceFleet:
         self._arena: np.ndarray | None = None  # recycled round matrix
         self._arena_row: dict[int, int] = {}
         self._arena_reg_ids: np.ndarray | None = None
-        self._facades: list[FleetDevice | None] = [None] * n
+        self._facades: list[Device | None] = [None] * n
         self._shards: list[ClassificationDataset | None] = [None] * n
+
+    @classmethod
+    def require(cls, devices) -> DeviceFleet:
+        """``devices`` if it is a fleet — the one boundary check of
+        everything that takes a population (servers, the ring engine)."""
+        if not isinstance(devices, cls):
+            raise TypeError(
+                f"devices must be a DeviceFleet, got {type(devices).__name__}; "
+                "build the population with repro.device.make_fleet"
+            )
+        return devices
 
     # ------------------------------------------------------ population API
 
     def __len__(self) -> int:
         return self.num_devices
 
-    def __getitem__(self, device_id: int) -> "FleetDevice":
+    def __getitem__(self, device_id: int) -> Device:
         return self.device(device_id)
 
     def __iter__(self):
@@ -229,12 +239,20 @@ class DeviceFleet:
         # fleet-scale callers should work with id arrays instead.
         return (self.device(i) for i in range(self.num_devices))
 
-    def device(self, device_id: int) -> "FleetDevice":
-        """The (cached) row-view facade for one device."""
+    def device(self, device_id: int) -> Device:
+        """The (cached) row-view facade for one device; a negative index
+        counts from the end of the population."""
         device_id = int(device_id)
+        if device_id < 0:
+            device_id += self.num_devices
+        if not 0 <= device_id < self.num_devices:
+            raise IndexError(
+                f"device index out of range for a population of "
+                f"{self.num_devices}"
+            )
         facade = self._facades[device_id]
         if facade is None:
-            facade = FleetDevice(self, device_id)
+            facade = Device(self, device_id)
             self._facades[device_id] = facade
         return facade
 
@@ -386,51 +404,6 @@ class DeviceFleet:
         return total
 
 
-class FleetDevice(Device):
-    """Row-view facade over one :class:`DeviceFleet` slot.
-
-    Keeps the full :class:`~repro.device.device.Device` surface —
-    ``run_unit``/``train_unit``/``reset_buffer``/``receive`` and the
-    ``weights`` attribute — but owns no arrays: ``weights`` reads are
-    zero-copy views into the fleet's weights matrix, writes are copies
-    into the device's fleet row (so, unlike a standalone device, a fleet
-    device never aliases a caller's array — assigning ``weights``
-    snapshots the value).  The shard is a zero-copy slice of the fleet's
-    gathered data block, built on first access.
-    """
-
-    def __init__(self, fleet: DeviceFleet, device_id: int) -> None:
-        # Deliberately skips Device.__init__: the shard is lazy and the
-        # fleet constructor already validated unit times and shard sizes.
-        self.fleet = fleet
-        self.device_id = device_id
-        self.trainer = fleet.trainer
-        self.unit_time = float(fleet.unit_times[device_id])
-        self.buffer: list[np.ndarray] = []
-        self._shard: ClassificationDataset | None = None
-
-    @property
-    def shard(self) -> ClassificationDataset:
-        if self._shard is None:
-            self._shard = self.fleet.shard(self.device_id)
-        return self._shard
-
-    @property
-    def num_samples(self) -> int:
-        return int(self.fleet.num_samples[self.device_id])
-
-    @property
-    def weights(self) -> np.ndarray | None:
-        return self.fleet.weights_row(self.device_id)
-
-    @weights.setter
-    def weights(self, value: np.ndarray | None) -> None:
-        if value is None:
-            self.fleet.clear_weights(self.device_id)
-        else:
-            self.fleet.set_weights(self.device_id, value)
-
-
 def make_fleet(
     dataset: ClassificationDataset,
     parts: Partition | Sequence[np.ndarray],
@@ -438,6 +411,5 @@ def make_fleet(
     trainer: LocalTrainer,
     name: str | None = None,
 ) -> DeviceFleet:
-    """Assemble the struct-of-arrays fleet (the :func:`make_devices`
-    replacement used by :func:`repro.experiments.build_experiment`)."""
+    """Assemble the device population — the one way to build one."""
     return DeviceFleet(dataset, parts, unit_times, trainer, name=name)

@@ -2,12 +2,14 @@
 
 The paper's evaluation keeps every sampled device online for the whole
 round; real fleets churn.  An :class:`AvailabilityModel` maps a round index
-and a candidate device list to a boolean online mask — the server applies
+and a candidate id array to a boolean online mask — the server applies
 it *after* participant sampling, so availability composes with any
 selection policy (a device can be picked and then found offline).
 
-All models are pure functions of ``(round_idx, devices, rng)``; the server
-owns the rng stream so runs stay reproducible and campaign-cacheable.
+All models are pure functions of ``(round_idx, device_ids, unit_times,
+rng)`` — population *arrays*, so asking who is online never materializes
+a per-device object; the server owns the rng stream so runs stay
+reproducible and campaign-cacheable.
 """
 
 from __future__ import annotations
@@ -29,20 +31,11 @@ __all__ = [
 
 
 class AvailabilityModel:
-    """Interface: per-round online mask over a device list."""
+    """Interface: per-round online mask over a device-id array."""
 
     #: True for models that never take a device offline — the server skips
     #: the rng stream entirely for them (the ``ideal`` bit-identity path).
     always_on: bool = False
-
-    def available_mask(
-        self,
-        round_idx: int,
-        devices: Sequence,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Boolean mask, True where ``devices[i]`` is online in ``round_idx``."""
-        raise NotImplementedError
 
     def available_mask_ids(
         self,
@@ -51,41 +44,16 @@ class AvailabilityModel:
         unit_times: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Array-based twin of :meth:`available_mask` for fleet servers.
-
-        Consumes the population *arrays* (``device_ids`` and the aligned
-        ``unit_times``) instead of device objects, so fleet-scale rounds
-        never materialize facades just to ask who is online.  Every
-        bundled model implements it with **identical rng draws** to the
-        object path — the two are interchangeable bit-for-bit.  The
-        default falls back to :meth:`available_mask` with lightweight
-        stand-ins for third-party models that only know the object
-        protocol.
-        """
-        stand_ins = [
-            _DeviceStandIn(int(i), float(t))
-            for i, t in zip(device_ids, unit_times)
-        ]
-        return self.available_mask(round_idx, stand_ins, rng)
-
-
-class _DeviceStandIn:
-    """The two attributes availability models may read, without a Device."""
-
-    __slots__ = ("device_id", "unit_time")
-
-    def __init__(self, device_id: int, unit_time: float) -> None:
-        self.device_id = device_id
-        self.unit_time = unit_time
+        """Boolean mask, True where ``device_ids[i]`` is online in
+        ``round_idx``; ``unit_times`` is aligned with ``device_ids`` (what
+        capacity-aware models read)."""
+        raise NotImplementedError
 
 
 class AlwaysOn(AvailabilityModel):
     """Paper semantics: every device is online every round."""
 
     always_on = True
-
-    def available_mask(self, round_idx, devices, rng):
-        return np.ones(len(devices), dtype=bool)
 
     def available_mask_ids(self, round_idx, device_ids, unit_times, rng):
         return np.ones(len(device_ids), dtype=bool)
@@ -97,11 +65,6 @@ class BernoulliAvailability(AvailabilityModel):
     def __init__(self, up_prob: float = 0.9) -> None:
         validate_fraction(up_prob, "up_prob")
         self.up_prob = float(up_prob)
-
-    def available_mask(self, round_idx, devices, rng):
-        if self.up_prob >= 1.0:
-            return np.ones(len(devices), dtype=bool)
-        return rng.random(len(devices)) < self.up_prob
 
     def available_mask_ids(self, round_idx, device_ids, unit_times, rng):
         if self.up_prob >= 1.0:
@@ -153,16 +116,6 @@ class TraceAvailability(AvailabilityModel):
         self._trace_flat = np.asarray(
             [v for i in tids for v in self.traces[i]], dtype=bool
         )
-
-    def available_mask(self, round_idx, devices, rng):
-        mask = np.empty(len(devices), dtype=bool)
-        for i, dev in enumerate(devices):
-            trace = self.traces.get(dev.device_id)
-            if trace is None:
-                mask[i] = self.default
-            else:
-                mask[i] = trace[(round_idx - 1) % len(trace)]
-        return mask
 
     def available_mask_ids(self, round_idx, device_ids, unit_times, rng):
         ids = np.asarray(device_ids)
@@ -226,9 +179,6 @@ class DiurnalAvailability(AvailabilityModel):
         wave = np.sin(2.0 * np.pi * (round_idx / self.period + self.phase))
         return float(self.min_up + (self.max_up - self.min_up) * 0.5 * (1.0 + wave))
 
-    def available_mask(self, round_idx, devices, rng):
-        return rng.random(len(devices)) < self.up_prob(round_idx)
-
     def available_mask_ids(self, round_idx, device_ids, unit_times, rng):
         return rng.random(len(device_ids)) < self.up_prob(round_idx)
 
@@ -248,15 +198,8 @@ class CapacityCorrelatedAvailability(AvailabilityModel):
         self.up_prob = float(up_prob)
         self.slow_penalty = float(slow_penalty)
 
-    def available_mask(self, round_idx, devices, rng):
-        times = np.array([d.unit_time for d in devices], dtype=np.float64)
-        return self._mask_from_times(times, rng)
-
     def available_mask_ids(self, round_idx, device_ids, unit_times, rng):
         times = np.asarray(unit_times, dtype=np.float64)
-        return self._mask_from_times(times, rng)
-
-    def _mask_from_times(self, times: np.ndarray, rng) -> np.ndarray:
         lo, hi = times.min(), times.max()
         norm = np.zeros_like(times) if hi == lo else (times - lo) / (hi - lo)
         probs = np.clip(self.up_prob - self.slow_penalty * norm, 0.05, 1.0)

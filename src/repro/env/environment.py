@@ -6,7 +6,7 @@ An :class:`Environment` bundles a :class:`~repro.env.network.NetworkModel`
 server's channel API (:meth:`FederatedServer.broadcast` /
 :meth:`~FederatedServer.collect` / :meth:`~FederatedServer.peer_send`)
 reads transfer times and drop probabilities from it; participant sampling
-filters through :meth:`Environment.available`; the FedHiSyn ring engine
+filters through :meth:`Environment.available_ids`; the FedHiSyn ring engine
 uses the same network model for peer hops.
 
 The contract that keeps experiments comparable:
@@ -21,12 +21,10 @@ The contract that keeps experiments comparable:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.env.availability import AlwaysOn, AvailabilityModel
-from repro.env.network import SERVER, IdealNetwork, NetworkModel
+from repro.env.network import IdealNetwork, NetworkModel
 
 __all__ = ["Environment"]
 
@@ -71,27 +69,6 @@ class Environment:
             and self.availability.always_on
         )
 
-    def available(
-        self,
-        round_idx: int,
-        devices: Sequence,
-        rng: np.random.Generator,
-    ) -> list:
-        """Online subset of ``devices`` this round — never empty.
-
-        An all-offline draw falls back to one rng-chosen device: a round
-        with zero participants would stall every method, and in practice a
-        server simply waits for the first device to reappear.
-        """
-        devices = list(devices)
-        if not devices or self.availability.always_on:
-            return devices
-        mask = self.availability.available_mask(round_idx, devices, rng)
-        online = [d for d, up in zip(devices, mask) if up]
-        if not online:
-            online = [devices[int(rng.integers(len(devices)))]]
-        return online
-
     def available_ids(
         self,
         round_idx: int,
@@ -99,11 +76,13 @@ class Environment:
         unit_times: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Array twin of :meth:`available`: online subset of an id array.
+        """Online subset of ``device_ids`` this round — never empty.
 
         ``unit_times`` is aligned with ``device_ids`` (what capacity-aware
-        models read).  Draws the same rng stream as the object path, so a
-        fleet server and a device-list server see identical churn.
+        models read).  An all-offline draw falls back to one rng-chosen
+        device: a round with zero participants would stall every method,
+        and in practice a server simply waits for the first device to
+        reappear.
         """
         device_ids = np.asarray(device_ids, dtype=np.intp)
         if not len(device_ids) or self.availability.always_on:
@@ -137,38 +116,20 @@ class Environment:
             dtype=bool,
         )
         if not mask.any():
-            # The all-offline fallback: one rng-chosen device stays up
-            # (same draw as the object path's ``available``).
+            # The all-offline fallback: one rng-chosen device stays up.
             mask = mask.copy()
             mask[int(rng.integers(n))] = True
         return mask
 
-    def server_transfer_time(
-        self, devices: Sequence, model_units: float | np.ndarray = 1.0
+    def server_transfer_time_ids(
+        self, device_ids: np.ndarray, model_units: float | np.ndarray = 1.0
     ) -> float:
         """Time until the slowest server↔device link finishes one transfer.
 
         Links are symmetric in every bundled network model, so this serves
         both broadcast (down) and collect (up).  ``model_units`` may be an
-        array aligned with ``devices`` (codec uploads size per sender).
+        array aligned with ``device_ids`` (codec uploads size per sender).
         """
-        net = self.network
-        if net.is_instant or not devices:
-            return 0.0
-        if np.ndim(model_units) == 0:
-            return max(
-                net.transfer_time(SERVER, d.device_id, model_units)
-                for d in devices
-            )
-        return max(
-            net.transfer_time(SERVER, d.device_id, float(u))
-            for d, u in zip(devices, model_units)
-        )
-
-    def server_transfer_time_ids(
-        self, device_ids: np.ndarray, model_units: float | np.ndarray = 1.0
-    ) -> float:
-        """Slowest server-link transfer over an id array, vectorized."""
         net = self.network
         if net.is_instant or not len(device_ids):
             return 0.0

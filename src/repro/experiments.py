@@ -272,6 +272,13 @@ class ExperimentSpec:
             raise ValueError(
                 f"over_select must be >= 0, got {self.over_select}"
             )
+        if self.over_select and self.selection is not None:
+            raise ValueError(
+                f"over_select={self.over_select} has no effect with "
+                f"selection={self.selection!r}: the margin inflates the "
+                "default Bernoulli(participation) draw, a selection policy "
+                "sizes its own cohort — raise selection_fraction instead"
+            )
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
@@ -449,7 +456,7 @@ def build_experiment(
         server.transport.bind(server, spec)
     # Batched engine last: it snapshots the trainer/fleet pair, which is
     # final by now.  "auto" degrades silently to sequential when the model
-    # or population cannot batch (CNNs, per-object device lists).
+    # cannot batch (CNNs).
     server.set_device_batching(spec.device_batching)
     return server
 

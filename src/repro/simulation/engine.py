@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.device.device import Device
 from repro.device.fleet import DeviceFleet
 from repro.device.network import LinkDelayModel, UniformDelay
 from repro.simulation.scheduler import (
@@ -70,7 +69,7 @@ class RingRoundEngine:
     Parameters
     ----------
     devices:
-        All devices indexed by ``device_id``.
+        The population; ring members are device ids into it.
     delay_model:
         Link delays for peer hops (paper simplification: uniform 0).
     epochs_per_unit:
@@ -87,7 +86,7 @@ class RingRoundEngine:
 
     def __init__(
         self,
-        devices: Sequence[Device],
+        devices: DeviceFleet,
         delay_model: LinkDelayModel | None = None,
         epochs_per_unit: int = 5,
         combine: str = "direct",
@@ -105,11 +104,10 @@ class RingRoundEngine:
         drop_prob = 0.0 if drop_prob is None else drop_prob
         if not 0.0 <= drop_prob < 1.0:
             raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
-        # A DeviceFleet is kept as-is: participants resolve through its
-        # O(1) id lookup and facades materialize lazily, so a round over
-        # a small slice of a huge population never touches idle devices.
-        self._fleet = devices if isinstance(devices, DeviceFleet) else None
-        self.devices = devices if self._fleet is not None else list(devices)
+        # Participants resolve through the fleet's O(1) id lookup and
+        # facades materialize lazily, so a round over a small slice of a
+        # huge population never touches idle devices.
+        self.devices = DeviceFleet.require(devices)
         self.delay_model = delay_model if delay_model is not None else UniformDelay(0.0)
         self.epochs_per_unit = epochs_per_unit
         combiners: dict[str, Callable] = {"direct": _direct_use, "average": _average}
@@ -173,10 +171,7 @@ class RingRoundEngine:
             for pos, dev in enumerate(ring):
                 successor[dev] = ring[(pos + 1) % len(ring)]
 
-        if self._fleet is not None:
-            by_id = {i: self._fleet.device(i) for i in participants}
-        else:
-            by_id = {d.device_id: d for d in self.devices}
+        by_id = {i: self.devices.device(i) for i in participants}
         # Per-device mutable state for the event loop.
         units_done = {i: 0 for i in participants}
         units_budget: dict[int, int] = {}

@@ -52,8 +52,7 @@ class SimTransport(Transport):
         The FedAvg-family inner loop.  With live fleet rows the loop runs
         straight against the trainer — shard slices and stream keys come
         from fleet arrays, no facade attribute chasing, and the trained
-        vector lands in the device's registered row — which is where the
-        per-object path spent its per-device time.  Otherwise the
+        vector lands in the device's registered row.  Otherwise the
         classic ``run_unit`` choreography keeps every Device contract
         intact (including the ``weights`` snapshot for drop-fallback).
 

@@ -53,7 +53,7 @@ class TestEmpiricalProxy:
     def test_proxy_tracks_partition_skew(self, tiny_split, tiny_trainer):
         """Device models trained on IID shards generalize better than ones
         trained on highly skewed shards — the paper's accuracy proxy."""
-        from repro.device import make_devices
+        from repro.device import make_fleet
 
         train_set, test_set = tiny_split
         scores = {}
@@ -62,7 +62,7 @@ class TestEmpiricalProxy:
                 parts = iid_partition(train_set, 6, seed=1)
             else:
                 parts = dirichlet_partition(train_set, 6, beta=beta, seed=1)
-            devices = make_devices(train_set, parts, np.ones(6), tiny_trainer)
+            devices = make_fleet(train_set, parts, np.ones(6), tiny_trainer)
             import numpy as _np
 
             from repro.nn.serialization import get_flat_params

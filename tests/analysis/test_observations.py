@@ -56,11 +56,11 @@ class TestCommunicationModes:
     def test_communication_helps_on_skewed_data(self, tiny_split, tiny_trainer, w0):
         """Observation 1 in miniature: ring beats isolation on Non-IID."""
         from repro.datasets.partition import dirichlet_partition
-        from repro.device import make_devices
+        from repro.device import make_fleet
 
         train_set, test_set = tiny_split
         parts = dirichlet_partition(train_set, 6, beta=0.15, seed=7, min_samples=2)
-        devices = make_devices(train_set, parts, np.ones(6), tiny_trainer)
+        devices = make_fleet(train_set, parts, np.ones(6), tiny_trainer)
         none = communication_mode_experiment(
             "none", devices, test_set, w0, rounds=8, seed=0
         )

@@ -123,13 +123,13 @@ class TestFedATTierStability:
         """A fast-only round and a slow-only round must not share tier state."""
         _, test_set = tiny_split
 
-        fast = [d for d in tiny_devices if d.unit_time == 0.25]
-        slow = [d for d in tiny_devices if d.unit_time == 1.0]
+        fast = np.flatnonzero(tiny_devices.unit_times == 0.25)
+        slow = np.flatnonzero(tiny_devices.unit_times == 1.0)
 
         class AlternatingSelection:
             expected_fraction = None
 
-            def select(self, round_idx, devices, rng):
+            def select(self, round_idx, fleet, rng):
                 return fast if round_idx % 2 == 1 else slow
 
         srv = FedATServer(tiny_devices, test_set,

@@ -33,13 +33,13 @@ class TestStalenessBehaviour:
         """A single device never sees a stale global (its view is always
         the latest version), so the exponent must not change anything."""
         from repro.datasets.partition import iid_partition
-        from repro.device import make_devices
+        from repro.device import make_fleet
 
         train_set, test_set = tiny_split
         parts = iid_partition(train_set, 1, seed=0)
         outs = {}
         for exp in (0.0, 3.0):
-            devices = make_devices(train_set, parts, np.array([0.25]), tiny_trainer)
+            devices = make_fleet(train_set, parts, np.array([0.25]), tiny_trainer)
             srv = TAFedAvgServer(
                 devices, test_set,
                 TAFedAvgConfig(local_epochs=1, alpha=0.3,

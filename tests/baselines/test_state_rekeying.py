@@ -5,30 +5,29 @@ method state must be keyed by stable device id and survive rounds where a
 device is deselected and later reselected — the generalization of the
 PR 3 ``device_tier`` fix to every stateful method.  These tests drive
 deselection deterministically through ``TraceAvailability`` and pin the
-fleet server to the per-object server bit for bit.
+fleet to the frozen record of what per-object devices produced
+(``tests/golden/population/matrix.json``) bit for bit.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.baselines.fedasync import FedAsyncConfig, FedAsyncServer
 from repro.baselines.fedat import FedATConfig, FedATServer
-from repro.baselines.fedbuff import FedBuffConfig, FedBuffServer
 from repro.baselines.scaffold import ScaffoldConfig, ScaffoldServer
-from repro.datasets.partition import dirichlet_partition
-from repro.device import make_devices, make_fleet, unit_times_from_counts
-from repro.env.availability import BernoulliAvailability, TraceAvailability
+from repro.env.availability import TraceAvailability
 from repro.env.environment import Environment
-from repro.env.network import IdealNetwork, UniformNetwork
+from repro.env.network import IdealNetwork
 from repro.experiments import METHODS, ExperimentSpec, run_experiment
+from tests.golden.generate import (
+    POPULATION_MATRIX,
+    POPULATION_MATRIX_PATH,
+    build_population_cell,
+    population_observables,
+)
 
-
-def _population(tiny_split, tiny_trainer, as_fleet):
-    train_set, test_set = tiny_split
-    parts = dirichlet_partition(train_set, 8, beta=0.5, seed=5, min_samples=2)
-    times = unit_times_from_counts(np.array([1, 2, 4, 1, 2, 4, 1, 2]))
-    build = make_fleet if as_fleet else make_devices
-    return build(train_set, parts, times, tiny_trainer), test_set
+FROZEN = json.loads(POPULATION_MATRIX_PATH.read_text())
 
 
 def _churn_env():
@@ -41,8 +40,8 @@ def _churn_env():
 
 
 class TestScaffoldRekeying:
-    def test_variate_survives_deselection(self, tiny_split, tiny_trainer):
-        fleet, test_set = _population(tiny_split, tiny_trainer, as_fleet=True)
+    def test_variate_survives_deselection(self, tiny_split, tiny_fleet):
+        fleet, test_set = tiny_fleet, tiny_split[1]
         srv = ScaffoldServer(
             fleet, test_set, ScaffoldConfig(rounds=3, local_epochs=1),
             env=_churn_env(),
@@ -67,9 +66,9 @@ class TestScaffoldRekeying:
         assert not np.array_equal(srv.device_variates[0], after_round1)
 
     def test_variates_materialize_only_for_participants(
-        self, tiny_split, tiny_trainer
+        self, tiny_split, tiny_fleet
     ):
-        fleet, test_set = _population(tiny_split, tiny_trainer, as_fleet=True)
+        fleet, test_set = tiny_fleet, tiny_split[1]
         srv = ScaffoldServer(
             fleet, test_set,
             ScaffoldConfig(rounds=1, local_epochs=1, participation=0.5, seed=3),
@@ -80,8 +79,8 @@ class TestScaffoldRekeying:
 
 
 class TestFedATRekeying:
-    def test_tier_state_keyed_by_stable_tier(self, tiny_split, tiny_trainer):
-        fleet, test_set = _population(tiny_split, tiny_trainer, as_fleet=True)
+    def test_tier_state_keyed_by_stable_tier(self, tiny_split, tiny_fleet):
+        fleet, test_set = tiny_fleet, tiny_split[1]
         srv = FedATServer(
             fleet, test_set, FedATConfig(rounds=3, local_epochs=1, num_tiers=3),
             env=_churn_env(),
@@ -95,91 +94,37 @@ class TestFedATRekeying:
 
 
 class TestFleetMatchesPerObject:
-    """The fleet server is the per-object server, bit for bit, for the
-    stateful methods under partial participation + churn — and for the
-    event loop, whose unit-time scatter and churn epochs read a
-    hand-built device list through the same id-indexed arrays."""
+    """The fleet replays the frozen per-object record, bit for bit: the
+    stateful methods and the event loop under partial participation +
+    churn (hand-built servers), and every selection policy under churn
+    and lossy links (``ExperimentSpec`` cells).  The record was captured
+    through lists of standalone devices and the object policies at the
+    last commit that had them — see ``tests/golden/generate.py``."""
 
-    @pytest.mark.parametrize("server_cls,config_cls", [
-        (ScaffoldServer, ScaffoldConfig),
-        (FedATServer, FedATConfig),
-        (FedAsyncServer, FedAsyncConfig),
-        (FedBuffServer, FedBuffConfig),
-    ])
-    def test_bitwise_equal_histories(
-        self, tiny_split, tiny_trainer, server_cls, config_cls
-    ):
-        from repro.nn.serialization import get_flat_params
+    def test_frozen_record_covers_the_matrix(self):
+        assert set(FROZEN) == set(POPULATION_MATRIX)
 
-        w0 = get_flat_params(tiny_trainer.model)
-        results = []
-        for as_fleet in (True, False):
-            pop, test_set = _population(tiny_split, tiny_trainer, as_fleet)
-            cfg = config_cls(
-                rounds=4, local_epochs=1, participation=0.6, seed=9
-            )
-            srv = server_cls(pop, test_set, cfg, env=_churn_env())
-            results.append(srv.fit(initial_weights=w0))
-        fleet_res, object_res = results
-        np.testing.assert_array_equal(
-            fleet_res.final_weights, object_res.final_weights
-        )
-        assert fleet_res.history.to_dict() == object_res.history.to_dict()
+    @pytest.mark.parametrize("cell", sorted(POPULATION_MATRIX))
+    def test_matches_per_object_record(self, cell):
+        frozen = FROZEN[cell]
+        assert frozen["spec"] == POPULATION_MATRIX[cell]
+        # Through JSON, like the record: floats round-trip exactly.
+        got = json.loads(json.dumps(population_observables(POPULATION_MATRIX[cell])))
+        for name, want in frozen["observables"].items():
+            assert got[name] == want, f"{cell}: '{name}' diverged"
 
-    @pytest.mark.parametrize("server_cls,config_cls", [
-        (FedAsyncServer, FedAsyncConfig),
-        (FedBuffServer, FedBuffConfig),
-    ])
-    def test_event_loop_bitwise_equal_under_drawn_churn(
-        self, tiny_split, tiny_trainer, server_cls, config_cls
-    ):
-        """Churn epochs that really draw (and really park cohort members):
-        a device list goes through ``online_mask_ids`` like a fleet."""
-        from repro.nn.serialization import get_flat_params
-
-        w0 = get_flat_params(tiny_trainer.model)
-        runs = []
-        for as_fleet in (True, False):
-            pop, test_set = _population(tiny_split, tiny_trainer, as_fleet)
-            cfg = config_cls(rounds=30, local_epochs=1, participation=0.6, seed=9)
-            env = Environment(
-                IdealNetwork(), BernoulliAvailability(up_prob=0.5), name="coin"
-            )
-            srv = server_cls(pop, test_set, cfg, env=env)
-            runs.append((srv, srv.fit(initial_weights=w0)))
-        (fleet_srv, fleet_res), (object_srv, object_res) = runs
-        assert fleet_srv.unavailable_count == object_srv.unavailable_count > 0
-        np.testing.assert_array_equal(
-            fleet_res.final_weights, object_res.final_weights
-        )
-        assert fleet_res.history.to_dict() == object_res.history.to_dict()
-
-    def test_bitwise_equal_under_drops(self, tiny_split, tiny_trainer):
-        """Lossy channels force row retention; still bit-identical."""
-        from repro.nn.serialization import get_flat_params
-
-        w0 = get_flat_params(tiny_trainer.model)
-        results = []
-        for as_fleet in (True, False):
-            pop, test_set = _population(tiny_split, tiny_trainer, as_fleet)
-            cfg = ScaffoldConfig(rounds=3, local_epochs=1, seed=9)
-            env = Environment(UniformNetwork(drop_prob=0.3), name="lossy")
-            srv = ScaffoldServer(pop, test_set, cfg, env=env)
-            if as_fleet:
-                assert pop.retain_history  # drops -> per-device rows kept
-            results.append(srv.fit(initial_weights=w0))
-        np.testing.assert_array_equal(
-            results[0].final_weights, results[1].final_weights
-        )
+    def test_cells_reach_what_they_claim(self):
+        """Churn epochs that really draw, drops that force row retention."""
+        coin = FROZEN["hand-fedbuff-coin"]["observables"]
+        assert coin["unavailable_count"] > 0
+        lossy = build_population_cell(POPULATION_MATRIX["hand-scaffold-lossy"])
+        assert lossy.fleet.retain_history  # drops -> per-device rows kept
+        assert FROZEN["hand-scaffold-lossy"]["observables"]["dropped_messages"] > 0
 
 
 class TestEveryMethodFleetEquivalence:
-    """End-to-end: every registered method, fleet vs per-object build,
-    identical metric histories under a non-ideal (lossless) environment.
-
-    ``run_experiment`` builds fleets; the per-object twin is assembled
-    from the same substrate by hand, so this guards the whole stack.
-    """
+    """End-to-end: every registered method is deterministic on the fleet
+    under partial participation and a non-ideal (lossless) environment."""
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_partial_participation_history(self, method):

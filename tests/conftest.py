@@ -11,7 +11,7 @@ import pytest
 
 from repro.datasets import train_test_split
 from repro.datasets.synthetic import SyntheticSpec, make_synthetic
-from repro.device import LocalTrainer, make_devices, make_fleet, unit_times_from_counts
+from repro.device import LocalTrainer, make_fleet, unit_times_from_counts
 from repro.datasets.partition import dirichlet_partition, iid_partition
 from repro.nn.models import paper_mlp
 
@@ -71,7 +71,7 @@ def tiny_devices(tiny_split, tiny_trainer):
     train_set, _ = tiny_split
     parts = dirichlet_partition(train_set, 8, beta=0.5, seed=5, min_samples=2)
     counts = np.array([1, 2, 4, 1, 2, 4, 1, 2])
-    return make_devices(train_set, parts, unit_times_from_counts(counts), tiny_trainer)
+    return make_fleet(train_set, parts, unit_times_from_counts(counts), tiny_trainer)
 
 
 @pytest.fixture()
@@ -79,13 +79,10 @@ def homogeneous_devices(tiny_split, tiny_trainer):
     """6 devices, IID split, identical speeds."""
     train_set, _ = tiny_split
     parts = iid_partition(train_set, 6, seed=6)
-    return make_devices(train_set, parts, np.ones(6), tiny_trainer)
+    return make_fleet(train_set, parts, np.ones(6), tiny_trainer)
 
 
 @pytest.fixture()
-def tiny_fleet(tiny_split, tiny_trainer):
-    """The ``tiny_devices`` population as a struct-of-arrays DeviceFleet."""
-    train_set, _ = tiny_split
-    parts = dirichlet_partition(train_set, 8, beta=0.5, seed=5, min_samples=2)
-    counts = np.array([1, 2, 4, 1, 2, 4, 1, 2])
-    return make_fleet(train_set, parts, unit_times_from_counts(counts), tiny_trainer)
+def tiny_fleet(tiny_devices):
+    """``tiny_devices`` under the name the fleet-storage tests read best with."""
+    return tiny_devices

@@ -126,12 +126,12 @@ class TestDrops:
 
 class TestAvailability:
     def test_offline_devices_not_selected(self, tiny_devices, tiny_split):
-        traces = {d.device_id: [False, True] for d in tiny_devices[:4]}
+        traces = {dev_id: [False, True] for dev_id in range(4)}
         env = Environment(availability=TraceAvailability(traces))
         srv = make_server(tiny_devices, tiny_split, env=env)
         round1 = srv.select_participants(1)
         round2 = srv.select_participants(2)
-        assert [d.device_id for d in round1] == [d.device_id for d in tiny_devices[4:]]
+        assert [d.device_id for d in round1] == list(range(4, len(tiny_devices)))
         assert len(round2) == len(tiny_devices)
         assert srv.unavailable_count == 4
 

@@ -103,14 +103,14 @@ class TestFedHiSynServer:
 
     def test_reproducible_given_seed(self, tiny_split, tiny_trainer):
         from repro.datasets.partition import iid_partition
-        from repro.device import make_devices
+        from repro.device import make_fleet
 
         train_set, test_set = tiny_split
         parts = iid_partition(train_set, 6, seed=0)
         times = np.array([1.0, 1.0, 0.5, 0.5, 0.25, 0.25])
 
         def run():
-            devices = make_devices(train_set, parts, times, tiny_trainer)
+            devices = make_fleet(train_set, parts, times, tiny_trainer)
             srv = FedHiSynServer(
                 devices,
                 test_set,

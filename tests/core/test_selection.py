@@ -19,7 +19,7 @@ def rng():
 class TestBernoulliSelection:
     def test_full_participation_all(self, tiny_devices, rng):
         chosen = BernoulliSelection(1.0).select(1, tiny_devices, rng)
-        assert len(chosen) == len(tiny_devices)
+        np.testing.assert_array_equal(chosen, np.arange(len(tiny_devices)))
 
     def test_partial_never_empty(self, tiny_devices, rng):
         policy = BernoulliSelection(0.05)
@@ -33,21 +33,31 @@ class TestBernoulliSelection:
 
 class TestFastestSelection:
     def test_takes_fastest(self, tiny_devices, rng):
+        times = tiny_devices.unit_times
         chosen = FastestSelection(0.25).select(1, tiny_devices, rng)
-        cutoff = max(d.unit_time for d in chosen)
-        excluded = [d for d in tiny_devices if d not in chosen]
-        assert all(d.unit_time >= cutoff for d in excluded)
+        excluded = np.setdiff1d(tiny_devices.device_ids, chosen)
+        assert (times[excluded] >= times[chosen].max()).all()
+
+    def test_ranked_by_time_then_id(self, tiny_devices, rng):
+        """The ranked order is the participant order (not ascending ids)."""
+        times = tiny_devices.unit_times
+        chosen = FastestSelection(0.75).select(1, tiny_devices, rng)
+        assert chosen.dtype == np.intp
+        assert chosen.tolist() == sorted(
+            range(len(tiny_devices)), key=lambda i: (times[i], i)
+        )[:6]
+        assert chosen.tolist() != sorted(chosen.tolist())
 
     def test_deterministic(self, tiny_devices, rng):
         a = FastestSelection(0.5).select(1, tiny_devices, rng)
         b = FastestSelection(0.5).select(2, tiny_devices, rng)
-        assert [d.device_id for d in a] == [d.device_id for d in b]
+        np.testing.assert_array_equal(a, b)
 
     def test_slow_devices_never_selected(self, tiny_devices, rng):
         """The paper's critique of FedCS-style selection: slow devices'
         data is simply never used."""
         policy = FastestSelection(0.25)
-        slowest = max(tiny_devices, key=lambda d: d.unit_time)
+        slowest = int(np.argmax(tiny_devices.unit_times))
         for r in range(10):
             assert slowest not in policy.select(r, tiny_devices, rng)
 
@@ -59,19 +69,16 @@ class TestDataSizeSelection:
 
     def test_no_duplicates(self, tiny_devices, rng):
         chosen = DataSizeSelection(0.75).select(1, tiny_devices, rng)
-        ids = [d.device_id for d in chosen]
-        assert len(ids) == len(set(ids))
+        assert (np.diff(chosen) > 0).all()  # distinct, and ascending
 
     def test_biased_toward_large_shards(self, tiny_devices):
-        counts = {d.device_id: 0 for d in tiny_devices}
+        counts = np.zeros(len(tiny_devices), dtype=int)
         policy = DataSizeSelection(0.25)
         rng = np.random.default_rng(1)
         for r in range(300):
-            for d in policy.select(r, tiny_devices, rng):
-                counts[d.device_id] += 1
-        largest = max(tiny_devices, key=lambda d: d.num_samples)
-        smallest = min(tiny_devices, key=lambda d: d.num_samples)
-        assert counts[largest.device_id] > counts[smallest.device_id]
+            counts[policy.select(r, tiny_devices, rng)] += 1
+        sizes = tiny_devices.num_samples
+        assert counts[np.argmax(sizes)] > counts[np.argmin(sizes)]
 
 
 class TestMakePolicy:
@@ -101,6 +108,9 @@ class TestServerIntegration:
         times = [d.unit_time for d in participants]
         assert max(times) <= min(d.unit_time for d in tiny_devices
                                  if d not in participants)
+        # The ranked order reaches run_round, and ids_of is the free path.
+        assert srv.ids_of(participants) is srv._round_ids
+        assert [d.device_id for d in participants] == srv._round_ids.tolist()
 
     def test_fastest_selection_loses_data(self, tiny_devices, tiny_split):
         """End-to-end version of the paper's critique: training only on the
@@ -120,3 +130,42 @@ class TestServerIntegration:
         restricted_srv.selection_policy = FastestSelection(0.25)
         restricted = restricted_srv.fit()
         assert full.final_accuracy >= restricted.final_accuracy - 0.05
+
+
+class TestSelectionAtFleetScale:
+    """A policy reads population arrays: selecting from 5000 devices builds
+    facades for the participants only, never for the fleet."""
+
+    @pytest.mark.parametrize("selection", [None, "bernoulli", "fastest", "datasize"])
+    def test_facades_only_for_participants(self, selection):
+        from repro.experiments import ExperimentSpec, build_experiment
+
+        srv = build_experiment(ExperimentSpec(
+            method="fedavg", fleet_profile="city", rounds=3, env="lan",
+            selection=selection,
+        ))
+        seen = set()
+        select = srv.select_participants
+
+        def recording_select(round_idx):
+            participants = select(round_idx)
+            seen.update(d.device_id for d in participants)
+            return participants
+
+        srv.select_participants = recording_select
+        srv.fit()
+        built = sum(f is not None for f in srv.fleet._facades)
+        assert 0 < built <= len(seen) < len(srv.fleet)
+
+    @pytest.mark.parametrize("method", ["fedavg", "fedbuff"])
+    def test_bernoulli_policy_is_the_default_draw(self, method):
+        """``selection="bernoulli"`` at ``selection_fraction=participation``
+        is bitwise ``selection=None``: one draw function serves both."""
+        from repro.experiments import ExperimentSpec, run_experiment
+
+        base = dict(method=method, num_samples=400, num_devices=12, rounds=4,
+                    participation=0.5, env="churn", seed=2)
+        default = run_experiment(ExperimentSpec(**base))
+        policy = run_experiment(ExperimentSpec(**base, selection="bernoulli"))
+        np.testing.assert_array_equal(default.final_weights, policy.final_weights)
+        assert default.history.to_dict() == policy.history.to_dict()

@@ -39,20 +39,13 @@ class TestServerConfig:
 
 
 class TestFederatedServer:
-    def test_requires_devices(self, tiny_split):
+    def test_requires_devices(self, tiny_devices, tiny_split):
+        """The population is a DeviceFleet; anything else — an empty list,
+        a list of its devices — is rejected at the boundary."""
         _, test_set = tiny_split
-        with pytest.raises(ValueError):
-            EchoServer([], test_set)
-
-    def test_shared_trainer_enforced(self, tiny_devices, tiny_split):
-        _, test_set = tiny_split
-        from repro.device.device import LocalTrainer
-        from repro.nn.models import paper_mlp
-
-        other = LocalTrainer(paper_mlp(12, 4, seed=9, hidden=(4, 3)))
-        tiny_devices[0].trainer = other
-        with pytest.raises(ValueError):
-            EchoServer(tiny_devices, test_set)
+        for not_a_fleet in ([], list(tiny_devices)):
+            with pytest.raises(TypeError, match="make_fleet"):
+                EchoServer(not_a_fleet, test_set)
 
     def test_full_participation_selects_all(self, tiny_devices, tiny_split):
         _, test_set = tiny_split

@@ -1,10 +1,10 @@
-"""Tests for repro.device.device: LocalTrainer and Device."""
+"""Tests for repro.device.device: LocalTrainer and the Device facade."""
 
 import numpy as np
 import pytest
 
 from repro.datasets.core import ClassificationDataset
-from repro.device.device import Device, LocalTrainer, make_devices
+from repro.device import LocalTrainer, make_fleet
 from repro.nn.models import paper_mlp
 from repro.nn.serialization import get_flat_params
 
@@ -19,6 +19,12 @@ def shard():
 def trainer():
     model = paper_mlp(6, 3, seed=0, hidden=(8, 4))
     return LocalTrainer(model, lr=0.1, batch_size=16, seed=1)
+
+
+@pytest.fixture()
+def dev(trainer, shard):
+    """The one device of a single-shard fleet."""
+    return make_fleet(shard, [np.arange(len(shard))], np.array([1.0]), trainer)[0]
 
 
 class TestLocalTrainer:
@@ -103,16 +109,14 @@ class TestLocalTrainer:
 
 
 class TestDevice:
-    def test_buffer_reset(self, trainer, shard):
-        dev = Device(0, shard, 1.0, trainer)
+    def test_buffer_reset(self, trainer, dev):
         w = np.zeros(trainer.dim)
         dev.receive(np.ones(trainer.dim))
         dev.reset_buffer(w)
         assert len(dev.buffer) == 1
         np.testing.assert_array_equal(dev.buffer[0], w)
 
-    def test_train_unit_uses_buffer_back(self, trainer, shard):
-        dev = Device(0, shard, 1.0, trainer)
+    def test_train_unit_uses_buffer_back(self, trainer, dev):
         w0 = get_flat_params(trainer.model)
         dev.reset_buffer(w0)
         received = w0 + 0.1
@@ -122,34 +126,23 @@ class TestDevice:
         ref = dev.run_unit(received, 1, 0, 0)
         np.testing.assert_array_equal(out, ref)
 
-    def test_train_unit_supersedes_buffer(self, trainer, shard):
-        dev = Device(0, shard, 1.0, trainer)
+    def test_train_unit_supersedes_buffer(self, trainer, dev):
         dev.reset_buffer(get_flat_params(trainer.model))
         out = dev.train_unit(1, 0, 0)
         assert len(dev.buffer) == 1
         np.testing.assert_array_equal(dev.buffer[0], out)
 
-    def test_empty_buffer_raises(self, trainer, shard):
-        dev = Device(0, shard, 1.0, trainer)
+    def test_empty_buffer_raises(self, dev):
         with pytest.raises(RuntimeError):
             dev.train_unit(1, 0, 0)
 
-    def test_nonpositive_unit_time_raises(self, trainer, shard):
-        with pytest.raises(ValueError):
-            Device(0, shard, 0.0, trainer)
 
-    def test_empty_shard_raises(self, trainer, shard):
-        empty = shard.subset(np.empty(0, dtype=np.intp))
-        with pytest.raises(ValueError):
-            Device(0, empty, 1.0, trainer)
-
-
-class TestMakeDevices:
+class TestMakeFleet:
     def test_builds_fleet(self, trainer):
         rng = np.random.default_rng(0)
         ds = ClassificationDataset(rng.normal(size=(30, 6)), rng.integers(0, 3, 30), 3)
         parts = [np.arange(0, 10), np.arange(10, 20), np.arange(20, 30)]
-        devs = make_devices(ds, parts, np.array([1.0, 0.5, 0.25]), trainer)
+        devs = make_fleet(ds, parts, np.array([1.0, 0.5, 0.25]), trainer)
         assert [d.device_id for d in devs] == [0, 1, 2]
         assert [d.num_samples for d in devs] == [10, 10, 10]
         assert devs[2].unit_time == 0.25
@@ -157,4 +150,4 @@ class TestMakeDevices:
     def test_length_mismatch_raises(self, trainer):
         ds = ClassificationDataset(np.zeros((4, 6)), np.zeros(4, dtype=int), 2)
         with pytest.raises(ValueError):
-            make_devices(ds, [np.arange(4)], np.array([1.0, 2.0]), trainer)
+            make_fleet(ds, [np.arange(4)], np.array([1.0, 2.0]), trainer)

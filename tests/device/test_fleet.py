@@ -1,4 +1,4 @@
-"""Tests for repro.device.fleet: DeviceFleet, FleetDevice, FleetState."""
+"""Tests for repro.device.fleet: DeviceFleet, its Device facades, FleetState."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,9 @@ import pytest
 from repro.datasets.core import ClassificationDataset
 from repro.datasets.partition import dirichlet_partition
 from repro.device import (
+    Device,
     DeviceFleet,
-    FleetDevice,
     FleetState,
-    make_devices,
     make_fleet,
     unit_times_from_counts,
 )
@@ -21,24 +20,22 @@ def _parts(train_set):
 
 
 class TestConstruction:
-    def test_shards_match_per_object_subsets(self, tiny_split, tiny_trainer):
+    def test_shards_match_per_device_subsets(self, tiny_split, tiny_trainer):
         """One gathered block slices into exactly the per-device copies."""
         train_set, _ = tiny_split
         parts = _parts(train_set)
         times = unit_times_from_counts(np.array([1, 2, 4, 1, 2, 4, 1, 2]))
         fleet = make_fleet(train_set, parts, times, tiny_trainer)
-        devices = make_devices(train_set, parts, times, tiny_trainer)
-        for dev in devices:
-            shard = fleet.shard(dev.device_id)
-            np.testing.assert_array_equal(shard.x, dev.shard.x)
-            np.testing.assert_array_equal(shard.y, dev.shard.y)
-            assert shard.name == dev.shard.name
-        np.testing.assert_array_equal(
-            fleet.num_samples, [d.num_samples for d in devices]
-        )
-        np.testing.assert_array_equal(
-            fleet.unit_times, [d.unit_time for d in devices]
-        )
+        for i, idx in enumerate(parts):
+            copy = train_set.subset(idx, name=f"{train_set.name}/dev{i}")
+            shard = fleet.shard(i)
+            np.testing.assert_array_equal(shard.x, copy.x)
+            np.testing.assert_array_equal(shard.y, copy.y)
+            assert shard.name == copy.name
+            assert fleet[i].num_samples == len(copy)
+            assert fleet[i].unit_time == times[i]
+        np.testing.assert_array_equal(fleet.num_samples, [len(p) for p in parts])
+        np.testing.assert_array_equal(fleet.unit_times, times)
 
     def test_shards_are_views_and_cached(self, tiny_fleet):
         shard = tiny_fleet.shard(3)
@@ -94,11 +91,23 @@ class TestLazyMaterialization:
 
     def test_facades_cached_and_lazy(self, tiny_fleet):
         dev = tiny_fleet.device(2)
-        assert isinstance(dev, FleetDevice)
+        assert isinstance(dev, Device)
         assert tiny_fleet.device(2) is dev
         assert tiny_fleet[2] is dev
         built = sum(1 for f in tiny_fleet._facades if f is not None)
         assert built == 1
+
+    def test_index_normalised_before_the_facade_cache(self, tiny_fleet):
+        """``fleet[-1]`` is the last device — not a facade with id -1
+        parked in the last cache slot — and beyond-range raises."""
+        n = len(tiny_fleet)
+        last = tiny_fleet[-1]
+        assert last is tiny_fleet[n - 1] is tiny_fleet[np.int64(n - 1)]
+        assert last.device_id == n - 1
+        assert tiny_fleet[-n].device_id == 0
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError, match=f"population of {n}"):
+                tiny_fleet[bad]
 
     def test_set_weights_materializes_one_row(self, tiny_fleet):
         dim = tiny_fleet.dim
@@ -109,18 +118,20 @@ class TestLazyMaterialization:
 
 
 class TestFacadeContract:
-    def test_run_unit_matches_standalone_device(self, tiny_split, tiny_trainer):
-        """The facade trains bit-for-bit like the per-object Device."""
+    def test_run_unit_matches_training_a_shard_copy(self, tiny_split, tiny_trainer):
+        """The facade trains bit-for-bit like the trainer on the device's
+        own copy of its samples, on the (device, round, unit) stream."""
         train_set, _ = tiny_split
         parts = _parts(train_set)
         times = unit_times_from_counts(np.array([1, 2, 4, 1, 2, 4, 1, 2]))
         fleet = make_fleet(train_set, parts, times, tiny_trainer)
-        devices = make_devices(train_set, parts, times, tiny_trainer)
         w0 = get_flat_params(tiny_trainer.model)
         out_fleet = fleet.device(3).run_unit(w0, epochs=2, round_idx=1, unit_idx=0)
-        out_obj = devices[3].run_unit(w0, epochs=2, round_idx=1, unit_idx=0)
-        np.testing.assert_array_equal(out_fleet, out_obj)
-        np.testing.assert_array_equal(fleet.device(3).weights, out_obj)
+        out_copy, _ = tiny_trainer.train(
+            w0, train_set.subset(parts[3]), 2, stream_key=(3, 1, 0)
+        )
+        np.testing.assert_array_equal(out_fleet, out_copy)
+        np.testing.assert_array_equal(fleet.device(3).weights, out_copy)
 
     def test_run_unit_out_row_skips_sync_copy(self, tiny_fleet, tiny_trainer):
         w0 = get_flat_params(tiny_trainer.model)
@@ -145,9 +156,8 @@ class TestFacadeContract:
 class TestMutationSafety:
     """Satellite regression: the weight-ownership rule (Device docstring).
 
-    A fleet device snapshots every ``weights`` assignment, so mutating the
-    server's array after ``reset_buffer`` can never corrupt device state —
-    the hazard the per-object path documents as a borrow contract.
+    A device snapshots every ``weights`` assignment, so mutating the
+    server's array after ``reset_buffer`` can never corrupt device state.
     """
 
     def test_fleet_weights_survive_caller_mutation(self, tiny_fleet):
@@ -157,17 +167,6 @@ class TestMutationSafety:
         dev.reset_buffer(global_weights)
         global_weights *= 1e9  # server misbehaves after handing over
         np.testing.assert_array_equal(dev.weights, np.ones(dim))
-
-    def test_standalone_device_borrows(self, tiny_split, tiny_trainer):
-        """The per-object Device aliases (documented borrow, no copy)."""
-        train_set, _ = tiny_split
-        devices = make_devices(
-            train_set, _parts(train_set),
-            np.ones(8), tiny_trainer,
-        )
-        w = np.ones(tiny_trainer.dim)
-        devices[0].reset_buffer(w)
-        assert devices[0].weights is w
 
     def test_buffered_array_is_never_mutated(self, tiny_fleet, tiny_trainer):
         """Training must not write into a borrowed buffer entry."""
@@ -277,7 +276,7 @@ class TestPopulationProtocol:
         assert len(tiny_fleet) == 8
         devs = list(tiny_fleet)
         assert [d.device_id for d in devs] == list(range(8))
-        assert all(isinstance(d, FleetDevice) for d in devs)
+        assert all(isinstance(d, Device) for d in devs)
 
     def test_make_fleet_returns_device_fleet(self, tiny_fleet):
         assert isinstance(tiny_fleet, DeviceFleet)

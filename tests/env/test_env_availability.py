@@ -11,22 +11,19 @@ from repro.env.availability import (
 )
 
 
-class _Dev:
-    def __init__(self, device_id, unit_time=1.0):
-        self.device_id = device_id
-        self.unit_time = unit_time
-
-
-def fleet(n=6, times=None):
-    times = times if times is not None else [1.0] * n
-    return [_Dev(i, t) for i, t in enumerate(times)]
+def mask_of(model, round_idx, rng, n=6, times=None):
+    """The model's online mask over devices ``0..n-1`` (unit time 1.0
+    unless ``times`` says otherwise)."""
+    times = np.ones(n) if times is None else np.asarray(times, dtype=float)
+    ids = np.arange(len(times), dtype=np.intp)
+    return model.available_mask_ids(round_idx, ids, times, rng)
 
 
 class TestAlwaysOn:
     def test_everyone_online_without_rng(self):
         model = AlwaysOn()
         assert model.always_on
-        mask = model.available_mask(1, fleet(4), rng=None)  # rng untouched
+        mask = mask_of(model, 1, rng=None, n=4)  # rng untouched
         assert mask.all() and len(mask) == 4
 
 
@@ -39,34 +36,33 @@ class TestBernoulli:
 
     def test_full_up_prob_never_draws(self):
         model = BernoulliAvailability(up_prob=1.0)
-        assert model.available_mask(1, fleet(5), rng=None).all()
+        assert mask_of(model, 1, rng=None, n=5).all()
 
     def test_rate_roughly_matches(self):
         model = BernoulliAvailability(up_prob=0.3)
         rng = np.random.default_rng(0)
         total = sum(
-            model.available_mask(r, fleet(10), rng).sum() for r in range(200)
+            mask_of(model, r, rng, n=10).sum() for r in range(200)
         )
         assert 0.2 < total / 2000 < 0.4
 
     def test_reproducible_given_rng(self):
         model = BernoulliAvailability(up_prob=0.5)
-        m1 = model.available_mask(1, fleet(8), np.random.default_rng(3))
-        m2 = model.available_mask(1, fleet(8), np.random.default_rng(3))
+        m1 = mask_of(model, 1, np.random.default_rng(3), n=8)
+        m2 = mask_of(model, 1, np.random.default_rng(3), n=8)
         assert (m1 == m2).all()
 
 
 class TestTrace:
     def test_round_indexing_is_one_based_and_cycles(self):
         model = TraceAvailability({0: [True, False]}, default=True)
-        devs = fleet(2)
-        assert model.available_mask(1, devs, None).tolist() == [True, True]
-        assert model.available_mask(2, devs, None).tolist() == [False, True]
-        assert model.available_mask(3, devs, None).tolist() == [True, True]
+        assert mask_of(model, 1, None, n=2).tolist() == [True, True]
+        assert mask_of(model, 2, None, n=2).tolist() == [False, True]
+        assert mask_of(model, 3, None, n=2).tolist() == [True, True]
 
     def test_default_applies_to_untraced_devices(self):
         model = TraceAvailability({}, default=False)
-        assert not model.available_mask(1, fleet(3), None).any()
+        assert not mask_of(model, 1, None, n=3).any()
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -76,18 +72,18 @@ class TestTrace:
 class TestCapacityCorrelated:
     def test_slow_devices_flakier(self):
         model = CapacityCorrelatedAvailability(up_prob=0.95, slow_penalty=0.9)
-        devs = fleet(times=[0.1, 0.1, 0.1, 1.0, 1.0, 1.0])
+        times = [0.1, 0.1, 0.1, 1.0, 1.0, 1.0]
         rng = np.random.default_rng(0)
         fast_up = slow_up = 0
         for r in range(300):
-            mask = model.available_mask(r, devs, rng)
+            mask = mask_of(model, r, rng, times=times)
             fast_up += mask[:3].sum()
             slow_up += mask[3:].sum()
         assert fast_up > slow_up * 2
 
     def test_homogeneous_fleet_uses_base_prob(self):
         model = CapacityCorrelatedAvailability(up_prob=1.0, slow_penalty=0.5)
-        mask = model.available_mask(1, fleet(5), np.random.default_rng(0))
+        mask = mask_of(model, 1, np.random.default_rng(0), n=5)
         assert mask.all()  # equal times: nobody is "slow", p = up_prob = 1
 
     def test_validation(self):
@@ -132,21 +128,9 @@ class TestDiurnal:
 
         model = DiurnalAvailability(period=24.0, min_up=0.05, max_up=0.95)
         rng = np.random.default_rng(0)
-        devs = fleet(200)
-        peak = model.available_mask(6, devs, rng).sum()
-        trough = model.available_mask(18, devs, rng).sum()
+        peak = mask_of(model, 6, rng, n=200).sum()
+        trough = mask_of(model, 18, rng, n=200).sum()
         assert peak > trough * 3
-
-    def test_object_and_ids_paths_draw_identically(self):
-        from repro.env.availability import DiurnalAvailability
-
-        model = DiurnalAvailability()
-        ids = np.arange(10)
-        times = np.ones(10)
-        mask_obj = model.available_mask(5, fleet(10), np.random.default_rng(3))
-        mask_ids = model.available_mask_ids(5, ids, times,
-                                           np.random.default_rng(3))
-        np.testing.assert_array_equal(mask_obj, mask_ids)
 
     def test_validation(self):
         from repro.env.availability import DiurnalAvailability
@@ -178,8 +162,9 @@ class TestDiurnal:
 
 
 class TestTraceVectorizedPath:
-    """The streamed array form of TraceAvailability must agree with the
-    per-device object path on every (round, id-set) combination."""
+    """The streamed array form of TraceAvailability must agree with a
+    per-device lookup in the trace dict on every (round, id-set)
+    combination."""
 
     def _model(self):
         return TraceAvailability(
@@ -187,27 +172,35 @@ class TestTraceVectorizedPath:
             default=True,
         )
 
-    def test_matches_object_path_across_rounds(self):
+    @staticmethod
+    def _lookup(model, round_idx, ids):
+        """The definition, one device at a time."""
+        return [
+            model.traces[i][(round_idx - 1) % len(model.traces[i])]
+            if i in model.traces else model.default
+            for i in ids
+        ]
+
+    def test_matches_per_device_lookup_across_rounds(self):
         model = self._model()
         ids = np.arange(9, dtype=np.intp)
-        devs = fleet(9)
         for r in range(1, 8):
             np.testing.assert_array_equal(
                 model.available_mask_ids(r, ids, np.ones(9), rng=None),
-                model.available_mask(r, devs, rng=None),
+                self._lookup(model, r, range(9)),
             )
 
     def test_subset_and_unsorted_id_arrays(self):
+        """Ranked policies (``fastest``) hand over non-ascending ids."""
         model = self._model()
         for ids in ([3, 7], [7, 0, 3], [8, 2], [5, 1, 0, 7, 3], [3]):
             ids_arr = np.asarray(ids, dtype=np.intp)
-            devs = [_Dev(i) for i in ids]
             for r in (1, 2, 3, 4):
                 np.testing.assert_array_equal(
                     model.available_mask_ids(
                         r, ids_arr, np.ones(len(ids)), rng=None
                     ),
-                    model.available_mask(r, devs, rng=None),
+                    self._lookup(model, r, ids),
                 )
 
     def test_traced_ids_absent_from_cohort(self):

@@ -17,17 +17,11 @@ from repro.env import (
 )
 
 
-class _Dev:
-    def __init__(self, device_id, unit_time=1.0):
-        self.device_id = device_id
-        self.unit_time = unit_time
-
-
 class TestEnvironment:
     def test_ideal_is_ideal(self):
         env = Environment.ideal()
         assert env.is_ideal
-        assert env.server_transfer_time([_Dev(0), _Dev(1)]) == 0.0
+        assert env.server_transfer_time_ids(np.arange(2)) == 0.0
 
     def test_non_ideal_detection(self):
         assert not Environment(UniformNetwork(latency=0.1)).is_ideal
@@ -36,27 +30,29 @@ class TestEnvironment:
 
     def test_server_transfer_time_is_slowest_link(self):
         env = Environment(UniformNetwork(latency=0.1, bandwidth=2.0))
-        devs = [_Dev(0), _Dev(1)]
-        assert env.server_transfer_time(devs) == pytest.approx(0.6)
-        assert env.server_transfer_time(devs, model_units=2.0) == pytest.approx(1.1)
-        assert env.server_transfer_time([]) == 0.0
+        ids = np.arange(2)
+        assert env.server_transfer_time_ids(ids) == pytest.approx(0.6)
+        assert env.server_transfer_time_ids(ids, model_units=2.0) == pytest.approx(1.1)
+        assert env.server_transfer_time_ids(ids[:0]) == 0.0
 
     def test_available_never_empty(self):
         """An all-offline round falls back to one rng-chosen participant."""
 
         class _Nobody(BernoulliAvailability):
-            def available_mask(self, round_idx, devices, rng):
-                return np.zeros(len(devices), dtype=bool)
+            def available_mask_ids(self, round_idx, device_ids, unit_times, rng):
+                return np.zeros(len(device_ids), dtype=bool)
 
         env = Environment(availability=_Nobody(0.5))
-        devs = [_Dev(i) for i in range(5)]
-        online = env.available(1, devs, np.random.default_rng(0))
-        assert len(online) == 1 and online[0] in devs
+        ids = np.arange(5)
+        online = env.available_ids(1, ids, np.ones(5), np.random.default_rng(0))
+        assert len(online) == 1 and online[0] in ids
 
-    def test_always_on_returns_devices_unchanged(self):
+    def test_always_on_returns_ids_unchanged(self):
         env = Environment.ideal()
-        devs = [_Dev(i) for i in range(3)]
-        assert env.available(1, devs, rng=None) == devs
+        ids = np.arange(3)
+        np.testing.assert_array_equal(
+            env.available_ids(1, ids, np.ones(3), rng=None), ids
+        )
 
     def test_type_validation(self):
         with pytest.raises(ValueError, match="NetworkModel"):

@@ -77,6 +77,13 @@ class TestOverSelection:
         assert full.history.accuracies == over.history.accuracies
         np.testing.assert_array_equal(full.final_weights, over.final_weights)
 
+    def test_margin_rejected_with_a_selection_policy(self):
+        """Only the default draw reads the margin; under a policy it was a
+        silent no-op (36-41 of 200 selected instead of 78-84)."""
+        with pytest.raises(ValueError, match="over_select=1.0 has no effect"):
+            _spec(participation=0.2, over_select=1.0, selection="bernoulli")
+        _spec(over_select=0.0, selection="fastest")  # no margin, no claim
+
 
 class TestResilienceAccounting:
     def test_crash_counts_exact(self):

@@ -4,6 +4,7 @@ Run from the repo root::
 
     PYTHONPATH=src python tests/golden/generate.py          # method goldens
     PYTHONPATH=src python tests/golden/generate.py events   # async event matrix
+    PYTHONPATH=src python tests/golden/generate.py population   # population matrix
 
 The files under ``tests/golden/`` pin the exact per-round metric histories
 of every registered method on one small experiment.  They were first
@@ -23,6 +24,16 @@ proves the single wave path replays what per-device events produced,
 fault-armed cells included.  Regenerating it from the wave path would
 turn that proof into a tautology: do it only for a deliberate semantic
 change, and say so in the PR.
+
+``tests/golden/population/matrix.json`` pins the device population layer
+the same way.  It was captured at the last commit that still had a
+per-object population — hand-built cells through lists of standalone
+``Device`` objects, ``ExperimentSpec`` cells through the object selection
+policies and the object availability filter — so
+``TestFleetMatchesPerObject`` (tests/baselines/test_state_rekeying.py)
+proves the struct-of-arrays fleet and the id-array policies replay what
+per-object devices produced.  This script can only regenerate it from
+the fleet, which would prove nothing: same rule as the event matrix.
 """
 
 from __future__ import annotations
@@ -34,10 +45,20 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.registry import get_method
+from repro.datasets import train_test_split
+from repro.datasets.partition import dirichlet_partition
+from repro.datasets.synthetic import SyntheticSpec, make_synthetic
+from repro.device import LocalTrainer, make_fleet, unit_times_from_counts
+from repro.env.availability import BernoulliAvailability, TraceAvailability
+from repro.env.environment import Environment
+from repro.env.network import IdealNetwork, UniformNetwork
 from repro.experiments import ExperimentSpec, build_experiment, run_experiment
+from repro.nn.models import paper_mlp
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 EVENT_MATRIX_PATH = GOLDEN_DIR / "async" / "event_matrix.json"
+POPULATION_MATRIX_PATH = GOLDEN_DIR / "population" / "matrix.json"
 
 #: One small-but-nontrivial setup: heterogeneous fleet, Dirichlet skew,
 #: several rounds, every method on identical data.  Full participation is
@@ -125,11 +146,9 @@ EVENT_MATRIX.update({
 })
 
 
-def event_observables(spec_kwargs: dict) -> dict:
-    """Run one event-matrix cell and collect everything the event loop
-    can move: weights, history, clock, meters, ledgers, event count."""
-    server = build_experiment(ExperimentSpec(**spec_kwargs))
-    result = server.fit()
+def _observables(server, result) -> dict:
+    """Everything a run can move that every runtime has: weights, history,
+    clock, meters, churn/drop accounting, ledgers."""
     weights = np.ascontiguousarray(result.final_weights)
     return {
         "final_weights_sha256": hashlib.sha256(weights.tobytes()).hexdigest(),
@@ -140,23 +159,140 @@ def event_observables(spec_kwargs: dict) -> dict:
         "server_down": server.meter.server_down,
         "dropped_messages": server.dropped_messages,
         "unavailable_count": server.unavailable_count,
-        "version": server._version,
-        "events_processed": server.scheduler.events_processed,
         "transport": result.transport,
         "resilience": result.resilience,
     }
 
 
-def write_event_matrix() -> None:
-    record = {
-        cell: {"spec": spec, "observables": event_observables(spec)}
-        for cell, spec in EVENT_MATRIX.items()
+def event_observables(spec_kwargs: dict) -> dict:
+    """Run one event-matrix cell: the shared observables plus what only
+    the event loop has (model version, dispatched-event count)."""
+    server = build_experiment(ExperimentSpec(**spec_kwargs))
+    result = server.fit()
+    return {
+        **_observables(server, result),
+        "version": server._version,
+        "events_processed": server.scheduler.events_processed,
     }
-    EVENT_MATRIX_PATH.parent.mkdir(exist_ok=True)
+
+
+def _write_matrix(path: Path, matrix: dict[str, dict], observe) -> None:
+    record = {
+        cell: {"spec": spec, "observables": observe(spec)}
+        for cell, spec in matrix.items()
+    }
+    path.parent.mkdir(exist_ok=True)
     # One line per cell: a diff names the cells that moved.
     lines = [f"{json.dumps(c)}: {json.dumps(e)}" for c, e in record.items()]
-    EVENT_MATRIX_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {EVENT_MATRIX_PATH} ({len(record)} cells)")
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {path} ({len(record)} cells)")
+
+
+def write_event_matrix() -> None:
+    _write_matrix(EVENT_MATRIX_PATH, EVENT_MATRIX, event_observables)
+
+
+#: Worlds of the hand-built cells — model instances a preset name cannot
+#: express (a per-device trace, a fair-coin fleet, a bare lossy network).
+_HAND_ENVS = {
+    # Device 0 offline in round 2 only; everyone else always on.
+    "trace": lambda: Environment(
+        IdealNetwork(), TraceAvailability({0: [True, False, True]}), name="trace"
+    ),
+    "coin": lambda: Environment(
+        IdealNetwork(), BernoulliAvailability(up_prob=0.5), name="coin"
+    ),
+    # Lossy channels force row retention.
+    "lossy": lambda: Environment(UniformNetwork(drop_prob=0.3), name="lossy"),
+}
+
+
+def _hand_cell(method: str, env: str, rounds: int, participation: float = 0.6) -> dict:
+    return dict(hand_built=True, method=method, env=env, rounds=rounds,
+                participation=participation)
+
+
+def _policy_cell(method: str, selection: str, env: str) -> dict:
+    kwargs = dict(
+        method=method, num_samples=400, num_devices=16, rounds=4,
+        local_epochs=1, seed=0, participation=0.6, selection=selection,
+        env=env,
+    )
+    if env == "flaky_mobile":
+        kwargs["env_kwargs"] = {"drop_prob": 0.1}
+    if method == "fedbuff":
+        kwargs.update(rounds=40, buffer_goal=3)
+    if method == "fedhisyn":
+        kwargs["method_kwargs"] = {"num_classes": 3}
+    return kwargs
+
+
+#: ``cell id -> cell kwargs``.  Hand-built cells (a server constructed
+#: around a population directly, the way tests and benches do): the
+#: stateful and event-loop methods under partial participation and traced
+#: churn, the event loop under churn epochs that really draw, SCAFFOLD on
+#: retained rows.  Spec cells: every selection policy through
+#: ``build_experiment``, under no churn, drawn churn, and
+#: capacity-correlated churn with lossy links.
+POPULATION_MATRIX: dict[str, dict] = {
+    **{
+        f"hand-{method}-trace": _hand_cell(method, "trace", rounds=4)
+        for method in ("scaffold", "fedat", "fedasync", "fedbuff")
+    },
+    "hand-fedasync-coin": _hand_cell("fedasync", "coin", rounds=30),
+    "hand-fedbuff-coin": _hand_cell("fedbuff", "coin", rounds=30),
+    "hand-scaffold-lossy": _hand_cell(
+        "scaffold", "lossy", rounds=3, participation=1.0),
+    **{
+        f"{method}-{selection}-{env}": _policy_cell(method, selection, env)
+        for method in ("fedavg", "fedhisyn", "fedat", "fedbuff")
+        for selection in ("bernoulli", "fastest", "datasize")
+        for env in ("ideal", "churn", "flaky_mobile")
+    },
+}
+
+
+def hand_built_population():
+    """``(fleet, test_set)``: 8 devices over a 4-class toy problem,
+    Dirichlet(0.5) shards, unit counts 1/2/4."""
+    spec = SyntheticSpec(
+        name="tiny", num_classes=4, num_samples=400, latent_dim=8,
+        feature_shape=(12,), separation=4.0, sigma_within=0.8, sigma_noise=0.3,
+    )
+    dataset = make_synthetic(spec, seed=0)
+    train_set, test_set = train_test_split(dataset, 0.25, seed=2)
+    model = paper_mlp(dataset.flat_features, dataset.num_classes,
+                      seed=3, hidden=(16, 8))
+    trainer = LocalTrainer(model, lr=0.1, batch_size=32, seed=4)
+    parts = dirichlet_partition(train_set, 8, beta=0.5, seed=5, min_samples=2)
+    times = unit_times_from_counts(np.array([1, 2, 4, 1, 2, 4, 1, 2]))
+    return make_fleet(train_set, parts, times, trainer), test_set
+
+
+def build_population_cell(cell: dict):
+    """The (unfitted) server of one population-matrix cell."""
+    if not cell.get("hand_built"):
+        return build_experiment(ExperimentSpec(**cell))
+    entry = get_method(cell["method"])
+    fleet, test_set = hand_built_population()
+    config = entry.config_cls(
+        rounds=cell["rounds"], local_epochs=1,
+        participation=cell["participation"], seed=9,
+    )
+    return entry.server_cls(
+        fleet, test_set, config, env=_HAND_ENVS[cell["env"]]()
+    )
+
+
+def population_observables(cell: dict) -> dict:
+    server = build_population_cell(cell)
+    return _observables(server, server.fit())
+
+
+def write_population_matrix() -> None:
+    _write_matrix(
+        POPULATION_MATRIX_PATH, POPULATION_MATRIX, population_observables
+    )
 
 
 def main() -> None:
@@ -184,5 +320,7 @@ def main() -> None:
 if __name__ == "__main__":
     if sys.argv[1:] == ["events"]:
         write_event_matrix()
+    elif sys.argv[1:] == ["population"]:
+        write_population_matrix()
     else:
         main()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.core import ClassificationDataset
-from repro.device.device import Device
+from repro.device.fleet import DeviceFleet
 from repro.device.network import UniformDelay
 from repro.simulation.engine import RingRoundEngine, async_upload_schedule
 
@@ -29,12 +29,15 @@ class LineageTrainer:
 
 
 def make_fleet(unit_times, dim=None):
-    dim = dim if dim is not None else len(unit_times)
-    trainer = LineageTrainer(dim)
-    shard = ClassificationDataset(np.zeros((2, 1)), np.zeros(2, dtype=int), 1)
-    return [
-        Device(i, shard, float(t), trainer) for i, t in enumerate(unit_times)
-    ]
+    """A real DeviceFleet (two dummy samples per device) around the fake
+    trainer."""
+    n = len(unit_times)
+    trainer = LineageTrainer(dim if dim is not None else n)
+    dataset = ClassificationDataset(
+        np.zeros((2 * n, 1)), np.zeros(2 * n, dtype=int), 1
+    )
+    parts = list(np.arange(2 * n).reshape(n, 2))
+    return DeviceFleet(dataset, parts, np.asarray(unit_times, dtype=float), trainer)
 
 
 class TestRingRotation:
@@ -112,6 +115,10 @@ class TestEngineValidation:
         engine = RingRoundEngine(devices, epochs_per_unit=1)
         with pytest.raises(ValueError):
             engine.run_round([[0]], np.zeros(1), duration=0.0)
+
+    def test_requires_a_fleet(self):
+        with pytest.raises(TypeError, match="make_fleet"):
+            RingRoundEngine(list(make_fleet([1.0])))
 
     def test_bad_combine_raises(self):
         with pytest.raises(ValueError):
