@@ -32,11 +32,12 @@ Package layout (see DESIGN.md for the full inventory):
   seed aggregation.
 
 Methods self-register via :func:`repro.core.registry.register_method`;
-``METHODS`` is a live view over that registry.
+``METHODS`` is that registry (every named axis is one
+:class:`repro.utils.registry.Registry`).
 """
 
 from repro.campaign import Campaign, CampaignResult, sweep
-from repro.compression import UpdateCodec, available_codecs, make_codec, register_codec
+from repro.compression import CODECS, UpdateCodec, make_codec, register_codec
 from repro.core.fedhisyn import FedHiSynConfig, FedHiSynServer
 from repro.core.registry import register_method
 from repro.env import Environment, make_environment, register_environment
@@ -62,7 +63,7 @@ __all__ = [
     "UpdateCodec",
     "make_codec",
     "register_codec",
-    "available_codecs",
+    "CODECS",
     "sweep",
     "Campaign",
     "CampaignResult",

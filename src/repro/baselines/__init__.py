@@ -40,15 +40,6 @@ from repro.baselines.fedprox import FedProxConfig, FedProxServer
 from repro.baselines.scaffold import ScaffoldConfig, ScaffoldServer
 from repro.baselines.tafedavg import TAFedAvgConfig, TAFedAvgServer
 from repro.baselines.tfedavg import TFedAvgConfig, TFedAvgServer
-from repro.core.registry import method_entries
-
-#: Derived from the registry (every import above has registered itself), so
-#: a new baseline module added here shows up without a second hand-edit.
-ALL_BASELINES = {
-    entry.name: entry.server_cls
-    for entry in method_entries()
-    if entry.server_cls.__module__.startswith("repro.baselines.")
-}
 
 __all__ = [
     "FedAvgConfig",
@@ -67,5 +58,4 @@ __all__ = [
     "FedATServer",
     "ScaffoldConfig",
     "ScaffoldServer",
-    "ALL_BASELINES",
 ]

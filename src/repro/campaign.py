@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments import AXES, ExperimentSpec, run_experiment
 from repro.simulation.results import RunResult
 from repro.utils.tables import format_table
 
@@ -79,13 +79,10 @@ def sweep(
     product is enumerated in the given key order (last key fastest).
     ``method_kwargs`` optionally maps a method name to extra kwargs merged
     into each matching spec's ``method_kwargs`` — the way FedHiSyn gets its
-    ``num_classes`` while the baselines take none.  ``codec_kwargs`` and
-    ``fault_kwargs`` do the same per codec / fault-model name, so ``--grid
-    codec=none,topk`` can carry a top-k fraction that only lands on the
-    topk cells and ``--grid faults=none,byzantine`` a byzantine fraction
-    that only lands on the byzantine cells.  ``transport_kwargs`` follows
-    the same rule per backend name, so ``--grid transport=sim,live`` can
-    carry a worker count that only lands on the live cells.
+    ``num_classes`` while the baselines take none.  ``codec_kwargs``,
+    ``fault_kwargs`` and ``transport_kwargs`` do the same per codec /
+    fault-model / backend name, so ``--grid codec=none,topk`` can carry a
+    top-k fraction that only lands on the topk cells.
 
     Every expanded spec re-runs ``__post_init__`` validation, so an invalid
     grid value fails here rather than mid-campaign.
@@ -101,50 +98,34 @@ def sweep(
     for name, values in zip(names, value_lists):
         if not values:
             raise ValueError(f"grid axis {name!r} is empty")
-    method_kwargs = dict(method_kwargs or {})
-    codec_kwargs = dict(codec_kwargs or {})
-    fault_kwargs = dict(fault_kwargs or {})
-    transport_kwargs = dict(transport_kwargs or {})
+    per_name = {
+        "method_kwargs": method_kwargs or {},
+        "codec_kwargs": codec_kwargs or {},
+        "fault_kwargs": fault_kwargs or {},
+        "transport_kwargs": transport_kwargs or {},
+    }
 
     specs: list[ExperimentSpec] = []
     for combo in itertools.product(*value_lists):
         overrides: dict[str, Any] = dict(zip(names, combo))
         merged = dict(base_spec.to_dict(), **overrides)
-        # The base spec's method_kwargs belong to the base *method*: when
-        # the grid swaps the method, they would be rejected by the other
-        # method's config class, so they only survive on the base method.
-        if "method" in names and "method_kwargs" not in names:
-            if merged["method"] != base_spec.method:
-                merged["method_kwargs"] = {}
-        # Same for codec kwargs: a topk fraction makes no sense on the
-        # "none" cell of a --grid codec=none,topk axis.
-        if "codec" in names and "codec_kwargs" not in names:
-            if merged["codec"] != base_spec.codec:
-                merged["codec_kwargs"] = {}
-        # And for fault kwargs: a byzantine fraction makes no sense on the
-        # "crash" cell of a --grid faults=crash,byzantine axis.
-        if "faults" in names and "fault_kwargs" not in names:
-            if merged["faults"] != base_spec.faults:
-                merged["fault_kwargs"] = {}
-        # And for transport kwargs: a live worker count makes no sense on
-        # the "sim" cell of a --grid transport=sim,live axis.
-        if "transport" in names and "transport_kwargs" not in names:
-            if merged["transport"] != base_spec.transport:
-                merged["transport_kwargs"] = {}
-        extra = method_kwargs.get(merged["method"])
-        if extra:
-            merged["method_kwargs"] = {**merged["method_kwargs"], **extra}
-        extra_codec = codec_kwargs.get(merged["codec"])
-        if extra_codec:
-            merged["codec_kwargs"] = {**merged["codec_kwargs"], **extra_codec}
-        extra_fault = fault_kwargs.get(merged["faults"])
-        if extra_fault:
-            merged["fault_kwargs"] = {**merged["fault_kwargs"], **extra_fault}
-        extra_transport = transport_kwargs.get(merged["transport"])
-        if extra_transport:
-            merged["transport_kwargs"] = {
-                **merged["transport_kwargs"], **extra_transport
-            }
+        for name_field, kwargs_field, _ in AXES:
+            # env is deliberately not in per_name: its overrides
+            # (drop_prob, availability, ...) are preset-agnostic and must
+            # follow an env swap.
+            if kwargs_field not in per_name:
+                continue
+            # The base spec's kwargs belong to the base *name*: when the
+            # grid swaps the name they would be rejected by (or make no
+            # sense on) the other one — fedhisyn's num_classes on fedavg,
+            # a top-k fraction on the "none" codec cell — so they only
+            # survive on the base name.
+            if name_field in names and kwargs_field not in names:
+                if merged[name_field] != getattr(base_spec, name_field):
+                    merged[kwargs_field] = {}
+            extra = per_name[kwargs_field].get(merged[name_field])
+            if extra:
+                merged[kwargs_field] = {**merged[kwargs_field], **extra}
         specs.append(ExperimentSpec.from_dict(merged))
     return specs
 

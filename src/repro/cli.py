@@ -37,25 +37,22 @@ import sys
 from typing import Any
 
 from repro.campaign import Campaign, CampaignResult, sweep
-from repro.compression import available_codecs, codec_entries
-from repro.transport import available_transports, transport_entries
+from repro.compression import CODECS
+from repro.transport import TRANSPORTS
 from repro.core.aggregation import AGGREGATORS
 from repro.core.async_server import STALENESS_DECAYS
-from repro.core.registry import method_entries
 from repro.core.selection import SELECTION_POLICIES
 from repro.datasets.registry import DATASETS
-from repro.env.registry import (
-    AVAILABILITY_KINDS,
-    available_environments,
-    environment_entries,
-)
-from repro.faults import available_fault_models, fault_entries
+from repro.env.registry import AVAILABILITY_KINDS, ENVIRONMENTS
+from repro.faults import FAULT_MODELS
 from repro.experiments import (
+    AXES,
     FLEET_PROFILES,
     METHODS,
     ExperimentSpec,
     run_experiment,
 )
+from repro.utils.registry import Registry
 
 __all__ = ["build_parser", "main", "spec_from_args"]
 
@@ -63,7 +60,7 @@ __all__ = ["build_parser", "main", "spec_from_args"]
 def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
     """Experiment-spec options shared by ``run``, ``compare`` and ``sweep``."""
     g = p.add_argument_group("experiment spec")
-    g.add_argument("--dataset", default="mnist_like", choices=sorted(DATASETS))
+    g.add_argument("--dataset", default="mnist_like", choices=DATASETS.names())
     g.add_argument("--samples", type=int, default=2000, help="dataset size")
     g.add_argument("--devices", type=int, default=20)
     g.add_argument("--fleet-profile", default=None,
@@ -104,17 +101,17 @@ def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
     g.add_argument("--num-classes", type=int, default=5,
                    help="FedHiSyn's K capacity clusters")
     g.add_argument("--selection", default=None,
-                   choices=sorted(SELECTION_POLICIES),
+                   choices=SELECTION_POLICIES.names(),
                    help="device-selection policy (default: the paper's "
                         "Bernoulli participation sampling)")
     g.add_argument("--selection-fraction", type=float, default=None,
                    help="fraction for --selection (default: --participation)")
     g.add_argument("--env", default="ideal",
-                   choices=available_environments(),
+                   choices=ENVIRONMENTS.names(),
                    help="environment preset: network + availability "
                         "(default: the paper's ideal world)")
     g.add_argument("--codec", default="none",
-                   choices=available_codecs(),
+                   choices=CODECS.names(),
                    help="update compression codec on every transfer "
                         "(default: dense, the paper's semantics)")
     g.add_argument("--topk-frac", type=float, default=None,
@@ -122,7 +119,7 @@ def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
     g.add_argument("--quant-bits", type=int, default=None,
                    help="qsgd codec: quantization bits per coordinate")
     g.add_argument("--transport", default="sim",
-                   choices=available_transports(),
+                   choices=TRANSPORTS.names(),
                    help="execution backend: sim (in-process, default) or "
                         "live (real worker processes over loopback UDP)")
     g.add_argument("--workers-live", type=int, default=None,
@@ -138,7 +135,7 @@ def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
                    help="fedavg-family aggregation rule (default: each "
                         "method's built-in sample weighting)")
     g.add_argument("--faults", default="none",
-                   choices=available_fault_models(),
+                   choices=FAULT_MODELS.names(),
                    help="fault-injection model applied to the run "
                         "(default: no faults, the seed semantics)")
     g.add_argument("--byzantine-frac", type=float, default=None,
@@ -242,22 +239,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def spec_from_args(args: argparse.Namespace, method: str = "fedhisyn") -> ExperimentSpec:
     """Build the base :class:`ExperimentSpec` from parsed spec options."""
-    env_kwargs: dict[str, Any] = {}
-    if getattr(args, "drop_prob", None) is not None:
-        env_kwargs["drop_prob"] = args.drop_prob
-    if getattr(args, "availability", None) is not None:
-        env_kwargs["availability"] = args.availability
-    # Only the kwargs matching the *selected* codec attach to the spec;
-    # the full per-codec map feeds sweep() so a --grid codec axis can
+    # Only the kwargs matching the *selected* name attach to the spec;
+    # the full per-name map feeds sweep() so a --grid codec axis can
     # carry e.g. a top-k fraction that only lands on the topk cells.
-    codec = getattr(args, "codec", "none")
-    codec_kwargs = _codec_kwargs_map(args).get(codec, {})
-    # Same selected-name rule for the fault axis.
-    faults = getattr(args, "faults", "none")
-    fault_kwargs = _fault_kwargs_map(args).get(faults, {})
-    # And for the transport axis (--workers-live only lands on live cells).
-    transport = getattr(args, "transport", "sim")
-    transport_kwargs = _transport_kwargs_map(args).get(transport, {})
+    per_name = _axis_kwargs(args)
+    axes: dict[str, Any] = {}
+    for name_field, kwargs_field, default in AXES:
+        # args.method may be a comma list; the caller picked one.
+        name = method if name_field == "method" else getattr(args, name_field, default)
+        axes[name_field] = name
+        axes[kwargs_field] = per_name.get(kwargs_field, {}).get(name, {})
+    # env overrides are preset-agnostic, so they are not a per-name map.
+    axes["env_kwargs"] = {
+        key: getattr(args, key)
+        for key in ("drop_prob", "availability")
+        if getattr(args, key, None) is not None
+    }
     # None-valued flags defer to the ExperimentSpec defaults (the same
     # passthrough --het-ratio uses), so spec defaults stay single-sourced.
     units = {
@@ -267,7 +264,7 @@ def spec_from_args(args: argparse.Namespace, method: str = "fedhisyn") -> Experi
         if value is not None
     }
     return ExperimentSpec(
-        method=method,
+        **axes,
         **units,
         dataset=args.dataset,
         num_samples=args.samples,
@@ -288,15 +285,7 @@ def spec_from_args(args: argparse.Namespace, method: str = "fedhisyn") -> Experi
         model_preset=args.model_preset,
         selection=args.selection,
         selection_fraction=args.selection_fraction,
-        env=args.env,
-        env_kwargs=env_kwargs,
-        codec=codec,
-        codec_kwargs=codec_kwargs,
         aggregator=getattr(args, "aggregator", None),
-        faults=faults,
-        fault_kwargs=fault_kwargs,
-        transport=transport,
-        transport_kwargs=transport_kwargs,
         device_batching=getattr(args, "device_batching", "auto"),
         round_deadline=getattr(args, "round_deadline", None),
         over_select=getattr(args, "over_select", None),
@@ -306,52 +295,41 @@ def spec_from_args(args: argparse.Namespace, method: str = "fedhisyn") -> Experi
     )
 
 
-def _parse_methods(raw: str) -> tuple[list[str], list[str]]:
-    """Split a comma list into (known, unknown) method names."""
+def _parse_methods(raw: str) -> list[str]:
+    """Split a comma list into method names (the spec vets each one)."""
     names = [m.strip() for m in raw.split(",") if m.strip()]
-    unknown = [m for m in names if m not in METHODS]
-    return names, unknown
+    if not names:
+        raise ValueError("--method needs at least one name")
+    return names
 
 
-def _method_kwargs_map(methods: list[str], args: argparse.Namespace) -> dict[str, dict]:
-    """Per-method extra config kwargs from CLI conveniences."""
-    return {"fedhisyn": {"num_classes": args.num_classes}} if "fedhisyn" in methods else {}
+#: CLI conveniences that become per-name constructor kwargs, as ``(flag,
+#: sweep keyword, names it lands on, constructor key)`` rows.  ``compound``
+#: takes both fault knobs, so each lands on its own model *and* on the
+#: compound cells of a ``--grid faults=...`` axis.
+_KWARG_FLAGS = (
+    ("num_classes", "method_kwargs", ("fedhisyn",), "num_classes"),
+    ("topk_frac", "codec_kwargs", ("topk",), "fraction"),
+    ("quant_bits", "codec_kwargs", ("qsgd",), "bits"),
+    ("byzantine_frac", "fault_kwargs", ("byzantine", "compound"), "fraction"),
+    ("crash_prob", "fault_kwargs", ("crash", "compound"), "crash_prob"),
+    ("workers_live", "transport_kwargs", ("live",), "workers"),
+)
 
 
-def _codec_kwargs_map(args: argparse.Namespace) -> dict[str, dict]:
-    """Per-codec constructor kwargs from CLI conveniences."""
-    out: dict[str, dict] = {}
-    if getattr(args, "topk_frac", None) is not None:
-        out["topk"] = {"fraction": args.topk_frac}
-    if getattr(args, "quant_bits", None) is not None:
-        out["qsgd"] = {"bits": args.quant_bits}
+def _axis_kwargs(args: argparse.Namespace) -> dict[str, dict[str, dict]]:
+    """Per-name kwargs from the flag table, keyed as
+    :func:`repro.campaign.sweep`'s keyword arguments."""
+    out: dict[str, dict[str, dict]] = {}
+    for flag, kwargs_field, names, key in _KWARG_FLAGS:
+        value = getattr(args, flag, None)
+        if value is not None:
+            for name in names:
+                out.setdefault(kwargs_field, {}).setdefault(name, {})[key] = value
     return out
 
 
-def _fault_kwargs_map(args: argparse.Namespace) -> dict[str, dict]:
-    """Per-fault-model constructor kwargs from CLI conveniences.
-
-    ``compound`` takes both knobs, so each flag lands on its own model
-    *and* on the compound cells of a ``--grid faults=...`` axis.
-    """
-    out: dict[str, dict] = {}
-    byz = getattr(args, "byzantine_frac", None)
-    crash = getattr(args, "crash_prob", None)
-    if byz is not None:
-        out["byzantine"] = {"fraction": byz}
-        out.setdefault("compound", {})["fraction"] = byz
-    if crash is not None:
-        out["crash"] = {"crash_prob": crash}
-        out.setdefault("compound", {})["crash_prob"] = crash
-    return out
-
-
-def _transport_kwargs_map(args: argparse.Namespace) -> dict[str, dict]:
-    """Per-transport constructor kwargs from CLI conveniences."""
-    out: dict[str, dict] = {}
-    if getattr(args, "workers_live", None) is not None:
-        out["live"] = {"workers": args.workers_live}
-    return out
+_NAME_ONLY_AXES = {name for name, _, default in AXES if default is not None}
 
 
 def _parse_grid(pairs: list[str]) -> dict[str, list[Any]]:
@@ -362,10 +340,10 @@ def _parse_grid(pairs: list[str]) -> dict[str, list[Any]]:
         field_name = field_name.strip().replace("-", "_")
         if not eq or not field_name:
             raise ValueError(f"--grid expects FIELD=V1,V2,..., got {pair!r}")
-        # "none" is a codec/fault-model *name*, not a null — skip the
-        # null/bool/number coercion on those axes (and on transport,
-        # whose values are always backend names).
-        convert = str if field_name in ("codec", "faults", "transport") else _convert
+        # On an axis with a default name, "none" is a *name* (the identity
+        # codec, the null fault model), not a null — skip the
+        # null/bool/number coercion there.
+        convert = str if field_name in _NAME_ONLY_AXES else _convert
         values = [convert(v.strip()) for v in raw_values.split(",") if v.strip()]
         if not values:
             raise ValueError(f"--grid axis {field_name!r} has no values")
@@ -400,24 +378,16 @@ def _default_target(args: argparse.Namespace) -> float:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    methods, unknown = _parse_methods(args.method)
-    if unknown or len(methods) != 1:
-        if unknown:
-            print(f"error: unknown method(s) {unknown}; known: {sorted(METHODS)}",
-                  file=sys.stderr)
-        else:
-            print("error: `run` takes exactly one --method; "
-                  "use `compare` or `sweep` for several", file=sys.stderr)
-        return 2
-    method = methods[0]
     try:
+        methods = _parse_methods(args.method)
+        if len(methods) != 1:
+            raise ValueError("`run` takes exactly one --method; "
+                             "use `compare` or `sweep` for several")
+        method = methods[0]
         spec = spec_from_args(args, method=method)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kwargs = _method_kwargs_map([method], args).get(method, {})
-    if kwargs:
-        spec = spec.with_method(method, **kwargs)
     target = _default_target(args)
 
     logger = None
@@ -462,9 +432,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _campaign_specs(args: argparse.Namespace, seeds: list[int]) -> list[ExperimentSpec]:
-    methods, unknown = _parse_methods(args.method)
-    if unknown:
-        raise ValueError(f"unknown method(s) {unknown}; known: {sorted(METHODS)}")
+    methods = _parse_methods(args.method)
     extra_axes = _parse_grid(getattr(args, "grid", []))
     clash = sorted(set(extra_axes) & {"method", "seed"})
     if clash:
@@ -473,14 +441,7 @@ def _campaign_specs(args: argparse.Namespace, seeds: list[int]) -> list[Experime
         )
     grid: dict[str, list[Any]] = {"method": methods, "seed": seeds, **extra_axes}
     base = spec_from_args(args, method=methods[0])
-    return sweep(
-        base,
-        grid,
-        method_kwargs=_method_kwargs_map(methods, args),
-        codec_kwargs=_codec_kwargs_map(args),
-        fault_kwargs=_fault_kwargs_map(args),
-        transport_kwargs=_transport_kwargs_map(args),
-    )
+    return sweep(base, grid, **_axis_kwargs(args))
 
 
 def _run_campaign(args: argparse.Namespace, specs: list[ExperimentSpec],
@@ -536,47 +497,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     sections = []
-    if args.what in ("methods", "all"):
-        lines = ["methods:"]
-        for entry in method_entries():
-            lines.append(f"  {entry.name:<10} {entry.description}")
-        sections.append("\n".join(lines))
+
+    def section(what: str, title: str, registry: Registry, width: int) -> None:
+        if args.what in (what, "all"):
+            lines = [f"{title}:"]
+            for entry in registry.entries():
+                lines.append(f"  {entry.name:<{width}} {entry.description}")
+            sections.append("\n".join(lines))
+
+    section("methods", "methods", METHODS, 10)
     if args.what in ("datasets", "all"):
         lines = ["datasets:"]
-        for name in sorted(DATASETS):
-            entry = DATASETS[name]
+        for entry in DATASETS.entries():
             lines.append(
-                f"  {name:<14} family={entry.model_family} "
+                f"  {entry.name:<14} family={entry.model_family} "
                 f"paper-target={entry.paper_target_accuracy:.0%} "
                 f"paper-rounds={entry.paper_rounds}"
             )
         sections.append("\n".join(lines))
-    if args.what in ("selections", "all"):
-        lines = ["selection policies:"]
-        for name in sorted(SELECTION_POLICIES):
-            doc = (SELECTION_POLICIES[name].__doc__ or "").strip().splitlines()[0]
-            lines.append(f"  {name:<10} {doc}")
-        sections.append("\n".join(lines))
-    if args.what in ("envs", "all"):
-        lines = ["environments:"]
-        for entry in environment_entries():
-            lines.append(f"  {entry.name:<13} {entry.description}")
-        sections.append("\n".join(lines))
-    if args.what in ("codecs", "all"):
-        lines = ["codecs:"]
-        for entry in codec_entries():
-            lines.append(f"  {entry.name:<8} {entry.description}")
-        sections.append("\n".join(lines))
-    if args.what in ("faults", "all"):
-        lines = ["fault models:"]
-        for entry in fault_entries():
-            lines.append(f"  {entry.name:<10} {entry.description}")
-        sections.append("\n".join(lines))
-    if args.what in ("transports", "all"):
-        lines = ["transports:"]
-        for entry in transport_entries():
-            lines.append(f"  {entry.name:<6} {entry.description}")
-        sections.append("\n".join(lines))
+    section("selections", "selection policies", SELECTION_POLICIES, 10)
+    section("envs", "environments", ENVIRONMENTS, 13)
+    section("codecs", "codecs", CODECS, 8)
+    section("faults", "fault models", FAULT_MODELS, 10)
+    section("transports", "transports", TRANSPORTS, 6)
     if args.what in ("fleets", "all"):
         lines = ["fleet profiles:"]
         for name, prof in sorted(FLEET_PROFILES.items(),

@@ -9,8 +9,8 @@ vector is what training and aggregation actually consume.  Transfer time
 and byte metering shrink with the payload, so time-to-accuracy shows
 precisely what compression buys under a bandwidth-bound environment.
 
-Codecs register by name (mirroring :mod:`repro.env.registry`) and are
-selected per experiment via ``ExperimentSpec.codec`` / ``codec_kwargs``:
+Codecs register by name (the shared :mod:`repro.utils.registry` contract)
+and are selected per experiment via ``ExperimentSpec.codec`` / ``codec_kwargs``:
 
 >>> from repro.compression import make_codec
 >>> codec = make_codec("topk", fraction=0.1)
@@ -26,13 +26,7 @@ from repro.compression.codecs import (
     QSGDCodec,
     TopKCodec,
 )
-from repro.compression.registry import (
-    CodecEntry,
-    available_codecs,
-    codec_entries,
-    make_codec,
-    register_codec,
-)
+from repro.compression.registry import CODECS, make_codec, register_codec
 
 __all__ = [
     "Encoded",
@@ -41,9 +35,7 @@ __all__ = [
     "TopKCodec",
     "QSGDCodec",
     "DeltaCodec",
-    "CodecEntry",
+    "CODECS",
     "register_codec",
     "make_codec",
-    "available_codecs",
-    "codec_entries",
 ]

@@ -1,83 +1,17 @@
 """Named update codecs: the sweepable compression axis.
 
-Mirrors :mod:`repro.env.registry`: every codec registers a factory under
-a short lowercase name, :func:`make_codec` instantiates one with keyword
-overrides (the ``ExperimentSpec.codec_kwargs`` / ``--topk-frac`` path),
-and bad names or kwargs fail with ``ValueError`` at spec-validation time
-rather than mid-campaign.
+``CODECS`` is one :class:`~repro.utils.registry.Registry` (see that module
+for the shared contract); :func:`make_codec` instantiates a codec with
+keyword overrides — the ``ExperimentSpec.codec_kwargs`` / ``--topk-frac``
+path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from repro.utils.registry import Registry
 
-from repro.compression.base import UpdateCodec
+__all__ = ["CODECS", "register_codec", "make_codec"]
 
-__all__ = [
-    "CodecEntry",
-    "register_codec",
-    "make_codec",
-    "available_codecs",
-    "codec_entries",
-]
-
-
-@dataclass(frozen=True)
-class CodecEntry:
-    """One registered codec: its factory plus the ``list codecs`` blurb."""
-
-    name: str
-    factory: Callable[..., UpdateCodec]
-    description: str = ""
-
-
-_REGISTRY: dict[str, CodecEntry] = {}
-
-
-def register_codec(
-    name: str, description: str = ""
-) -> Callable[[Callable[..., UpdateCodec]], Callable[..., UpdateCodec]]:
-    """Decorator registering a codec factory (usually the class) under
-    ``name``."""
-    if not name or not name.replace("_", "").islower() or not name.isidentifier():
-        raise ValueError(
-            f"codec name must be a lowercase identifier, got {name!r}"
-        )
-
-    def decorate(factory: Callable[..., UpdateCodec]) -> Callable[..., UpdateCodec]:
-        if name in _REGISTRY and _REGISTRY[name].factory is not factory:
-            raise ValueError(f"codec {name!r} is already registered")
-        _REGISTRY[name] = CodecEntry(name, factory, description)
-        return factory
-
-    return decorate
-
-
-def make_codec(name: str, **overrides: Any) -> UpdateCodec:
-    """Instantiate a registered codec, applying keyword overrides.
-
-    Raises ``ValueError`` for an unknown name *or* an unknown override
-    key, so :class:`ExperimentSpec` validation catches bad
-    ``codec_kwargs`` at sweep-expansion time.
-    """
-    try:
-        entry = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown codec {name!r}; known: {available_codecs()}"
-        ) from None
-    try:
-        return entry.factory(**overrides)
-    except TypeError as exc:
-        raise ValueError(f"bad codec_kwargs for codec {name!r}: {exc}") from None
-
-
-def available_codecs() -> list[str]:
-    """Sorted names of every registered codec."""
-    return sorted(_REGISTRY)
-
-
-def codec_entries() -> list[CodecEntry]:
-    """All registered entries, sorted by name — the ``list codecs`` feed."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+CODECS = Registry("codec", kwargs_field="codec_kwargs")
+register_codec = CODECS.register
+make_codec = CODECS.make

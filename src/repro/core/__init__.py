@@ -20,12 +20,7 @@ from repro.core.aggregation import (
 )
 from repro.core.clustering import cluster_by_capacity, equal_width_bins, kmeans_1d
 from repro.core.fedhisyn import FedHiSynConfig, FedHiSynServer
-from repro.core.registry import (
-    MethodEntry,
-    available_methods,
-    get_method,
-    register_method,
-)
+from repro.core.registry import METHODS, MethodEntry, get_method, register_method
 from repro.core.ring import build_ring, build_ring_eq5, build_rings
 from repro.core.selection import (
     SELECTION_POLICIES,
@@ -50,10 +45,10 @@ __all__ = [
     "DataSizeSelection",
     "SELECTION_POLICIES",
     "make_policy",
+    "METHODS",
     "MethodEntry",
     "register_method",
     "get_method",
-    "available_methods",
     "uniform_average",
     "class_time_weighted_average",
     "sample_weighted_average",

@@ -1,9 +1,8 @@
-"""Method registry: one decorator instead of three parallel dicts.
+"""Method registry: a server class registers itself, every consumer reads it.
 
-Before this module existed, adding a federated method meant editing three
-files: the server class itself, ``ALL_BASELINES`` in
-:mod:`repro.baselines`, and the ``METHODS``/``_METHOD_CONFIGS`` pair in
-:mod:`repro.experiments`.  Now a server class registers itself::
+``METHODS`` is the :class:`~repro.utils.registry.Registry` of federated
+methods (see that module for the name / duplicate / blurb rules shared
+with every other named axis).  A server class registers itself::
 
     @register_method("fedavg", config=FedAvgConfig)
     class FedAvgServer(FederatedServer):
@@ -12,47 +11,55 @@ files: the server class itself, ``ALL_BASELINES`` in
 
 and every consumer — :func:`repro.experiments.build_experiment`, the CLI's
 ``list``/``run``/``sweep`` subcommands, the campaign runner — reads the
-same registry.  ``METHODS``/``_METHOD_CONFIGS`` in ``experiments.py`` are
-live :class:`~collections.abc.Mapping` views over it, so existing call
-sites (``"fedavg" in METHODS``, ``sorted(METHODS)``) keep working
-unchanged.
+same registry (``"fedavg" in METHODS``, ``sorted(METHODS)``,
+``get_method(name).config_cls``).
 
-The registry is lazily populated: looking up a method imports the built-in
-method modules (whose decorators fill it in) on first use, so importing
-this module alone stays cheap and cycle-free.
+The registry is lazily populated: reading it imports the built-in method
+modules (whose decorators fill it in), so importing this module alone
+stays cheap and cycle-free.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
-__all__ = [
-    "MethodEntry",
-    "register_method",
-    "get_method",
-    "available_methods",
-    "method_entries",
-    "MethodView",
-    "METHOD_SERVERS",
-    "METHOD_CONFIGS",
-]
+from repro.utils.registry import Entry, Registry
+
+__all__ = ["MethodEntry", "METHODS", "register_method", "get_method"]
 
 S = TypeVar("S", bound=type)
 
 
-@dataclass(frozen=True)
-class MethodEntry:
-    """Everything the experiment layer needs to instantiate one method."""
+@dataclass(frozen=True, kw_only=True)
+class MethodEntry(Entry):
+    """Everything the experiment layer needs to instantiate one method:
+    the server class (``factory``) and the config class built from spec
+    fields plus ``method_kwargs``."""
 
-    name: str
-    server_cls: type
     config_cls: type
-    description: str = ""
+
+    @property
+    def server_cls(self) -> type:
+        return self.factory
 
 
-_REGISTRY: dict[str, MethodEntry] = {}
+def _import_builtin_methods() -> None:
+    """Import the modules whose decorators populate the registry.
+
+    Idempotent and cycle-safe: the built-in method modules import this
+    module only for :func:`register_method`, which reads nothing.
+    """
+    import repro.baselines  # noqa: F401  (registers the baselines)
+    import repro.core.fedhisyn  # noqa: F401  (registers fedhisyn)
+
+
+METHODS = Registry(
+    "method",
+    kwargs_field="method_kwargs",
+    entry_cls=MethodEntry,
+    populate=_import_builtin_methods,
+)
 
 
 def register_method(
@@ -63,101 +70,8 @@ def register_method(
     ``name`` is the public method identifier (CLI, ``ExperimentSpec.method``);
     ``config`` is the :class:`~repro.core.server.ServerConfig` subclass the
     experiment builder instantiates from spec fields plus ``method_kwargs``.
-    Registering two different classes under one name is an error;
-    re-applying the decorator to the same class — including the fresh class
-    object a module reload creates — replaces the entry (same module and
-    qualname means "the same class, possibly newer").
     """
-    if not name or not name.islower() or not name.isidentifier():
-        raise ValueError(
-            f"method name must be a lowercase identifier, got {name!r}"
-        )
-
-    def decorate(server_cls: S) -> S:
-        existing = _REGISTRY.get(name)
-        if existing is not None and not _same_class(existing.server_cls, server_cls):
-            raise ValueError(
-                f"method {name!r} is already registered to "
-                f"{existing.server_cls.__name__}; pick a different name"
-            )
-        desc = description or _first_docstring_line(server_cls)
-        _REGISTRY[name] = MethodEntry(name, server_cls, config, desc)
-        return server_cls
-
-    return decorate
+    return METHODS.register(name, description, config_cls=config)
 
 
-def _same_class(a: type, b: type) -> bool:
-    """Identity, or the module-reload case: same module and qualname."""
-    return a is b or (
-        a.__module__ == b.__module__ and a.__qualname__ == b.__qualname__
-    )
-
-
-def _first_docstring_line(cls: type) -> str:
-    doc = (cls.__doc__ or "").strip()
-    return doc.splitlines()[0] if doc else ""
-
-
-def _ensure_builtin_methods() -> None:
-    """Import the modules whose decorators populate the registry.
-
-    Idempotent and cycle-safe: the built-in method modules import this
-    module only for :func:`register_method`, which touches nothing below.
-    """
-    import repro.baselines  # noqa: F401  (registers the six baselines)
-    import repro.core.fedhisyn  # noqa: F401  (registers fedhisyn)
-
-
-def get_method(name: str) -> MethodEntry:
-    """Look up a registered method; raises ``ValueError`` with the known set."""
-    _ensure_builtin_methods()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown method {name!r}; known: {available_methods()}"
-        ) from None
-
-
-def available_methods() -> list[str]:
-    """Sorted names of every registered method."""
-    _ensure_builtin_methods()
-    return sorted(_REGISTRY)
-
-
-def method_entries() -> list[MethodEntry]:
-    """All registered entries, sorted by name — the ``list`` subcommand's feed."""
-    _ensure_builtin_methods()
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
-class MethodView(Mapping):
-    """Live read-only ``name -> <entry attribute>`` view over the registry.
-
-    ``METHODS`` and ``_METHOD_CONFIGS`` in :mod:`repro.experiments` are
-    instances; a method registered after import shows up immediately.
-    """
-
-    def __init__(self, attr: str) -> None:
-        self._attr = attr
-
-    def __getitem__(self, name: str) -> type:
-        _ensure_builtin_methods()
-        return getattr(_REGISTRY[name], self._attr)
-
-    def __iter__(self) -> Iterator[str]:
-        _ensure_builtin_methods()
-        return iter(sorted(_REGISTRY))
-
-    def __len__(self) -> int:
-        _ensure_builtin_methods()
-        return len(_REGISTRY)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        _ensure_builtin_methods()
-        return f"MethodView({self._attr}: {sorted(_REGISTRY)})"
-
-
-METHOD_SERVERS: Mapping[str, type] = MethodView("server_cls")
-METHOD_CONFIGS: Mapping[str, type] = MethodView("config_cls")
+get_method = METHODS.entry

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.device.fleet import DeviceFleet
 from repro.utils.config import validate_fraction
+from repro.utils.registry import Registry
 
 __all__ = [
     "SelectionPolicy",
@@ -49,6 +50,12 @@ def bernoulli_ids(
     return ids
 
 
+#: ``ExperimentSpec.selection`` and the CLI's ``--selection`` /
+#: ``list selections`` read from it (the shared
+#: :class:`~repro.utils.registry.Registry` contract).
+SELECTION_POLICIES = Registry("selection policy")
+
+
 class SelectionPolicy:
     """Interface: pick this round's participant ids (never empty)."""
 
@@ -74,6 +81,7 @@ class SelectionPolicy:
         return None
 
 
+@SELECTION_POLICIES.register("bernoulli")
 class BernoulliSelection(SelectionPolicy):
     """The paper's setting: each device joins with probability ``p``."""
 
@@ -89,6 +97,7 @@ class BernoulliSelection(SelectionPolicy):
         return bernoulli_ids(fleet, self.participation, rng)
 
 
+@SELECTION_POLICIES.register("fastest")
 class FastestSelection(SelectionPolicy):
     """FedCS-style: take the ``fraction`` of devices with the smallest unit
     time — maximal throughput, but slow devices' data never participates."""
@@ -108,6 +117,7 @@ class FastestSelection(SelectionPolicy):
         return np.lexsort((fleet.device_ids, fleet.unit_times))[:k]
 
 
+@SELECTION_POLICIES.register("datasize")
 class DataSizeSelection(SelectionPolicy):
     """Oort-flavoured utility sampling: inclusion probability proportional
     to the shard size (more data = more useful update), ``fraction`` of the
@@ -129,22 +139,6 @@ class DataSizeSelection(SelectionPolicy):
         return np.sort(idx)
 
 
-#: Name -> class map; ``ExperimentSpec.selection`` and the CLI's
-#: ``--selection``/``list selections`` read from it.
-SELECTION_POLICIES: dict[str, type[SelectionPolicy]] = {
-    "bernoulli": BernoulliSelection,
-    "fastest": FastestSelection,
-    "datasize": DataSizeSelection,
-}
-
-
 def make_policy(name: str, fraction: float) -> SelectionPolicy:
     """Policy factory: 'bernoulli' (paper default), 'fastest', 'datasize'."""
-    try:
-        cls = SELECTION_POLICIES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown selection policy {name!r}; "
-            f"known: {sorted(SELECTION_POLICIES)}"
-        ) from None
-    return cls(fraction)
+    return SELECTION_POLICIES.entry(name).factory(fraction)

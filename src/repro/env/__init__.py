@@ -29,9 +29,7 @@ from repro.env.network import (
 )
 from repro.env.registry import (
     AVAILABILITY_KINDS,
-    EnvironmentEntry,
-    available_environments,
-    environment_entries,
+    ENVIRONMENTS,
     make_environment,
     register_environment,
 )
@@ -49,10 +47,8 @@ __all__ = [
     "CapacityCorrelatedAvailability",
     "DiurnalAvailability",
     "Environment",
-    "EnvironmentEntry",
+    "ENVIRONMENTS",
     "register_environment",
     "make_environment",
-    "available_environments",
-    "environment_entries",
     "AVAILABILITY_KINDS",
 ]

@@ -25,8 +25,7 @@ Override keys understood by every preset:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.env.availability import (
     AlwaysOn,
@@ -38,78 +37,22 @@ from repro.env.availability import (
 )
 from repro.env.environment import Environment
 from repro.env.network import SampledNetwork, UniformNetwork
+from repro.utils.registry import Registry
 
 __all__ = [
-    "EnvironmentEntry",
+    "ENVIRONMENTS",
     "register_environment",
     "make_environment",
-    "available_environments",
-    "environment_entries",
     "AVAILABILITY_KINDS",
 ]
 
 AVAILABILITY_KINDS = ("always", "bernoulli", "trace", "capacity", "diurnal")
 
-
-@dataclass(frozen=True)
-class EnvironmentEntry:
-    """One registered preset: its factory plus the ``list envs`` blurb."""
-
-    name: str
-    factory: Callable[..., Environment]
-    description: str = ""
-
-
-_REGISTRY: dict[str, EnvironmentEntry] = {}
-
-
-def register_environment(
-    name: str, description: str = ""
-) -> Callable[[Callable[..., Environment]], Callable[..., Environment]]:
-    """Decorator registering an environment factory under ``name``."""
-    if not name or not name.replace("_", "").islower() or not name.isidentifier():
-        raise ValueError(
-            f"environment name must be a lowercase identifier, got {name!r}"
-        )
-
-    def decorate(factory: Callable[..., Environment]) -> Callable[..., Environment]:
-        if name in _REGISTRY and _REGISTRY[name].factory is not factory:
-            raise ValueError(f"environment {name!r} is already registered")
-        _REGISTRY[name] = EnvironmentEntry(name, factory, description)
-        return factory
-
-    return decorate
-
-
-def make_environment(name: str, **overrides: Any) -> Environment:
-    """Instantiate a registered preset, applying keyword overrides.
-
-    Raises ``ValueError`` for an unknown name *or* an unknown override key,
-    so :class:`ExperimentSpec` validation catches bad ``env_kwargs`` at
-    sweep-expansion time rather than mid-campaign.
-    """
-    try:
-        entry = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown environment {name!r}; known: {available_environments()}"
-        ) from None
-    try:
-        return entry.factory(**overrides)
-    except TypeError as exc:
-        raise ValueError(
-            f"bad env_kwargs for environment {name!r}: {exc}"
-        ) from None
-
-
-def available_environments() -> list[str]:
-    """Sorted names of every registered environment preset."""
-    return sorted(_REGISTRY)
-
-
-def environment_entries() -> list[EnvironmentEntry]:
-    """All registered entries, sorted by name — the ``list envs`` feed."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+#: One :class:`~repro.utils.registry.Registry` — see that module for the
+#: contract shared with every other named axis.
+ENVIRONMENTS = Registry("environment", kwargs_field="env_kwargs")
+register_environment = ENVIRONMENTS.register
+make_environment = ENVIRONMENTS.make
 
 
 # ----------------------------------------------------------------- builder

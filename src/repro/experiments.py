@@ -20,10 +20,10 @@ import numpy as np
 
 import repro.baselines  # noqa: F401  (registers the baseline methods)
 import repro.core.fedhisyn  # noqa: F401  (registers fedhisyn)
-from repro.compression import make_codec
+from repro.compression import CODECS
 from repro.core.aggregation import AGGREGATORS
 from repro.core.async_server import STALENESS_DECAYS
-from repro.core.registry import METHOD_CONFIGS, METHOD_SERVERS, get_method
+from repro.core.registry import METHODS
 from repro.core.selection import SELECTION_POLICIES, make_policy
 from repro.core.server import FederatedServer
 from repro.datasets import make_dataset, partition_by_name, train_test_split
@@ -31,11 +31,11 @@ from repro.datasets.core import ClassificationDataset
 from repro.datasets.registry import DATASETS
 from repro.device import LocalTrainer, make_fleet, unit_times_from_counts, unit_times_from_ratio
 from repro.device.heterogeneity import sample_unit_counts
-from repro.env.registry import make_environment
-from repro.faults import make_fault_model
+from repro.env.registry import ENVIRONMENTS
+from repro.faults import FAULT_MODELS
 from repro.nn.layers import Flatten
 from repro.nn.models import Sequential, paper_cnn, paper_mlp
-from repro.transport import make_transport
+from repro.transport import TRANSPORTS
 from repro.utils.config import validate_fraction, validate_positive
 from repro.utils.logging import RunLogger
 
@@ -46,14 +46,33 @@ __all__ = [
     "build_experiment",
     "run_experiment",
     "METHODS",
+    "AXES",
 ]
 
-#: Live views over :mod:`repro.core.registry` — ``"fedavg" in METHODS``,
-#: ``sorted(METHODS)`` and ``METHODS[name]`` behave exactly like the old
-#: hand-maintained dicts, but a ``@register_method`` class shows up in both
-#: without touching this module.
-METHODS = METHOD_SERVERS
-_METHOD_CONFIGS = METHOD_CONFIGS
+#: The named axes that carry keyword overrides, as ``(name field, kwargs
+#: field, default name)`` rows.  Spec validation, :func:`run_experiment`'s
+#: config echo, :func:`repro.campaign.sweep` and the CLI walk this table
+#: instead of spelling each axis out; a default of ``None`` means the name
+#: is always meaningful (there is no "absent" method or environment).
+AXES = (
+    ("method", "method_kwargs", None),
+    ("env", "env_kwargs", None),
+    ("codec", "codec_kwargs", "none"),
+    ("faults", "fault_kwargs", "none"),
+    ("transport", "transport_kwargs", "sim"),
+)
+
+#: Spec fields that only some method configs define: forwarded to the
+#: config (and echoed on the result) when set, left alone when ``None``.
+_OPTIONAL = (
+    "eval_time_every",
+    "staleness_decay",
+    "buffer_goal",
+    "aggregator",
+    "round_deadline",
+    "over_select",
+    "max_retries",
+)
 
 _PARTITIONS = ("iid", "contiguous", "dirichlet", "shard")
 
@@ -227,11 +246,6 @@ class ExperimentSpec:
                 f"model_family must be None, 'mlp' or 'cnn', "
                 f"got {self.model_family!r}"
             )
-        if self.selection is not None and self.selection not in SELECTION_POLICIES:
-            raise ValueError(
-                f"selection must be one of {sorted(SELECTION_POLICIES)}, "
-                f"got {self.selection!r}"
-            )
         if self.selection_fraction is not None:
             validate_fraction(self.selection_fraction, "selection_fraction")
         if self.eval_time_every is not None:
@@ -246,25 +260,9 @@ class ExperimentSpec:
             )
         if self.buffer_goal is not None:
             validate_positive(self.buffer_goal, "buffer_goal")
-        if not isinstance(self.method_kwargs, dict):
-            raise ValueError(
-                f"method_kwargs must be a dict, got {type(self.method_kwargs).__name__}"
-            )
-        if not isinstance(self.env_kwargs, dict):
-            raise ValueError(
-                f"env_kwargs must be a dict, got {type(self.env_kwargs).__name__}"
-            )
-        if not isinstance(self.codec_kwargs, dict):
-            raise ValueError(
-                f"codec_kwargs must be a dict, got {type(self.codec_kwargs).__name__}"
-            )
         if self.aggregator is not None and self.aggregator not in AGGREGATORS:
             raise ValueError(
                 f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}"
-            )
-        if not isinstance(self.fault_kwargs, dict):
-            raise ValueError(
-                f"fault_kwargs must be a dict, got {type(self.fault_kwargs).__name__}"
             )
         if self.round_deadline is not None:
             validate_positive(self.round_deadline, "round_deadline")
@@ -283,25 +281,36 @@ class ExperimentSpec:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if not isinstance(self.transport_kwargs, dict):
-            raise ValueError(
-                "transport_kwargs must be a dict, "
-                f"got {type(self.transport_kwargs).__name__}"
-            )
         if self.device_batching not in ("auto", "off"):
             raise ValueError(
                 f"device_batching must be 'auto' or 'off', "
                 f"got {self.device_batching!r}"
             )
-        # Raises ValueError for an unknown preset or bad override keys, so
-        # a mistyped --env/--grid value fails at spec time, not mid-run.
-        make_environment(self.env, **self.env_kwargs)
-        # Same fail-early contract for the codec, fault and transport axes;
-        # the backend additionally vets the *whole* spec (live supports
+        for _, kwargs_field, _ in AXES:
+            kwargs = getattr(self, kwargs_field)
+            if not isinstance(kwargs, dict):
+                raise ValueError(
+                    f"{kwargs_field} must be a dict, got {type(kwargs).__name__}"
+                )
+        # Every named axis fails here — an unknown name or a bad override
+        # key raises ValueError at spec time, not mid-run.  The method's
+        # kwargs are only key-checked (values are validated where the
+        # config is built); the other axes are cheap enough to construct.
+        DATASETS.entry(self.dataset)
+        if self.selection is not None:
+            SELECTION_POLICIES.entry(self.selection)
+        unknown = sorted(
+            set(self.method_kwargs)
+            - {f.name for f in fields(METHODS.entry(self.method).config_cls)}
+        )
+        if unknown:
+            raise METHODS.bad_kwargs(self.method, f"unknown field(s) {unknown}")
+        ENVIRONMENTS.make(self.env, **self.env_kwargs)
+        CODECS.make(self.codec, **self.codec_kwargs)
+        FAULT_MODELS.make(self.faults, **self.fault_kwargs)
+        # The backend additionally vets the *whole* spec (live supports
         # only the sync FedAvg family on drop-free, fault-free worlds).
-        make_codec(self.codec, **self.codec_kwargs)
-        make_fault_model(self.faults, **self.fault_kwargs)
-        make_transport(self.transport, **self.transport_kwargs).validate_spec(self)
+        TRANSPORTS.make(self.transport, **self.transport_kwargs).validate_spec(self)
 
     def with_method(self, method: str, **method_kwargs) -> "ExperimentSpec":
         """Same experiment, different algorithm — for method comparisons."""
@@ -364,7 +373,7 @@ def build_experiment(
     spec: ExperimentSpec, logger: RunLogger | None = None
 ) -> FederatedServer:
     """Assemble dataset, devices, trainer and server for ``spec``."""
-    entry = get_method(spec.method)  # raises ValueError for unknown methods
+    entry = METHODS.entry(spec.method)
 
     dataset = make_dataset(spec.dataset, num_samples=spec.num_samples, seed=spec.seed)
     train_set, test_set = train_test_split(
@@ -404,17 +413,9 @@ def build_experiment(
     # grid over e.g. buffer_goal can include sync methods without erroring.
     cfg_fields = {f.name for f in fields(entry.config_cls)}
     optional = {
-        key: value
-        for key, value in (
-            ("eval_time_every", spec.eval_time_every),
-            ("staleness_decay", spec.staleness_decay),
-            ("buffer_goal", spec.buffer_goal),
-            ("aggregator", spec.aggregator),
-            ("round_deadline", spec.round_deadline),
-            ("over_select", spec.over_select),
-            ("max_retries", spec.max_retries),
-        )
-        if value is not None and key in cfg_fields
+        key: getattr(spec, key)
+        for key in _OPTIONAL
+        if getattr(spec, key) is not None and key in cfg_fields
     }
     config = entry.config_cls(
         rounds=spec.rounds,
@@ -424,7 +425,7 @@ def build_experiment(
         seed=spec.seed + 6,
         **{**optional, **spec.method_kwargs},
     )
-    environment = make_environment(spec.env, **spec.env_kwargs)
+    environment = ENVIRONMENTS.make(spec.env, **spec.env_kwargs)
     server = entry.server_cls(
         devices, test_set, config, logger=logger, env=environment
     )
@@ -439,20 +440,20 @@ def build_experiment(
         # Codec-private rng stream: seeded off the experiment seed but
         # disjoint from the +0..+6 substrate streams, so switching codecs
         # never perturbs data/model/training randomness.
-        server.codec = make_codec(
+        server.codec = CODECS.make(
             spec.codec, **{"seed": spec.seed + 7, **spec.codec_kwargs}
         )
     if spec.faults != "none" or spec.fault_kwargs:
         # Fault draws run on their own (*, 200..202) seed streams —
         # disjoint from substrate (+0..+6) and codec (+7) randomness — so
         # arming a model that injects nothing perturbs nothing.
-        server.set_faults(make_fault_model(spec.faults, **spec.fault_kwargs))
+        server.set_faults(FAULT_MODELS.make(spec.faults, **spec.fault_kwargs))
     if spec.transport != "sim" or spec.transport_kwargs:
         # The live backend needs the spec itself: worker processes rebuild
         # the whole substrate from it (same seeds -> identical shards,
         # model init and training streams).  Sockets open lazily at the
         # first broadcast, so building a live spec stays side-effect free.
-        server.transport = make_transport(spec.transport, **spec.transport_kwargs)
+        server.transport = TRANSPORTS.make(spec.transport, **spec.transport_kwargs)
         server.transport.bind(server, spec)
     # Batched engine last: it snapshots the trainer/fleet pair, which is
     # final by now.  "auto" degrades silently to sequential when the model
@@ -475,38 +476,19 @@ def run_experiment(spec: ExperimentSpec, logger: RunLogger | None = None):
         beta=spec.beta if spec.partition == "dirichlet" else None,
         num_devices=spec.num_devices,
         model_preset=spec.model_preset,
-        env=spec.env,
     )
-    if spec.env_kwargs:
-        result.config["env_kwargs"] = dict(spec.env_kwargs)
-    if spec.eval_time_every is not None:
-        result.config["eval_time_every"] = spec.eval_time_every
-    if spec.staleness_decay is not None:
-        result.config["staleness_decay"] = spec.staleness_decay
-    if spec.buffer_goal is not None:
-        result.config["buffer_goal"] = spec.buffer_goal
-    if spec.codec != "none":
-        result.config["codec"] = spec.codec
-    if spec.codec_kwargs:
-        result.config["codec_kwargs"] = dict(spec.codec_kwargs)
-    if spec.aggregator is not None:
-        result.config["aggregator"] = spec.aggregator
-    if spec.faults != "none":
-        result.config["faults"] = spec.faults
-    if spec.fault_kwargs:
-        result.config["fault_kwargs"] = dict(spec.fault_kwargs)
-    if spec.transport != "sim":
-        result.config["transport"] = spec.transport
-    if spec.transport_kwargs:
-        result.config["transport_kwargs"] = dict(spec.transport_kwargs)
+    # Echo only what was moved off its default (env has none, so it is
+    # always echoed).  The method (AXES[0]) is ``result.method``.
+    for name_field, kwargs_field, default in AXES[1:]:
+        if getattr(spec, name_field) != default:
+            result.config[name_field] = getattr(spec, name_field)
+        if getattr(spec, kwargs_field):
+            result.config[kwargs_field] = dict(getattr(spec, kwargs_field))
+    for key in _OPTIONAL:
+        if getattr(spec, key) is not None:
+            result.config[key] = getattr(spec, key)
     if spec.device_batching != "auto":
         result.config["device_batching"] = spec.device_batching
-    if spec.round_deadline is not None:
-        result.config["round_deadline"] = spec.round_deadline
-    if spec.over_select is not None:
-        result.config["over_select"] = spec.over_select
-    if spec.max_retries is not None:
-        result.config["max_retries"] = spec.max_retries
     if spec.selection is not None:
         result.config["selection"] = spec.selection
         result.config["selection_fraction"] = (

@@ -15,13 +15,7 @@ from repro.faults.model import (
     RoundEffects,
     StragglerFaults,
 )
-from repro.faults.registry import (
-    FaultEntry,
-    available_fault_models,
-    fault_entries,
-    make_fault_model,
-    register_fault_model,
-)
+from repro.faults.registry import FAULT_MODELS, make_fault_model, register_fault_model
 
 __all__ = [
     "ATTACKS",
@@ -32,9 +26,7 @@ __all__ = [
     "StragglerFaults",
     "ByzantineFaults",
     "CompoundFaults",
-    "FaultEntry",
+    "FAULT_MODELS",
     "register_fault_model",
     "make_fault_model",
-    "available_fault_models",
-    "fault_entries",
 ]

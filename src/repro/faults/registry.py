@@ -1,10 +1,8 @@
 """Named fault-model presets: the sweepable robustness axis.
 
-Mirrors :mod:`repro.env.registry`: every preset is a factory keyed by a
-short name, accepts keyword overrides (the ``ExperimentSpec.fault_kwargs``
-/ ``--byzantine-frac`` path), and fails early with ``ValueError`` for an
-unknown name or override — so a bad campaign grid dies at sweep-expansion
-time, not mid-run.
+Every preset is a factory keyed by a short name in ``FAULT_MODELS`` and
+accepts keyword overrides (the ``ExperimentSpec.fault_kwargs`` /
+``--byzantine-frac`` path).
 
 Override keys by preset:
 
@@ -22,8 +20,7 @@ Override keys by preset:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.faults.model import (
     ByzantineFaults,
@@ -33,70 +30,15 @@ from repro.faults.model import (
     NoFaults,
     StragglerFaults,
 )
+from repro.utils.registry import Registry
 
-__all__ = [
-    "FaultEntry",
-    "register_fault_model",
-    "make_fault_model",
-    "available_fault_models",
-    "fault_entries",
-]
+__all__ = ["FAULT_MODELS", "register_fault_model", "make_fault_model"]
 
-
-@dataclass(frozen=True)
-class FaultEntry:
-    """One registered preset: its factory plus the ``list faults`` blurb."""
-
-    name: str
-    factory: Callable[..., FaultModel]
-    description: str = ""
-
-
-_REGISTRY: dict[str, FaultEntry] = {}
-
-
-def register_fault_model(
-    name: str, description: str = ""
-) -> Callable[[Callable[..., FaultModel]], Callable[..., FaultModel]]:
-    """Decorator registering a fault-model factory under ``name``."""
-    if not name or not name.replace("_", "").islower() or not name.isidentifier():
-        raise ValueError(
-            f"fault-model name must be a lowercase identifier, got {name!r}"
-        )
-
-    def decorate(factory: Callable[..., FaultModel]) -> Callable[..., FaultModel]:
-        if name in _REGISTRY and _REGISTRY[name].factory is not factory:
-            raise ValueError(f"fault model {name!r} is already registered")
-        _REGISTRY[name] = FaultEntry(name, factory, description)
-        return factory
-
-    return decorate
-
-
-def make_fault_model(name: str, **overrides: Any) -> FaultModel:
-    """Instantiate a registered preset, applying keyword overrides."""
-    try:
-        entry = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fault model {name!r}; known: {available_fault_models()}"
-        ) from None
-    try:
-        return entry.factory(**overrides)
-    except TypeError as exc:
-        raise ValueError(
-            f"bad fault_kwargs for fault model {name!r}: {exc}"
-        ) from None
-
-
-def available_fault_models() -> list[str]:
-    """Sorted names of every registered fault-model preset."""
-    return sorted(_REGISTRY)
-
-
-def fault_entries() -> list[FaultEntry]:
-    """All registered entries, sorted by name — the ``list faults`` feed."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+#: One :class:`~repro.utils.registry.Registry` — see that module for the
+#: contract shared with every other named axis.
+FAULT_MODELS = Registry("fault model", kwargs_field="fault_kwargs")
+register_fault_model = FAULT_MODELS.register
+make_fault_model = FAULT_MODELS.make
 
 
 # ----------------------------------------------------------------- presets

@@ -9,13 +9,7 @@ Importing this package registers both backends:
 
 from repro.transport.base import LiveTransportStats, Transport
 from repro.transport.live import LIVE_CAPABLE_METHODS, LiveTransport
-from repro.transport.registry import (
-    TransportEntry,
-    available_transports,
-    make_transport,
-    register_transport,
-    transport_entries,
-)
+from repro.transport.registry import TRANSPORTS, make_transport, register_transport
 from repro.transport.sim import SimTransport
 
 __all__ = [
@@ -23,10 +17,8 @@ __all__ = [
     "LiveTransport",
     "LiveTransportStats",
     "SimTransport",
+    "TRANSPORTS",
     "Transport",
-    "TransportEntry",
-    "available_transports",
     "make_transport",
     "register_transport",
-    "transport_entries",
 ]

@@ -1,87 +1,18 @@
 """Named transport backends: the sim/live execution axis.
 
-Mirrors :mod:`repro.env.registry`: every backend registers a factory
-under a short lowercase name, :func:`make_transport` instantiates one
-with keyword overrides (the ``ExperimentSpec.transport_kwargs`` /
-``--workers-live`` path), and bad names or kwargs fail with
-``ValueError`` at spec-validation time rather than mid-campaign.
+``TRANSPORTS`` is one :class:`~repro.utils.registry.Registry` (see that
+module for the shared contract); :func:`make_transport` instantiates a
+backend with keyword overrides — the ``ExperimentSpec.transport_kwargs`` /
+``--workers-live`` path.  Construction is cheap and side-effect free: the
+live backend opens sockets and spawns workers only once a run starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from repro.utils.registry import Registry
 
-from repro.transport.base import Transport
+__all__ = ["TRANSPORTS", "register_transport", "make_transport"]
 
-__all__ = [
-    "TransportEntry",
-    "register_transport",
-    "make_transport",
-    "available_transports",
-    "transport_entries",
-]
-
-
-@dataclass(frozen=True)
-class TransportEntry:
-    """One registered backend: its factory plus the ``list`` blurb."""
-
-    name: str
-    factory: Callable[..., Transport]
-    description: str = ""
-
-
-_REGISTRY: dict[str, TransportEntry] = {}
-
-
-def register_transport(
-    name: str, description: str = ""
-) -> Callable[[Callable[..., Transport]], Callable[..., Transport]]:
-    """Decorator registering a transport factory (usually the class)
-    under ``name``."""
-    if not name or not name.replace("_", "").islower() or not name.isidentifier():
-        raise ValueError(
-            f"transport name must be a lowercase identifier, got {name!r}"
-        )
-
-    def decorate(factory: Callable[..., Transport]) -> Callable[..., Transport]:
-        if name in _REGISTRY and _REGISTRY[name].factory is not factory:
-            raise ValueError(f"transport {name!r} is already registered")
-        _REGISTRY[name] = TransportEntry(name, factory, description)
-        return factory
-
-    return decorate
-
-
-def make_transport(name: str, **overrides: Any) -> Transport:
-    """Instantiate a registered transport, applying keyword overrides.
-
-    Raises ``ValueError`` for an unknown name *or* an unknown override
-    key, so :class:`~repro.experiments.ExperimentSpec` validation catches
-    bad ``transport_kwargs`` at sweep-expansion time.  Construction is
-    cheap and side-effect free — the live backend opens sockets and
-    spawns workers only once a run actually starts.
-    """
-    try:
-        entry = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown transport {name!r}; known: {available_transports()}"
-        ) from None
-    try:
-        return entry.factory(**overrides)
-    except TypeError as exc:
-        raise ValueError(
-            f"bad transport_kwargs for transport {name!r}: {exc}"
-        ) from None
-
-
-def available_transports() -> list[str]:
-    """Sorted names of every registered transport backend."""
-    return sorted(_REGISTRY)
-
-
-def transport_entries() -> list[TransportEntry]:
-    """All registered entries, sorted by name — the ``list`` feed."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+TRANSPORTS = Registry("transport", kwargs_field="transport_kwargs")
+register_transport = TRANSPORTS.register
+make_transport = TRANSPORTS.make

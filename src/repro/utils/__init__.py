@@ -2,6 +2,7 @@
 
 from repro.utils.rng import SeedSequenceFactory, as_generator, spawn_generators
 from repro.utils.config import freeze, validate_fraction, validate_positive
+from repro.utils.registry import Entry, Registry
 
 __all__ = [
     "SeedSequenceFactory",
@@ -10,4 +11,6 @@ __all__ = [
     "freeze",
     "validate_fraction",
     "validate_positive",
+    "Entry",
+    "Registry",
 ]

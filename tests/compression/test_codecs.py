@@ -15,8 +15,7 @@ from repro.compression import (
     IdentityCodec,
     QSGDCodec,
     TopKCodec,
-    available_codecs,
-    codec_entries,
+    CODECS,
     make_codec,
     register_codec,
 )
@@ -29,10 +28,10 @@ def rand_vec(dim=200, seed=0):
 
 class TestRegistry:
     def test_all_bundled_codecs_registered(self):
-        assert available_codecs() == ["delta", "none", "qsgd", "topk"]
+        assert CODECS.names() == ["delta", "none", "qsgd", "topk"]
 
     def test_make_codec_builds_each(self):
-        for name in available_codecs():
+        for name in CODECS:
             codec = make_codec(name)
             assert isinstance(codec, UpdateCodec)
             assert codec.name == name
@@ -50,19 +49,10 @@ class TestRegistry:
         assert codec.fraction == 0.25
         assert codec.seed == 3
 
-    def test_duplicate_registration_rejected(self):
-        # Re-registering the *same* factory is idempotent; a different
-        # factory under a taken name is the error.
-        with pytest.raises(ValueError, match="already registered"):
-            register_codec("topk", "imposter")(IdentityCodec)
-
-    def test_bad_name_rejected(self):
-        with pytest.raises(ValueError, match="lowercase"):
-            register_codec("Top-K", "bad name")(TopKCodec)
-
-    def test_entries_describe(self):
-        by_name = {e.name: e for e in codec_entries()}
-        assert "error feedback" in by_name["topk"].description
+    def test_register_codec_is_the_registry(self):
+        # Name, duplicate and blurb rules: tests/utils/test_registry_contract.py.
+        assert register_codec == CODECS.register
+        assert "error feedback" in CODECS["topk"].description
 
 
 class TestEncoded:

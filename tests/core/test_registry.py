@@ -1,15 +1,13 @@
-"""Tests for the method registry."""
+"""What is method-specific about the ``METHODS`` registry.
+
+The shared register / look-up / fail-early contract (name rule, duplicate
+and reload rule, blurbs, unknown-name errors) is asserted for every kind
+in ``tests/utils/test_registry_contract.py``.
+"""
 
 import pytest
 
-from repro.core.registry import (
-    METHOD_CONFIGS,
-    METHOD_SERVERS,
-    available_methods,
-    get_method,
-    method_entries,
-    register_method,
-)
+from repro.core.registry import METHODS, MethodEntry, get_method, register_method
 from repro.core.server import FederatedServer, ServerConfig
 
 BUILTINS = {
@@ -19,92 +17,54 @@ BUILTINS = {
 
 class TestLookups:
     def test_builtins_registered(self):
-        assert BUILTINS <= set(available_methods())
+        assert BUILTINS <= set(METHODS)
 
     def test_get_method_entry(self):
         entry = get_method("fedavg")
+        assert isinstance(entry, MethodEntry)
         assert entry.name == "fedavg"
+        assert entry.server_cls is entry.factory
         assert entry.server_cls.method == "fedavg"
         assert issubclass(entry.config_cls, ServerConfig)
-        assert entry.description  # every builtin carries a one-liner
 
     def test_unknown_method_raises_with_known_set(self):
         with pytest.raises(ValueError, match="unknown method"):
             get_method("fancyfl")
 
-    def test_entries_sorted(self):
-        names = [e.name for e in method_entries()]
-        assert names == sorted(names)
 
+class TestOneRegistry:
+    def test_methods_is_the_same_object_everywhere(self):
+        import repro
+        import repro.core
+        import repro.experiments
 
-class TestViews:
-    def test_views_match_registry(self):
-        assert set(METHOD_SERVERS) == set(available_methods())
-        assert set(METHOD_CONFIGS) == set(available_methods())
-        assert METHOD_SERVERS["fedavg"] is get_method("fedavg").server_cls
-        assert METHOD_CONFIGS["fedavg"] is get_method("fedavg").config_cls
+        assert repro.METHODS is METHODS
+        assert repro.core.METHODS is METHODS
+        assert repro.experiments.METHODS is METHODS
+        assert METHODS["fedavg"] is get_method("fedavg")
 
-    def test_experiments_methods_is_view(self):
-        from repro.experiments import METHODS, _METHOD_CONFIGS
-
-        assert METHODS is METHOD_SERVERS
-        assert _METHOD_CONFIGS is METHOD_CONFIGS
-
-    def test_view_is_read_only(self):
+    def test_registry_is_read_only(self):
         with pytest.raises(TypeError):
-            METHOD_SERVERS["hack"] = FederatedServer  # Mapping, not dict
+            METHODS["hack"] = FederatedServer  # Mapping, not dict
 
 
 class TestRegistration:
-    def test_new_method_appears_in_views(self):
-        from repro.core import registry as reg
-
+    def test_new_method_appears_everywhere(self):
         @register_method("testonly", config=ServerConfig)
         class TestOnlyServer(FederatedServer):
+            """A method registered after import."""
+
             method = "testonly"
 
         try:
-            assert "testonly" in METHOD_SERVERS
             assert get_method("testonly").server_cls is TestOnlyServer
-            from repro.experiments import METHODS
+            assert get_method("testonly").description == "A method registered after import."
+            from repro.experiments import METHODS as experiment_methods
 
-            assert "testonly" in METHODS  # the live-view payoff
+            assert "testonly" in experiment_methods
         finally:
-            del reg._REGISTRY["testonly"]
+            del METHODS._entries["testonly"]
 
-    def test_duplicate_name_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_method("fedavg", config=ServerConfig)
-            class ImposterServer(FederatedServer):
-                method = "fedavg"
-
-    def test_reregistering_same_class_is_idempotent(self):
-        entry = get_method("fedavg")
-        register_method(
-            "fedavg", config=entry.config_cls, description=entry.description
-        )(entry.server_cls)
-        assert get_method("fedavg") == entry
-
-    def test_module_reload_reregisters_cleanly(self):
-        import importlib
-
-        import repro.baselines.fedavg as fedavg_module
-        from repro.core import registry as reg
-
-        original = reg._REGISTRY["fedavg"]
-        try:
-            reloaded = importlib.reload(fedavg_module)  # fresh class objects
-            assert get_method("fedavg").server_cls is reloaded.FedAvgServer
-        finally:
-            # Reload leaves every other importer holding the original class;
-            # point the registry and the module back at it so later tests
-            # see one consistent FedAvgServer.
-            reg._REGISTRY["fedavg"] = original
-            fedavg_module.FedAvgServer = original.server_cls
-            fedavg_module.FedAvgConfig = original.config_cls
-
-    @pytest.mark.parametrize("bad", ["", "Has Space", "CamelCase", "1leading"])
-    def test_bad_names_rejected(self, bad):
-        with pytest.raises(ValueError, match="lowercase identifier"):
-            register_method(bad, config=ServerConfig)
+    def test_config_is_required(self):
+        with pytest.raises(TypeError):
+            register_method("configless")

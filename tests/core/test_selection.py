@@ -91,8 +91,14 @@ class TestMakePolicy:
         assert isinstance(make_policy(name, 0.5), cls)
 
     def test_unknown_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown selection policy 'oracle'; known: "):
             make_policy("oracle", 0.5)
+
+    def test_lookup_is_exact_match_like_the_spec(self):
+        # ExperimentSpec(selection="FASTEST") is rejected, so the factory
+        # must not lower-case its way around that.
+        with pytest.raises(ValueError, match="unknown selection policy"):
+            make_policy("FASTEST", 0.5)
 
 
 class TestServerIntegration:

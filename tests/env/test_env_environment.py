@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from repro.env import (
+    ENVIRONMENTS,
     AlwaysOn,
     BernoulliAvailability,
     Environment,
     IdealNetwork,
     UniformNetwork,
-    available_environments,
-    environment_entries,
     make_environment,
 )
 
@@ -63,7 +62,7 @@ class TestEnvironment:
 
 class TestRegistry:
     def test_required_presets_exist(self):
-        names = available_environments()
+        names = ENVIRONMENTS.names()
         for required in ("ideal", "lan", "wan", "flaky_mobile"):
             assert required in names
         assert len(names) >= 4
@@ -75,7 +74,7 @@ class TestRegistry:
         assert env.network.is_instant
 
     def test_presets_construct_and_describe(self):
-        for entry in environment_entries():
+        for entry in ENVIRONMENTS.entries():
             env = make_environment(entry.name)
             assert env.name == entry.name
             assert entry.description

@@ -2,6 +2,7 @@
 parallel execution and seed aggregation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from repro.campaign import Campaign, CampaignResult, spec_hash, sweep
 from repro.experiments import ExperimentSpec
 from repro.simulation.results import RunResult
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 
 
 def fast_spec(**kwargs):
@@ -32,6 +35,14 @@ class TestSweep:
         assert {(s.method, s.seed) for s in specs} == {
             (m, s) for m in ("fedavg", "tfedavg") for s in (0, 1, 2)
         }
+
+    def test_bad_axis_name_fails_at_expansion(self):
+        # Every named axis is vetted when the spec is built, so the typo
+        # cell raises before sweep returns anything to train.
+        for axis, good in (("dataset", "mnist_like"), ("method", "fedavg"),
+                           ("env", "ideal"), ("codec", "none")):
+            with pytest.raises(ValueError, match=f"unknown {axis[:6]}.* 'typo'; known: "):
+                sweep(fast_spec(), {axis: [good, "typo"]})
 
     def test_per_method_kwargs(self):
         specs = sweep(
@@ -68,12 +79,19 @@ class TestSpecHash:
         assert spec_hash(fast_spec()) == spec_hash(fast_spec())
 
     def test_any_field_changes_hash(self):
-        base = spec_hash(fast_spec())
-        assert spec_hash(fast_spec(seed=1)) != base
-        assert spec_hash(fast_spec(method_kwargs={"mu": 0.1})) != base
+        base = spec_hash(fast_spec(method="fedprox"))
+        assert spec_hash(fast_spec(method="fedprox", seed=1)) != base
+        assert spec_hash(fast_spec(method="fedprox", method_kwargs={"mu": 0.1})) != base
+
+    def test_hash_matches_frozen_literals(self):
+        # On-disk campaign caches are keyed by this hash: a spec field,
+        # default or to_dict change that moves it invalidates them all.
+        frozen = json.loads((GOLDEN_CLI / "run_config.json").read_text())
+        for cell in frozen.values():
+            assert spec_hash(ExperimentSpec(**cell["spec"])) == cell["spec_hash"]
 
     def test_json_round_trip_preserves_hash(self):
-        spec = fast_spec(het_ratio=4.0, method_kwargs={"mu": 0.01})
+        spec = fast_spec(method="fedprox", het_ratio=4.0, method_kwargs={"mu": 0.01})
         thawed = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert thawed == spec
         assert spec_hash(thawed) == spec_hash(spec)

@@ -1,6 +1,7 @@
 """Tests for the subcommand command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,17 @@ class TestParser:
         assert spec.beta == 0.5
         assert spec.het_ratio == 4.0
         assert spec.eval_every == 2
+
+    def test_convenience_flags_land_on_the_selected_name_only(self):
+        args = build_parser().parse_args(
+            ["run", "--num-classes", "3", "--topk-frac", "0.2", "--codec", "topk",
+             "--byzantine-frac", "0.1", "--workers-live", "4"]
+        )
+        spec = spec_from_args(args)
+        assert spec.method_kwargs == {"num_classes": 3}
+        assert spec.codec_kwargs == {"fraction": 0.2}
+        assert spec.fault_kwargs == {} and spec.transport_kwargs == {}
+        assert spec_from_args(args, method="fedavg").method_kwargs == {}
 
     def test_selection_args_reach_spec(self):
         args = build_parser().parse_args(
@@ -64,6 +76,11 @@ class TestRun:
         rc = main(["run", "--method", "fancyfl", *COMMON, "--quiet"])
         assert rc == 2
         assert "unknown method" in capsys.readouterr().err
+
+    def test_empty_method_list_error(self, capsys):
+        for command in ("run", "compare", "sweep"):
+            assert main([command, "--method", ",", *COMMON]) == 2
+            assert "--method needs at least one name" in capsys.readouterr().err
 
     def test_multiple_methods_rejected(self, capsys):
         rc = main(["run", "--method", "fedhisyn,fedavg", *COMMON, "--quiet"])
@@ -135,6 +152,16 @@ class TestSweep:
         assert rc == 2
         assert "lr must be a number" in capsys.readouterr().err
 
+    def test_bad_grid_name_fails_before_anything_trains(self, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran before the bad one was rejected")
+
+        monkeypatch.setattr("repro.campaign.Campaign.run", no_run)
+        rc = main(["sweep", "--method", "fedavg", "--seeds", "0",
+                   "--grid", "dataset=mnist_like,typo", *COMMON, "--quiet"])
+        assert rc == 2
+        assert "error: unknown dataset 'typo'; known:" in capsys.readouterr().err
+
     def test_zero_workers_error(self, capsys):
         rc = main(["sweep", "--method", "fedavg", "--seeds", "0",
                    "--workers", "0", *COMMON, "--quiet"])
@@ -161,6 +188,27 @@ class TestList:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "methods:" in out and "datasets:" in out
+
+    # The text users and scripts see; a registry refactor must not move it.
+    FROZEN = (Path(__file__).parent / "golden" / "cli" / "list_all.txt").read_text()
+
+    def test_all_matches_frozen_text(self, capsys):
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out == self.FROZEN
+
+    @pytest.mark.parametrize("what, title", [
+        ("methods", "methods"), ("datasets", "datasets"),
+        ("selections", "selection policies"), ("envs", "environments"),
+        ("codecs", "codecs"), ("faults", "fault models"),
+        ("transports", "transports"), ("fleets", "fleet profiles"),
+    ])
+    def test_each_section_matches_frozen_text(self, what, title, capsys):
+        assert main(["list", what]) == 0
+        (section,) = [
+            block for block in self.FROZEN.rstrip("\n").split("\n\n")
+            if block.startswith(f"{title}:")
+        ]
+        assert capsys.readouterr().out == section + "\n"
 
 
 class TestEnvironmentFlags:

@@ -1,5 +1,8 @@
 """Tests for the high-level experiment assembly."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.datasets.synthetic import cifar10_like, mnist_like
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 
 
 def fast_spec(**kwargs):
@@ -111,6 +116,40 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             fast_spec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"dataset": "x"}, "unknown dataset 'x'; known: "),
+            ({"method": "nope", "method_kwargs": {}}, "unknown method 'nope'; known: "),
+            (
+                {"method": "fedavg", "method_kwargs": {"bogus": 1}},
+                r"bad method_kwargs for method 'fedavg': unknown field\(s\) \['bogus'\]",
+            ),
+            ({"selection": "FASTEST"}, "unknown selection policy 'FASTEST'; known: "),
+            ({"env": "the_moon"}, "unknown environment 'the_moon'; known: "),
+            ({"codec": "gzip"}, "unknown codec 'gzip'; known: "),
+            ({"faults": "meteor"}, "unknown fault model 'meteor'; known: "),
+            ({"transport": "pigeon"}, "unknown transport 'pigeon'; known: "),
+            ({"codec_kwargs": {"bogus": 1}}, "bad codec_kwargs for codec 'none'"),
+        ],
+    )
+    def test_every_named_axis_fails_at_spec_time(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fast_spec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field", ["method_kwargs", "env_kwargs", "codec_kwargs", "fault_kwargs",
+                  "transport_kwargs"],
+    )
+    def test_axis_kwargs_must_be_dicts(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a dict, got list"):
+            fast_spec(**{field: []})
+
+    def test_method_kwargs_values_are_checked_where_the_config_is_built(self):
+        spec = fast_spec(method_kwargs={"num_classes": -3})  # key known: valid spec
+        with pytest.raises(ValueError):
+            build_experiment(spec)
+
     def test_dict_round_trip(self):
         spec = fast_spec(het_ratio=4.0, selection="datasize")
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
@@ -172,6 +211,14 @@ class TestRunExperiment:
         assert result.config["dataset"] == "mnist_like"
         assert result.config["partition"] == "dirichlet"
         assert len(result.history.rounds) == 2
+
+    @pytest.mark.parametrize("cell", ["every_axis", "live"])
+    def test_config_echo_matches_the_frozen_dict(self, cell):
+        # The echo walks AXES / _OPTIONAL; the frozen dict pins which keys
+        # and values that must produce (order is free).
+        frozen = json.loads((GOLDEN_CLI / "run_config.json").read_text())[cell]
+        result = run_experiment(ExperimentSpec(**frozen["spec"]))
+        assert result.config == frozen["config"]
 
     def test_with_method_preserves_setup(self):
         spec = fast_spec()

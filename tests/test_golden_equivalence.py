@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.core.registry import available_methods
+from repro.core.registry import METHODS
 from repro.experiments import ExperimentSpec, run_experiment
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -22,7 +22,7 @@ GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
 
 def test_every_registered_method_has_a_golden_file():
     covered = {path.stem for path in GOLDEN_FILES}
-    assert covered == set(available_methods()), (
+    assert covered == set(METHODS), (
         "golden coverage out of sync with the method registry; "
         "run tests/golden/generate.py for the new method"
     )

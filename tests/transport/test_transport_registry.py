@@ -1,21 +1,23 @@
-"""The transport registry mirrors the env/codec/fault registry contract."""
+"""What is transport-specific about the ``TRANSPORTS`` registry.
+
+The shared register / look-up / fail-early contract is asserted for every
+kind in ``tests/utils/test_registry_contract.py``.
+"""
 
 import pytest
 
 from repro.transport import (
+    TRANSPORTS,
     LiveTransport,
     SimTransport,
     Transport,
-    available_transports,
     make_transport,
-    register_transport,
-    transport_entries,
 )
 
 
 class TestRegistry:
     def test_bundled_backends_registered(self):
-        assert available_transports() == ["live", "sim"]
+        assert TRANSPORTS.names() == ["live", "sim"]
 
     def test_make_transport_builds_each(self):
         assert isinstance(make_transport("sim"), SimTransport)
@@ -36,22 +38,6 @@ class TestRegistry:
     def test_live_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="worker"):
             make_transport("live", workers=0)
-
-    def test_bad_registration_names_rejected(self):
-        for bad in ("", "Sim", "has-dash", "9lead"):
-            with pytest.raises(ValueError, match="lowercase identifier"):
-                register_transport(bad)
-
-    def test_reregistration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            @register_transport("sim")
-            class Impostor(Transport):
-                pass
-
-    def test_entries_sorted_with_descriptions(self):
-        entries = transport_entries()
-        assert [e.name for e in entries] == ["live", "sim"]
-        assert all(e.description for e in entries)
 
     def test_describe_falls_back_to_name(self):
         t = Transport()
