@@ -10,8 +10,10 @@ Four hot paths, matching where the reproduction spends its runtime:
 * ``flatten_unflatten`` — one ``get_flat_params`` + ``set_flat_params``
   round trip, fast path vs. the seed per-layer loop.
 * ``aggregation`` — uniform + sample-weighted averaging of a device stack.
-* ``fedhisyn_round`` — wall time per round of a small end-to-end FedHiSyn
-  run (trajectory number; no legacy pair).
+* ``fedhisyn_round`` — wall time per round of an end-to-end FedHiSyn run on
+  Dirichlet-ragged ``lab`` shards, ring waves trained as stacks
+  (``device_batching="auto"``) vs unit by unit (``"off"``), final weights
+  compared first.
 
 Fleet-scale round (5,000+ devices, the struct-of-arrays population):
 
@@ -67,6 +69,7 @@ from repro.device.heterogeneity import sample_unit_counts, unit_times_from_count
 from repro.env.environment import Environment
 from repro.experiments import ExperimentSpec, build_experiment, run_experiment
 from repro.faults import NoFaults, make_fault_model
+from repro.nn.batched import stacked_gemm_is_bitwise
 from repro.nn.models import paper_mlp
 from repro.simulation.metrics import ResilienceStats
 from repro.nn.serialization import get_flat_params, set_flat_params
@@ -278,36 +281,54 @@ def _bench_aggregation(scale: PerfScale) -> dict:
 
 
 def _bench_fedhisyn_round(scale: PerfScale) -> dict:
+    """FedHiSyn rounds on the paper's ragged shards, one server toggled
+    between stacked ring waves and the scalar ``run_unit`` path.
+
+    The ``lab`` population (100 devices) under the Dirichlet(0.3) split
+    holds about as many distinct shard sizes as devices, so nothing stacks
+    by shard size; the waves stack by full mini-batch.  The two runs must
+    end on the same weights — exactly where the BLAS canary holds, to
+    1e-12 otherwise — before any timing is trusted.
+    """
     spec = ExperimentSpec(
         method="fedhisyn",
         dataset="mnist_like",
-        num_samples=scale.round_samples,
-        num_devices=scale.round_devices,
+        fleet_profile="lab",
+        num_samples=20 * scale.round_samples,
         rounds=scale.rounds,
         seed=0,
-        method_kwargs={"num_classes": 2},
+        method_kwargs={"num_classes": 5},
     )
-
     server = build_experiment(spec)
     initial = server.global_weights.copy()
 
-    def one_run() -> None:
+    def _fit(mode: str) -> object:
         # Reset per-run state so every fit() measures identical work; the
         # build cost stays outside the timed region.
-        server.history = type(server.history)()
-        server.clock = type(server.clock)()
-        server.meter = type(server.meter)()
-        server.fit(initial_weights=initial)
+        _reset_server(server)
+        server.set_device_batching(mode)
+        return server.fit(initial_weights=initial)
 
-    total = _best_of(one_run, max(1, scale.repeats // 3))
-    return {
-        "after_s": total / scale.rounds,
-        "detail": {
-            "rounds": scale.rounds,
-            "devices": scale.round_devices,
-            "total_s": total,
-        },
-    }
+    w_after, w_before = _fit("auto").final_weights, _fit("off").final_weights
+    max_abs = float(np.max(np.abs(w_after - w_before)))
+    if stacked_gemm_is_bitwise():
+        assert max_abs == 0.0, max_abs
+    else:
+        np.testing.assert_allclose(w_after, w_before, rtol=1e-12, atol=1e-12)
+
+    after, before = _best_pair(
+        lambda: _fit("auto"), lambda: _fit("off"), max(2, scale.repeats // 3)
+    )
+    sizes = server.fleet.num_samples
+    return _pair(
+        before / scale.rounds,
+        after / scale.rounds,
+        rounds=scale.rounds,
+        devices=len(sizes),
+        samples=int(sizes.sum()),
+        distinct_shard_sizes=len(set(sizes.tolist())),
+        max_abs_diff=max_abs,
+    )
 
 
 def _fleet_substrate(scale: PerfScale):

@@ -15,7 +15,8 @@ The device lifecycle (one state machine per cohort member):
    its next unit (models arriving mid-unit never interrupt — the same
    rule as the FedHiSyn ring engine).
 2. ``unit_complete`` — the unit's training actually executes (one
-   ``run_unit`` call), the result is uploaded through the env channel,
+   ``run_unit``; a wave's units as one stack), the result is uploaded
+   through the env channel,
    and the next unit begins immediately from the freshest model on hand:
    the newest server push if one arrived, else the device's own result.
    Devices never idle waiting for the server — a lost reply just means
@@ -102,6 +103,7 @@ from repro.core.server import (
     FederatedServer,
     ServerConfig,
 )
+from repro.device.batched import run_units
 from repro.device.device import Device
 from repro.env.network import SERVER
 from repro.simulation.results import RunResult
@@ -443,23 +445,29 @@ class AsyncFederatedServer(FederatedServer):
         self._wake(ids)
 
     def _on_unit_complete(self, ev) -> None:
-        """A completion wave.  Members are processed in array order — the
-        ``run_unit`` calls, the shared drop-stream draws and the upload
-        metering happen exactly as ``len(ids)`` consecutive single-device
-        events would — then the uploads and the next units go out as
-        waves of their own."""
-        epochs = self.config.local_epochs
+        """A completion wave.  Its members' units are independent — each
+        trains from the start model fixed when its unit began — so the wave
+        trains first, as one stack; then members are processed in array
+        order — the shared drop-stream draws and the upload metering happen
+        exactly as ``len(ids)`` consecutive single-device events would — and
+        the uploads and the next units go out as waves of their own."""
         armed = self._fault_machinery
         uploads: list[tuple] = []
         next_ids: list[int] = []
-        for dev_id in ev.payload.tolist():
+        ids = ev.payload.tolist()
+        starts = [self._start_model[dev_id] for dev_id in ids]
+        results = run_units(
+            self.batched_trainer,
+            [self._by_id[dev_id] for dev_id in ids],
+            starts,
+            self.config.local_epochs,
+            0,
+            self._unit_idx[ev.payload],
+            sync=False,
+        )
+        for dev_id, start, trained in zip(ids, starts, results):
             if armed:
                 self._unit_events.pop(dev_id, None)
-            start = self._start_model[dev_id]
-            # int(): numpy scalars must not leak into rng stream keys.
-            trained = self._by_id[dev_id].run_unit(
-                start, epochs, 0, int(self._unit_idx[dev_id]), sync=False
-            )
             self._unit_idx[dev_id] += 1
             self._own_model[dev_id] = trained
             if self._offline_mask[dev_id]:

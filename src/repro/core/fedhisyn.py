@@ -102,6 +102,12 @@ class FedHiSynServer(FederatedServer):
         )
         self.last_round_stats = None
 
+    def set_device_batching(self, mode: str) -> None:
+        """The ring engine trains on the server's own batched trainer (or,
+        with ``"off"``, on the scalar path like everything else)."""
+        super().set_device_batching(mode)
+        self.engine.batched_trainer = self.batched_trainer
+
     def run_round(
         self,
         round_idx: int,

@@ -177,10 +177,11 @@ class FederatedServer:
         self.transport: Transport = SimTransport()
         self.transport.bind(self)
         # Batched cross-device training engine (repro.device.batched): when
-        # installed, SimTransport (and SCAFFOLD's inline loop) train a whole
-        # round as stacked GEMMs over the (participants, dim) arena.  Off by
-        # default on direct construction so hand-built servers keep the
-        # sequential path; build_experiment enables it via
+        # installed, SimTransport and SCAFFOLD's inline loop train a barrier
+        # round, the FedHiSyn ring engine and the async event loop a
+        # completion wave, as stacked GEMMs.  Off by default on direct
+        # construction so hand-built servers keep the sequential path;
+        # build_experiment enables it via
         # set_device_batching(spec.device_batching).
         self.batched_trainer = None
         # The round currently executing — non-sim transports need it for

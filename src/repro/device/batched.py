@@ -1,22 +1,27 @@
-"""Whole-round local SGD as matrix math over the participant axis.
+"""Local SGD for many devices at once, as matrix math over the member axis.
 
-:class:`BatchedTrainer` is the round-level counterpart of
-:class:`~repro.device.device.LocalTrainer`: instead of training the round's
-receivers one at a time through a shared :class:`~repro.nn.models.Sequential`,
-it groups them into **cohorts** with identical ``(shard size, epochs)`` —
-members of a cohort share batch boundaries and step counts — and trains each
-cohort as stacked GEMMs over a ``(P, dim)`` theta arena via
-:class:`~repro.nn.batched.BatchedSequential`.  The optimizer math (SGD step,
-heavy-ball momentum, FedProx pull, SCAFFOLD correction) runs as whole-matrix
-ops over the arena, mirroring ``LocalTrainer.train``'s fused scalar path
-line for line.
+:class:`BatchedTrainer` is the many-device counterpart of
+:class:`~repro.device.device.LocalTrainer`.  The members of one call — a
+barrier round's receivers, a ring round's completion wave, an event loop's
+``unit_complete`` wave — are independent SGD runs of the same architecture
+that differ in data, start model and step count.  What they share is the
+**batch shape**: every full mini-batch is ``(batch_size, features)``
+whatever the shard size.  So members are stacked by batch shape, not by
+shard size (DESIGN.md §15): rows are ordered largest shard first, full-batch
+step *j* runs as one stacked-GEMM pass
+(:class:`~repro.nn.batched.BatchedSequential`) over the arena prefix of
+members that still have a full batch, and each member's short tail batch
+runs with the adjacent members of exactly its shard size.  The optimizer
+math (SGD step, heavy-ball momentum, FedProx pull, SCAFFOLD correction) runs
+as whole-matrix ops over the same rows, mirroring ``LocalTrainer.train``'s
+fused scalar path line for line.
 
-Determinism contract: every device draws its epoch permutations from its own
-``(device_id, round_idx, 0)`` stream — exactly the generator the sequential
-path uses — so batched and sequential training see identical shuffles.  The
-per-replica float ops are the same as the sequential path's, so results are
-bit-identical wherever the BLAS build computes stacked-GEMM slices exactly
-like their 2-D equivalents (and within ~1e-12 otherwise; DESIGN.md §15).
+Determinism contract: every member draws its epoch permutations from its
+own ``(device_id, round_idx, unit_idx)`` stream — exactly the generator the
+sequential path uses — so batched and sequential training see identical
+shuffles.  The per-replica float ops are the same as the sequential path's,
+so results are bit-identical wherever the BLAS build computes stacked-GEMM
+slices exactly like their 2-D equivalents (and within ~1e-12 otherwise).
 """
 
 from __future__ import annotations
@@ -27,11 +32,17 @@ from repro.device.device import LocalTrainer
 from repro.device.fleet import DeviceFleet
 from repro.nn.batched import BatchedSequential
 
-__all__ = ["BatchedTrainer"]
+__all__ = ["BatchedTrainer", "run_units"]
+
+#: Most members trained as one stack.  Python overhead per step is amortized
+#: well before this width, and the three ``(width, dim)`` arenas plus one
+#: batch of gathered samples per member stay a couple of MB however wide a
+#: round or wave is; wider calls run as consecutive stacks.
+_MAX_STACK = 16
 
 
 class BatchedTrainer:
-    """Trains a round's receivers in cohorts of stacked model replicas."""
+    """Trains the members of a round or wave as stacked model replicas."""
 
     def __init__(self, trainer: LocalTrainer, fleet: DeviceFleet) -> None:
         self.trainer = trainer
@@ -45,7 +56,6 @@ class BatchedTrainer:
                 f"input width ({self.model.in_features})"
             )
         self._x2d = x2d
-        self._feat = x2d.shape[1]
         # The sequential loss validates targets per batch; the data block is
         # immutable after the fleet is built, so validate it once here.
         y = fleet.y
@@ -55,47 +65,32 @@ class BatchedTrainer:
                 f"got range [{int(y.min())}, {int(y.max())}]"
             )
         self._y = y
-        # Grown (capacity, dim) arenas reused across cohorts and rounds.
-        self._theta: np.ndarray | None = None
-        self._grad: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
-        self._velocity: np.ndarray | None = None
-        # Grown flat epoch-gather buffers (indices, features, targets).
-        self._idx: np.ndarray | None = None
-        self._xe: np.ndarray | None = None
-        self._ye: np.ndarray | None = None
+        # One set of (width, dim) arenas, bound to the stacked model once;
+        # every stack trains on a row range of them.
+        width, batch = _MAX_STACK, trainer.batch_size
+        self._theta = np.empty((width, self.dim))
+        self._grad = np.empty((width, self.dim))
+        self._scratch = np.empty((width, self.dim))
+        self._velocity = (
+            np.empty((width, self.dim)) if trainer.momentum > 0.0 else None
+        )
+        self.model.bind(self._theta, self._grad)
+        # One gathered mini-batch per member (features, targets), flat.
+        self._xb = np.empty(width * batch * x2d.shape[1], dtype=x2d.dtype)
+        self._yb = np.empty(width * batch, dtype=y.dtype)
+        # Per-member epoch permutations as fleet-block row indices, grown to
+        # the largest shard seen.
+        self._idx = np.empty((width, 0), dtype=np.intp)
 
     @staticmethod
     def supports(model) -> bool:
         """True when ``model`` can run on the batched engine."""
         return BatchedSequential.supports(model)
 
-    def _arenas(self, P: int):
-        if self._theta is None or self._theta.shape[0] < P:
-            self._theta = np.empty((P, self.dim))
-            self._grad = np.empty((P, self.dim))
-            self._scratch = np.empty((P, self.dim))
-            if self.trainer.momentum > 0.0:
-                self._velocity = np.empty((P, self.dim))
-        vel = None if self._velocity is None else self._velocity[:P]
-        return self._theta[:P], self._grad[:P], self._scratch[:P], vel
-
-    def _epoch_views(self, P: int, n: int):
-        need = P * n
-        if self._idx is None or self._idx.size < need:
-            self._idx = np.empty(need, dtype=np.intp)
-            self._xe = np.empty(need * self._feat, dtype=self._x2d.dtype)
-            self._ye = np.empty(need, dtype=self._y.dtype)
-        return (
-            self._idx[:need].reshape(P, n),
-            self._xe[: need * self._feat].reshape(P, n, self._feat),
-            self._ye[:need].reshape(P, n),
-        )
-
     def train_round(
         self,
         ids: np.ndarray,
-        epochs: np.ndarray,
+        epochs: np.ndarray | int,
         round_idx: int,
         weights: np.ndarray,
         out: np.ndarray,
@@ -103,92 +98,188 @@ class BatchedTrainer:
         mu: float = 0.0,
         corrections: np.ndarray | None = None,
         lr: float | None = None,
+        unit_idx: np.ndarray | int = 0,
     ) -> np.ndarray:
-        """Train every receiver of a round; rows of ``out`` receive results.
+        """Train every member; ``out[k]`` receives member ``k``'s result.
 
-        ``ids`` are fleet device ids, ``epochs`` the per-device epoch counts
-        (both aligned with the rows of ``out``), ``weights`` the broadcast
-        round-start vector.  ``corrections``, when given, is a
-        ``(len(ids), dim)`` matrix of per-device additive gradient
-        corrections (SCAFFOLD).  Returns the per-device SGD step counts.
+        ``ids`` are fleet device ids, ``epochs`` the per-member epoch counts
+        and ``unit_idx`` the per-member training-unit indices (each aligned
+        with ``ids``, or one value for all).  ``weights`` is the start
+        model: one shared ``(dim,)`` vector (a broadcast), or one start
+        vector per member; per-member starts and ``out`` are each a
+        ``(len(ids), dim)`` matrix or a list of vectors.  ``corrections``,
+        when given, is a ``(len(ids), dim)`` matrix of per-member additive
+        gradient corrections (SCAFFOLD).  Returns the per-member SGD step
+        counts.
         """
         ids = np.asarray(ids, dtype=np.intp)
+        n = ids.size
+        if not n:
+            return np.empty(0, dtype=np.intp)
         ep = np.asarray(epochs)
-        n_arr = self.fleet.num_samples[ids]
-        steps_out = np.empty(len(ids), dtype=np.intp)
-        cohorts: dict[tuple[int, int], list[int]] = {}
-        for pos in range(len(ids)):
-            cohorts.setdefault((int(n_arr[pos]), int(ep[pos])), []).append(pos)
-        for (n, e), positions in cohorts.items():
-            if e <= 0:
-                raise ValueError(f"epochs must be positive, got {e}")
-            if n <= 0:
-                raise ValueError("cannot train on an empty shard")
-            steps = self._train_cohort(
-                ids, positions, n, e, round_idx, weights, out,
-                anchor=anchor, mu=mu, corrections=corrections, lr=lr,
-            )
-            steps_out[positions] = steps
-        return steps_out
+        if ep.ndim == 0:
+            ep = np.full(n, ep)
+        if int(ep.min()) <= 0:
+            raise ValueError(f"epochs must be positive, got {int(ep.min())}")
+        units = np.asarray(unit_idx)
+        if units.ndim == 0:
+            units = np.full(n, units)
+        trainer = self.trainer
+        sizes = self.fleet.num_samples[ids]
+        # Members of a stack share the epoch loop; inside an epoch group,
+        # largest shard first makes the members that still have a full batch
+        # at step j a prefix and puts equal sizes side by side.
+        order = np.lexsort((-sizes, ep))
+        by_order = ids[order]
+        ep_of = ep[order].tolist()
+        # Each member's own batch-shuffle stream, kept live across epochs so
+        # successive permutations continue the stream state exactly like the
+        # sequential path does; then its shard size and fleet-block offset.
+        members = list(zip(
+            (
+                trainer._seeds.generator(d, round_idx, u)
+                for d, u in zip(by_order.tolist(), units[order].tolist())
+            ),
+            sizes[order].tolist(),
+            self.fleet.shard_starts[by_order].tolist(),
+        ))
+        eta = trainer.lr if lr is None else lr
+        if mu <= 0.0:
+            anchor = None
+        shared = isinstance(weights, np.ndarray) and weights.ndim == 1
+        cap = len(self._theta)
+        a = 0
+        while a < n:
+            b = a + 1
+            while b < n and b - a < cap and ep_of[b] == ep_of[a]:
+                b += 1
+            pos = order[a:b]
+            rows = list(zip(self._theta, pos.tolist()))
+            if shared:
+                self._theta[: b - a] = weights
+            else:
+                for row, p in rows:
+                    row[:] = weights[p]
+            corr = None if corrections is None else corrections[pos]
+            self._train_stack(members[a:b], ep_of[a], eta, anchor, mu, corr)
+            for row, p in rows:
+                out[p][:] = row
+            a = b
+        return ep * -(-sizes // trainer.batch_size)
 
-    def _train_cohort(
+    def _train_stack(
         self,
-        ids: np.ndarray,
-        positions: list[int],
-        n: int,
-        e: int,
-        round_idx: int,
-        weights: np.ndarray,
-        out: np.ndarray,
+        members: list[tuple[np.random.Generator, int, int]],
+        epochs: int,
+        eta: float,
         anchor: np.ndarray | None,
         mu: float,
-        corrections: np.ndarray | None,
-        lr: float | None,
-    ) -> int:
-        trainer = self.trainer
-        eta = trainer.lr if lr is None else lr
-        batch = trainer.batch_size
-        prox = anchor is not None and mu > 0.0
-        P = len(positions)
-        pos_arr = np.asarray(positions, dtype=np.intp)
-        dev_ids = ids[pos_arr]
-        theta, grad, scratch, velocity = self._arenas(P)
-        theta[:] = weights
-        if velocity is not None:
-            velocity.fill(0.0)
-        self.model.bind(theta, grad)
-        corr = None if corrections is None else corrections[pos_arr]
-        # Each device's own batch-shuffle stream, kept live across epochs so
-        # successive permutations continue the stream state exactly like the
-        # sequential path does.
-        gens = [
-            trainer._seeds.generator(int(d), round_idx, 0) for d in dev_ids.tolist()
-        ]
-        starts = self.fleet.shard_starts[dev_ids]
-        idx, xe, ye = self._epoch_views(P, n)
-        for _ in range(e):
-            for p in range(P):
-                row = idx[p]
-                row[:] = gens[p].permutation(n)
-                row += starts[p]
-            flat = idx.reshape(-1)
-            np.take(self._x2d, flat, axis=0, out=xe.reshape(P * n, self._feat))
-            np.take(self._y, flat, axis=0, out=ye.reshape(-1))
-            for lo in range(0, n, batch):
-                hi = lo + batch
-                self.model.loss_and_grad(xe[:, lo:hi], ye[:, lo:hi])
+        corr: np.ndarray | None,
+    ) -> None:
+        """``epochs`` epochs in place on the leading arena rows, one per
+        ``(shuffle stream, shard size, fleet-block offset)`` member; sizes
+        are non-increasing."""
+        batch = self.trainer.batch_size
+        momentum = self.trainer.momentum
+        P = len(members)
+        sizes = [n for _, n, _ in members]
+        # Full-batch step j trains the prefix of members with more than j
+        # full batches; a member's tail batch trains with the run of
+        # neighbours of exactly its size (a run of one is a (1, dim) slice).
+        # ``steps`` lists both as (first row, end row, first sample, end
+        # sample) in execution order.
+        steps = []
+        width = P
+        for j in range(sizes[0] // batch):
+            while sizes[width - 1] < (j + 1) * batch:
+                width -= 1
+            steps.append((0, width, j * batch, (j + 1) * batch))
+        a = 0
+        while a < P:
+            n = sizes[a]
+            b = a + 1
+            while b < P and sizes[b] == n:
+                b += 1
+            if n % batch:
+                steps.append((a, b, n - n % batch, n))
+            a = b
+        if self._idx.shape[1] < sizes[0]:
+            self._idx = np.empty((len(self._theta), sizes[0]), dtype=np.intp)
+        idx = self._idx
+        if self._velocity is not None:
+            self._velocity[:P] = 0.0
+        for _ in range(epochs):
+            for p, (gen, n, start) in enumerate(members):
+                np.add(gen.permutation(n), start, out=idx[p, :n])
+            for a, b, lo, hi in steps:
+                x, y = self._gather(idx[a:b, lo:hi])
+                self.model.loss_and_grad(x, y, a, b)
+                theta = self._theta[a:b]
+                grad = self._grad[a:b]
+                scratch = self._scratch[a:b]
                 if corr is not None:
-                    grad += corr
-                if prox:
+                    grad += corr[a:b]
+                if anchor is not None:
                     np.subtract(theta, anchor, out=scratch)
                     scratch *= mu
                     grad += scratch
-                if velocity is None:
+                if self._velocity is None:
                     np.multiply(grad, eta, out=scratch)
                 else:
-                    velocity *= trainer.momentum
+                    velocity = self._velocity[a:b]
+                    velocity *= momentum
                     velocity += grad
                     np.multiply(velocity, eta, out=scratch)
                 theta -= scratch
-        out[pos_arr] = theta
-        return e * (-(-n // batch))
+
+    def _gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The samples at fleet-block ``rows`` (members x batch) as
+        contiguous ``(members, batch, features)`` / ``(members, batch)``
+        views of the batch buffers."""
+        k, t = rows.shape
+        feat = self._x2d.shape[1]
+        x = self._xb[: k * t * feat].reshape(k, t, feat)
+        y = self._yb[: k * t].reshape(k, t)
+        # mode="clip": the indices are in range by construction, and the
+        # default mode would stage the result in a temporary first.
+        np.take(self._x2d, rows, axis=0, out=x, mode="clip")
+        np.take(self._y, rows, out=y, mode="clip")
+        return x, y
+
+
+def run_units(
+    batched: BatchedTrainer | None,
+    devices: list,
+    starts: list[np.ndarray],
+    epochs: int,
+    round_idx: int,
+    unit_idx: np.ndarray,
+    sync: bool = True,
+) -> list[np.ndarray]:
+    """:meth:`Device.run_unit <repro.device.device.Device.run_unit>` for a
+    wave: device ``k`` trains unit ``unit_idx[k]`` from ``starts[k]``.
+
+    Members of a wave are independent, so two or more train as one
+    ``batched.train_round`` call; a wave of one — or ``batched=None``
+    (``device_batching="off"``, a model the engine cannot stack) — takes the
+    scalar path.  Returns the trained vectors in member order — each its
+    own allocation, so a result someone keeps (a parked device's model, a
+    buffered upload) never pins its whole wave — and the caller then runs
+    its codec/drop/send bookkeeping over them in that order, so every rng
+    draw and meter charge keeps its place.
+    """
+    if batched is None or len(devices) < 2:
+        # int(): numpy scalars must not leak into rng stream keys.
+        return [
+            dev.run_unit(start, epochs, round_idx, int(unit), sync=sync)
+            for dev, start, unit in zip(devices, starts, unit_idx)
+        ]
+    trained = [np.empty(batched.dim) for _ in devices]
+    batched.train_round(
+        np.fromiter((d.device_id for d in devices), np.intp, len(devices)),
+        epochs, round_idx, starts, trained, unit_idx=unit_idx,
+    )
+    if sync:
+        for dev, row in zip(devices, trained):
+            dev.weights = row
+    return trained

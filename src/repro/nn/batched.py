@@ -1,9 +1,10 @@
 """Stacked-GEMM execution of one ``Sequential`` replicated across devices.
 
-A federated round trains P copies of the *same* architecture from the same
-broadcast point, differing only in data.  :class:`BatchedSequential` exploits
-that: it views a ``(P, dim)`` theta arena as per-layer ``(P, in, out)`` weight
-stacks and runs forward/backward for all P replicas at once as stacked GEMMs
+A federated round or completion wave trains P copies of the *same*
+architecture, differing only in data and start point.
+:class:`BatchedSequential` exploits that: it views a ``(P, dim)`` theta arena
+as per-layer ``(P, in, out)`` weight stacks and runs forward/backward for any
+row range of the P replicas at once as stacked GEMMs
 (``np.matmul`` on ``(P, B, in) @ (P, in, out)`` dispatches one BLAS GEMM per
 slice).  Gradients are written into a matching ``(P, dim)`` grad arena, so
 the caller's optimizer math becomes whole-matrix ops over the arena.
@@ -28,10 +29,27 @@ import numpy as np
 from repro.nn.layers import Dense, Flatten, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
 
-__all__ = ["BatchedSequential"]
+__all__ = ["BatchedSequential", "stacked_gemm_is_bitwise"]
 
 _DENSE = 0
 _RELU = 1
+
+
+def stacked_gemm_is_bitwise() -> bool:
+    """The BLAS canary: does this build compute stacked-matmul slices
+    exactly like the corresponding 2-D GEMMs?  Where it does, batched
+    training is bit-identical to the sequential path (tests and the perf
+    suite then demand exact equality); where not, 1e-12 applies."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, 7, 5))
+    w = rng.normal(size=(3, 5, 4))
+    stacked = np.matmul(x, w)
+    back = np.matmul(x.transpose(0, 2, 1), stacked)
+    return all(
+        np.array_equal(stacked[i], x[i] @ w[i])
+        and np.array_equal(back[i], x[i].T @ stacked[i])
+        for i in range(3)
+    )
 
 
 def _plan(model):
@@ -76,7 +94,9 @@ class BatchedSequential:
     ``bind`` attaches a ``(P, dim)`` theta arena and grad arena; the per-layer
     weight/bias stacks are zero-copy reshaped views into them, so updating the
     arena updates the models and ``loss_and_grad`` writes gradients straight
-    into the grad arena.
+    into the grad arena.  Bind once, then execute on any row range
+    ``[lo, hi)`` of the arena: a ragged wave trains a shrinking prefix, a
+    lone tail batch a ``(1, dim)`` slice, without re-wiring the views.
     """
 
     def __init__(self, model) -> None:
@@ -86,7 +106,6 @@ class BatchedSequential:
         self._ops = ops
         self.dim = int(model.dim)
         self.in_features = ops[0][2]
-        self.num_classes = ops[-1][3] if ops[-1][0] is _DENSE else None
         for op in reversed(ops):
             if op[0] is _DENSE:
                 self.num_classes = op[3]
@@ -141,11 +160,15 @@ class BatchedSequential:
             self._bidx = np.arange(B, dtype=np.intp)
         return self._pidx[:P, None], self._bidx[None, :B]
 
-    def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Overwrite the bound grad arena with per-replica mean-CE gradients.
+    def loss_and_grad(
+        self, x: np.ndarray, y: np.ndarray, lo: int = 0, hi: int | None = None
+    ) -> None:
+        """Overwrite grad-arena rows ``[lo, hi)`` (default: all) with the
+        per-replica mean-CE gradients of those replicas.
 
-        ``x`` is ``(P, B, in_features)`` float64, ``y`` is ``(P, B)`` integer
-        class ids (validated by the caller, once per cohort).  Replicates the
+        ``x`` is ``(hi - lo, B, in_features)`` float64, ``y`` is
+        ``(hi - lo, B)`` integer class ids (validated by the caller, once
+        per fleet); rows outside the range are not touched.  Replicates the
         sequential op order exactly — stacked ``matmul`` forward, shifted
         softmax, overwrite backward with ``np.add.reduce`` bias reduction and
         no input gradient at the first Dense — so each slice performs the same
@@ -154,12 +177,13 @@ class BatchedSequential:
         if self._w is None:
             raise RuntimeError("bind() must be called before loss_and_grad()")
         ops = self._ops
+        rows = slice(lo, hi)
         # ---- forward, caching each Dense input and each ReLU mask ----
         caches = [None] * len(ops)
         cur = x
         for i, op in enumerate(ops):
             if op[0] is _DENSE:
-                w, b = self._w[i][0], self._w[i][1]
+                w, b = self._w[i][0][rows], self._w[i][1][rows]
                 caches[i] = cur
                 cur = np.matmul(cur, w)
                 cur += b[:, None, :]
@@ -182,10 +206,10 @@ class BatchedSequential:
             if op[0] is _DENSE:
                 x_l = caches[i]
                 w, _, wg, bg = self._w[i]
-                np.matmul(x_l.transpose(0, 2, 1), g, out=wg)
-                np.add.reduce(g, axis=1, out=bg)
+                np.matmul(x_l.transpose(0, 2, 1), g, out=wg[rows])
+                np.add.reduce(g, axis=1, out=bg[rows])
                 if i == 0:
                     break
-                g = np.matmul(g, w.transpose(0, 2, 1))
+                g = np.matmul(g, w[rows].transpose(0, 2, 1))
             else:
                 g *= caches[i]

@@ -7,9 +7,11 @@ buffer at unit *start*; models arriving mid-unit are queued and take effect
 on the next unit; every completed unit is forwarded to the ring successor
 after the link delay.
 
-The engine is algorithm-agnostic about what "training" means — it calls
-``device.run_unit`` — so ablations (e.g. averaging instead of direct use)
-plug in via the ``combine`` hook.
+The engine is algorithm-agnostic about what "training" means — every unit
+is a ``Device.run_unit``, the units that complete together trained as one
+stack when the server lends its batched trainer
+(:func:`repro.device.batched.run_units`) — so ablations (e.g. averaging
+instead of direct use) plug in via the ``combine`` hook.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.device.batched import run_units
 from repro.device.fleet import DeviceFleet
 from repro.device.network import LinkDelayModel, UniformDelay
 from repro.simulation.scheduler import (
@@ -128,6 +131,10 @@ class RingRoundEngine:
             *_PEER_DROP_STREAM_KEY
         )
         self.dropped_sends = 0
+        #: The owning server's :class:`~repro.device.batched.BatchedTrainer`
+        #: (``FedHiSynServer.set_device_batching``); None trains every unit
+        #: through the scalar ``Device.run_unit``.
+        self.batched_trainer = None
 
     def run_round(
         self,
@@ -213,16 +220,20 @@ class RingRoundEngine:
                     completed.append(ev.payload)
 
             # Phase 1: train every unit that completed at `now` (each uses
-            # the start model fixed when its unit began).
+            # the start model fixed when its unit began, so the wave trains
+            # as one stack), then forward the results in completion order.
             instant: list[tuple[int, np.ndarray]] = []
-            for dev_id in completed:
-                dev = by_id[dev_id]
-                unit_idx = units_done[dev_id]
-                start = self._combine(unit_start_model[dev_id], dev.weights)
-                trained = dev.run_unit(
-                    start, self.epochs_per_unit, round_idx, unit_idx
-                )
-                units_done[dev_id] = unit_idx + 1
+            wave = [by_id[dev_id] for dev_id in completed]
+            results = run_units(
+                self.batched_trainer,
+                wave,
+                [self._combine(unit_start_model[d.device_id], d.weights) for d in wave],
+                self.epochs_per_unit,
+                round_idx,
+                [units_done[dev_id] for dev_id in completed],
+            )
+            for dev_id, trained in zip(completed, results):
+                units_done[dev_id] += 1
                 succ = successor[dev_id]
                 if succ != dev_id:  # singleton rings do not self-send
                     peer_sends += 1

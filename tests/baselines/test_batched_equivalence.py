@@ -1,12 +1,12 @@
 """Batched vs sequential training at the experiment level.
 
 ``device_batching`` is an execution strategy, not a semantic knob: for every
-FedAvg-family method, environment and codec combination, ``"auto"`` must
-reproduce ``"off"``'s run to 1e-12 (bitwise on BLAS builds whose
+method — the barrier family's rounds, FedHiSyn's ring waves, the event
+loop's completion waves — environment and codec combination, ``"auto"``
+must reproduce ``"off"``'s run to 1e-12 (bitwise on BLAS builds whose
 stacked-GEMM slices are exact — the common case, probed by
-tests/nn/test_batched_sequential.py).  Methods the engine cannot batch
-(per-event async, ring topologies, CNN models) silently keep the
-sequential path.
+tests/nn/test_batched_sequential.py).  Models the engine cannot stack
+(CNNs) silently keep the sequential path.
 """
 
 import json
@@ -30,11 +30,9 @@ BASE = dict(
 
 def _pair(**overrides):
     """(auto result, off result) for one spec point."""
-    auto = run_experiment(
-        ExperimentSpec(**BASE, **overrides, device_batching="auto")
-    )
-    off = run_experiment(
-        ExperimentSpec(**BASE, **overrides, device_batching="off")
+    auto, off = (
+        run_experiment(ExperimentSpec(**{**BASE, **overrides, "device_batching": mode}))
+        for mode in ("auto", "off")
     )
     return auto, off
 
@@ -66,6 +64,66 @@ def test_topk_codec(method):
         method=method, env="wan", codec="topk", codec_kwargs={"fraction": 0.2}
     )
     _assert_equivalent(auto, off)
+
+
+WAVE_METHODS = {
+    "fedhisyn": dict(method_kwargs={"num_classes": 2}),
+    "fedasync": dict(rounds=12),
+    "fedbuff": dict(rounds=6, buffer_goal=3),
+}
+
+
+def _stack_widths(**overrides):
+    """Member counts of every stacked call of one ``"auto"`` run."""
+    server = build_experiment(ExperimentSpec(**{**BASE, **overrides}))
+    widths = []
+    stacked = server.batched_trainer.train_round
+    server.batched_trainer.train_round = lambda ids, *a, **k: (
+        widths.append(len(ids)), stacked(ids, *a, **k))[1]
+    server.fit()
+    return widths
+
+
+@pytest.mark.parametrize("method", sorted(WAVE_METHODS))
+@pytest.mark.parametrize("env", ["ideal", "churn"])
+def test_wave_methods_and_envs(method, env):
+    cell = dict(method=method, env=env, participation=1.0, **WAVE_METHODS[method])
+    auto, off = _pair(**cell)
+    _assert_equivalent(auto, off)
+    assert auto.history.accuracies == pytest.approx(off.history.accuracies, abs=1e-12)
+    assert max(_stack_widths(**cell)) >= 2  # waves really train as stacks
+
+
+@pytest.mark.parametrize("method", sorted(WAVE_METHODS))
+def test_wave_methods_topk_over_lossy_links(method):
+    # Peer hops / uploads go through the stateful top-k codec and the shared
+    # drop stream after the wave has trained: same bytes, same drops.
+    auto, off = _pair(
+        method=method, env="flaky_mobile", participation=1.0, codec="topk",
+        codec_kwargs={"fraction": 0.2}, **WAVE_METHODS[method],
+    )
+    _assert_equivalent(auto, off)
+
+
+def test_fault_armed_event_loop_is_all_waves_of_one():
+    # An armed fault model schedules one completion per entry, so nothing
+    # stacks: the run is the scalar path, with the engine installed or not.
+    cell = dict(
+        method="fedbuff", env="churn", participation=1.0, rounds=6, buffer_goal=3,
+        faults="crash", fault_kwargs={"crash_prob": 0.2},
+    )
+    auto, off = _pair(**cell)
+    _assert_equivalent(auto, off)
+    assert auto.resilience == off.resilience
+    assert _stack_widths(**cell) == []
+
+
+def test_fedhisyn_off_pins_the_scalar_path_in_the_ring_engine():
+    spec = dict(method="fedhisyn", **BASE, method_kwargs={"num_classes": 2})
+    auto = build_experiment(ExperimentSpec(**spec))
+    assert auto.engine.batched_trainer is auto.batched_trainer is not None
+    off = build_experiment(ExperimentSpec(**spec, device_batching="off"))
+    assert off.engine.batched_trainer is None and off.batched_trainer is None
 
 
 def test_fedprox_anchor_is_exercised():

@@ -1,21 +1,27 @@
-"""BatchedTrainer: one round of cohort-stacked local SGD vs LocalTrainer.
+"""BatchedTrainer: stacked local SGD for a round or wave vs LocalTrainer.
 
 Every test trains the same devices twice — sequentially through
-``LocalTrainer.train`` with the canonical ``(device_id, round_idx, 0)``
-stream keys, and in one ``BatchedTrainer.train_round`` call — and demands
-agreement to 1e-12 (bitwise on BLAS builds whose stacked-GEMM slices are
-exact; see tests/nn/test_batched_sequential.py for the canary).
+``LocalTrainer.train`` with the canonical ``(device_id, round_idx,
+unit_idx)`` stream keys, and in one ``BatchedTrainer.train_round`` call —
+and demands agreement to 1e-12 (bitwise on BLAS builds whose stacked-GEMM
+slices are exact; see tests/nn/test_batched_sequential.py for the canary).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.datasets.partition import partition_by_name
+from repro.datasets.partition import Partition, partition_by_name
 from repro.datasets.synthetic import mnist_like
-from repro.device.batched import BatchedTrainer
+from repro.device import batched
+from repro.device.batched import BatchedTrainer, run_units
 from repro.device.device import LocalTrainer
 from repro.device.fleet import make_fleet
 from repro.device.heterogeneity import sample_unit_counts, unit_times_from_counts
+from repro.nn.batched import stacked_gemm_is_bitwise
 from repro.nn.models import paper_cnn, paper_mlp
 from repro.nn.serialization import get_flat_params
 
@@ -142,6 +148,131 @@ class TestTrainRound:
         assert not np.any(out[1] == -1.0)
 
 
+BATCH = 8
+_RAGGED_DATA = mnist_like(num_samples=400, seed=5, feature_dim=FEATURES)
+
+
+def _ragged_substrate(sizes, momentum):
+    """(trainer, fleet) whose device ``i`` holds exactly ``sizes[i]`` samples."""
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    parts = Partition(
+        np.arange(offsets[-1], dtype=np.intp), offsets.astype(np.intp),
+        num_samples=len(_RAGGED_DATA),
+    )
+    model = paper_mlp(FEATURES, CLASSES, seed=0, hidden=(6, 5))
+    trainer = LocalTrainer(model, lr=0.1, batch_size=BATCH, seed=2, momentum=momentum)
+    return trainer, make_fleet(_RAGGED_DATA, parts, np.ones(len(sizes)), trainer)
+
+
+# A member: (shard size, epochs, unit index).  Sizes cover n < B, n == kB
+# (no tail batch), n == 1 and anything between; repeats are likely, so runs
+# of equal size (shared tails) and singletons both occur.
+_member = st.tuples(
+    st.one_of(st.sampled_from([1, BATCH - 1, BATCH, 2 * BATCH, 3 * BATCH + 1]),
+              st.integers(1, 4 * BATCH)),
+    st.integers(1, 3),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    members=st.lists(_member, min_size=1, max_size=9),
+    shared_start=st.booleans(),
+    momentum=st.sampled_from([0.0, 0.9]),
+    prox=st.booleans(),
+    scaffold=st.booleans(),
+    cap=st.sampled_from([2, 3, batched._MAX_STACK]),
+    seed=st.integers(0, 2**16),
+)
+def test_ragged_wave_matches_local_trainer(
+    members, shared_start, momentum, prox, scaffold, cap, seed
+):
+    """Any mix of shard sizes, epoch counts and unit indices, from a shared
+    or per-member start, with every optimizer term, at any stack width:
+    each member's result is what ``LocalTrainer.train`` gives it alone."""
+    sizes, epochs, units = (np.array(col) for col in zip(*members))
+    trainer, fleet = _ragged_substrate(sizes, momentum)
+    P, dim = len(members), trainer.dim
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(P)  # wave order is not shard order
+    w0 = get_flat_params(trainer.model)
+    starts = w0 if shared_start else w0 + 0.01 * rng.normal(size=(P, dim))
+    kwargs = {"anchor": w0 + 0.01, "mu": 0.05} if prox else {}
+    corrections = rng.normal(scale=1e-3, size=(P, dim)) if scaffold else None
+
+    want = np.empty((P, dim))
+    want_steps = np.empty(P, dtype=np.intp)
+    for k, dev in enumerate(ids.tolist()):
+        _, want_steps[k] = trainer.train(
+            starts if shared_start else starts[k],
+            fleet.shard(dev),
+            int(epochs[dev]),
+            stream_key=(dev, 3, int(units[dev])),
+            correction=None if corrections is None else corrections[k],
+            out=want[k],
+            **kwargs,
+        )
+
+    with mock.patch.object(batched, "_MAX_STACK", cap):
+        got = np.empty((P, dim))
+        got_steps = BatchedTrainer(trainer, fleet).train_round(
+            ids, epochs[ids], 3, starts, got,
+            corrections=corrections, unit_idx=units[ids], **kwargs,
+        )
+    np.testing.assert_array_equal(got_steps, want_steps)
+    if stacked_gemm_is_bitwise():
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestRunUnits:
+    """``run_units``: ``Device.run_unit`` for a wave."""
+
+    def _wave(self, momentum=0.0):
+        trainer, fleet = _ragged_substrate([20, 3, 20, 9, 16], momentum)
+        rng = np.random.default_rng(4)
+        w0 = get_flat_params(trainer.model)
+        starts = list(w0 + 0.01 * rng.normal(size=(5, trainer.dim)))
+        return trainer, fleet, starts
+
+    def _scalar(self, fleet, starts, units):
+        return [
+            fleet.device(i).run_unit(starts[i], 2, 1, units[i], sync=False).copy()
+            for i in range(5)
+        ]
+
+    def test_wave_matches_scalar_units_and_syncs_rows(self):
+        trainer, fleet, starts = self._wave()
+        units = [0, 2, 1, 0, 3]
+        want = self._scalar(fleet, starts, units)
+        devices = [fleet.device(i) for i in range(5)]
+        got = run_units(BatchedTrainer(trainer, fleet), devices, starts, 2, 1, units)
+        for i in range(5):
+            np.testing.assert_allclose(got[i], want[i], rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(devices[i].weights, got[i])
+
+    def test_sync_false_leaves_device_rows_alone(self):
+        trainer, fleet, starts = self._wave()
+        devices = [fleet.device(i) for i in range(5)]
+        run_units(BatchedTrainer(trainer, fleet), devices, starts, 1, 0,
+                  [0] * 5, sync=False)
+        assert all(d.weights is None for d in devices)
+
+    def test_wave_of_one_and_no_engine_take_the_scalar_path(self):
+        trainer, fleet, starts = self._wave()
+        engine = BatchedTrainer(trainer, fleet)
+        with mock.patch.object(engine, "train_round") as stacked:
+            one = run_units(engine, [fleet.device(3)], [starts[3]], 2, 1, [1])
+            off = run_units(None, [fleet.device(i) for i in range(5)], starts, 2, 1,
+                            np.array([0, 2, 1, 0, 3]))
+        stacked.assert_not_called()
+        np.testing.assert_array_equal(one[0], self._scalar(fleet, starts, [0, 0, 0, 1, 0])[3])
+        for got, want in zip(off, self._scalar(fleet, starts, [0, 2, 1, 0, 3])):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestValidation:
     def test_rejects_nonpositive_epochs(self):
         trainer, fleet, w0 = _substrate()
@@ -149,6 +280,14 @@ class TestValidation:
         out = np.empty((1, trainer.dim))
         with pytest.raises(ValueError, match="epochs"):
             bt.train_round(np.array([0]), np.array([0]), 1, w0, out=out)
+
+    def test_empty_round_is_a_no_op(self):
+        trainer, fleet, w0 = _substrate()
+        steps = BatchedTrainer(trainer, fleet).train_round(
+            np.array([], dtype=int), np.array([], dtype=int), 1, w0,
+            out=np.empty((0, trainer.dim)),
+        )
+        assert steps.shape == (0,)
 
     def test_rejects_unbatchable_model(self):
         dataset = mnist_like(num_samples=80, seed=5, feature_dim=FEATURES)

@@ -10,7 +10,7 @@ test below checks that primitive directly and only then demands bitwise.
 import numpy as np
 import pytest
 
-from repro.nn.batched import BatchedSequential
+from repro.nn.batched import BatchedSequential, stacked_gemm_is_bitwise
 from repro.nn.layers import Dense, Dropout, Flatten, ReLU, Tanh
 from repro.nn.losses import MSELoss
 from repro.nn.models import Sequential, logistic_model, paper_cnn, paper_mlp
@@ -147,19 +147,20 @@ class TestEquivalence:
         engine.loss_and_grad(x, y)
         np.testing.assert_array_equal(grad, first)
 
-
-def _stacked_gemm_is_bitwise() -> bool:
-    """Does this BLAS compute stacked-matmul slices exactly like 2-D GEMMs?"""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(3, 7, 5))
-    w = rng.normal(size=(3, 5, 4))
-    stacked = np.matmul(x, w)
-    back = np.matmul(x.transpose(0, 2, 1), stacked)
-    return all(
-        np.array_equal(stacked[i], x[i] @ w[i])
-        and np.array_equal(back[i], x[i].T @ stacked[i])
-        for i in range(3)
-    )
+    @pytest.mark.parametrize("lo, hi", [(0, 2), (1, 4), (3, 4), (0, 5)])
+    def test_row_range_trains_only_those_replicas(self, lo, hi):
+        # Bound once, executed on a row range: rows [lo, hi) get exactly
+        # the gradients a full pass gives them, the others are untouched.
+        model = _mlp()
+        engine = BatchedSequential(model)
+        theta, grad, x, y = _replicated_batch(model)
+        engine.bind(theta, grad)
+        engine.loss_and_grad(x, y)
+        full = grad.copy()
+        grad[:] = -7.0
+        engine.loss_and_grad(x[lo:hi], y[lo:hi], lo, hi)
+        np.testing.assert_array_equal(grad[lo:hi], full[lo:hi])
+        assert np.all(grad[:lo] == -7.0) and np.all(grad[hi:] == -7.0)
 
 
 def test_bitwise_identity_where_blas_delivers_it():
@@ -170,7 +171,7 @@ def test_bitwise_identity_where_blas_delivers_it():
     contract (covered above) applies and this canary records the fact by
     skipping.
     """
-    if not _stacked_gemm_is_bitwise():
+    if not stacked_gemm_is_bitwise():
         pytest.skip(
             "this BLAS computes stacked-GEMM slices with different "
             "instruction selection; the 1e-12 contract applies"

@@ -180,3 +180,92 @@ class TestAsyncUploadSchedule:
     def test_bad_unit_time_raises(self):
         with pytest.raises(ValueError):
             async_upload_schedule({0: 0.0}, horizon=1.0)
+
+
+class TestWaveTraining:
+    """Phase 1 trains a completion wave as one stack (``batched_trainer``
+    set) or unit by unit (None): the same round either way — weights,
+    stats, drop draws and codec state."""
+
+    RINGS = [[0, 3, 5, 8], [1, 4, 6], [2, 7, 9]]
+
+    @staticmethod
+    def _engine(batched: bool, **kwargs):
+        from repro.datasets.partition import partition_by_name
+        from repro.datasets.synthetic import mnist_like
+        from repro.device import LocalTrainer
+        from repro.device import make_fleet as real_fleet
+        from repro.device.batched import BatchedTrainer
+        from repro.nn.models import paper_mlp
+
+        dataset = mnist_like(num_samples=700, seed=5, feature_dim=16)
+        parts = partition_by_name("dirichlet", dataset, 10, seed=6, beta=0.3)
+        # Quantized unit times: completions coincide, so waves are wide.
+        unit_times = np.array([0.5, 0.5, 1.0, 0.25, 0.5, 1.0, 0.25, 0.5, 1.0, 0.5])
+        trainer = LocalTrainer(
+            paper_mlp(16, 10, seed=0, hidden=(12, 8)), lr=0.1, batch_size=20, seed=2
+        )
+        fleet = real_fleet(dataset, parts, unit_times, trainer)
+        engine = RingRoundEngine(fleet, epochs_per_unit=1, **kwargs)
+        if batched:
+            engine.batched_trainer = BatchedTrainer(trainer, fleet)
+        return engine, trainer.model.theta.copy()
+
+    def _assert_same_round(self, start_of=None, codec=None, **kwargs):
+        rounds = []
+        widths = []
+        for batched in (True, False):
+            engine, w0 = self._engine(batched, **kwargs)
+            if batched:
+                # Patched on the instance, as benchmarks/e2e/trace.py does.
+                stacked = engine.batched_trainer.train_round
+                engine.batched_trainer.train_round = lambda ids, *a, **k: (
+                    widths.append(len(ids)), stacked(ids, *a, **k))[1]
+            start = w0 if start_of is None else start_of(w0)
+            coder = None if codec is None else codec()
+            stats = engine.run_round(
+                self.RINGS, start, duration=1.0, round_idx=2, codec=coder,
+                codec_reference=None if coder is None else w0,
+            )
+            rounds.append((engine, stats, coder))
+        (auto, auto_stats, auto_codec), (off, off_stats, off_codec) = rounds
+        assert min(widths) >= 2 and max(widths) >= 5  # real stacks, no stack of one
+        assert auto_stats == off_stats
+        assert auto.dropped_sends == off.dropped_sends
+        for a, b in zip(auto.devices, off.devices):
+            np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12, atol=1e-12)
+        if codec is not None:
+            for dev_id in range(10):
+                np.testing.assert_allclose(
+                    auto_codec.residual(("peer", dev_id)),
+                    off_codec.residual(("peer", dev_id)),
+                    rtol=1e-12, atol=1e-12,
+                )
+        return auto_stats, auto
+
+    def test_shared_start(self):
+        stats, _ = self._assert_same_round()
+        assert stats.units_completed[3] == 4 and stats.units_completed[2] == 1
+
+    def test_dict_start_weights(self):
+        self._assert_same_round(
+            start_of=lambda w0: {i: w0 + 0.01 * i for i in range(10)}
+        )
+
+    def test_average_combine(self):
+        self._assert_same_round(combine="average")
+
+    def test_nonzero_link_delay(self):
+        self._assert_same_round(delay_model=UniformDelay(0.1))
+
+    def test_dropped_hops(self):
+        _, engine = self._assert_same_round(drop_prob=0.4, drop_seed=3)
+        assert engine.dropped_sends > 0
+
+    def test_topk_hops_with_drops(self):
+        from repro.compression import TopKCodec
+
+        stats, _ = self._assert_same_round(
+            codec=lambda: TopKCodec(fraction=0.2), drop_prob=0.3, drop_seed=1
+        )
+        assert stats.peer_units < stats.peer_sends
