@@ -11,9 +11,9 @@ Four hot paths, matching where the reproduction spends its runtime:
   round trip, fast path vs. the seed per-layer loop.
 * ``aggregation`` — uniform + sample-weighted averaging of a device stack.
 * ``fedhisyn_round`` — wall time per round of an end-to-end FedHiSyn run on
-  Dirichlet-ragged ``lab`` shards, ring waves trained as stacks
-  (``device_batching="auto"``) vs unit by unit (``"off"``), final weights
-  compared first.
+  Dirichlet-ragged ``lab`` shards, ring waves trained as stacks (the
+  default) vs unit by unit (the scalar oracle, ``batched_trainer=None``),
+  final weights compared first.
 
 Fleet-scale round (5,000+ devices, the struct-of-arrays population):
 
@@ -21,8 +21,8 @@ Fleet-scale round (5,000+ devices, the struct-of-arrays population):
   stacked-GEMM batched engine (:mod:`repro.device.batched`) vs the
   sequential per-device loop on identical inputs and shuffle streams.
 * ``fedavg_round_e2e`` — whole FedAvg rounds with *real* local training,
-  one fleet server toggled between the batched engine and
-  ``batched_trainer=None``: the honest end-to-end round number.
+  one fleet server on its default batched engine vs the scalar oracle
+  (``batched_trainer=None``): the honest end-to-end round number.
 * ``fault_injection_overhead`` — the e2e workload on one server, armed
   null-rate fault model vs ``faults="none"``: the cost of the fault
   machinery when it injects nothing.  Here ``speedup`` reads as the
@@ -73,6 +73,7 @@ from repro.nn.batched import stacked_gemm_is_bitwise
 from repro.nn.models import paper_mlp
 from repro.simulation.metrics import ResilienceStats
 from repro.nn.serialization import get_flat_params, set_flat_params
+from repro.simulation.events import EventQueue
 from repro.simulation.scheduler import UNIT_COMPLETE, Scheduler
 
 __all__ = ["PerfScale", "SCALES", "run_suite"]
@@ -282,7 +283,8 @@ def _bench_aggregation(scale: PerfScale) -> dict:
 
 def _bench_fedhisyn_round(scale: PerfScale) -> dict:
     """FedHiSyn rounds on the paper's ragged shards, one server toggled
-    between stacked ring waves and the scalar ``run_unit`` path.
+    between stacked ring waves and the scalar oracle (``batched_trainer =
+    None``: every unit one ``LocalTrainer.train`` call).
 
     The ``lab`` population (100 devices) under the Dirichlet(0.3) split
     holds about as many distinct shard sizes as devices, so nothing stacks
@@ -301,15 +303,16 @@ def _bench_fedhisyn_round(scale: PerfScale) -> dict:
     )
     server = build_experiment(spec)
     initial = server.global_weights.copy()
+    batched = server.batched_trainer
 
-    def _fit(mode: str) -> object:
+    def _fit(batched_trainer) -> object:
         # Reset per-run state so every fit() measures identical work; the
         # build cost stays outside the timed region.
         _reset_server(server)
-        server.set_device_batching(mode)
+        server.batched_trainer = batched_trainer
         return server.fit(initial_weights=initial)
 
-    w_after, w_before = _fit("auto").final_weights, _fit("off").final_weights
+    w_after, w_before = _fit(batched).final_weights, _fit(None).final_weights
     max_abs = float(np.max(np.abs(w_after - w_before)))
     if stacked_gemm_is_bitwise():
         assert max_abs == 0.0, max_abs
@@ -317,7 +320,7 @@ def _bench_fedhisyn_round(scale: PerfScale) -> dict:
         np.testing.assert_allclose(w_after, w_before, rtol=1e-12, atol=1e-12)
 
     after, before = _best_pair(
-        lambda: _fit("auto"), lambda: _fit("off"), max(2, scale.repeats // 3)
+        lambda: _fit(batched), lambda: _fit(None), max(2, scale.repeats // 3)
     )
     sizes = server.fleet.num_samples
     return _pair(
@@ -344,7 +347,7 @@ def _fleet_substrate(scale: PerfScale):
 
 def _fleet_server(scale: PerfScale, rounds: int):
     """``(server, w0)``: a FedAvg server over the fleet-scale population
-    (ideal environment, sequential training until a bench says otherwise)."""
+    (ideal environment, the default batched training engine)."""
     model = paper_mlp(scale.feature_dim, scale.num_classes, seed=0, hidden=(32, 16))
     trainer = LocalTrainer(model, lr=0.1, batch_size=50, seed=2)
     train_set, test_set, parts, unit_times = _fleet_substrate(scale)
@@ -369,8 +372,9 @@ def _reset_server(server) -> None:
 
 
 def _bench_fedavg_e2e(scale: PerfScale) -> dict:
-    """The honest end-to-end round: one fleet server, the batched training
-    engine vs ``batched_trainer=None`` (the sequential per-device loop).
+    """The honest end-to-end round: one fleet server, its default batched
+    training engine vs the scalar oracle ``batched_trainer=None`` (the
+    sequential per-device loop).
 
     Since BLAS builds may compute a stacked GEMM slice with different
     instruction selection than its 2-D equivalent, the finals are asserted
@@ -380,7 +384,6 @@ def _bench_fedavg_e2e(scale: PerfScale) -> dict:
     rounds = 2
     server, w0 = _fleet_server(scale, rounds)
     fleet = server.fleet
-    server.set_device_batching("auto")
     batched = server.batched_trainer
     assert batched is not None
 
@@ -524,8 +527,10 @@ def _bench_fault_overhead(scale: PerfScale) -> dict:
 
 
 def _sched_events_per_device(num_devices: int, unit_times, horizon: float) -> int:
-    """The seed path: one heap entry per device completion."""
-    sched = Scheduler(engine="heap")
+    """The seed path: one heap entry per device completion, on the
+    reference binary-heap queue."""
+    sched = Scheduler()
+    sched.queue = EventQueue()
 
     def on_complete(ev) -> None:
         dev = ev.payload
@@ -544,7 +549,7 @@ def _sched_events_batched(num_devices: int, unit_times, horizon: float) -> int:
     """The million-device path: calendar queue + one batched event per
     completion wave (devices sharing a maturity time), mirroring how the
     async server packs the quantized unit-time schedule."""
-    sched = Scheduler(engine="calendar")
+    sched = Scheduler()
 
     def on_complete(ev) -> None:
         ids = ev.payload

@@ -28,6 +28,7 @@ from repro.core.aggregation import sample_weighted_average, weighted_average
 from repro.core.clustering import cluster_by_capacity
 from repro.core.registry import register_method
 from repro.core.server import FederatedServer, ServerConfig
+from repro.device.batched import run_units
 from repro.device.device import Device
 from repro.simulation.engine import async_upload_schedule
 
@@ -132,16 +133,22 @@ class FedATServer(FederatedServer):
             )
             if not receivers:
                 continue  # every pull lost: the tier idles this slot
+            # The tier-round is one wave: a shared start, one unit each.
+            ids = self.ids_of(receivers).tolist()
             stack = np.empty((len(receivers), self.trainer.dim))
-            for i, dev in enumerate(receivers):
-                dev.run_unit(
-                    tier_view,
-                    cfg.local_epochs,
-                    round_idx,
-                    unit_counter[dev.device_id],
-                    out=stack[i],
-                )
-                unit_counter[dev.device_id] += 1
+            run_units(
+                self.batched_trainer,
+                self.fleet,
+                ids,
+                cfg.local_epochs,
+                round_idx,
+                tier_view,
+                stack,
+                unit_idx=[unit_counter[i] for i in ids],
+                sync=True,
+            )
+            for i in ids:
+                unit_counter[i] += 1
             arrived, stack = self.collect_models(
                 receivers, stack, reference=tier_view, ensure_one=False
             )

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.registry import register_method
 from repro.core.server import FederatedServer, ServerConfig
+from repro.device.batched import run_units
 from repro.device.device import Device
 from repro.device.fleet import FleetState
 from repro.utils.config import validate_positive
@@ -61,9 +62,6 @@ class ScaffoldServer(FederatedServer):
         # its variate untouched, and the mapping interface keeps the old
         # ``dict[int, ndarray]`` surface.
         self.device_variates = FleetState(len(self.devices), dim)
-        # Reusable buffer for the per-device corrected-gradient term c - c_i;
-        # the trainer only reads it while training that device.
-        self._correction = np.empty(dim)
 
     def run_round(
         self,
@@ -86,35 +84,32 @@ class ScaffoldServer(FederatedServer):
         # that reach the server; a device whose upload is lost still keeps
         # its locally refreshed variate (it did the training).  Trained
         # models land in the round's fleet rows (`out=`), so device state
-        # costs no extra copies.
+        # costs no extra copies.  The round is one wave: the receivers'
+        # variates stack into one (P, dim) correction matrix c - c_i, and
+        # the option-II refresh runs as whole-matrix ops whose row i sees
+        # exactly the float ops of a per-device refresh.
         rows = self.round_rows(receivers)
-        live = self.rows_live  # trained rows already are device state
-        epochs = self.epochs_for(receivers, duration)
-        if self.batched_trainer is not None:
-            variate_deltas = self._run_round_batched(
-                receivers, rows, live, epochs, round_idx, view, eta
-            )
-        else:
-            variate_deltas = []
-            for i, dev in enumerate(receivers):
-                c_i = self.device_variates[dev.device_id]
-                correction = np.subtract(
-                    self.server_variate, c_i, out=self._correction
-                )
-                y_i, steps = self.trainer.train(
-                    view,
-                    dev.shard,
-                    int(epochs[i]),
-                    stream_key=(dev.device_id, round_idx, 0),
-                    correction=correction,
-                    out=rows[i],
-                )
-                if not live:
-                    dev.weights = y_i
-                # Option II variate refresh, anchored on the received model.
-                c_plus = c_i - self.server_variate + (view - y_i) / (steps * eta)
-                variate_deltas.append(c_plus - c_i)
-                self.device_variates.set(dev.device_id, c_plus)
+        ids = self.ids_of(receivers)
+        c_stack = np.empty((len(receivers), self.trainer.dim))
+        for i, dev_id in enumerate(ids.tolist()):
+            np.copyto(c_stack[i], self.device_variates[dev_id])
+        steps = run_units(
+            self.batched_trainer,
+            self.fleet,
+            ids,
+            self.epochs_for(receivers, duration),
+            round_idx,
+            view,
+            rows,
+            corrections=np.subtract(self.server_variate, c_stack),
+            sync=not self.rows_live,
+        )
+        # Option II variate refresh, anchored on the received model.
+        denom = steps.astype(np.float64) * eta
+        c_plus = c_stack - self.server_variate + (view - rows) / denom[:, None]
+        variate_deltas = c_plus - c_stack
+        for i, dev_id in enumerate(ids.tolist()):
+            self.device_variates.set(dev_id, c_plus[i])
 
         arrived, decoded = self.collect_models(
             receivers, rows, reference=view, extra_units=1.0
@@ -130,39 +125,3 @@ class ScaffoldServer(FederatedServer):
         new_global = global_weights + cfg.global_lr * delta_model / s
         self.server_variate = self.server_variate + delta_variate / len(self.devices)
         return new_global
-
-    def _run_round_batched(
-        self,
-        receivers: list[Device],
-        rows: np.ndarray,
-        live: bool,
-        epochs: np.ndarray,
-        round_idx: int,
-        view: np.ndarray,
-        eta: float,
-    ) -> np.ndarray:
-        """The per-device training loop of :meth:`run_round` as matrix math.
-
-        Stacks the receivers' control variates, hands the corrections to the
-        batched engine as one ``(P, dim)`` matrix, and performs the option-II
-        variate refresh as whole-matrix ops.  Row ``i`` of every intermediate
-        sees exactly the float ops the sequential loop applies to receiver
-        ``i``, so the two paths agree wherever stacked GEMMs are exact.
-        """
-        ids = self.ids_of(receivers)
-        c_stack = np.empty((len(receivers), self.trainer.dim))
-        for i, dev_id in enumerate(ids.tolist()):
-            np.copyto(c_stack[i], self.device_variates[dev_id])
-        corrections = np.subtract(self.server_variate, c_stack)
-        steps = self.batched_trainer.train_round(
-            ids, epochs, round_idx, view, out=rows, corrections=corrections
-        )
-        if not live:
-            for i, dev in enumerate(receivers):
-                dev.weights = rows[i]
-        denom = steps.astype(np.float64) * eta
-        c_plus = c_stack - self.server_variate + (view - rows) / denom[:, None]
-        variate_deltas = c_plus - c_stack
-        for i, dev_id in enumerate(ids.tolist()):
-            self.device_variates.set(dev_id, c_plus[i])
-        return variate_deltas

@@ -125,11 +125,6 @@ def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
     g.add_argument("--workers-live", type=int, default=None,
                    help="live transport: number of worker processes "
                         "(default 2)")
-    g.add_argument("--device-batching", default="auto",
-                   choices=["auto", "off"],
-                   help="train a round's devices as stacked GEMMs when the "
-                        "model allows it (auto, default) or force the "
-                        "sequential per-device path (off)")
     g.add_argument("--aggregator", default=None,
                    choices=sorted(AGGREGATORS),
                    help="fedavg-family aggregation rule (default: each "
@@ -286,7 +281,6 @@ def spec_from_args(args: argparse.Namespace, method: str = "fedhisyn") -> Experi
         selection=args.selection,
         selection_fraction=args.selection_fraction,
         aggregator=getattr(args, "aggregator", None),
-        device_batching=getattr(args, "device_batching", "auto"),
         round_deadline=getattr(args, "round_deadline", None),
         over_select=getattr(args, "over_select", None),
         max_retries=getattr(args, "max_retries", None),

@@ -14,10 +14,9 @@ The device lifecycle (one state machine per cohort member):
    wakes and starts a unit, a training device banks the newest model for
    its next unit (models arriving mid-unit never interrupt — the same
    rule as the FedHiSyn ring engine).
-2. ``unit_complete`` — the unit's training actually executes (one
-   ``run_unit``; a wave's units as one stack), the result is uploaded
-   through the env channel,
-   and the next unit begins immediately from the freshest model on hand:
+2. ``unit_complete`` — the unit's training actually executes (a wave's
+   units as one ``run_units`` call), the result is uploaded through the
+   env channel, and the next unit begins immediately from the freshest model on hand:
    the newest server push if one arrived, else the device's own result.
    Devices never idle waiting for the server — a lost reply just means
    more local continuation, exactly the failure mode staleness decay
@@ -456,14 +455,18 @@ class AsyncFederatedServer(FederatedServer):
         next_ids: list[int] = []
         ids = ev.payload.tolist()
         starts = [self._start_model[dev_id] for dev_id in ids]
-        results = run_units(
+        # Each result is its own allocation, so one a device keeps (a
+        # parked model, a buffered upload) never pins its whole wave.
+        results = [np.empty(self.trainer.dim) for _ in ids]
+        run_units(
             self.batched_trainer,
-            [self._by_id[dev_id] for dev_id in ids],
-            starts,
+            self.fleet,
+            ev.payload,
             self.config.local_epochs,
             0,
-            self._unit_idx[ev.payload],
-            sync=False,
+            starts,
+            results,
+            unit_idx=self._unit_idx[ev.payload],
         )
         for dev_id, start, trained in zip(ids, starts, results):
             if armed:
@@ -694,11 +697,7 @@ class AsyncFederatedServer(FederatedServer):
         if initial_weights is not None:
             self.global_weights = np.asarray(initial_weights, dtype=np.float64).copy()
         cfg: AsyncServerConfig = self.config  # type: ignore[assignment]
-        sched = Scheduler(
-            clock=self.clock,
-            record_trace=self.record_trace,
-            engine=self.scheduler_engine,
-        )
+        sched = Scheduler(clock=self.clock, record_trace=self.record_trace)
         self.scheduler = sched
         self._version = 0
         self._finished = False

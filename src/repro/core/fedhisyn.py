@@ -102,12 +102,6 @@ class FedHiSynServer(FederatedServer):
         )
         self.last_round_stats = None
 
-    def set_device_batching(self, mode: str) -> None:
-        """The ring engine trains on the server's own batched trainer (or,
-        with ``"off"``, on the scalar path like everything else)."""
-        super().set_device_batching(mode)
-        self.engine.batched_trainer = self.batched_trainer
-
     def run_round(
         self,
         round_idx: int,
@@ -144,12 +138,14 @@ class FedHiSynServer(FederatedServer):
         # (4) ring training for the round duration (lines 7-16).  Ring
         # forwards compress against the round's shared broadcast view;
         # after a lossy broadcast there is no shared reference and the
-        # hops go dense (codec_reference=None).
+        # hops go dense (codec_reference=None).  Completion waves train on
+        # the server's own batched trainer.
         duration = self.round_duration(participants) * cfg.round_length_multiplier
         shared_view = view if not isinstance(start, dict) else None
         stats = self.engine.run_round(
             rings, start, duration, round_idx,
             codec=self.codec, codec_reference=shared_view,
+            batched=self.batched_trainer,
         )
         self.last_round_stats = stats
         if self.codec.is_identity:

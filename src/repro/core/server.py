@@ -26,6 +26,7 @@ from repro.compression.base import UpdateCodec
 from repro.compression.codecs import IdentityCodec
 from repro.core.selection import bernoulli_ids
 from repro.datasets.core import ClassificationDataset
+from repro.device.batched import BatchedTrainer
 from repro.device.device import Device
 from repro.device.fleet import DeviceFleet
 from repro.env.environment import Environment
@@ -39,7 +40,6 @@ from repro.simulation.metrics import (
 )
 from repro.simulation.results import RunResult
 from repro.simulation.scheduler import (
-    DEFAULT_ENGINE,
     EVAL_CHECKPOINT,
     ROUND_BARRIER,
     Scheduler,
@@ -122,12 +122,6 @@ class FederatedServer:
 
     method = "base"
 
-    #: Event-queue engine the server's Scheduler runs on — ``"calendar"``
-    #: (the bucketed wheel) by default; tests pin ``"heap"`` to compare
-    #: whole event traces across engines.  Class-level so one assignment
-    #: flips a subclass or an instance alike.
-    scheduler_engine = DEFAULT_ENGINE
-
     def __init__(
         self,
         devices: DeviceFleet,
@@ -176,14 +170,16 @@ class FederatedServer:
         # post-construction by build_experiment, like selection_policy.
         self.transport: Transport = SimTransport()
         self.transport.bind(self)
-        # Batched cross-device training engine (repro.device.batched): when
-        # installed, SimTransport and SCAFFOLD's inline loop train a barrier
-        # round, the FedHiSyn ring engine and the async event loop a
-        # completion wave, as stacked GEMMs.  Off by default on direct
-        # construction so hand-built servers keep the sequential path;
-        # build_experiment enables it via
-        # set_device_batching(spec.device_batching).
-        self.batched_trainer = None
+        # Batched cross-device training (repro.device.batched): every wave
+        # — a barrier round, a FedAT tier round, a ring or event-loop
+        # completion wave — trains through run_units, which stacks it on
+        # this trainer.  None when the model cannot stack (CNNs); setting
+        # it to None by hand is the scalar oracle the tests compare with.
+        self.batched_trainer = (
+            BatchedTrainer(self.trainer, self.fleet)
+            if BatchedTrainer.supports(self.trainer.model)
+            else None
+        )
         # The round currently executing — non-sim transports need it for
         # round-scoped transfers issued from round-blind channel calls.
         self.current_round = 0
@@ -301,25 +297,6 @@ class FederatedServer:
                 len(self.devices),
                 self._seeds.generator(*_FAULT_MEMBER_STREAM_KEY),
             )
-
-    def set_device_batching(self, mode: str) -> None:
-        """Enable (``"auto"``) or disable (``"off"``) the batched engine.
-
-        ``"auto"`` installs a :class:`~repro.device.batched.BatchedTrainer`
-        when the model is batchable (Dense/ReLU stacks under softmax
-        cross-entropy); anything else — CNNs, custom layers — silently
-        keeps the sequential path, since batching is an execution
-        strategy, not a semantic knob.
-        """
-        if mode not in ("auto", "off"):
-            raise ValueError(f"device_batching must be 'auto' or 'off', got {mode!r}")
-        self.batched_trainer = None
-        if mode == "off":
-            return
-        from repro.device.batched import BatchedTrainer
-
-        if BatchedTrainer.supports(self.trainer.model):
-            self.batched_trainer = BatchedTrainer(self.trainer, self.fleet)
 
     @property
     def faults_active(self) -> bool:
@@ -442,11 +419,11 @@ class FederatedServer:
         """``(len(devices), dim)`` training stack for this round.
 
         In recycled-fleet mode (lossless channels) the rows *are* the
-        devices' weight rows — training with ``run_unit(..., out=row)``
-        lands results directly in fleet state with zero extra copies, and
-        the arena is reused every round.  Otherwise a plain scratch
-        matrix: ``run_unit`` snapshots results into per-device rows via
-        the ``weights`` setter, preserving drop-fallback history.
+        devices' weight rows — training into them lands results directly
+        in fleet state with zero extra copies, and the arena is reused
+        every round.  Otherwise a plain scratch matrix: ``run_units(...,
+        sync=True)`` snapshots results into per-device rows, preserving
+        drop-fallback history.
         """
         if self.rows_live:
             return self.fleet.round_matrix(self.ids_of(devices))
@@ -762,7 +739,7 @@ class FederatedServer:
         """
         if initial_weights is not None:
             self.global_weights = np.asarray(initial_weights, dtype=np.float64).copy()
-        sched = Scheduler(clock=self.clock, engine=self.scheduler_engine)
+        sched = Scheduler(clock=self.clock)
         self.scheduler = sched
         # The model the outside world sees *during* the round currently
         # executing — what a time-indexed checkpoint inside the round's

@@ -2,9 +2,10 @@
 
 :class:`BatchedTrainer` is the many-device counterpart of
 :class:`~repro.device.device.LocalTrainer`.  The members of one call — a
-barrier round's receivers, a ring round's completion wave, an event loop's
-``unit_complete`` wave — are independent SGD runs of the same architecture
-that differ in data, start model and step count.  What they share is the
+barrier round's receivers, a FedAT tier round, a ring round's completion
+wave, an event loop's ``unit_complete`` wave — are independent SGD runs of
+the same architecture that differ in data, start model and step count.
+What they share is the
 **batch shape**: every full mini-batch is ``(batch_size, features)``
 whatever the shard size.  So members are stacked by batch shape, not by
 shard size (DESIGN.md §15): rows are ordered largest shard first, full-batch
@@ -15,6 +16,10 @@ runs with the adjacent members of exactly its shard size.  The optimizer
 math (SGD step, heavy-ball momentum, FedProx pull, SCAFFOLD correction) runs
 as whole-matrix ops over the same rows, mirroring ``LocalTrainer.train``'s
 fused scalar path line for line.
+
+Callers never pick a path: barrier rounds, SCAFFOLD, FedAT tier rounds,
+ring waves and event-loop waves all train through :func:`run_units`, the
+one place that decides between one stacked call and the scalar loop.
 
 Determinism contract: every member draws its epoch permutations from its
 own ``(device_id, round_idx, unit_idx)`` stream — exactly the generator the
@@ -249,37 +254,64 @@ class BatchedTrainer:
 
 def run_units(
     batched: BatchedTrainer | None,
-    devices: list,
-    starts: list[np.ndarray],
-    epochs: int,
+    fleet: DeviceFleet,
+    ids: np.ndarray,
+    epochs: np.ndarray | int,
     round_idx: int,
-    unit_idx: np.ndarray,
-    sync: bool = True,
-) -> list[np.ndarray]:
-    """:meth:`Device.run_unit <repro.device.device.Device.run_unit>` for a
-    wave: device ``k`` trains unit ``unit_idx[k]`` from ``starts[k]``.
+    starts: np.ndarray | list[np.ndarray],
+    out: np.ndarray | list[np.ndarray],
+    anchor: np.ndarray | None = None,
+    mu: float = 0.0,
+    corrections: np.ndarray | None = None,
+    unit_idx: np.ndarray | int = 0,
+    sync: bool = False,
+) -> np.ndarray:
+    """Train one unit per member: the single entry point for training many
+    devices, and the only code that decides how.
 
-    Members of a wave are independent, so two or more train as one
-    ``batched.train_round`` call; a wave of one — or ``batched=None``
-    (``device_batching="off"``, a model the engine cannot stack) — takes the
-    scalar path.  Returns the trained vectors in member order — each its
-    own allocation, so a result someone keeps (a parked device's model, a
-    buffered upload) never pins its whole wave — and the caller then runs
-    its codec/drop/send bookkeeping over them in that order, so every rng
-    draw and meter charge keeps its place.
+    Member ``k`` is fleet device ``ids[k]``; it trains ``epochs`` epochs
+    (one value, or one per member) of unit ``unit_idx`` (likewise) on its
+    ``(device_id, round_idx, unit_idx)`` stream, from ``starts`` (one
+    shared ``(dim,)`` vector, or one start per member) into ``out[k]``,
+    with the optional FedProx pull toward ``anchor`` and the per-member
+    SCAFFOLD ``corrections`` rows.  Returns the per-member SGD step counts.
+
+    Two or more members on a stackable model train as one
+    ``batched.train_round`` call; anything else — a wave of one, a model
+    the engine cannot stack (``batched`` is None), or the scalar oracle
+    (``server.batched_trainer = None``) — calls ``LocalTrainer.train`` once
+    per member.  Callers then run their codec/drop/send bookkeeping over
+    ``out`` in member order, so every rng draw and meter charge keeps its
+    place.  ``sync=True`` copies each result into its device's retained
+    fleet row, as ``Device.run_unit`` would; callers that trained straight
+    into registered rows (or keep results to themselves) leave it off.
     """
-    if batched is None or len(devices) < 2:
-        # int(): numpy scalars must not leak into rng stream keys.
-        return [
-            dev.run_unit(start, epochs, round_idx, int(unit), sync=sync)
-            for dev, start, unit in zip(devices, starts, unit_idx)
-        ]
-    trained = [np.empty(batched.dim) for _ in devices]
-    batched.train_round(
-        np.fromiter((d.device_id for d in devices), np.intp, len(devices)),
-        epochs, round_idx, starts, trained, unit_idx=unit_idx,
-    )
+    ids = np.asarray(ids, dtype=np.intp)
+    if batched is not None and len(ids) >= 2:
+        steps = batched.train_round(
+            ids, epochs, round_idx, starts, out, anchor=anchor, mu=mu,
+            corrections=corrections, unit_idx=unit_idx,
+        )
+    else:
+        n = len(ids)
+        # tolist(): numpy scalars must not leak into rng stream keys.
+        epochs_of = np.broadcast_to(epochs, n).tolist()
+        units = np.broadcast_to(unit_idx, n).tolist()
+        shared = isinstance(starts, np.ndarray) and starts.ndim == 1
+        train = fleet.trainer.train
+        steps = np.empty(n, dtype=np.intp)
+        for k, dev_id in enumerate(ids.tolist()):
+            _, steps[k] = train(
+                starts if shared else starts[k],
+                fleet.shard(dev_id),
+                epochs_of[k],
+                stream_key=(dev_id, round_idx, units[k]),
+                anchor=anchor,
+                mu=mu,
+                correction=None if corrections is None else corrections[k],
+                out=out[k],
+            )
     if sync:
-        for dev, row in zip(devices, trained):
-            dev.weights = row
-    return trained
+        for dev_id, row in zip(ids.tolist(), out):
+            fleet.set_weights(dev_id, row)
+    return steps

@@ -194,11 +194,6 @@ class ExperimentSpec:
     # round loop as real OS worker processes over loopback UDP.
     transport: str = "sim"
     transport_kwargs: dict[str, Any] = field(default_factory=dict)
-    # Batched cross-device training (repro.device.batched): "auto" trains a
-    # round's cohorts as stacked GEMMs when the model allows it (falling back
-    # to the sequential path otherwise), "off" forces per-device training.
-    # An execution strategy, not a semantic knob — sweepable to prove it.
-    device_batching: str = "auto"
 
     def __post_init__(self) -> None:
         if self.fleet_profile is not None:
@@ -280,11 +275,6 @@ class ExperimentSpec:
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.device_batching not in ("auto", "off"):
-            raise ValueError(
-                f"device_batching must be 'auto' or 'off', "
-                f"got {self.device_batching!r}"
             )
         for _, kwargs_field, _ in AXES:
             kwargs = getattr(self, kwargs_field)
@@ -455,10 +445,6 @@ def build_experiment(
         # first broadcast, so building a live spec stays side-effect free.
         server.transport = TRANSPORTS.make(spec.transport, **spec.transport_kwargs)
         server.transport.bind(server, spec)
-    # Batched engine last: it snapshots the trainer/fleet pair, which is
-    # final by now.  "auto" degrades silently to sequential when the model
-    # cannot batch (CNNs).
-    server.set_device_batching(spec.device_batching)
     return server
 
 
@@ -487,8 +473,6 @@ def run_experiment(spec: ExperimentSpec, logger: RunLogger | None = None):
     for key in _OPTIONAL:
         if getattr(spec, key) is not None:
             result.config[key] = getattr(spec, key)
-    if spec.device_batching != "auto":
-        result.config["device_batching"] = spec.device_batching
     if spec.selection is not None:
         result.config["selection"] = spec.selection
         result.config["selection_fraction"] = (

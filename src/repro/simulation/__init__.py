@@ -7,7 +7,7 @@ upload events off a queue in time order.  No wall-clock coupling anywhere.
 """
 
 from repro.simulation.clock import VirtualClock
-from repro.simulation.events import Event, EventQueue
+from repro.simulation.events import CalendarQueue, Event, EventQueue
 from repro.simulation.engine import RingRoundEngine, async_upload_schedule
 from repro.simulation.metrics import MetricsHistory, TransmissionMeter
 from repro.simulation.results import RunResult
@@ -21,6 +21,7 @@ __all__ = [
     "VirtualClock",
     "Event",
     "EventQueue",
+    "CalendarQueue",
     "Scheduler",
     "RingRoundEngine",
     "async_upload_schedule",

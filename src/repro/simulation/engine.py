@@ -7,11 +7,11 @@ buffer at unit *start*; models arriving mid-unit are queued and take effect
 on the next unit; every completed unit is forwarded to the ring successor
 after the link delay.
 
-The engine is algorithm-agnostic about what "training" means — every unit
-is a ``Device.run_unit``, the units that complete together trained as one
-stack when the server lends its batched trainer
-(:func:`repro.device.batched.run_units`) — so ablations (e.g. averaging
-instead of direct use) plug in via the ``combine`` hook.
+The engine is algorithm-agnostic about what "training" means — the units
+that complete together train as one :func:`repro.device.batched.run_units`
+wave, stacked on the server's batched trainer when it passes one — so
+ablations (e.g. averaging instead of direct use) plug in via the
+``combine`` hook.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.device.batched import run_units
+from repro.device.batched import BatchedTrainer, run_units
 from repro.device.fleet import DeviceFleet
 from repro.device.network import LinkDelayModel, UniformDelay
 from repro.simulation.scheduler import (
@@ -131,10 +131,6 @@ class RingRoundEngine:
             *_PEER_DROP_STREAM_KEY
         )
         self.dropped_sends = 0
-        #: The owning server's :class:`~repro.device.batched.BatchedTrainer`
-        #: (``FedHiSynServer.set_device_batching``); None trains every unit
-        #: through the scalar ``Device.run_unit``.
-        self.batched_trainer = None
 
     def run_round(
         self,
@@ -144,6 +140,7 @@ class RingRoundEngine:
         round_idx: int = 0,
         codec=None,
         codec_reference: np.ndarray | None = None,
+        batched: BatchedTrainer | None = None,
     ) -> RingRoundStats:
         """One round: every listed device starts from ``global_weights``,
         trains/forwards along its ring until ``duration`` elapses.
@@ -159,6 +156,10 @@ class RingRoundEngine:
         receives the *decoded* model and the hop's link time scales with
         the encoded size; ``stats.peer_units`` accumulates the on-wire
         total for the server's peer meter.
+
+        ``batched`` is the owning server's
+        :class:`~repro.device.batched.BatchedTrainer`, on which each
+        completion wave trains as one stack; None trains unit by unit.
 
         Every device completes at least one unit (Algorithm 1 line 11
         enters the loop whenever the remaining budget is positive).  After
@@ -223,14 +224,22 @@ class RingRoundEngine:
             # the start model fixed when its unit began, so the wave trains
             # as one stack), then forward the results in completion order.
             instant: list[tuple[int, np.ndarray]] = []
-            wave = [by_id[dev_id] for dev_id in completed]
-            results = run_units(
-                self.batched_trainer,
-                wave,
-                [self._combine(unit_start_model[d.device_id], d.weights) for d in wave],
+            # Each result is its own allocation: it is forwarded and
+            # buffered downstream while the device trains on.
+            results = [np.empty(self.devices.dim) for _ in completed]
+            run_units(
+                batched,
+                self.devices,
+                completed,
                 self.epochs_per_unit,
                 round_idx,
-                [units_done[dev_id] for dev_id in completed],
+                [
+                    self._combine(unit_start_model[d], by_id[d].weights)
+                    for d in completed
+                ],
+                results,
+                unit_idx=[units_done[d] for d in completed],
+                sync=True,
             )
             for dev_id, trained in zip(completed, results):
                 units_done[dev_id] += 1

@@ -3,12 +3,14 @@
 Ties on the timestamp break by insertion order (a monotone sequence
 number), making simulations deterministic independent of queue internals.
 
-Two interchangeable implementations of one contract:
+Two implementations of one contract:
 
 * :class:`EventQueue` — a single binary heap.  O(log n) per operation
   with n the *total* number of scheduled events; the reference
-  implementation the calendar queue is property-tested against.
-* :class:`CalendarQueue` — a rotating bucket wheel over virtual time
+  implementation the calendar queue is property-tested against, kept for
+  tests and benches only.
+* :class:`CalendarQueue` — the scheduler's queue: a rotating bucket wheel
+  over virtual time
   with a heap-based overflow tier (Brown's calendar queue, adapted).
   Near-future events land in per-bucket append lists (O(1) push), only
   the currently draining bucket lives in a small "front" heap, and
@@ -33,7 +35,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Event", "EventQueue", "CalendarQueue", "make_queue", "ENGINES"]
+__all__ = ["Event", "EventQueue", "CalendarQueue"]
 
 
 @dataclass(order=True)
@@ -245,16 +247,3 @@ class CalendarQueue:
 
     def __bool__(self) -> bool:
         return bool(self._front or self._wheel_count or self._overflow)
-
-
-#: Queue engines selectable on :class:`~repro.simulation.scheduler.Scheduler`.
-ENGINES = ("calendar", "heap")
-
-
-def make_queue(engine: str = "calendar") -> EventQueue | CalendarQueue:
-    """One queue of the named engine: ``calendar`` (default) or ``heap``."""
-    if engine == "calendar":
-        return CalendarQueue()
-    if engine == "heap":
-        return EventQueue()
-    raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")

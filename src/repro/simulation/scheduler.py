@@ -1,6 +1,6 @@
 """The discrete-event runtime shared by every method.
 
-:class:`Scheduler` marries the :class:`~repro.simulation.events.EventQueue`
+:class:`Scheduler` marries the :class:`~repro.simulation.events.CalendarQueue`
 with the :class:`~repro.simulation.clock.VirtualClock` and makes the clock
 the *driver* of a run instead of a passive counter: handlers registered per
 event kind are dispatched in strict (time, insertion) order, and the clock
@@ -61,11 +61,10 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.simulation.clock import VirtualClock
-from repro.simulation.events import ENGINES, Event, make_queue
+from repro.simulation.events import CalendarQueue, Event
 
 __all__ = [
     "Scheduler",
-    "DEFAULT_ENGINE",
     "ROUND_BARRIER",
     "BROADCAST_ARRIVAL",
     "UNIT_COMPLETE",
@@ -130,14 +129,13 @@ def completed_units_array(horizon: float, unit_times: np.ndarray) -> np.ndarray:
     return np.maximum(1, (horizon / unit_times + _EPS).astype(np.intp))
 
 
-#: The queue engine used when a Scheduler is built without an explicit
-#: choice: the calendar queue (``"heap"`` remains available as the
-#: reference implementation the property tests compare against).
-DEFAULT_ENGINE = "calendar"
-
-
 class Scheduler:
     """Dispatches events in virtual-time order and advances the clock.
+
+    Events live in a :class:`~repro.simulation.events.CalendarQueue`.  Its
+    reference, the binary-heap :class:`~repro.simulation.events.EventQueue`,
+    dispatches in exactly the same order; tests and benches swap it in by
+    assigning ``sched.queue = EventQueue()`` before scheduling anything.
 
     Parameters
     ----------
@@ -148,21 +146,15 @@ class Scheduler:
         When True, every dispatched event appends ``(time, kind, tag)`` to
         :attr:`trace` — the determinism tests compare whole traces of
         identically seeded runs.
-    engine:
-        The queue implementation: ``"calendar"`` (default, the bucketed
-        wheel) or ``"heap"`` (the single binary heap).  Both dispatch in
-        exactly the same order; the choice is purely a performance knob.
     """
 
     def __init__(
         self,
         clock: VirtualClock | None = None,
         record_trace: bool = False,
-        engine: str = DEFAULT_ENGINE,
     ) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        self.engine = engine
-        self.queue = make_queue(engine)
+        self.queue = CalendarQueue()
         self._handlers: dict[str, Callable[[Event], None]] = {}
         self._pending: dict[str, int] = {}
         # Running total of live scheduled members — kept in lockstep with

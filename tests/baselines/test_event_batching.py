@@ -22,6 +22,8 @@ import json
 import pytest
 
 from repro.experiments import ExperimentSpec, build_experiment
+from repro.simulation import scheduler
+from repro.simulation.events import EventQueue
 from repro.simulation.scheduler import (
     BROADCAST_ARRIVAL,
     UNIT_COMPLETE,
@@ -45,11 +47,10 @@ FROZEN = json.loads(EVENT_MATRIX_PATH.read_text())
 HOT_KINDS = (UNIT_COMPLETE, UPLOAD_ARRIVAL, BROADCAST_ARRIVAL)
 
 
-def _run(method, env, faults, *, engine):
+def _run(method, env, faults):
     server = build_experiment(
         ExperimentSpec(**EVENT_MATRIX[f"{method}-{env}-{faults}"])
     )
-    server.scheduler_engine = engine
     server.record_trace = True
     server.fit()
     return server
@@ -64,9 +65,13 @@ def _wave_sizes(server):
 
 
 @pytest.mark.parametrize("method,env,faults", MATRIX)
-def test_calendar_engine_trace_identical_to_heap(method, env, faults):
-    s_cal = _run(method, env, faults, engine="calendar")
-    s_heap = _run(method, env, faults, engine="heap")
+def test_calendar_engine_trace_identical_to_heap(method, env, faults, monkeypatch):
+    s_cal = _run(method, env, faults)
+    # The server builds its Scheduler inside fit(): swap the reference
+    # heap in where the scheduler module constructs its queue.
+    monkeypatch.setattr(scheduler, "CalendarQueue", EventQueue)
+    s_heap = _run(method, env, faults)
+    assert isinstance(s_heap.scheduler.queue, EventQueue)
     assert s_cal.scheduler.trace == s_heap.scheduler.trace
     assert s_cal.scheduler.events_processed == s_heap.scheduler.events_processed
 
@@ -92,7 +97,7 @@ def test_batched_events_match_per_device_observables(cell):
 def test_fault_machinery_forces_per_device_events():
     """An armed run packs nothing: per-member timer cancellation and
     timer/completion tie order need one entry per device."""
-    server = _run("fedasync", "flaky_mobile", "compound", engine="calendar")
+    server = _run("fedasync", "flaky_mobile", "compound")
     assert server._fault_machinery
     sizes = _wave_sizes(server)
     assert sizes and set(sizes) == {1}
@@ -101,6 +106,6 @@ def test_fault_machinery_forces_per_device_events():
 def test_clean_path_batches_by_default():
     """A clean run rides waves: at least one hot-kind entry carries more
     than one member."""
-    server = _run("fedasync", "ideal", "none", engine="calendar")
+    server = _run("fedasync", "ideal", "none")
     assert not server._fault_machinery
     assert max(_wave_sizes(server)) > 1

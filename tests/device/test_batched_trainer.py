@@ -228,7 +228,9 @@ def test_ragged_wave_matches_local_trainer(
 
 
 class TestRunUnits:
-    """``run_units``: ``Device.run_unit`` for a wave."""
+    """``run_units``: the one entry point, stacked or scalar."""
+
+    IDS = np.arange(5)
 
     def _wave(self, momentum=0.0):
         trainer, fleet = _ragged_substrate([20, 3, 20, 9, 16], momentum)
@@ -247,30 +249,55 @@ class TestRunUnits:
         trainer, fleet, starts = self._wave()
         units = [0, 2, 1, 0, 3]
         want = self._scalar(fleet, starts, units)
-        devices = [fleet.device(i) for i in range(5)]
-        got = run_units(BatchedTrainer(trainer, fleet), devices, starts, 2, 1, units)
+        got = np.empty((5, trainer.dim))
+        steps = run_units(BatchedTrainer(trainer, fleet), fleet, self.IDS, 2, 1,
+                          starts, got, unit_idx=units, sync=True)
+        np.testing.assert_array_equal(steps, 2 * -(-fleet.num_samples // BATCH))
         for i in range(5):
             np.testing.assert_allclose(got[i], want[i], rtol=1e-12, atol=1e-12)
-            np.testing.assert_array_equal(devices[i].weights, got[i])
+            np.testing.assert_array_equal(fleet.device(i).weights, got[i])
 
     def test_sync_false_leaves_device_rows_alone(self):
         trainer, fleet, starts = self._wave()
-        devices = [fleet.device(i) for i in range(5)]
-        run_units(BatchedTrainer(trainer, fleet), devices, starts, 1, 0,
-                  [0] * 5, sync=False)
-        assert all(d.weights is None for d in devices)
+        run_units(BatchedTrainer(trainer, fleet), fleet, self.IDS, 1, 0, starts,
+                  np.empty((5, trainer.dim)))
+        assert all(fleet.device(i).weights is None for i in range(5))
 
     def test_wave_of_one_and_no_engine_take_the_scalar_path(self):
         trainer, fleet, starts = self._wave()
         engine = BatchedTrainer(trainer, fleet)
+        one = [np.empty(trainer.dim)]
+        off = [np.empty(trainer.dim) for _ in range(5)]
         with mock.patch.object(engine, "train_round") as stacked:
-            one = run_units(engine, [fleet.device(3)], [starts[3]], 2, 1, [1])
-            off = run_units(None, [fleet.device(i) for i in range(5)], starts, 2, 1,
-                            np.array([0, 2, 1, 0, 3]))
+            run_units(engine, fleet, [3], 2, 1, [starts[3]], one, unit_idx=[1])
+            run_units(None, fleet, self.IDS, 2, 1, starts, off,
+                      unit_idx=np.array([0, 2, 1, 0, 3]))
         stacked.assert_not_called()
         np.testing.assert_array_equal(one[0], self._scalar(fleet, starts, [0, 0, 0, 1, 0])[3])
         for got, want in zip(off, self._scalar(fleet, starts, [0, 2, 1, 0, 3])):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_scalar_and_stacked_agree_on_every_term(self, momentum):
+        # Shared start, per-member epochs, prox pull and SCAFFOLD rows: the
+        # scalar branch honours each of them exactly as the stack does.
+        trainer, fleet, _ = self._wave(momentum)
+        w0 = get_flat_params(trainer.model)
+        rng = np.random.default_rng(8)
+        kwargs = dict(
+            anchor=w0 + 0.01, mu=0.05, unit_idx=3,
+            corrections=rng.normal(scale=1e-3, size=(5, trainer.dim)),
+        )
+        epochs = np.array([1, 2, 1, 3, 2])
+        stacked, scalar = np.empty((2, 5, trainer.dim))
+        s_steps = run_units(BatchedTrainer(trainer, fleet), fleet, self.IDS, epochs,
+                            2, w0, stacked, **kwargs)
+        o_steps = run_units(None, fleet, self.IDS, epochs, 2, w0, scalar, **kwargs)
+        np.testing.assert_array_equal(s_steps, o_steps)
+        if stacked_gemm_is_bitwise():
+            np.testing.assert_array_equal(stacked, scalar)
+        else:
+            np.testing.assert_allclose(stacked, scalar, rtol=1e-12, atol=1e-12)
 
 
 class TestValidation:

@@ -11,7 +11,10 @@ of every registered method on one small experiment.  They were first
 captured at the commit *before* the environment layer existed, so the
 equivalence tests prove that ``env="ideal"`` reproduces pre-refactor
 behavior bit-for-bit.  Only regenerate them when a PR deliberately changes
-training semantics (and say so in the PR).
+training semantics (and say so in the PR).  They are pinned on the scalar
+oracle (:func:`run_oracle`: the built server with ``batched_trainer =
+None``, every unit one ``LocalTrainer.train`` call), so their bits never
+depend on how a BLAS build computes stacked GEMMs.
 
 ``tests/golden/async/event_matrix.json`` (a subdirectory: the glob in
 ``tests/test_golden_equivalence.py`` maps ``tests/golden/*.json`` onto the
@@ -53,7 +56,7 @@ from repro.device import LocalTrainer, make_fleet, unit_times_from_counts
 from repro.env.availability import BernoulliAvailability, TraceAvailability
 from repro.env.environment import Environment
 from repro.env.network import IdealNetwork, UniformNetwork
-from repro.experiments import ExperimentSpec, build_experiment, run_experiment
+from repro.experiments import ExperimentSpec, build_experiment
 from repro.nn.models import paper_mlp
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -80,6 +83,20 @@ GOLDEN_SPEC = dict(
 #: fedbuff's buffer goal is shrunk so its K-sized flushes actually cycle
 #: several times inside the tiny golden run.
 METHOD_KWARGS = {"fedhisyn": {"num_classes": 3}, "fedbuff": {"buffer_goal": 2}}
+
+
+def scalar_oracle(server):
+    """``server`` on the scalar reference path: with its batched trainer
+    removed, ``run_units`` trains every member of every wave alone through
+    ``LocalTrainer.train``.  The one oracle the goldens, the equivalence
+    tests and the CI smoke compare the default (stacked) path against."""
+    server.batched_trainer = None
+    return server
+
+
+def run_oracle(spec: ExperimentSpec):
+    """Build ``spec`` and fit it on the scalar oracle; the RunResult."""
+    return scalar_oracle(build_experiment(spec)).fit()
 
 
 def _event_cell(method: str, env: str, faults: str, **overrides) -> dict:
@@ -303,7 +320,7 @@ def main() -> None:
             method_kwargs=METHOD_KWARGS.get(method, {}),
             **GOLDEN_SPEC,
         )
-        result = run_experiment(spec)
+        result = run_oracle(spec)
         payload = {
             "spec": {"method": method,
                      "method_kwargs": METHOD_KWARGS.get(method, {}),

@@ -11,17 +11,8 @@ pops, ``finish_at`` horizons) and compare element for element.
 import numpy as np
 import pytest
 
-from repro.simulation.events import (
-    ENGINES,
-    CalendarQueue,
-    EventQueue,
-    make_queue,
-)
-from repro.simulation.scheduler import (
-    DEFAULT_ENGINE,
-    UNIT_COMPLETE,
-    Scheduler,
-)
+from repro.simulation import CalendarQueue, EventQueue
+from repro.simulation.scheduler import UNIT_COMPLETE, Scheduler
 
 
 def drain(queue):
@@ -33,17 +24,13 @@ def drain(queue):
 
 
 class TestQueueBasics:
-    def test_make_queue_dispatch(self):
-        assert isinstance(make_queue("calendar"), CalendarQueue)
-        assert isinstance(make_queue("heap"), EventQueue)
-        with pytest.raises(ValueError):
-            make_queue("btree")
-        assert DEFAULT_ENGINE in ENGINES
+    def test_scheduler_runs_on_the_calendar_queue(self):
+        assert isinstance(Scheduler().queue, CalendarQueue)
 
     def test_negative_time_rejected(self):
-        for engine in ENGINES:
+        for queue in (CalendarQueue, EventQueue):
             with pytest.raises(ValueError):
-                make_queue(engine).push(-0.1, "k")
+                queue().push(-0.1, "k")
 
     def test_empty_pop_and_peek_raise(self):
         q = CalendarQueue()
@@ -144,15 +131,17 @@ class TestOrderEquivalence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scheduler_dispatch_trace_matches(self, seed):
-        """Two Schedulers on different engines, fed the same random mix of
-        at/at_many/after/cancel from inside handlers, dispatch the same
+        """Two Schedulers, one on the heap reference, fed the same random mix
+        of at/at_many/after/cancel from inside handlers, dispatch the same
         (time, kind, payload) sequence and agree on every counter —
         including under a finish_at horizon."""
         rng_seed = 200 + seed
 
-        def run(engine):
+        def run(heap):
             rng = np.random.default_rng(rng_seed)
-            sched = Scheduler(engine=engine)
+            sched = Scheduler()
+            if heap:
+                sched.queue = EventQueue()
             seen = []
             cancellable = []
 
@@ -191,7 +180,7 @@ class TestOrderEquivalence:
             sched.run(max_events=500)
             return seen, sched.events_processed, sched.pending(), sched.now
 
-        assert run("calendar") == run("heap")
+        assert run(heap=False) == run(heap=True)
 
 
 class TestBatchedEvents:

@@ -21,9 +21,11 @@ class LineageTrainer:
     def __init__(self, dim: int) -> None:
         self.dim = dim
 
-    def train(self, weights, shard, epochs, stream_key=(0,), **kwargs):
+    def train(self, weights, shard, epochs, stream_key=(0,), out=None, **kwargs):
         device_id = stream_key[0]
-        out = np.asarray(weights, dtype=float).copy()
+        if out is None:
+            out = np.empty(self.dim)
+        out[:] = weights
         out[device_id] += 1.0
         return out, epochs
 
@@ -183,14 +185,14 @@ class TestAsyncUploadSchedule:
 
 
 class TestWaveTraining:
-    """Phase 1 trains a completion wave as one stack (``batched_trainer``
-    set) or unit by unit (None): the same round either way — weights,
-    stats, drop draws and codec state."""
+    """Phase 1 trains a completion wave as one stack (``run_round(...,
+    batched=trainer)``) or unit by unit (None): the same round either way
+    — weights, stats, drop draws and codec state."""
 
     RINGS = [[0, 3, 5, 8], [1, 4, 6], [2, 7, 9]]
 
     @staticmethod
-    def _engine(batched: bool, **kwargs):
+    def _engine(**kwargs):
         from repro.datasets.partition import partition_by_name
         from repro.datasets.synthetic import mnist_like
         from repro.device import LocalTrainer
@@ -207,25 +209,25 @@ class TestWaveTraining:
         )
         fleet = real_fleet(dataset, parts, unit_times, trainer)
         engine = RingRoundEngine(fleet, epochs_per_unit=1, **kwargs)
-        if batched:
-            engine.batched_trainer = BatchedTrainer(trainer, fleet)
-        return engine, trainer.model.theta.copy()
+        return engine, BatchedTrainer(trainer, fleet), trainer.model.theta.copy()
 
     def _assert_same_round(self, start_of=None, codec=None, **kwargs):
         rounds = []
         widths = []
-        for batched in (True, False):
-            engine, w0 = self._engine(batched, **kwargs)
-            if batched:
+        for stacking in (True, False):
+            engine, batched, w0 = self._engine(**kwargs)
+            if stacking:
                 # Patched on the instance, as benchmarks/e2e/trace.py does.
-                stacked = engine.batched_trainer.train_round
-                engine.batched_trainer.train_round = lambda ids, *a, **k: (
+                stacked = batched.train_round
+                batched.train_round = lambda ids, *a, **k: (
                     widths.append(len(ids)), stacked(ids, *a, **k))[1]
+            else:
+                batched = None
             start = w0 if start_of is None else start_of(w0)
             coder = None if codec is None else codec()
             stats = engine.run_round(
                 self.RINGS, start, duration=1.0, round_idx=2, codec=coder,
-                codec_reference=None if coder is None else w0,
+                codec_reference=None if coder is None else w0, batched=batched,
             )
             rounds.append((engine, stats, coder))
         (auto, auto_stats, auto_codec), (off, off_stats, off_codec) = rounds

@@ -349,25 +349,22 @@ class TestAsyncFlags:
         assert "campaign: 2 runs" in out and "buffer_goal" in out
 
 
-class TestDeviceBatchingFlag:
-    def test_default_is_auto(self):
-        args = build_parser().parse_args(["run"])
-        assert spec_from_args(args).device_batching == "auto"
+class TestNoBatchingSwitch:
+    """Stacked training is how waves train, not an option: the old
+    ``--device-batching`` flag and ``device_batching`` grid axis are gone."""
 
-    def test_off_reaches_spec(self):
-        args = build_parser().parse_args(["run", "--device-batching", "off"])
-        assert spec_from_args(args).device_batching == "off"
+    def test_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--device-batching", "off", *COMMON, "--quiet"])
+        assert exit_info.value.code == 2
+        assert "--device-batching" in capsys.readouterr().err
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--device-batching", "maybe"])
-
-    def test_sweep_grid_axis(self, capsys):
+    def test_grid_axis_is_rejected(self, capsys):
         rc = main(["sweep", "--method", "fedavg", "--seeds", "0", *COMMON,
                    "--grid", "device_batching=auto,off", "--quiet"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "campaign: 2 runs" in out and "device_batching" in out
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown ExperimentSpec field" in err and "device_batching" in err
 
 
 class TestBench:

