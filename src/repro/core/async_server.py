@@ -14,13 +14,20 @@ The device lifecycle (one state machine per cohort member):
    wakes and starts a unit, a training device banks the newest model for
    its next unit (models arriving mid-unit never interrupt — the same
    rule as the FedHiSyn ring engine).
-2. ``unit_complete`` — the unit's training actually executes (a wave's
-   units as one ``run_units`` call), the result is uploaded through the
-   env channel, and the next unit begins immediately from the freshest model on hand:
-   the newest server push if one arrived, else the device's own result.
-   Devices never idle waiting for the server — a lost reply just means
-   more local continuation, exactly the failure mode staleness decay
-   exists to damp.
+2. ``unit_complete`` — the unit's result is uploaded through the env
+   channel, and the next unit begins immediately from the freshest model
+   on hand: the newest server push if one arrived, else the device's own
+   result.  Devices never idle waiting for the server — a lost reply just
+   means more local continuation, exactly the failure mode staleness
+   decay exists to damp.  The result itself may have been computed
+   earlier: everything it depends on (start model, shard, epochs, the
+   ``(device, 0, unit_idx)`` stream) is fixed when the unit begins, so a
+   wave that needs training trains in one ``run_units`` call together
+   with the earliest-due other in-flight units, topping the pool of
+   results held ahead up to ``_AHEAD`` (96)
+   (:meth:`AsyncFederatedServer._train_ahead`).  That stacks equal shard
+   sizes a single instant's wave rarely holds, and it costs at most
+   ``_AHEAD`` extra result vectors; a crash discards its unit's result.
 3. ``upload_arrival`` — the upload lands after its uplink latency; the
    subclass hook :meth:`apply_upload` mixes it (FedAsync) or buffers it
    (FedBuff).  The server replies with the current global model, which
@@ -50,7 +57,8 @@ per-device overhead amortizes away.  With a fault model armed, every
 member gets its own entry, in member order: a crash cancels *its* device's
 ``unit_complete`` handle, and the tie order of timers against completions
 on the quantized time grid decides the drop/fault rng order — packing
-armed waves would change results, so it is not done.
+armed waves would change results, so it is not done.  Training does not
+follow the packing: armed units still stack, because they train ahead.
 
 **Staleness** is version-counted: the server increments a global version
 per aggregation, every dispatched model is stamped with it, and an upload
@@ -102,8 +110,7 @@ from repro.core.server import (
     FederatedServer,
     ServerConfig,
 )
-from repro.device.batched import run_units
-from repro.device.device import Device
+from repro.device.batched import _AHEAD, run_units
 from repro.env.network import SERVER
 from repro.simulation.results import RunResult
 from repro.simulation.scheduler import (
@@ -246,16 +253,15 @@ class AsyncFederatedServer(FederatedServer):
             staleness, cfg.staleness_decay, cfg.staleness_exponent, cfg.hinge_delay
         )
 
-    def _select_cohort(self) -> list[Device]:
-        """The devices participating in this run — the server's shared
-        selection core (the installed policy, else Bernoulli(participation)),
-        drawn once on stream ``(0, 1)`` (sync rounds use ``(round >= 1,
-        1)``).  Availability is *not* filtered here: churn is event-driven
-        over the run's span."""
-        ids = self._select_ids(0, self._seeds.generator(0, 1))
-        return list(map(self.fleet.device, ids.tolist()))
+    def _select_cohort(self) -> np.ndarray:
+        """The ids of the devices participating in this run — the server's
+        shared selection core (the installed policy, else
+        Bernoulli(participation)), drawn once on stream ``(0, 1)`` (sync
+        rounds use ``(round >= 1, 1)``).  Availability is *not* filtered
+        here: churn is event-driven over the run's span."""
+        return self._select_ids(0, self._seeds.generator(0, 1))
 
-    def _send_down(self, dev: Device) -> tuple[float | None, np.ndarray | None]:
+    def _send_down(self, dev_id: int) -> tuple[float | None, np.ndarray | None]:
         """Meter one server→device push of the current global model.
 
         Returns ``(latency, payload)`` — ``(None, None)`` when the message
@@ -272,10 +278,9 @@ class AsyncFederatedServer(FederatedServer):
             if self._drop_one():
                 return None, None
             return (
-                self.env.network.transfer_time(SERVER, dev.device_id, 1.0),
+                self.env.network.transfer_time(SERVER, dev_id, 1.0),
                 self.global_weights,
             )
-        dev_id = dev.device_id
         enc = codec.encode(
             self.global_weights,
             key=("down", dev_id),
@@ -292,7 +297,7 @@ class AsyncFederatedServer(FederatedServer):
         )
 
     def _send_up(
-        self, dev: Device, trained: np.ndarray, start: np.ndarray
+        self, dev_id: int, trained: np.ndarray, start: np.ndarray
     ) -> tuple[float | None, np.ndarray | None]:
         """Meter one device→server upload of ``trained`` (encoded against
         ``start``, the model the unit ran from — both endpoints hold it).
@@ -303,15 +308,15 @@ class AsyncFederatedServer(FederatedServer):
             if self._drop_one():
                 return None, None
             return (
-                self.env.network.transfer_time(dev.device_id, SERVER, 1.0),
+                self.env.network.transfer_time(dev_id, SERVER, 1.0),
                 trained,
             )
-        enc = codec.encode(trained, key=int(dev.device_id), reference=start)
+        enc = codec.encode(trained, key=dev_id, reference=start)
         self.meter.record_upload(1, enc.model_units, raw_units=1.0)
         if self._drop_one():
             return None, None
         return (
-            self.env.network.transfer_time(dev.device_id, SERVER, enc.model_units),
+            self.env.network.transfer_time(dev_id, SERVER, enc.model_units),
             codec.decode(enc),
         )
 
@@ -391,7 +396,9 @@ class AsyncFederatedServer(FederatedServer):
         """Start each member's next unit from the freshest model on hand:
         the newest arrived server push, else its own latest result.  The
         clean path then emits the completions as one wave set — the
-        grouping the quantized unit-time schedule makes large.
+        grouping the quantized unit-time schedule makes large.  Every
+        begun unit enters ``_pending`` with its due time, the pool
+        :meth:`_train_ahead` draws from.
 
         With the fault machinery armed a unit's duration picks up the
         model's straggler slowdown, and its crash draw may schedule a
@@ -403,7 +410,9 @@ class AsyncFederatedServer(FederatedServer):
         armed = self._fault_machinery
         now = self.scheduler.now
         unit_times = self._unit_time_of[ids]
-        for k, dev_id in enumerate(ids.tolist()):
+        due = now + unit_times
+        members = ids.tolist()
+        for k, dev_id in enumerate(members):
             arrival = self._inbox.pop(dev_id, None)
             if arrival is not None:
                 self._start_model[dev_id], self._base_version[dev_id] = arrival
@@ -416,16 +425,18 @@ class AsyncFederatedServer(FederatedServer):
             if slow != 1.0:
                 self.resilience.injected_slowdowns += 1
                 unit_time *= slow
+                due[k] = now + unit_time
             crash = self.faults.unit_crash(dev_id, self._fault_rng)
             (self._unit_events[dev_id],) = self._emit(
-                UNIT_COMPLETE, [now + unit_time], [dev_id]
+                UNIT_COMPLETE, due[k : k + 1], [dev_id]
             )
             if crash is not None:
                 frac, downtime = crash
                 lost = frac * unit_time
                 self.scheduler.at(now + lost, DEVICE_CRASH, (dev_id, lost, downtime))
+        self._pending.update(zip(members, due.tolist()))
         if not armed:
-            self._emit(UNIT_COMPLETE, now + unit_times, ids)
+            self._emit(UNIT_COMPLETE, due, ids)
 
     # ------------------------------------------------------------- handlers
 
@@ -443,32 +454,65 @@ class AsyncFederatedServer(FederatedServer):
                 inbox[dev_id] = (weights[k], versions[k])
         self._wake(ids)
 
+    def _train_ahead(self, wave: list[int]) -> None:
+        """Make sure every member of ``wave`` has a result in ``_trained``.
+
+        A unit's result depends only on what was fixed when it began — its
+        start model, the shard, the epoch count and its ``(dev, 0,
+        unit_idx)`` stream (``_unit_idx`` moves only at completion) — so it
+        can train any time before its ``unit_complete``.  The wave's
+        untrained members train in one ``run_units`` call together with
+        the earliest-due other pending units, topping the trained pool up to
+        ``_AHEAD`` results; the wave itself is never cut.  Stacking a pool
+        instead of one instant's wave is what lines up equal shard sizes.
+        """
+        pending = self._pending
+        ids = [dev_id for dev_id in wave if dev_id in pending]
+        if not ids:
+            return
+        room = _AHEAD - len(self._trained) - len(ids)
+        for dev_id in ids:
+            del pending[dev_id]
+        if room > 0 and pending:
+            others = np.fromiter(pending, dtype=np.intp, count=len(pending))
+            if room < len(others):
+                due = np.fromiter(pending.values(), np.float64, len(pending))
+                others = others[np.argsort(due, kind="stable")[:room]]
+            for dev_id in others.tolist():
+                del pending[dev_id]
+                ids.append(dev_id)
+        # Each result is its own allocation, so one a device keeps (a
+        # parked model, a buffered upload) never pins its whole stack.
+        results = [np.empty(self.trainer.dim) for _ in ids]
+        members = np.asarray(ids, dtype=np.intp)
+        run_units(
+            self.batched_trainer,
+            self.fleet,
+            members,
+            self.config.local_epochs,
+            0,
+            [self._start_model[dev_id] for dev_id in ids],
+            results,
+            unit_idx=self._unit_idx[members],
+        )
+        self._trained.update(zip(ids, results))
+
     def _on_unit_complete(self, ev) -> None:
         """A completion wave.  Its members' units are independent — each
-        trains from the start model fixed when its unit began — so the wave
-        trains first, as one stack; then members are processed in array
-        order — the shared drop-stream draws and the upload metering happen
-        exactly as ``len(ids)`` consecutive single-device events would — and
-        the uploads and the next units go out as waves of their own."""
+        trains from the start model fixed when its unit began — so the
+        results come first (trained now, or earlier by :meth:`_train_ahead`);
+        then members are processed in array order — the shared drop-stream
+        draws and the upload metering happen exactly as ``len(ids)``
+        consecutive single-device events would — and the uploads and the
+        next units go out as waves of their own."""
         armed = self._fault_machinery
         uploads: list[tuple] = []
         next_ids: list[int] = []
         ids = ev.payload.tolist()
-        starts = [self._start_model[dev_id] for dev_id in ids]
-        # Each result is its own allocation, so one a device keeps (a
-        # parked model, a buffered upload) never pins its whole wave.
-        results = [np.empty(self.trainer.dim) for _ in ids]
-        run_units(
-            self.batched_trainer,
-            self.fleet,
-            ev.payload,
-            self.config.local_epochs,
-            0,
-            starts,
-            results,
-            unit_idx=self._unit_idx[ev.payload],
-        )
-        for dev_id, start, trained in zip(ids, starts, results):
+        self._train_ahead(ids)
+        for dev_id in ids:
+            trained = self._trained.pop(dev_id)
+            start = self._start_model[dev_id]
             if armed:
                 self._unit_events.pop(dev_id, None)
             self._unit_idx[dev_id] += 1
@@ -509,7 +553,7 @@ class AsyncFederatedServer(FederatedServer):
         first arms an ``upload_timeout`` retransmission timer — its
         ``token`` rides with the upload and cancels the timer when the
         delivery is processed; ``token`` is None on the clean path."""
-        lat, delivered = self._send_up(self._by_id[dev_id], payload, start)
+        lat, delivered = self._send_up(dev_id, payload, start)
         token = None
         if self._fault_machinery:
             self.resilience.uploads_sent += 1
@@ -562,12 +606,15 @@ class AsyncFederatedServer(FederatedServer):
 
     def _on_device_crash(self, ev) -> None:
         """Fail-stop mid-unit: the pending ``unit_complete`` is cancelled
-        (the cancellable-timer path), the partial work is lost, and the
-        heartbeat chain goes silent until restart."""
+        (the cancellable-timer path), the partial work is lost — a result
+        trained ahead included — and the heartbeat chain goes silent until
+        restart."""
         dev_id, lost, downtime = ev.payload
         pending = self._unit_events.pop(dev_id, None)
         if pending is not None:
             self.scheduler.cancel(pending)
+        self._pending.pop(dev_id, None)
+        self._trained.pop(dev_id, None)
         beat = self._beat_events.pop(dev_id, None)
         if beat is not None:
             self.scheduler.cancel(beat)
@@ -642,7 +689,7 @@ class AsyncFederatedServer(FederatedServer):
                 # (so it is un-counted), and the finisher gets no reply.
                 self.scheduler.events_processed -= len(ids) - (k + 1)
                 break
-            lat, reply = self._send_down(self._by_id[dev_id])
+            lat, reply = self._send_down(dev_id)
             if lat is not None:
                 replies.append((lat, dev_id, reply, self._version))
         self._emit_after(BROADCAST_ARRIVAL, replies)
@@ -704,17 +751,19 @@ class AsyncFederatedServer(FederatedServer):
         self._deployed_weights = self.global_weights
         self._checkpoint_eval = None
 
-        self.cohort = self._select_cohort()
-        ids = [d.device_id for d in self.cohort]
-        self._cohort_ids = cohort_ids = np.asarray(ids, dtype=np.intp)
+        self._cohort_ids = cohort_ids = self._select_cohort()
+        ids = cohort_ids.tolist()
         # Ascending ids: the order wake-ups and heartbeats are scheduled in.
         self._sorted_ids = np.sort(cohort_ids)
-        # Object-valued state (device facades, model references, event
-        # handles) is keyed by cohort member — never population-sized.
-        self._by_id = dict(zip(ids, self.cohort))
+        # Object-valued state (model references, event handles) is keyed by
+        # cohort member — never population-sized.
         self._start_model: dict[int, np.ndarray] = {}
         self._own_model = dict.fromkeys(ids, self.global_weights)
         self._inbox: dict[int, tuple[np.ndarray, int]] = {}
+        # Every in-flight unit is in exactly one of these: begun but not yet
+        # trained (id -> due time), or trained ahead of its completion.
+        self._pending: dict[int, float] = {}
+        self._trained: dict[int, np.ndarray] = {}
         # Numeric per-device state lives in id-indexed arrays (ids index
         # them directly; untouched pages of a sparse cohort stay unmapped),
         # so churn epochs, wake-ups and suspicion sweeps are array ops over
@@ -723,7 +772,7 @@ class AsyncFederatedServer(FederatedServer):
         self._unit_idx = np.zeros(bound, dtype=np.int64)
         self._base_version = np.zeros(bound, dtype=np.int64)
         self._unit_time_of = np.zeros(bound, dtype=np.float64)
-        self._unit_time_of[cohort_ids] = [d.unit_time for d in self.cohort]
+        self._unit_time_of[cohort_ids] = self.fleet.unit_times[cohort_ids]
         self._offline_mask = np.zeros(bound, dtype=bool)
         self._parked_mask = np.zeros(bound, dtype=bool)
         self._parked_mask[cohort_ids] = True
@@ -788,6 +837,8 @@ class AsyncFederatedServer(FederatedServer):
         self._emit(BROADCAST_ARRIVAL, lats, cohort_ids, [w0] * n, [0] * n)
 
         sched.run()
+        # Units trained ahead of a completion the run never reached.
+        self._trained.clear()
         return self._assemble_result()
 
     def run_round(self, round_idx, participants, global_weights):

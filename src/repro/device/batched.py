@@ -3,8 +3,9 @@
 :class:`BatchedTrainer` is the many-device counterpart of
 :class:`~repro.device.device.LocalTrainer`.  The members of one call — a
 barrier round's receivers, a FedAT tier round, a ring round's completion
-wave, an event loop's ``unit_complete`` wave — are independent SGD runs of
-the same architecture that differ in data, start model and step count.
+wave, the in-flight units an event loop trains ahead — are independent SGD
+runs of the same architecture that differ in data, start model and step
+count.
 What they share is the
 **batch shape**: every full mini-batch is ``(batch_size, features)``
 whatever the shard size.  So members are stacked by batch shape, not by
@@ -18,8 +19,9 @@ as whole-matrix ops over the same rows, mirroring ``LocalTrainer.train``'s
 fused scalar path line for line.
 
 Callers never pick a path: barrier rounds, SCAFFOLD, FedAT tier rounds,
-ring waves and event-loop waves all train through :func:`run_units`, the
-one place that decides between one stacked call and the scalar loop.
+ring waves and the event loop's train-ahead pool all train through
+:func:`run_units`, the one place that decides between one stacked call and
+the scalar loop.
 
 Determinism contract: every member draws its epoch permutations from its
 own ``(device_id, round_idx, unit_idx)`` stream — exactly the generator the
@@ -44,6 +46,15 @@ __all__ = ["BatchedTrainer", "run_units"]
 #: batch of gathered samples per member stay a couple of MB however wide a
 #: round or wave is; wider calls run as consecutive stacks.
 _MAX_STACK = 16
+
+#: Most results the event loop holds trained ahead of their ``unit_complete``
+#: (``AsyncFederatedServer._train_ahead``): a wave that needs training
+#: trains with the earliest-due other in-flight units, topping the pool up
+#: to this many.  Six stacks' worth, so that sorting a pool of tail-only
+#: shards by size lines up long runs of equal sizes.  Costs at most this
+#: many extra result vectors; an unbounded pool trains a little faster but
+#: its RSS grows with the cohort.
+_AHEAD = 96
 
 
 class BatchedTrainer:

@@ -5,8 +5,11 @@ import pytest
 
 from repro.baselines.fedasync import FedAsyncConfig, FedAsyncServer
 from repro.baselines.fedbuff import FedBuffConfig, FedBuffServer
+from repro.core import async_server
 from repro.core.async_server import STALENESS_DECAYS, staleness_weight
 from repro.env.registry import make_environment
+from repro.experiments import ExperimentSpec, build_experiment, run_experiment
+from repro.nn.batched import stacked_gemm_is_bitwise
 
 
 class TestStalenessWeight:
@@ -228,7 +231,92 @@ class TestFedBuff:
                           participation=0.5, seed=0),
         )
         srv.fit()
-        assert 1 <= len(srv.cohort) <= len(tiny_fleet)
+        assert 1 <= len(srv._cohort_ids) <= len(tiny_fleet)
+
+
+class TestTrainAhead:
+    """In-flight units train before their ``unit_complete``, stacked with
+    the earliest-due other pending units."""
+
+    # Ragged shards, churn and crashes: completions arrive one per entry
+    # and out of begin order, so results trained ahead pile up unless the
+    # pool counts them.
+    SPEC = dict(
+        method="fedbuff", num_devices=40, num_samples=800, beta=0.3,
+        participation=1.0, rounds=40, buffer_goal=3, env="churn", seed=1,
+        faults="crash", fault_kwargs={"crash_prob": 0.3},
+    )
+
+    def test_crash_drops_the_result_and_restart_retrains_the_unit(
+        self, monkeypatch
+    ):
+        server = build_experiment(ExperimentSpec(**self.SPEC))
+        log = []
+        train = async_server.run_units
+
+        def spy_train(batched, fleet, ids, *args, unit_idx, **kwargs):
+            log.extend(
+                ("train", d, u, False) for d, u in zip(ids.tolist(), unit_idx.tolist())
+            )
+            return train(batched, fleet, ids, *args, unit_idx=unit_idx, **kwargs)
+
+        monkeypatch.setattr(async_server, "run_units", spy_train)
+        crash = server._on_device_crash
+
+        def spy_crash(ev):
+            dev_id = ev.payload[0]
+            ahead = dev_id in server._trained
+            crash(ev)
+            assert dev_id not in server._trained
+            assert dev_id not in server._pending
+            log.append(("crash", dev_id, int(server._unit_idx[dev_id]), ahead))
+
+        server._on_device_crash = spy_crash
+        server.fit()
+        retrained = 0
+        for i, (kind, dev_id, unit, ahead) in enumerate(log):
+            if kind != "crash" or not ahead:
+                continue
+            later = [e[2] for e in log[i + 1:] if e[0] == "train" and e[1] == dev_id]
+            if later:
+                # The lost unit's index was never consumed: the restarted
+                # unit trains it again, from the model on hand at restart.
+                assert later[0] == unit
+                retrained += 1
+        assert retrained > 0
+
+    @pytest.mark.parametrize("ahead", [1, 8])
+    def test_pool_is_bounded_and_moves_no_result(self, monkeypatch, ahead):
+        spec = ExperimentSpec(**self.SPEC)
+        reference = run_experiment(spec)
+        monkeypatch.setattr(async_server, "_AHEAD", ahead)
+        server = build_experiment(spec)
+        peaks = []
+        train_ahead = server._train_ahead
+
+        def spy_train_ahead(wave):
+            train_ahead(wave)
+            assert len(server._trained) <= ahead + len(wave)
+            peaks.append(len(server._trained))
+
+        complete = server._on_unit_complete
+
+        def spy_complete(ev):
+            complete(ev)
+            assert len(server._trained) <= ahead  # between events
+
+        server._train_ahead = spy_train_ahead
+        server._on_unit_complete = spy_complete
+        result = server.fit()
+        assert max(peaks) >= ahead
+        assert not server._trained  # leftovers are discarded at stop
+        if stacked_gemm_is_bitwise():
+            np.testing.assert_array_equal(result.final_weights, reference.final_weights)
+        else:
+            np.testing.assert_allclose(
+                result.final_weights, reference.final_weights, rtol=1e-12, atol=1e-12
+            )
+        assert result.history.to_dict()["times"] == reference.history.to_dict()["times"]
 
 
 class TestSpecIntegration:
