@@ -427,13 +427,11 @@ def _bench_fedavg_round_batched(scale: PerfScale) -> dict:
     """
     server, w0 = _fleet_server(scale, rounds=1)
     fleet, trainer = server.fleet, server.trainer
-    participants = server.select_participants(1)
-    ids = server.ids_of(participants)
-    duration = server.round_duration(participants)
-    epochs = server.epochs_for(participants, duration)
+    ids = server.select_participants(1)
+    epochs = server.epochs_for(ids, server.round_duration(ids))
     bt = BatchedTrainer(trainer, fleet)
-    seq_stack = np.empty((len(participants), trainer.dim))
-    bat_stack = np.empty((len(participants), trainer.dim))
+    seq_stack = np.empty((len(ids), trainer.dim))
+    bat_stack = np.empty((len(ids), trainer.dim))
 
     def run_seq() -> None:
         shard = fleet.shard
@@ -459,7 +457,7 @@ def _bench_fedavg_round_batched(scale: PerfScale) -> dict:
         before,
         after,
         devices=scale.fleet_devices,
-        participants=len(participants),
+        participants=len(ids),
         participation=scale.e2e_participation,
         dim=trainer.dim,
         cohorts=len(cohorts),

@@ -16,7 +16,6 @@ for the divergence D of Eq. (4):
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from repro.core.clustering import cluster_by_capacity
 from repro.core.ring import build_ring, build_rings
 from repro.datasets.core import ClassificationDataset
-from repro.device.device import Device
+from repro.device.batched import run_units
 from repro.device.fleet import DeviceFleet
 from repro.nn.serialization import set_flat_params
 from repro.simulation.engine import RingRoundEngine
@@ -56,12 +55,12 @@ class ObservationResult:
 
 
 def _mean_device_accuracy(
-    devices: Sequence[Device], test_set: ClassificationDataset
+    fleet: DeviceFleet, ids: np.ndarray, test_set: ClassificationDataset
 ) -> float:
-    model = devices[0].trainer.model
+    model = fleet.trainer.model
     accs = []
-    for d in devices:
-        set_flat_params(model, d.weights)
+    for dev_id in ids.tolist():
+        set_flat_params(model, fleet.weights_row(dev_id))
         accs.append(model.accuracy(test_set.x, test_set.y))
     return float(np.mean(accs))
 
@@ -89,13 +88,16 @@ def communication_mode_experiment(
         raise ValueError("rounds must be positive")
     seeds = SeedSequenceFactory(seed)
     n = len(devices)
-    weights = [initial_weights.copy() for _ in devices]
+    ids = devices.device_ids
+    weights = [initial_weights.copy() for _ in range(n)]
     result = ObservationResult(label=mode)
 
     for r in range(rounds):
-        # Local training step for every device on its current model.
-        for i, dev in enumerate(devices):
-            weights[i] = dev.run_unit(weights[i], epochs_per_round, r, 0)
+        # Local training step for every device on its current model: one
+        # scalar wave, so the figure never depends on the BLAS build.
+        trained = np.empty((n, devices.dim))
+        run_units(None, devices, ids, epochs_per_round, r, weights, trained, sync=True)
+        weights = list(trained)
         # Communication step.
         if mode != "none":
             if mode.startswith("ring"):
@@ -112,9 +114,11 @@ def communication_mode_experiment(
             else:
                 weights = [incoming[i].copy() for i in range(n)]
         if (r + 1) % eval_every == 0 or r == rounds - 1:
-            for i, dev in enumerate(devices):
-                dev.weights = weights[i]
-            result.round_accuracies.append(_mean_device_accuracy(devices, test_set))
+            for i in range(n):
+                devices.set_weights(i, weights[i])
+            result.round_accuracies.append(
+                _mean_device_accuracy(devices, ids, test_set)
+            )
     return result
 
 
@@ -141,14 +145,14 @@ def ring_order_experiment(
     ring = build_ring(devices.device_ids.tolist(), times, order=order, seed=seed)
     duration = float(times.max())
     result = ObservationResult(label=order)
-
-    current: dict[int, np.ndarray] = {
-        d.device_id: initial_weights.copy() for d in devices
-    }
+    ids = devices.device_ids
+    current = {i: initial_weights.copy() for i in ids.tolist()}
     for r in range(rounds):
         engine.run_round([ring], current, duration, r)
-        current = {d.device_id: d.weights for d in devices}
-        result.round_accuracies.append(_mean_device_accuracy(devices, test_set))
+        current = {i: devices.weights_row(i) for i in ids.tolist()}
+        result.round_accuracies.append(
+            _mean_device_accuracy(devices, ids, test_set)
+        )
     return result
 
 
@@ -169,15 +173,16 @@ def cluster_count_experiment(
     times = devices.unit_times
     classes = cluster_by_capacity(times, num_clusters)
     rings = build_rings(classes, devices.device_ids.tolist(), times)
-    fastest = [devices[i] for i in classes[0]]
+    fastest = devices.device_ids[classes[0]]
     engine = RingRoundEngine(devices, epochs_per_unit=epochs_per_unit)
     duration = float(times.max())
     result = ObservationResult(label=f"K={num_clusters}")
-    current: dict[int, np.ndarray] = {
-        d.device_id: initial_weights.copy() for d in devices
-    }
+    ids = devices.device_ids.tolist()
+    current = {i: initial_weights.copy() for i in ids}
     for r in range(rounds):
         engine.run_round(rings, current, duration, r)
-        current = {d.device_id: d.weights for d in devices}
-        result.round_accuracies.append(_mean_device_accuracy(fastest, test_set))
+        current = {i: devices.weights_row(i) for i in ids}
+        result.round_accuracies.append(
+            _mean_device_accuracy(devices, fastest, test_set)
+        )
     return result

@@ -29,7 +29,6 @@ from repro.core.clustering import cluster_by_capacity
 from repro.core.registry import register_method
 from repro.core.server import FederatedServer, ServerConfig
 from repro.device.batched import run_units
-from repro.device.device import Device
 from repro.simulation.engine import async_upload_schedule
 
 __all__ = ["FedATConfig", "FedATServer"]
@@ -95,35 +94,33 @@ class FedATServer(FederatedServer):
     def run_round(
         self,
         round_idx: int,
-        participants: list[Device],
+        ids: np.ndarray,
         global_weights: np.ndarray,
     ) -> np.ndarray:
         cfg: FedATConfig = self.config  # type: ignore[assignment]
-        duration = self.round_duration(participants)
+        duration = self.round_duration(ids)
         # Register this round's weight rows up front so every tier-round
         # result snapshots into recycled fleet storage, not into
         # per-device allocations that outlive the round.
-        self.register_round(participants)
+        self.register_round(ids)
 
         # This round's participants grouped by their stable tier, in
         # participant order; absent tiers simply run no tier-round.  The
-        # dense array resolves the whole participant list in one gather.
-        members_by_tier: dict[int, list[Device]] = {}
-        tiers = self.tier_of[self.ids_of(participants)].tolist()
-        for dev, tier in zip(participants, tiers):
-            members_by_tier.setdefault(tier, []).append(dev)
+        # dense array resolves the whole participant set in one gather.
+        tiers = self.tier_of[ids]
+        members_by_tier = {int(t): ids[tiers == t] for t in np.unique(tiers)}
 
         current = global_weights
         # Tier-round completion times over this reporting round: tier m
         # finishes a tier-round every max-unit-time-in-tier (among the
         # members actually present this round).
         tier_span = {
-            t: float(max(d.unit_time for d in members))
+            t: float(self._unit_times[members].max())
             for t, members in members_by_tier.items()
         }
         schedule = async_upload_schedule(tier_span, duration)
 
-        unit_counter = {d.device_id: 0 for d in participants}
+        unit_counter = dict.fromkeys(ids.tolist(), 0)
         for _time, tier_idx in schedule:
             members = members_by_tier[tier_idx]
             # Tier-synchronous FedAvg round from the current global model
@@ -131,30 +128,30 @@ class FedATServer(FederatedServer):
             receivers, tier_view = self.broadcast_model(
                 members, current, ensure_one=False
             )
-            if not receivers:
+            if not len(receivers):
                 continue  # every pull lost: the tier idles this slot
             # The tier-round is one wave: a shared start, one unit each.
-            ids = self.ids_of(receivers).tolist()
+            id_list = receivers.tolist()
             stack = np.empty((len(receivers), self.trainer.dim))
             run_units(
                 self.batched_trainer,
                 self.fleet,
-                ids,
+                receivers,
                 cfg.local_epochs,
                 round_idx,
                 tier_view,
                 stack,
-                unit_idx=[unit_counter[i] for i in ids],
+                unit_idx=[unit_counter[i] for i in id_list],
                 sync=True,
             )
-            for i in ids:
+            for i in id_list:
                 unit_counter[i] += 1
             arrived, stack = self.collect_models(
                 receivers, stack, reference=tier_view, ensure_one=False
             )
-            if not arrived:
+            if not len(arrived):
                 continue  # every upload lost: no tier model this slot
-            counts = self.counts_of(receivers)
+            counts = self.fleet.num_samples[receivers]
             stack, counts = self.filter_arrived(arrived, stack, counts)
             self._tier_models[tier_idx] = sample_weighted_average(stack, counts)
             self._tier_update_counts[tier_idx] = (

@@ -26,7 +26,6 @@ from repro.core.aggregation import (
 )
 from repro.core.registry import register_method
 from repro.core.server import FederatedServer, ServerConfig
-from repro.device.device import Device
 
 __all__ = ["FedAvgConfig", "FedAvgServer"]
 
@@ -87,19 +86,19 @@ class FedAvgServer(FederatedServer):
     def run_round(
         self,
         round_idx: int,
-        participants: list[Device],
+        ids: np.ndarray,
         global_weights: np.ndarray,
     ) -> np.ndarray:
-        duration = self.round_duration(participants)
+        duration = self.round_duration(ids)
         # ``view`` is the model devices actually receive — global_weights
         # itself under the identity codec, the decoded broadcast otherwise.
-        receivers, view = self.broadcast_model(participants, global_weights)
+        receivers, view = self.broadcast_model(ids, global_weights)
         epochs = self.epochs_for(receivers, duration)
         # In recycled-fleet mode these rows double as the devices' weight
         # rows: each unit trains straight into fleet state, no per-device
         # result copy, and the stack feeds aggregation as-is.
         stack = self.round_rows(receivers)
-        self.train_round(stack=stack, receivers=receivers, epochs=epochs,
+        self.train_round(stack=stack, ids=receivers, epochs=epochs,
                          round_idx=round_idx, global_weights=view)
         arrived, stack = self.collect_models(receivers, stack, reference=view)
         # Fault/deadline-aware round close: on the fast path this is
@@ -109,6 +108,6 @@ class FedAvgServer(FederatedServer):
         arrived, stack = self.charge_round(
             round_idx, receivers, duration, stack, arrived
         )
-        counts = self.counts_of(receivers)
+        counts = self.fleet.num_samples[receivers]
         stack, counts = self.filter_arrived(arrived, stack, counts)
         return self.aggregate_stack(stack, counts)

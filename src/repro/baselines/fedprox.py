@@ -16,7 +16,6 @@ from repro.baselines.fedavg import FedAvgServer
 from repro.core.aggregation import sample_weighted_average
 from repro.core.registry import register_method
 from repro.core.server import ServerConfig
-from repro.device.device import Device
 from repro.utils.config import validate_non_negative
 
 __all__ = ["FedProxConfig", "FedProxServer"]
@@ -44,23 +43,23 @@ class FedProxServer(FedAvgServer):
     def run_round(
         self,
         round_idx: int,
-        participants: list[Device],
+        ids: np.ndarray,
         global_weights: np.ndarray,
     ) -> np.ndarray:
         cfg: FedProxConfig = self.config  # type: ignore[assignment]
-        duration = self.round_duration(participants)
-        receivers, view = self.broadcast_model(participants, global_weights)
+        duration = self.round_duration(ids)
+        receivers, view = self.broadcast_model(ids, global_weights)
         epochs = self.epochs_for(receivers, duration)
         stack = self.round_rows(receivers)
         # The proximal anchor is the model devices received — the decoded
         # broadcast under a lossy codec, global_weights itself otherwise.
-        self.train_round(stack=stack, receivers=receivers, epochs=epochs,
+        self.train_round(stack=stack, ids=receivers, epochs=epochs,
                          round_idx=round_idx, global_weights=view,
                          anchor=view, mu=cfg.mu)
         arrived, stack = self.collect_models(receivers, stack, reference=view)
         arrived, stack = self.charge_round(
             round_idx, receivers, duration, stack, arrived
         )
-        counts = self.counts_of(receivers)
+        counts = self.fleet.num_samples[receivers]
         stack, counts = self.filter_arrived(arrived, stack, counts)
         return sample_weighted_average(stack, counts)

@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.registry import register_method
 from repro.core.server import FederatedServer, ServerConfig
 from repro.device.batched import run_units
-from repro.device.device import Device
 from repro.device.fleet import FleetState
 from repro.utils.config import validate_positive
 
@@ -66,18 +65,18 @@ class ScaffoldServer(FederatedServer):
     def run_round(
         self,
         round_idx: int,
-        participants: list[Device],
+        ids: np.ndarray,
         global_weights: np.ndarray,
     ) -> np.ndarray:
         cfg: ScaffoldConfig = self.config  # type: ignore[assignment]
-        duration = self.round_duration(participants)
+        duration = self.round_duration(ids)
         eta = self.trainer.lr
 
         # Broadcast model + server variate: 2 model units per participant.
         # Only the model goes through the codec; the variate rides along
         # dense as one extra unit (server state, not a model update).
         receivers, view = self.broadcast_model(
-            participants, global_weights, extra_units=1.0
+            ids, global_weights, extra_units=1.0
         )
 
         # Per-device updates are staged and only summed for the uploads
@@ -89,14 +88,13 @@ class ScaffoldServer(FederatedServer):
         # the option-II refresh runs as whole-matrix ops whose row i sees
         # exactly the float ops of a per-device refresh.
         rows = self.round_rows(receivers)
-        ids = self.ids_of(receivers)
         c_stack = np.empty((len(receivers), self.trainer.dim))
-        for i, dev_id in enumerate(ids.tolist()):
+        for i, dev_id in enumerate(receivers.tolist()):
             np.copyto(c_stack[i], self.device_variates[dev_id])
         steps = run_units(
             self.batched_trainer,
             self.fleet,
-            ids,
+            receivers,
             self.epochs_for(receivers, duration),
             round_idx,
             view,
@@ -108,7 +106,7 @@ class ScaffoldServer(FederatedServer):
         denom = steps.astype(np.float64) * eta
         c_plus = c_stack - self.server_variate + (view - rows) / denom[:, None]
         variate_deltas = c_plus - c_stack
-        for i, dev_id in enumerate(ids.tolist()):
+        for i, dev_id in enumerate(receivers.tolist()):
             self.device_variates.set(dev_id, c_plus[i])
 
         arrived, decoded = self.collect_models(

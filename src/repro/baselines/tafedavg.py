@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.registry import register_method
 from repro.core.server import FederatedServer, ServerConfig
-from repro.device.device import Device
+from repro.device.batched import run_units
 from repro.simulation.engine import async_upload_schedule
 from repro.utils.config import validate_fraction
 
@@ -61,47 +61,53 @@ class TAFedAvgServer(FederatedServer):
     def run_round(
         self,
         round_idx: int,
-        participants: list[Device],
+        ids: np.ndarray,
         global_weights: np.ndarray,
     ) -> np.ndarray:
         cfg: TAFedAvgConfig = self.config  # type: ignore[assignment]
-        duration = self.round_duration(participants)
-        self.register_round(participants)
-        by_id = {d.device_id: d for d in participants}
+        duration = self.round_duration(ids)
+        self.register_round(ids)
+        id_list = ids.tolist()
 
         # Round start: every participant pulls the current global model; a
         # device whose pull is lost keeps training its previous weights.
         # Under a codec the pull delivers the decoded broadcast view.
-        receivers, view0 = self.broadcast_model(participants, global_weights)
-        views = self.start_views(participants, receivers, view0)
+        receivers, view0 = self.broadcast_model(ids, global_weights)
+        views = self.start_views(ids, receivers, view0)
         local_view: dict[int, np.ndarray] = (
-            views if isinstance(views, dict)
-            else {d.device_id: view0 for d in participants}
+            views if isinstance(views, dict) else dict.fromkeys(id_list, view0)
         )
-        unit_counter: dict[int, int] = {d.device_id: 0 for d in participants}
+        unit_counter = dict.fromkeys(id_list, 0)
         # Server version counter for staleness: the version each device's
         # view was taken at, vs the version at its upload.
         version = 0
-        view_version: dict[int, int] = {d.device_id: 0 for d in participants}
+        view_version = dict.fromkeys(id_list, 0)
 
         schedule = async_upload_schedule(
-            {d.device_id: d.unit_time for d in participants}, duration
+            dict(zip(id_list, self._unit_times[ids].tolist())), duration
         )
         current = global_weights
         for _time, dev_id in schedule:
-            dev = by_id[dev_id]
-            trained = dev.run_unit(
-                local_view[dev_id],
+            # Each unit starts from the device's latest mix, so every wave
+            # has one member.
+            one = np.array([dev_id], dtype=np.intp)
+            trained = np.empty((1, self.trainer.dim))
+            run_units(
+                self.batched_trainer,
+                self.fleet,
+                one,
                 cfg.local_epochs,
                 round_idx,
-                unit_counter[dev_id],
+                local_view[dev_id],
+                trained,
+                unit_idx=unit_counter[dev_id],
+                sync=True,
             )
             unit_counter[dev_id] += 1
             arrived, uploaded = self.collect_models(
-                [dev], trained.reshape(1, -1),
-                reference=local_view[dev_id], ensure_one=False,
+                one, trained, reference=local_view[dev_id], ensure_one=False,
             )
-            if not arrived:
+            if not len(arrived):
                 continue  # upload lost: the global model never sees it
             rate = cfg.alpha
             if cfg.staleness_exponent > 0:
@@ -111,8 +117,8 @@ class TAFedAvgServer(FederatedServer):
             version += 1
             # Server replies with the fresh global; device trains it next
             # (a lost reply leaves the device on its stale view).
-            delivered, reply = self.broadcast_model([dev], current, ensure_one=False)
-            if delivered:
+            delivered, reply = self.broadcast_model(one, current, ensure_one=False)
+            if len(delivered):
                 local_view[dev_id] = reply
                 view_version[dev_id] = version
 

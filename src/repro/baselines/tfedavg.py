@@ -15,7 +15,6 @@ import numpy as np
 from repro.core.aggregation import sample_weighted_average
 from repro.core.registry import register_method
 from repro.core.server import FederatedServer, ServerConfig
-from repro.device.device import Device
 
 __all__ = ["TFedAvgConfig", "TFedAvgServer"]
 
@@ -36,17 +35,17 @@ class TFedAvgServer(FederatedServer):
     def run_round(
         self,
         round_idx: int,
-        participants: list[Device],
+        ids: np.ndarray,
         global_weights: np.ndarray,
     ) -> np.ndarray:
-        duration = self.round_duration(participants)  # wait for the straggler
-        receivers, view = self.broadcast_model(participants, global_weights)
+        duration = self.round_duration(ids)  # wait for the straggler
+        receivers, view = self.broadcast_model(ids, global_weights)
         stack = self.round_rows(receivers)
         epochs = np.full(len(receivers), self.config.local_epochs)
-        self.train_round(stack=stack, receivers=receivers, epochs=epochs,
+        self.train_round(stack=stack, ids=receivers, epochs=epochs,
                          round_idx=round_idx, global_weights=view)
         arrived, stack = self.collect_models(receivers, stack, reference=view)
         self.clock.advance_by(duration)
-        counts = self.counts_of(receivers)
+        counts = self.fleet.num_samples[receivers]
         stack, counts = self.filter_arrived(arrived, stack, counts)
         return sample_weighted_average(stack, counts)

@@ -841,7 +841,7 @@ class AsyncFederatedServer(FederatedServer):
         self._trained.clear()
         return self._assemble_result()
 
-    def run_round(self, round_idx, participants, global_weights):
+    def run_round(self, round_idx, ids, global_weights):
         raise NotImplementedError(
             "async servers run on the event loop, not per-round hooks"
         )

@@ -26,7 +26,6 @@ from repro.core.registry import register_method
 from repro.core.ring import RING_ORDERS, build_rings
 from repro.core.server import FederatedServer, ServerConfig
 from repro.datasets.core import ClassificationDataset
-from repro.device.device import Device
 from repro.device.fleet import DeviceFleet
 from repro.device.network import LinkDelayModel
 from repro.env.environment import Environment
@@ -105,16 +104,15 @@ class FedHiSynServer(FederatedServer):
     def run_round(
         self,
         round_idx: int,
-        participants: list[Device],
+        ids: np.ndarray,
         global_weights: np.ndarray,
     ) -> np.ndarray:
         cfg: FedHiSynConfig = self.config  # type: ignore[assignment]
-        ids = self.ids_of(participants)
-        times = self.unit_times_of(participants)
+        times = self._unit_times[ids]
 
         # (1) capacity classes, fastest first (Alg 1 line 4).
         classes = cluster_by_capacity(
-            times, min(cfg.num_classes, len(participants)), method=cfg.clustering_method
+            times, min(cfg.num_classes, len(ids)), method=cfg.clustering_method
         )
         # (2) one ring per class (lines 5-6).
         rings = build_rings(
@@ -129,18 +127,18 @@ class FedHiSynServer(FederatedServer):
         # pull is lost enters its ring on its previous round's model
         # instead — a lost message is harmless to liveness (Eq. 7).
         # Under a codec everyone who received starts from the decoded view.
-        receivers, view = self.broadcast_model(participants, global_weights)
-        start = self.start_views(participants, receivers, view)
+        receivers, view = self.broadcast_model(ids, global_weights)
+        start = self.start_views(ids, receivers, view)
         # Ring results snapshot into recycled fleet rows for the upload
         # stack below (no-op for lossy envs).
-        self.register_round(participants)
+        self.register_round(ids)
 
         # (4) ring training for the round duration (lines 7-16).  Ring
         # forwards compress against the round's shared broadcast view;
         # after a lossy broadcast there is no shared reference and the
         # hops go dense (codec_reference=None).  Completion waves train on
         # the server's own batched trainer.
-        duration = self.round_duration(participants) * cfg.round_length_multiplier
+        duration = self.round_duration(ids) * cfg.round_length_multiplier
         shared_view = view if not isinstance(start, dict) else None
         stats = self.engine.run_round(
             rings, start, duration, round_idx,
@@ -160,15 +158,15 @@ class FedHiSynServer(FederatedServer):
         self.clock.advance_by(duration)
 
         # (5) synchronous upload + aggregation (line 17).
-        stack = self.stack_weights(participants)
+        stack = self.fleet.stack_weights(ids)
         # Uplink reference: the shared view, or the per-device start dict
         # after a lossy broadcast (collect_models resolves it per sender).
-        arrived, stack = self.collect_models(participants, stack, reference=start)
+        arrived, stack = self.collect_models(ids, stack, reference=start)
         if cfg.aggregation == "class_time":
             # Each participant's weight is its class's mean unit time;
             # ``classes`` holds positions into the participant order, so
             # this fills the weight vector class-by-class, vectorized.
-            weights_vec = np.empty(len(participants))
+            weights_vec = np.empty(len(ids))
             for cls in classes:
                 weights_vec[cls] = times[cls].mean()
             stack, weights_vec = self.filter_arrived(arrived, stack, weights_vec)

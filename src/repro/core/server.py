@@ -13,6 +13,11 @@ Server↔device traffic flows through the **channel API** —
 link transfer time to the virtual clock and applies the
 :class:`~repro.env.environment.Environment`'s message drops, so method
 implementations never touch the meter or the network model directly.
+
+The round protocol speaks device *ids*: a participant set is an intp
+array of fleet ids in participant order, and every hook and channel call
+takes and returns such arrays (or, for uploads, ascending indices into
+them).  No per-device object is built on the round path.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from repro.compression.codecs import IdentityCodec
 from repro.core.selection import bernoulli_ids
 from repro.datasets.core import ClassificationDataset
 from repro.device.batched import BatchedTrainer
-from repro.device.device import Device
 from repro.device.fleet import DeviceFleet
 from repro.env.environment import Environment
 from repro.faults.model import FaultModel, NoFaults
@@ -43,7 +47,6 @@ from repro.simulation.scheduler import (
     EVAL_CHECKPOINT,
     ROUND_BARRIER,
     Scheduler,
-    completed_units,
     completed_units_array,
 )
 from repro.transport.base import Transport
@@ -113,8 +116,9 @@ class ServerConfig:
 class FederatedServer:
     """Template-method FL server on virtual time.
 
-    Subclasses set ``method`` and implement ``run_round(round_idx,
-    participants, global_weights) -> new_global_weights``; they move models
+    Subclasses set ``method`` and implement ``run_round(round_idx, ids,
+    global_weights) -> new_global_weights``, where ``ids`` is the round's
+    participant id array in participant order; they move models
     through :meth:`broadcast`/:meth:`collect`/:meth:`peer_send` (which own
     all metering and environment effects) and advance ``self.clock`` by the
     round's compute duration.
@@ -135,8 +139,7 @@ class FederatedServer:
         self.logger = logger if logger is not None else NullLogger()
         self.env = env if env is not None else Environment.ideal()
         # The population lives in struct-of-arrays storage; `self.devices`
-        # is the same object under its sequence protocol (facades are built
-        # lazily per participant, never for idle devices).
+        # is the same object under its sequence protocol.
         self.fleet = self.devices = DeviceFleet.require(devices)
         self.trainer = devices.trainer
         self._unit_times = devices.unit_times
@@ -193,19 +196,13 @@ class FederatedServer:
         self.dropped_messages = 0
         self.unavailable_count = 0
         self._drop_rng: np.random.Generator | None = None
-        # Cache of the last selection: the participant list handed to
-        # run_round plus its aligned id array, so helpers that receive
-        # that same list back (the common lossless case) skip rebuilding
-        # ids from Python objects.
-        self._round_list: list[Device] | None = None
-        self._round_ids: np.ndarray | None = None
 
     # ---------------------------------------------------------------- hooks
 
     def run_round(
         self,
         round_idx: int,
-        participants: list[Device],
+        ids: np.ndarray,
         global_weights: np.ndarray,
     ) -> np.ndarray:
         raise NotImplementedError
@@ -255,7 +252,7 @@ class FederatedServer:
             )
         return bernoulli_ids(self.fleet, self._participation, rng)
 
-    def select_participants(self, round_idx: int) -> list[Device]:
+    def select_participants(self, round_idx: int) -> np.ndarray:
         """Bernoulli(participation) per device, at least one participant.
 
         The paper: "each device has a 100%, 50%, and 10% chance of
@@ -263,9 +260,8 @@ class FederatedServer:
         through the environment's availability model (offline devices were
         picked but never show up), still guaranteeing one participant.
 
-        The whole selection runs as array ops over device *ids* — policy,
-        availability, transfer charging never touch a Python object — and
-        facades are materialized only for the final participant set.
+        Returns the participant id array in policy order (a ranked policy's
+        ranking survives); the whole selection is array ops over ids.
         """
         ids = self._select_ids(round_idx, self._seeds.generator(round_idx, 1))
         if not self.env.availability.always_on:
@@ -277,10 +273,7 @@ class FederatedServer:
             )
             self.unavailable_count += len(ids) - len(online)
             ids = online
-        chosen = list(map(self.fleet.device, ids.tolist()))
-        self._round_list = chosen
-        self._round_ids = ids
-        return chosen
+        return ids
 
     # ------------------------------------------------------ fault machinery
 
@@ -307,11 +300,11 @@ class FederatedServer:
     def charge_round(
         self,
         round_idx: int,
-        receivers: list[Device],
+        ids: np.ndarray,
         duration: float,
         stack: np.ndarray,
-        arrived: list[int],
-    ) -> tuple[list[int], np.ndarray]:
+        arrived: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Close a barrier round's compute phase: inject faults, apply the
         deadline, charge the clock.
 
@@ -322,23 +315,23 @@ class FederatedServer:
         are drawn from the round's fault stream, byzantine rows are
         corrupted (on a copy — device state stays honest), late uploads
         are cut by ``config.round_deadline``, and the clock is charged
-        the deadline rather than the slowest straggler.
+        the deadline rather than the slowest straggler.  ``ids`` are the
+        round's receivers and ``arrived`` the ascending indices into them
+        that :meth:`collect_models` returned.
         """
         if not self.faults_active:
             self.clock.advance_by(duration)
             return arrived, stack
         res = self.resilience
-        n = len(receivers)
-        completion = np.full(n, float(duration))
+        completion = np.full(len(ids), float(duration))
         if not self.faults.is_null:
             rng = self._seeds.generator(round_idx, _FAULT_ROUND_STREAM)
-            ids = self.ids_of(receivers)
             effects = self.faults.round_effects(ids, duration, rng)
             completion = duration * effects.factors + effects.extra
             res.injected_crashes += effects.crashes
             res.injected_slowdowns += effects.slowdowns
             res.wasted_time += effects.lost_time
-            byz = [i for i in arrived if self.faults.is_byzantine(int(ids[i]))]
+            byz = [i for i in arrived.tolist() if self.faults.is_byzantine(int(ids[i]))]
             if byz:
                 # Corrupt a detached copy: in recycled-arena mode the rows
                 # are the devices' live weights, and a byzantine device
@@ -348,75 +341,38 @@ class FederatedServer:
                     stack[i] = self.faults.corrupt(stack[i], int(ids[i]), rng)
                     res.injected_corruptions += 1
         deadline = self.config.round_deadline
-        if deadline is None:
-            charge = float(completion[arrived].max()) if arrived else duration
-        else:
-            landed = [i for i in arrived if completion[i] <= deadline]
-            if len(landed) < len(arrived):
+        times = completion[arrived]
+        charge = float(times.max()) if len(arrived) else duration
+        if deadline is not None:
+            on_time = times <= deadline
+            if not on_time.all():
                 res.deadline_hits += 1
-                res.dropped_updates += len(arrived) - len(landed)
-                res.wasted_time += float(
-                    sum(completion[i] for i in arrived if completion[i] > deadline)
-                )
-                if landed:
+                res.dropped_updates += int((~on_time).sum())
+                # A Python sum, in arrival order: the ledger's float.
+                res.wasted_time += float(sum(times[~on_time].tolist()))
+                if on_time.any():
+                    arrived = arrived[on_time]
                     charge = float(deadline)
                 else:
                     # A server must aggregate something: wait for the
                     # earliest finisher (and pay for the overrun).
-                    best = min(arrived, key=lambda i: completion[i])
-                    landed = [best]
-                    charge = float(completion[best])
-                arrived = landed
-            else:
-                charge = float(completion[arrived].max()) if arrived else duration
+                    best = int(np.argmin(times))
+                    arrived = arrived[best : best + 1]
+                    charge = float(times[best])
         self.clock.advance_by(charge)
         return arrived, stack
 
     # ------------------------------------------------------- fleet helpers
 
-    def ids_of(self, devices: list[Device]) -> np.ndarray:
-        """Device-id array aligned with ``devices``.
-
-        Free when ``devices`` is the list :meth:`select_participants`
-        produced this round (the lossless-channel common case); otherwise
-        one pass over the objects.
-        """
-        if devices is self._round_list:
-            return self._round_ids
-        return np.fromiter(
-            (d.device_id for d in devices), dtype=np.intp, count=len(devices)
-        )
-
-    def unit_times_of(self, devices: list[Device]) -> np.ndarray:
-        """Per-device unit times aligned with ``devices``, vectorized."""
-        return self._unit_times[self.ids_of(devices)]
-
-    def counts_of(self, devices: list[Device]) -> np.ndarray:
-        """Per-device sample counts aligned with ``devices``."""
-        return self.fleet.num_samples[self.ids_of(devices)]
-
-    def local_epochs_for(self, device: Device, duration: float) -> int:
-        """Maximum achievable epochs within the round (paper Section 6.1):
-        ``floor(duration / unit_time)`` units, at least one.  The
-        per-device hook; override to change the epoch budget policy."""
-        return completed_units(duration, device.unit_time) * self.config.local_epochs
-
-    def epochs_for(self, devices: list[Device], duration: float) -> np.ndarray:
-        """Achievable local epochs per device within ``duration``.
-
-        The vectorized form of :meth:`local_epochs_for`; a subclass that
-        overrides the per-device hook is honored (the loop form runs), so
-        the two can never disagree.
-        """
-        if type(self).local_epochs_for is not FederatedServer.local_epochs_for:
-            return np.array(
-                [self.local_epochs_for(d, duration) for d in devices]
-            )
-        times = self.unit_times_of(devices)
+    def epochs_for(self, ids: np.ndarray, duration: float) -> np.ndarray:
+        """Maximum achievable local epochs per device within ``duration``
+        (paper Section 6.1): ``floor(duration / unit_time)`` units, at least
+        one, of ``config.local_epochs`` epochs each."""
+        times = self._unit_times[ids]
         return completed_units_array(duration, times) * self.config.local_epochs
 
-    def round_rows(self, devices: list[Device]) -> np.ndarray:
-        """``(len(devices), dim)`` training stack for this round.
+    def round_rows(self, ids: np.ndarray) -> np.ndarray:
+        """``(len(ids), dim)`` training stack for this round.
 
         In recycled-fleet mode (lossless channels) the rows *are* the
         devices' weight rows — training into them lands results directly
@@ -426,8 +382,8 @@ class FederatedServer:
         drop-fallback history.
         """
         if self.rows_live:
-            return self.fleet.round_matrix(self.ids_of(devices))
-        return np.empty((len(devices), self.trainer.dim))
+            return self.fleet.round_matrix(ids)
+        return np.empty((len(ids), self.trainer.dim))
 
     @property
     def rows_live(self) -> bool:
@@ -436,25 +392,21 @@ class FederatedServer:
         the per-device ``weights`` sync entirely."""
         return not self.fleet.retain_history
 
-    def register_round(self, devices: list[Device]) -> None:
+    def register_round(self, ids: np.ndarray) -> None:
         """Pin this round's devices to recycled fleet rows.
 
         For methods whose training results are staged elsewhere (FedAT
-        tier stacks, the ring engine, async mixing): every ``weights``
-        assignment during the round then snapshots into the reused arena
-        instead of materializing per-device rows that outlive the round.
-        No-op when history must be retained.
+        tier stacks, the ring engine, async mixing): every
+        ``fleet.set_weights`` during the round then snapshots into the
+        reused arena instead of materializing per-device rows that outlive
+        the round.  No-op when history must be retained.
         """
         if self.rows_live:
-            self.fleet.round_matrix(self.ids_of(devices))
-
-    def stack_weights(self, devices: list[Device]) -> np.ndarray:
-        """Stacked current weights of ``devices`` (aggregation input)."""
-        return self.fleet.stack_weights(self.ids_of(devices))
+            self.fleet.round_matrix(ids)
 
     def train_round(
         self,
-        receivers: list[Device],
+        ids: np.ndarray,
         stack: np.ndarray,
         epochs: np.ndarray,
         round_idx: int,
@@ -462,7 +414,8 @@ class FederatedServer:
         anchor: np.ndarray | None = None,
         mu: float = 0.0,
     ) -> None:
-        """One training unit per receiver, results into ``stack`` rows.
+        """One training unit per device in ``ids``, results into ``stack``
+        rows.
 
         The FedAvg-family inner loop, delegated to the transport backend:
         the sim default trains in-process (bit-identical to when this
@@ -472,7 +425,7 @@ class FederatedServer:
         """
         self.transport.train_round(
             self,
-            receivers,
+            ids,
             stack,
             epochs,
             round_idx,
@@ -485,56 +438,57 @@ class FederatedServer:
 
     def broadcast(
         self,
-        receivers: list[Device],
+        ids: np.ndarray,
         model_units: float = 1.0,
         ensure_one: bool = True,
-    ) -> list[Device]:
+    ) -> np.ndarray:
         """Server -> device push of the current model (or model + state).
 
-        Meters one download per receiver (sent, not delivered — a lost
-        message still crossed the costed channel), charges the slowest
-        link's transfer time to the virtual clock, and returns the devices
-        the message actually reached.  ``ensure_one=True`` (round-level
-        calls) guarantees at least one delivery so a round can never stall;
-        event-level callers (FedAT tier rounds, TAFedAvg replies) pass
-        ``False`` and handle an empty delivery themselves.
+        Meters one download per receiver in ``ids`` (sent, not delivered —
+        a lost message still crossed the costed channel), charges the
+        slowest link's transfer time to the virtual clock, and returns the
+        ids the message actually reached, in ``ids`` order.
+        ``ensure_one=True`` (round-level calls) guarantees at least one
+        delivery so a round can never stall; event-level callers (FedAT
+        tier rounds, TAFedAvg replies) pass ``False`` and handle an empty
+        delivery themselves.
         """
-        if not receivers:
-            return []
-        self.meter.record_download(len(receivers), model_units)
-        self._charge_transfer(receivers, model_units)
-        return self._apply_drops(receivers, ensure_one)
+        if not len(ids):
+            return ids
+        self.meter.record_download(len(ids), model_units)
+        self._charge_transfer(ids, model_units)
+        return self._apply_drops(ids, ensure_one)
 
     def collect(
         self,
-        senders: list[Device],
+        ids: np.ndarray,
         model_units: float = 1.0,
         ensure_one: bool = True,
-    ) -> list[int]:
+    ) -> np.ndarray:
         """Device -> server uploads after local training.
 
-        Meters one upload per sender, charges the slowest uplink to the
-        clock, and returns the *indices* (into ``senders``) whose upload
+        Meters one upload per sender in ``ids``, charges the slowest uplink
+        to the clock, and returns the *indices* (into ``ids``) whose upload
         survived message drops — the aggregation step filters its stacked
         updates by them.  Indices are always returned in ascending order.
         """
-        if not senders:
-            return []
-        self.meter.record_upload(len(senders), model_units)
-        self._charge_transfer(senders, model_units)
-        return self._apply_drops(list(range(len(senders))), ensure_one)
+        if not len(ids):
+            return np.empty(0, dtype=np.intp)
+        self.meter.record_upload(len(ids), model_units)
+        self._charge_transfer(ids, model_units)
+        return self._apply_drops(np.arange(len(ids)), ensure_one)
 
     def broadcast_model(
         self,
-        receivers: list[Device],
+        ids: np.ndarray,
         weights: np.ndarray,
         extra_units: float = 0.0,
         ensure_one: bool = True,
-    ) -> tuple[list[Device], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Codec-aware :meth:`broadcast`: push ``weights`` down the wire.
 
-        Returns ``(delivered, view)`` where ``view`` is the model the
-        receivers actually obtain — ``weights`` itself under the identity
+        Returns ``(delivered, view)``: the ids reached, and the model they
+        actually obtain — ``weights`` itself under the identity
         codec (fast path: delegates to :meth:`broadcast`, bit-identical),
         the codec's decoded reconstruction otherwise.  The decoded view
         becomes the new shared downlink reference, so successive
@@ -542,34 +496,34 @@ class FederatedServer:
         ``extra_units`` rides along uncompressed (SCAFFOLD's control
         variate — server state, not a model update).
         """
-        if not receivers:
-            return [], weights
+        if not len(ids):
+            return ids, weights
         if not self.transport.is_sim:
             return self.transport.broadcast_model(
-                self, receivers, weights, extra_units, ensure_one
+                self, ids, weights, extra_units, ensure_one
             )
         codec = self.codec
         if codec.is_identity:
-            return self.broadcast(receivers, 1.0 + extra_units, ensure_one), weights
+            return self.broadcast(ids, 1.0 + extra_units, ensure_one), weights
         enc = codec.encode(weights, key="server-down", reference=self._codec_down_ref)
         units = enc.model_units + extra_units
-        self.meter.record_download(len(receivers), units, raw_units=1.0 + extra_units)
-        self._charge_transfer(receivers, units)
-        delivered = self._apply_drops(receivers, ensure_one)
+        self.meter.record_download(len(ids), units, raw_units=1.0 + extra_units)
+        self._charge_transfer(ids, units)
+        delivered = self._apply_drops(ids, ensure_one)
         view = codec.decode(enc)
         self._codec_down_ref = view
         return delivered, view
 
     def collect_models(
         self,
-        senders: list[Device],
+        ids: np.ndarray,
         stack: np.ndarray,
         reference: np.ndarray | dict[int, np.ndarray] | None = None,
         extra_units: float = 0.0,
         ensure_one: bool = True,
-    ) -> tuple[list[int], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Codec-aware :meth:`collect`: upload ``stack``'s rows (row i is
-        ``senders[i]``'s trained model).
+        device ``ids[i]``'s trained model).
 
         Returns ``(arrived, decoded)``: the surviving indices plus the
         stack the server actually reconstructs — ``stack`` itself under
@@ -580,62 +534,56 @@ class FederatedServer:
         broadcast); senders without one upload dense.  Per-sender wire
         sizes differ, so the clock charge uses the per-link unit vector.
         """
-        if not senders:
-            return [], stack
+        if not len(ids):
+            return np.empty(0, dtype=np.intp), stack
         if not self.transport.is_sim:
             return self.transport.collect_models(
-                self, senders, stack, reference, extra_units, ensure_one
+                self, ids, stack, reference, extra_units, ensure_one
             )
         codec = self.codec
         if codec.is_identity:
-            return (
-                self.collect(senders, 1.0 + extra_units, ensure_one),
-                stack,
-            )
-        decoded = np.empty((len(senders), stack.shape[1]), dtype=np.float64)
-        units = np.empty(len(senders), dtype=np.float64)
+            return self.collect(ids, 1.0 + extra_units, ensure_one), stack
+        decoded = np.empty((len(ids), stack.shape[1]), dtype=np.float64)
+        units = np.empty(len(ids), dtype=np.float64)
         by_id = reference if isinstance(reference, dict) else None
-        for i, dev in enumerate(senders):
-            ref = by_id.get(dev.device_id) if by_id is not None else reference
-            enc = codec.encode(stack[i], key=int(dev.device_id), reference=ref)
+        for i, dev_id in enumerate(ids.tolist()):
+            ref = by_id.get(dev_id) if by_id is not None else reference
+            enc = codec.encode(stack[i], key=dev_id, reference=ref)
             units[i] = enc.model_units + extra_units
             decoded[i] = codec.decode(enc)
         self.meter.record_upload(
-            1, float(units.sum()), raw_units=len(senders) * (1.0 + extra_units)
+            1, float(units.sum()), raw_units=len(ids) * (1.0 + extra_units)
         )
-        self._charge_transfer(senders, units)
-        arrived = self._apply_drops(list(range(len(senders))), ensure_one)
+        self._charge_transfer(ids, units)
+        arrived = self._apply_drops(np.arange(len(ids)), ensure_one)
         return arrived, decoded
 
     def start_views(
         self,
-        participants: list[Device],
-        receivers: list[Device],
+        ids: np.ndarray,
+        delivered: np.ndarray,
         global_weights: np.ndarray,
     ) -> np.ndarray | dict[int, np.ndarray]:
         """Per-device training start model after a (possibly lossy) broadcast.
 
-        The companion to :meth:`broadcast`: receivers start from the global
-        model; a device whose pull was lost continues its previous weights
-        (or the global model when it has none yet — round one).  Returns
-        the plain global vector when everyone received, so the lossless
-        path allocates nothing.
+        The companion to :meth:`broadcast`: the ``delivered`` subset of
+        ``ids`` starts from the global model; a device whose pull was lost
+        continues its previous fleet row (or the global model when it has
+        none yet — round one).  Returns the plain global vector when
+        everyone received, so the lossless path allocates nothing.
         """
-        if len(receivers) == len(participants):
+        if len(delivered) == len(ids):
             return global_weights
-        got = {d.device_id for d in receivers}
-        return {
-            d.device_id: (
-                global_weights
-                if d.device_id in got or d.weights is None
-                else d.weights
-            )
-            for d in participants
-        }
+        got = set(delivered.tolist())
+        views = {}
+        for dev_id in ids.tolist():
+            own = self.fleet.weights_row(dev_id)
+            views[dev_id] = global_weights if dev_id in got or own is None else own
+        return views
 
     @staticmethod
     def filter_arrived(
-        arrived: list[int], *arrays: np.ndarray
+        arrived: np.ndarray, *arrays: np.ndarray
     ) -> tuple[np.ndarray, ...]:
         """Slice per-sender stacked arrays down to the uploads that arrived.
 
@@ -661,7 +609,7 @@ class FederatedServer:
         self.meter.record_peer(count, model_units, raw_units)
 
     def _charge_transfer(
-        self, devices: list[Device], model_units: float | np.ndarray
+        self, ids: np.ndarray, model_units: float | np.ndarray
     ) -> None:
         """Advance the clock by the slowest link's transfer time.
 
@@ -671,13 +619,14 @@ class FederatedServer:
         and the clock is untouched.  ``model_units`` may be a per-device
         array (codec uploads have per-sender wire sizes).
         """
-        t = self.env.server_transfer_time_ids(self.ids_of(devices), model_units)
+        t = self.env.server_transfer_time_ids(ids, model_units)
         if t > 0.0:
             self.clock.advance_by(t)
 
-    def _apply_drops(self, items: list, ensure_one: bool) -> list:
+    def _apply_drops(self, items: np.ndarray, ensure_one: bool) -> np.ndarray:
         """Independently drop each message with the network's drop_prob.
 
+        ``items`` is an id (or index) array; the survivors keep its order.
         Returns ``items`` unchanged (same object, no rng draw) when the
         environment never drops — the bit-identity fast path.
         """
@@ -687,10 +636,10 @@ class FederatedServer:
         if self._drop_rng is None:
             self._drop_rng = self._seeds.generator(*_DROP_STREAM_KEY)
         rng = self._drop_rng
-        mask = rng.random(len(items)) >= p
-        kept = [item for item, ok in zip(items, mask) if ok]
-        if not kept and ensure_one:
-            kept = [items[int(rng.integers(len(items)))]]
+        kept = items[rng.random(len(items)) >= p]
+        if not len(kept) and ensure_one:
+            pick = int(rng.integers(len(items)))
+            kept = items[pick : pick + 1]
         self.dropped_messages += len(items) - len(kept)
         return kept
 
@@ -709,9 +658,9 @@ class FederatedServer:
             return True
         return False
 
-    def round_duration(self, participants: list[Device]) -> float:
+    def round_duration(self, ids: np.ndarray) -> float:
         """Paper convention: the slowest participant's unit time."""
-        return float(self.unit_times_of(participants).max())
+        return float(self._unit_times[ids].max())
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float]:
         """(accuracy, loss) of ``weights`` on the held-out test set.
@@ -760,8 +709,8 @@ class FederatedServer:
         cfg = self.config
         self.current_round = r
         self._deployed_weights = self.global_weights
-        participants = self.select_participants(r)
-        self.global_weights = self.run_round(r, participants, self.global_weights)
+        ids = self.select_participants(r)
+        self.global_weights = self.run_round(r, ids, self.global_weights)
         if r % cfg.eval_every == 0 or r == cfg.rounds:
             acc, loss = self.evaluate(self.global_weights)
             self.history.record(

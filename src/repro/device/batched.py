@@ -263,6 +263,14 @@ class BatchedTrainer:
         return x, y
 
 
+def _per_member(value: np.ndarray | int, n: int) -> list:
+    """One value, or one per member, as ``n`` Python scalars (numpy scalars
+    must not leak into rng stream keys).  Cheaper than ``np.broadcast_to``
+    for the scalar case, which waves of one hit once per unit."""
+    value = np.asarray(value)
+    return [value.item()] * n if value.ndim == 0 else value.tolist()
+
+
 def run_units(
     batched: BatchedTrainer | None,
     fleet: DeviceFleet,
@@ -288,14 +296,16 @@ def run_units(
     SCAFFOLD ``corrections`` rows.  Returns the per-member SGD step counts.
 
     Two or more members on a stackable model train as one
-    ``batched.train_round`` call; anything else — a wave of one, a model
-    the engine cannot stack (``batched`` is None), or the scalar oracle
+    ``batched.train_round`` call; anything else — a wave of one (a
+    TAFedAvg unit, which starts from the previous mix), a model the engine
+    cannot stack (``batched`` is None), or the scalar oracle
     (``server.batched_trainer = None``) — calls ``LocalTrainer.train`` once
     per member.  Callers then run their codec/drop/send bookkeeping over
     ``out`` in member order, so every rng draw and meter charge keeps its
-    place.  ``sync=True`` copies each result into its device's retained
-    fleet row, as ``Device.run_unit`` would; callers that trained straight
-    into registered rows (or keep results to themselves) leave it off.
+    place.  ``sync=True`` snapshots each result into its device's fleet row
+    (``fleet.set_weights``); callers that trained straight into registered
+    rows (or keep results to themselves) leave it off.  There is no other
+    way to train a device.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if batched is not None and len(ids) >= 2:
@@ -305,9 +315,8 @@ def run_units(
         )
     else:
         n = len(ids)
-        # tolist(): numpy scalars must not leak into rng stream keys.
-        epochs_of = np.broadcast_to(epochs, n).tolist()
-        units = np.broadcast_to(unit_idx, n).tolist()
+        epochs_of = _per_member(epochs, n)
+        units = _per_member(unit_idx, n)
         shared = isinstance(starts, np.ndarray) and starts.ndim == 1
         train = fleet.trainer.train
         steps = np.empty(n, dtype=np.intp)

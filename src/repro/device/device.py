@@ -185,44 +185,27 @@ class LocalTrainer:
 
 
 class Device:
-    """One federated participant: the row facade over a
-    :class:`~repro.device.fleet.DeviceFleet` slot.
+    """One federated participant, read-only: the row facade ``fleet[i]``
+    over a :class:`~repro.device.fleet.DeviceFleet` slot.
 
     Owns no arrays — ``shard`` is a zero-copy slice of the fleet's
-    gathered data block (built on first access), ``weights`` reads are
-    zero-copy views into the fleet's weight rows — and is built lazily by
-    :meth:`DeviceFleet.device`, never for an idle device.
-
-    ``buffer`` realizes Algorithm 1's per-device stack B_i: the *back*
-    (last element) is the model the device trains next; ring predecessors
-    push onto it via :meth:`receive`.
-
-    **Weight-ownership rule.**  :meth:`receive` *borrows*: the buffer
-    aliases the array (no copy) and never mutates it — training copies the
-    start model into the shared trainer first — so the sender must not
-    mutate an array after handing it over; the server upholds this by
-    always *replacing* ``global_weights`` with a freshly produced vector
-    rather than updating it in place.  Assigning ``weights`` (and so
-    :meth:`reset_buffer` and :meth:`run_unit`) *snapshots* the value into
-    the device's fleet row, which stays valid until the device's next
-    training unit — or, with recycled rows, the next round — overwrites
-    it.
+    gathered data block (built on first access), ``weights`` is a
+    zero-copy view of the device's fleet row (None while idle) — and is
+    built lazily by :meth:`DeviceFleet.device`, never on the round path:
+    servers, the ring engine and the transports speak id arrays and read
+    or write rows through the fleet.  The facade serves tests, examples
+    and interactive inspection of one device.
     """
 
     def __init__(self, fleet: DeviceFleet, device_id: int) -> None:
         # The fleet constructor already validated unit times and shard sizes.
         self.fleet = fleet
         self.device_id = device_id
-        self.trainer = fleet.trainer
         self.unit_time = float(fleet.unit_times[device_id])
-        self.buffer: list[np.ndarray] = []
-        self._shard: ClassificationDataset | None = None
 
     @property
     def shard(self) -> ClassificationDataset:
-        if self._shard is None:
-            self._shard = self.fleet.shard(self.device_id)
-        return self._shard
+        return self.fleet.shard(self.device_id)
 
     @property
     def num_samples(self) -> int:
@@ -230,82 +213,5 @@ class Device:
 
     @property
     def weights(self) -> np.ndarray | None:
-        """The device's current model (None until it first trains/resets)."""
+        """The device's current model (None until it first trains)."""
         return self.fleet.weights_row(self.device_id)
-
-    @weights.setter
-    def weights(self, value: np.ndarray | None) -> None:
-        if value is None:
-            self.fleet.clear_weights(self.device_id)
-        else:
-            self.fleet.set_weights(self.device_id, value)
-
-    def reset_buffer(self, weights: np.ndarray) -> None:
-        """Algorithm 1 lines 8-9: clear B_i and push the round-start model
-        (borrowed by the buffer, snapshotted into the device's row)."""
-        self.buffer.clear()
-        self.buffer.append(weights)
-        self.weights = weights
-
-    def receive(self, weights: np.ndarray) -> None:
-        """Ring predecessor (or server) hands over a model (borrowed —
-        the sender must not mutate it afterwards)."""
-        self.buffer.append(weights)
-
-    def run_unit(
-        self,
-        start_weights: np.ndarray,
-        epochs: int,
-        round_idx: int,
-        unit_idx: int,
-        anchor: np.ndarray | None = None,
-        mu: float = 0.0,
-        correction: np.ndarray | None = None,
-        lr: float | None = None,
-        out: np.ndarray | None = None,
-        sync: bool = True,
-    ) -> np.ndarray:
-        """One local-training unit from explicit start weights.
-
-        Pure compute: buffer choreography (what to train next, what arrived
-        mid-unit) is owned by the simulation engine.  Sets ``self.weights``
-        to the result and returns it.  ``out`` (a caller-owned row, e.g.
-        the fleet round matrix) receives the result without a fresh
-        allocation.  ``sync=False`` skips the ``self.weights`` assignment —
-        for callers that trained straight into the device's *registered*
-        fleet row (``FederatedServer.rows_live``), where the assignment
-        would be a redundant self-copy check per device.
-        """
-        new_weights, _ = self.trainer.train(
-            start_weights,
-            self.shard,
-            epochs,
-            stream_key=(self.device_id, round_idx, unit_idx),
-            anchor=anchor,
-            mu=mu,
-            correction=correction,
-            lr=lr,
-            out=out,
-        )
-        if sync:
-            self.weights = new_weights
-        return new_weights
-
-    def train_unit(
-        self,
-        epochs: int,
-        round_idx: int,
-        unit_idx: int,
-        **kwargs,
-    ) -> np.ndarray:
-        """Convenience for sequential (non-event-driven) experiments:
-        train the newest buffered model; the result supersedes the buffer
-        (Algorithm 1's Update-in-place of ``B_i.back()``)."""
-        if not self.buffer:
-            raise RuntimeError(f"device {self.device_id} has an empty buffer")
-        new_weights = self.run_unit(
-            self.buffer[-1], epochs, round_idx, unit_idx, **kwargs
-        )
-        self.buffer.clear()
-        self.buffer.append(new_weights)
-        return new_weights

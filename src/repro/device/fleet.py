@@ -22,9 +22,12 @@ Two storage modes, chosen by the server from the environment:
   with the set of ever-active devices, which is inherent: state someone
   may still read cannot be recycled.
 
-A :class:`~repro.device.device.Device` is the row-view facade over one
-slot (built lazily, cached): the object the ring engine's ``run_unit``
-choreography and the methods' ``run_round`` hooks handle.
+Servers, the ring engine and the transports address devices by id: a
+round is an intp id array, and state moves through ``weights_row``,
+``set_weights`` and ``round_matrix``.  A
+:class:`~repro.device.device.Device` (``fleet[i]``) is the read-only row
+facade over one slot, built lazily and cached for tests, examples and
+inspection — never on the round path.
 """
 
 from __future__ import annotations
@@ -302,10 +305,6 @@ class DeviceFleet:
         ):
             return
         np.copyto(view, values)
-
-    def clear_weights(self, device_id: int) -> None:
-        self._arena_row.pop(device_id, None)
-        self._views[device_id] = None
 
     def round_matrix(self, ids: np.ndarray) -> np.ndarray:
         """Contiguous ``(len(ids), dim)`` matrix whose rows become the

@@ -2,10 +2,12 @@
 
 :class:`RingRoundEngine` realizes Algorithm 1's inner loop (lines 7-16)
 with real virtual-time semantics rather than the paper's lockstep
-pseudocode: each device trains its next unit from the newest model in its
-buffer at unit *start*; models arriving mid-unit are queued and take effect
-on the next unit; every completed unit is forwarded to the ring successor
-after the link delay.
+pseudocode: each device trains its next unit from the newest model that
+reached it by unit *start* (Algorithm 1's buffer B_i, of which only the
+back is ever read, so the engine keeps just that: an inbox of the newest
+arrival per device id); models arriving mid-unit take effect on the next
+unit; every completed unit is forwarded to the ring successor after the
+link delay.
 
 The engine is algorithm-agnostic about what "training" means — the units
 that complete together train as one :func:`repro.device.batched.run_units`
@@ -107,9 +109,9 @@ class RingRoundEngine:
         drop_prob = 0.0 if drop_prob is None else drop_prob
         if not 0.0 <= drop_prob < 1.0:
             raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
-        # Participants resolve through the fleet's O(1) id lookup and
-        # facades materialize lazily, so a round over a small slice of a
-        # huge population never touches idle devices.
+        # Ring members are fleet ids; a round reads only their rows, so a
+        # round over a small slice of a huge population never touches idle
+        # devices.
         self.devices = DeviceFleet.require(devices)
         self.delay_model = delay_model if delay_model is not None else UniformDelay(0.0)
         self.epochs_per_unit = epochs_per_unit
@@ -163,8 +165,12 @@ class RingRoundEngine:
 
         Every device completes at least one unit (Algorithm 1 line 11
         enters the loop whenever the remaining budget is positive).  After
-        the call each device's ``weights`` holds its last trained model —
+        the call each device's fleet row holds its last trained model —
         the vector it would upload to the server.
+
+        Ownership: the inbox *borrows* (an arrival aliases the sender's
+        array and is never mutated); seeding a device and finishing a unit
+        *snapshot* into its fleet row via ``set_weights``.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
@@ -179,27 +185,29 @@ class RingRoundEngine:
             for pos, dev in enumerate(ring):
                 successor[dev] = ring[(pos + 1) % len(ring)]
 
-        by_id = {i: self.devices.device(i) for i in participants}
+        fleet = self.devices
+        unit_time = dict(zip(participants, fleet.unit_times[participants].tolist()))
         # Per-device mutable state for the event loop.
         units_done = {i: 0 for i in participants}
         units_budget: dict[int, int] = {}
         unit_start_model: dict[int, np.ndarray] = {}
+        inbox: dict[int, np.ndarray] = {}  # newest arrival per device
 
         # A fresh Scheduler per round: round-relative virtual time starts
         # at zero, and the (time, insertion) total order of the shared
         # runtime is exactly the discipline this loop always relied on.
         sched = Scheduler()
         for dev_id in participants:
-            dev = by_id[dev_id]
-            if isinstance(global_weights, dict):
-                dev.reset_buffer(global_weights[dev_id])
-            else:
-                dev.reset_buffer(global_weights)
+            start = (
+                global_weights[dev_id]
+                if isinstance(global_weights, dict)
+                else global_weights
+            )
+            fleet.set_weights(dev_id, start)
             # floor(duration / t_i) units, minimum one (Alg 1 line 11).
-            units_budget[dev_id] = completed_units(duration, dev.unit_time)
-            unit_start_model[dev_id] = dev.buffer[-1]
-            dev.buffer.clear()  # engine owns the "arrived mid-unit" queue
-            sched.at(dev.unit_time, UNIT_COMPLETE, dev_id)
+            units_budget[dev_id] = completed_units(duration, unit_time[dev_id])
+            unit_start_model[dev_id] = start
+            sched.at(unit_time[dev_id], UNIT_COMPLETE, dev_id)
 
         if codec is not None and codec.is_identity:
             codec = None  # dense fast path below is bit-identical
@@ -216,7 +224,7 @@ class RingRoundEngine:
             for ev in batch:
                 if ev.kind == PEER_DELIVER:
                     dst, weights = ev.payload
-                    by_id[dst].receive(weights)
+                    inbox[dst] = weights
                 else:
                     completed.append(ev.payload)
 
@@ -224,17 +232,17 @@ class RingRoundEngine:
             # the start model fixed when its unit began, so the wave trains
             # as one stack), then forward the results in completion order.
             instant: list[tuple[int, np.ndarray]] = []
-            # Each result is its own allocation: it is forwarded and
-            # buffered downstream while the device trains on.
-            results = [np.empty(self.devices.dim) for _ in completed]
+            # Each result is its own allocation: it is forwarded and sits
+            # in the successor's inbox while the device trains on.
+            results = [np.empty(fleet.dim) for _ in completed]
             run_units(
                 batched,
-                self.devices,
+                fleet,
                 completed,
                 self.epochs_per_unit,
                 round_idx,
                 [
-                    self._combine(unit_start_model[d], by_id[d].weights)
+                    self._combine(unit_start_model[d], fleet.weights_row(d))
                     for d in completed
                 ],
                 results,
@@ -279,17 +287,17 @@ class RingRoundEngine:
 
             # Phase 2: zero-delay hops land before anyone starts a new unit.
             for dst, weights in instant:
-                by_id[dst].receive(weights)
+                inbox[dst] = weights
 
             # Phase 3: schedule next units — newest arrival wins, else the
             # device continues its own model (Eq. 7).
             for dev_id in completed:
-                dev = by_id[dev_id]
                 if units_done[dev_id] < units_budget[dev_id]:
-                    nxt = dev.buffer[-1] if dev.buffer else dev.weights
-                    dev.buffer.clear()
+                    nxt = inbox.pop(dev_id, None)
+                    if nxt is None:
+                        nxt = fleet.weights_row(dev_id)
                     unit_start_model[dev_id] = nxt
-                    sched.at(now + dev.unit_time, UNIT_COMPLETE, dev_id)
+                    sched.at(now + unit_time[dev_id], UNIT_COMPLETE, dev_id)
 
         return RingRoundStats(
             units_completed=units_done,

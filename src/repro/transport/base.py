@@ -12,15 +12,16 @@ aggregation math — which is what makes sim and live runs cross-validate
 (down to bit-identity for lossless codecs).
 
 The server calls three hooks per synchronous round, mirroring its own
-channel API:
+channel API and, like it, speaking device-id arrays:
 
-* :meth:`Transport.train_round` — run one training unit per receiver,
+* :meth:`Transport.train_round` — run one training unit per receiver id,
   results landing in the round's stacked rows.  Sim trains in-process;
   live ships the round to the worker processes owning those devices and
   reassembles their uploads.
 * :meth:`Transport.broadcast_model` / :meth:`Transport.collect_models`
   — only consulted when ``is_sim`` is False: the live down/uplink legs
-  (real sends plus the same metering/clock charges the sim applies).
+  (real sends plus the same metering/clock charges the sim applies),
+  returning the delivered ids and the ascending arrived indices.
 
 Lifecycle: :meth:`bind` attaches the backend to a built server (and
 validates the spec), :meth:`start` brings up any real infrastructure,
@@ -36,7 +37,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.server import FederatedServer
-    from repro.device.device import Device
 
 __all__ = ["LiveTransportStats", "Transport"]
 
@@ -102,7 +102,7 @@ class Transport:
     def train_round(
         self,
         server: "FederatedServer",
-        receivers: "list[Device]",
+        ids: np.ndarray,
         stack: np.ndarray,
         epochs: np.ndarray,
         round_idx: int,
@@ -115,22 +115,22 @@ class Transport:
     def broadcast_model(
         self,
         server: "FederatedServer",
-        receivers: "list[Device]",
+        ids: np.ndarray,
         weights: np.ndarray,
         extra_units: float = 0.0,
         ensure_one: bool = True,
-    ) -> "tuple[list[Device], np.ndarray]":
+    ) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def collect_models(
         self,
         server: "FederatedServer",
-        senders: "list[Device]",
+        ids: np.ndarray,
         stack: np.ndarray,
         reference: np.ndarray | dict[int, np.ndarray] | None = None,
         extra_units: float = 0.0,
         ensure_one: bool = True,
-    ) -> "tuple[list[int], np.ndarray]":
+    ) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     # ---------------------------------------------------------------- stats

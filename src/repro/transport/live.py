@@ -61,7 +61,6 @@ from repro.transport.worker import worker_main
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.server import FederatedServer
-    from repro.device.device import Device
 
 __all__ = ["LiveTransport", "LIVE_CAPABLE_METHODS"]
 
@@ -302,11 +301,11 @@ class LiveTransport(Transport):
     def broadcast_model(
         self,
         server: "FederatedServer",
-        receivers: "list[Device]",
+        ids: np.ndarray,
         weights: np.ndarray,
         extra_units: float = 0.0,
         ensure_one: bool = True,
-    ) -> "tuple[list[Device], np.ndarray]":
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The sim's downlink leg, plus real MODEL transfers.
 
         Metering/clock/drop calls are copied verbatim from the server's
@@ -314,8 +313,8 @@ class LiveTransport(Transport):
         run charges bit-identically; the encoded payload additionally
         ships to every non-parked worker as one chunked UDP transfer.
         """
-        if not receivers:
-            return [], weights
+        if not len(ids):
+            return ids, weights
         self.start()
         codec = server.codec
         round_idx = int(getattr(server, "current_round", 0))
@@ -323,9 +322,9 @@ class LiveTransport(Transport):
             blob = np.ascontiguousarray(weights, dtype=np.float64).tobytes()
             kind_code, param = PAYLOAD_KIND_CODES["raw"], 0
             units = 1.0 + extra_units
-            server.meter.record_download(len(receivers), units)
-            server._charge_transfer(receivers, units)
-            delivered = server._apply_drops(receivers, ensure_one)
+            server.meter.record_download(len(ids), units)
+            server._charge_transfer(ids, units)
+            delivered = server._apply_drops(ids, ensure_one)
             view = weights
         else:
             enc = codec.encode(
@@ -335,10 +334,10 @@ class LiveTransport(Transport):
             kind_code, param = PAYLOAD_KIND_CODES[enc.kind], enc.param
             units = enc.model_units + extra_units
             server.meter.record_download(
-                len(receivers), units, raw_units=1.0 + extra_units
+                len(ids), units, raw_units=1.0 + extra_units
             )
-            server._charge_transfer(receivers, units)
-            delivered = server._apply_drops(receivers, ensure_one)
+            server._charge_transfer(ids, units)
+            delivered = server._apply_drops(ids, ensure_one)
             view = codec.decode(enc)
             server._codec_down_ref = view
         self._last_view = view
@@ -361,7 +360,7 @@ class LiveTransport(Transport):
     def train_round(
         self,
         server: "FederatedServer",
-        receivers: "list[Device]",
+        ids: np.ndarray,
         stack: np.ndarray,
         epochs: np.ndarray,
         round_idx: int,
@@ -383,13 +382,13 @@ class LiveTransport(Transport):
                 "live transport only supports anchoring on the broadcast "
                 "view (fedprox); got a foreign anchor vector"
             )
-        ids = server.ids_of(receivers).tolist()
-        index_of = {int(dev_id): i for i, dev_id in enumerate(ids)}
+        id_list = ids.tolist()
+        index_of = {dev_id: i for i, dev_id in enumerate(id_list)}
 
         by_rank: dict[int, list[list[int]]] = {}
-        for i, dev_id in enumerate(ids):
+        for i, dev_id in enumerate(id_list):
             by_rank.setdefault(self._owner(dev_id), []).append(
-                [int(dev_id), int(epochs[i])]
+                [dev_id, int(epochs[i])]
             )
         expected: set[int] = set()
         for rank, devices in by_rank.items():
@@ -464,12 +463,12 @@ class LiveTransport(Transport):
     def collect_models(
         self,
         server: "FederatedServer",
-        senders: "list[Device]",
+        ids: np.ndarray,
         stack: np.ndarray,
         reference: np.ndarray | dict[int, np.ndarray] | None = None,
         extra_units: float = 0.0,
         ensure_one: bool = True,
-    ) -> "tuple[list[int], np.ndarray]":
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The sim's uplink leg over the updates that really arrived.
 
         ``train_round`` already decoded each arriving update into its
@@ -478,41 +477,36 @@ class LiveTransport(Transport):
         ascending indices — a killed worker's devices simply never make
         the list (the PR 7 deadline-fallback shape).
         """
-        if not senders:
-            return [], stack
+        if not len(ids):
+            return np.empty(0, dtype=np.intp), stack
         pending = getattr(self, "_pending_collect", None)
         if pending is None:
             raise RuntimeError("collect_models before train_round on live")
         self._pending_collect = None
         _round_idx, arrived_units = pending
         codec = server.codec
-        arrived = [
-            i
-            for i, dev in enumerate(senders)
-            if int(dev.device_id) in arrived_units
-        ]
-        if not arrived:
+        arrived = np.flatnonzero(
+            [dev_id in arrived_units for dev_id in ids.tolist()]
+        )
+        if not len(arrived):
             raise RuntimeError(
                 "live round produced no updates (all workers dead?)"
             )
-        arrived_devs = [senders[i] for i in arrived]
+        arrived_ids = ids[arrived]
         if codec.is_identity:
             units = 1.0 + extra_units
-            server.meter.record_upload(len(arrived_devs), units)
-            server._charge_transfer(arrived_devs, units)
+            server.meter.record_upload(len(arrived_ids), units)
+            server._charge_transfer(arrived_ids, units)
         else:
             unit_vec = np.array(
-                [
-                    arrived_units[int(dev.device_id)] + extra_units
-                    for dev in arrived_devs
-                ]
+                [arrived_units[d] + extra_units for d in arrived_ids.tolist()]
             )
             server.meter.record_upload(
                 1,
                 float(unit_vec.sum()),
-                raw_units=len(arrived_devs) * (1.0 + extra_units),
+                raw_units=len(arrived_ids) * (1.0 + extra_units),
             )
-            server._charge_transfer(arrived_devs, unit_vec)
+            server._charge_transfer(arrived_ids, unit_vec)
         return arrived, stack
 
     # ---------------------------------------------------------------- stats

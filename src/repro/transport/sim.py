@@ -18,7 +18,6 @@ from repro.transport.registry import register_transport
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.server import FederatedServer
-    from repro.device.device import Device
 
 __all__ = ["SimTransport"]
 
@@ -39,7 +38,7 @@ class SimTransport(Transport):
     def train_round(
         self,
         server: "FederatedServer",
-        receivers: "list[Device]",
+        ids: np.ndarray,
         stack: np.ndarray,
         epochs: np.ndarray,
         round_idx: int,
@@ -47,19 +46,19 @@ class SimTransport(Transport):
         anchor: np.ndarray | None = None,
         mu: float = 0.0,
     ) -> None:
-        """One training unit per receiver, results into ``stack`` rows.
+        """One training unit per device in ``ids``, results into ``stack``
+        rows.
 
         The FedAvg-family inner loop: the round is one
         :func:`~repro.device.batched.run_units` wave on the server's own
         batched trainer.  With live fleet rows ``stack`` already is device
-        state; under retained storage each result is also snapshotted into
-        the device's row (the drop-fallback history), as ``run_unit``
-        would.
+        state; under retained storage ``sync`` also snapshots each result
+        into the device's row (the drop-fallback history).
         """
         run_units(
             server.batched_trainer,
             server.fleet,
-            server.ids_of(receivers),
+            ids,
             epochs,
             round_idx,
             global_weights,

@@ -9,6 +9,9 @@ from repro.analysis.divergence import (
     per_device_divergence,
 )
 from repro.datasets.partition import dirichlet_partition, iid_partition, label_distribution
+from repro.device import make_fleet
+from repro.device.batched import run_units
+from repro.nn.serialization import get_flat_params
 
 
 class TestPerDeviceDivergence:
@@ -53,8 +56,6 @@ class TestEmpiricalProxy:
     def test_proxy_tracks_partition_skew(self, tiny_split, tiny_trainer):
         """Device models trained on IID shards generalize better than ones
         trained on highly skewed shards — the paper's accuracy proxy."""
-        from repro.device import make_fleet
-
         train_set, test_set = tiny_split
         scores = {}
         for name, beta in (("iid", None), ("skew", 0.1)):
@@ -63,14 +64,9 @@ class TestEmpiricalProxy:
             else:
                 parts = dirichlet_partition(train_set, 6, beta=beta, seed=1)
             devices = make_fleet(train_set, parts, np.ones(6), tiny_trainer)
-            import numpy as _np
-
-            from repro.nn.serialization import get_flat_params
-
             w0 = get_flat_params(tiny_trainer.model)
-            stack = _np.stack(
-                [d.run_unit(w0, 20, 0, 0) for d in devices]
-            )
+            stack = np.empty((6, devices.dim))
+            run_units(None, devices, devices.device_ids, 20, 0, w0, stack)
             scores[name] = empirical_divergence_proxy(devices, test_set, stack)
         assert scores["iid"] > scores["skew"]
 
@@ -78,5 +74,5 @@ class TestEmpiricalProxy:
         _, test_set = tiny_split
         with pytest.raises(ValueError):
             empirical_divergence_proxy(
-                tiny_devices, test_set, np.zeros((1, tiny_devices[0].trainer.dim))
+                tiny_devices, test_set, np.zeros((1, tiny_devices.dim))
             )

@@ -51,7 +51,7 @@ class TestTAFedAvg:
         srv = TAFedAvgServer(tiny_devices, test_set,
                              TAFedAvgConfig(local_epochs=1, alpha=0.5))
         g = srv.global_weights.copy()
-        new = srv.run_round(1, tiny_devices, g)
+        new = srv.run_round(1, tiny_devices.device_ids, g)
         assert not np.allclose(new, g)
 
 

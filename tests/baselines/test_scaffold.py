@@ -38,7 +38,7 @@ class TestScaffold:
         srv = ScaffoldServer(tiny_devices, test_set,
                              ScaffoldConfig(local_epochs=1))
         g = srv.global_weights.copy()
-        srv.run_round(1, tiny_devices, g)
+        srv.run_round(1, tiny_devices.device_ids, g)
         assert np.abs(srv.server_variate).sum() > 0
         for d in tiny_devices:
             assert np.abs(srv.device_variates[d.device_id]).sum() > 0
@@ -50,7 +50,7 @@ class TestScaffold:
         srv = ScaffoldServer(tiny_devices, test_set,
                              ScaffoldConfig(local_epochs=1))
         g = srv.global_weights.copy()
-        srv.run_round(1, tiny_devices, g)
+        srv.run_round(1, tiny_devices.device_ids, g)
         mean_ci = np.mean(
             [srv.device_variates[d.device_id] for d in tiny_devices], axis=0
         )
@@ -65,17 +65,18 @@ class TestScaffold:
         srv = ScaffoldServer(tiny_devices, test_set,
                              ScaffoldConfig(local_epochs=1, seed=2))
         g = np.zeros(srv.trainer.dim)
-        duration = srv.round_duration(tiny_devices)
-        new = srv.run_round(1, tiny_devices, g)
+        ids = tiny_devices.device_ids
+        epochs = srv.epochs_for(ids, srv.round_duration(ids))
+        new = srv.run_round(1, ids, g)
         stack = np.stack(
             [
-                d.trainer.train(
+                srv.trainer.train(
                     g,
-                    d.shard,
-                    srv.local_epochs_for(d, duration),
-                    stream_key=(d.device_id, 1, 0),
+                    tiny_devices.shard(i),
+                    int(epochs[i]),
+                    stream_key=(i, 1, 0),
                 )[0]
-                for d in tiny_devices
+                for i in ids.tolist()
             ]
         )
         np.testing.assert_allclose(new, stack.mean(axis=0), rtol=1e-8, atol=1e-12)

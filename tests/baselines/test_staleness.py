@@ -26,7 +26,7 @@ class TestStalenessBehaviour:
                                staleness_exponent=exp, seed=4),
             )
             g = np.zeros(srv.trainer.dim)
-            outs[exp] = srv.run_round(1, tiny_devices, g)
+            outs[exp] = srv.run_round(1, tiny_devices.device_ids, g)
         assert not np.allclose(outs[0.0], outs[1.0])
 
     def test_fresh_uploads_not_damped(self, tiny_split, tiny_trainer):
@@ -46,7 +46,7 @@ class TestStalenessBehaviour:
                                staleness_exponent=exp, seed=4),
             )
             g = np.zeros(srv.trainer.dim)
-            outs[exp] = srv.run_round(1, devices, g)
+            outs[exp] = srv.run_round(1, devices.device_ids, g)
         np.testing.assert_array_equal(outs[0.0], outs[3.0])
 
     def test_learns_with_staleness_on(self, tiny_devices, tiny_split):

@@ -31,9 +31,10 @@ class TestIdentityFastPath:
     def test_broadcast_returns_same_objects(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
         weights = srv.global_weights
-        delivered, view = srv.broadcast_model(tiny_devices, weights)
+        ids = tiny_devices.device_ids
+        delivered, view = srv.broadcast_model(ids, weights)
         assert view is weights
-        assert delivered == tiny_devices
+        assert delivered is ids
         assert srv.meter.server_down == len(tiny_devices)
         assert srv.meter.raw_down == len(tiny_devices)
         assert srv.meter.compression_ratio == 1.0
@@ -41,14 +42,14 @@ class TestIdentityFastPath:
     def test_collect_returns_same_stack(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
         stack = np.zeros((len(tiny_devices), srv.trainer.dim))
-        arrived, decoded = srv.collect_models(tiny_devices, stack)
+        arrived, decoded = srv.collect_models(tiny_devices.device_ids, stack)
         assert decoded is stack
-        assert arrived == list(range(len(tiny_devices)))
+        np.testing.assert_array_equal(arrived, np.arange(len(tiny_devices)))
 
     def test_extra_units_preserved(self, tiny_devices, tiny_split):
         """SCAFFOLD's 2.0-unit metering identity survives the codec API."""
         srv = make_server(tiny_devices, tiny_split)
-        srv.broadcast_model(tiny_devices, srv.global_weights, extra_units=1.0)
+        srv.broadcast_model(tiny_devices.device_ids, srv.global_weights, extra_units=1.0)
         assert srv.meter.server_down == 2.0 * len(tiny_devices)
 
 
@@ -59,10 +60,10 @@ class TestCodecChannel:
         )
         w = srv.global_weights
         # First broadcast has no downlink reference: dense (1.0 units).
-        srv.broadcast_model(tiny_devices, w)
+        srv.broadcast_model(tiny_devices.device_ids, w)
         assert srv.meter.server_down == pytest.approx(len(tiny_devices))
         # Second broadcast compresses against the decoded first view.
-        srv.broadcast_model(tiny_devices, w + 0.01)
+        srv.broadcast_model(tiny_devices.device_ids, w + 0.01)
         second = srv.meter.server_down - len(tiny_devices)
         per_receiver = second / len(tiny_devices)
         assert 0.09 < per_receiver < 0.2
@@ -78,7 +79,7 @@ class TestCodecChannel:
         ref = srv.global_weights
         rng = np.random.default_rng(0)
         stack = ref + 0.1 * rng.normal(size=(len(tiny_devices), ref.size))
-        arrived, decoded = srv.collect_models(tiny_devices, stack, reference=ref)
+        arrived, decoded = srv.collect_models(tiny_devices.device_ids, stack, reference=ref)
         assert decoded is not stack
         # Lossy: the decode differs from the upload but moves toward it.
         assert not np.allclose(decoded, stack)
@@ -90,8 +91,8 @@ class TestCodecChannel:
         def clock_after_two_broadcasts(codec):
             srv = make_server(tiny_devices, tiny_split, env=env, codec=codec)
             w = srv.global_weights
-            srv.broadcast_model(tiny_devices, w)
-            srv.broadcast_model(tiny_devices, w + 0.01)
+            srv.broadcast_model(tiny_devices.device_ids, w)
+            srv.broadcast_model(tiny_devices.device_ids, w + 0.01)
             return srv.clock.now
 
         dense = clock_after_two_broadcasts(None)
@@ -103,8 +104,8 @@ class TestCodecChannel:
         codec = TopKCodec(fraction=0.1)
         srv = make_server(tiny_devices, tiny_split, codec=codec)
         w = srv.global_weights
-        srv.broadcast_model(tiny_devices, w)
-        srv.broadcast_model(tiny_devices, w + 0.01)
+        srv.broadcast_model(tiny_devices.device_ids, w)
+        srv.broadcast_model(tiny_devices.device_ids, w + 0.01)
         dim = srv.trainer.dim
         k = max(1, round(0.1 * dim))
         expected = len(tiny_devices) * (8 * dim + 4 + 8 * k)
@@ -116,22 +117,48 @@ class TestCodecChannel:
     def test_downlink_reference_chains(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split, codec=TopKCodec(fraction=0.1))
         w = srv.global_weights
-        _, view1 = srv.broadcast_model(tiny_devices, w)
+        _, view1 = srv.broadcast_model(tiny_devices.device_ids, w)
         assert srv._codec_down_ref is view1
-        _, view2 = srv.broadcast_model(tiny_devices, w + 0.5)
+        _, view2 = srv.broadcast_model(tiny_devices.device_ids, w + 0.5)
         assert srv._codec_down_ref is view2
 
     def test_per_device_reference_dict(self, tiny_devices, tiny_split):
         """collect_models resolves a start_views dict per sender id."""
         srv = make_server(tiny_devices, tiny_split, codec=make_codec("delta"))
-        ref = {d.device_id: srv.global_weights + d.device_id
-               for d in tiny_devices}
-        stack = np.stack([
-            ref[d.device_id] + (0.25 if i == 0 else 0.0)
-            for i, d in enumerate(tiny_devices)
-        ])
-        arrived, decoded = srv.collect_models(tiny_devices, stack, reference=ref)
+        ids = tiny_devices.device_ids.tolist()
+        ref = {i: srv.global_weights + i for i in ids}
+        stack = np.stack([ref[i] + (0.25 if i == 0 else 0.0) for i in ids])
+        arrived, decoded = srv.collect_models(tiny_devices.device_ids, stack, reference=ref)
         assert np.array_equal(decoded, stack)  # delta codec is lossless
+
+    def test_lossy_links_drop_the_same_ids(self, tiny_devices, tiny_split):
+        """The codec legs draw drops from the same persistent stream as the
+        dense ones; the survivors are pinned to what the object-list
+        channel delivered for this seed."""
+        srv = make_server(
+            tiny_devices, tiny_split,
+            env=Environment(UniformNetwork(drop_prob=0.4)),
+            codec=TopKCodec(fraction=0.5),
+        )
+        ids = tiny_devices.device_ids
+        w = srv.global_weights
+        delivered, _ = srv.broadcast_model(ids, w)
+        assert delivered.dtype == np.intp
+        assert delivered.tolist() == [1, 2, 4, 5, 6]
+        arrived, _ = srv.collect_models(ids, np.tile(w, (len(ids), 1)))
+        assert arrived.tolist() == [0, 3, 5, 6, 7]
+        assert srv.meter.raw_down == len(ids)  # dropped sends still metered
+
+    def test_empty_codec_calls_are_noops(self, tiny_devices, tiny_split):
+        srv = make_server(tiny_devices, tiny_split, codec=TopKCodec(fraction=0.1))
+        none = np.empty(0, dtype=np.intp)
+        delivered, view = srv.broadcast_model(none, srv.global_weights)
+        assert len(delivered) == 0 and view is srv.global_weights
+        stack = np.empty((0, srv.trainer.dim))
+        arrived, decoded = srv.collect_models(none, stack)
+        assert len(arrived) == 0 and decoded is stack
+        assert srv.meter.server_total == 0
+        assert srv.clock.now == 0.0
 
 
 class TestRunLevel:
@@ -198,8 +225,8 @@ class TestRingCodec:
         from repro.simulation.engine import RingRoundEngine
 
         engine = RingRoundEngine(tiny_devices, epochs_per_unit=1)
-        rings = [[d.device_id for d in tiny_devices]]
-        w = np.zeros(tiny_devices[0].trainer.dim)
+        rings = [tiny_devices.device_ids.tolist()]
+        w = np.zeros(tiny_devices.dim)
 
         dense = engine.run_round(rings, w, duration=4.0, round_idx=0)
         assert dense.peer_units == float(dense.peer_sends)
@@ -216,8 +243,8 @@ class TestRingCodec:
     def test_identity_codec_is_dense_path(self, tiny_devices, tiny_split):
         from repro.simulation.engine import RingRoundEngine
 
-        rings = [[d.device_id for d in tiny_devices]]
-        w = np.zeros(tiny_devices[0].trainer.dim)
+        rings = [tiny_devices.device_ids.tolist()]
+        w = np.zeros(tiny_devices.dim)
         a = RingRoundEngine(tiny_devices, epochs_per_unit=1).run_round(
             rings, w, duration=4.0, round_idx=0
         )

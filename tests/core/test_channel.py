@@ -31,21 +31,29 @@ def make_server(tiny_devices, tiny_split, env=None, **cfg):
 class TestMetering:
     def test_broadcast_meters_sends(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
-        got = srv.broadcast(tiny_devices)
-        assert got == tiny_devices  # ideal: everyone receives
+        ids = tiny_devices.device_ids
+        got = srv.broadcast(ids)
+        assert got is ids  # ideal: everyone receives, no copy
         assert srv.meter.server_down == len(tiny_devices)
         assert srv.meter.server_up == 0
 
     def test_collect_meters_and_returns_all_indices(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
-        arrived = srv.collect(tiny_devices)
-        assert arrived == list(range(len(tiny_devices)))
+        arrived = srv.collect(tiny_devices.device_ids)
+        np.testing.assert_array_equal(arrived, np.arange(len(tiny_devices)))
         assert srv.meter.server_up == len(tiny_devices)
+
+    def test_id_slices_meter_their_length(self, tiny_devices, tiny_split):
+        srv = make_server(tiny_devices, tiny_split)
+        some = tiny_devices.device_ids[2:5]
+        np.testing.assert_array_equal(srv.broadcast(some), [2, 3, 4])
+        np.testing.assert_array_equal(srv.collect(some), [0, 1, 2])
+        assert srv.meter.server_down == srv.meter.server_up == 3
 
     def test_model_units_scale(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
-        srv.broadcast(tiny_devices, model_units=2.0)
-        srv.collect(tiny_devices, model_units=2.0)
+        srv.broadcast(tiny_devices.device_ids, model_units=2.0)
+        srv.collect(tiny_devices.device_ids, model_units=2.0)
         assert srv.meter.server_down == 2.0 * len(tiny_devices)
         assert srv.meter.server_up == 2.0 * len(tiny_devices)
 
@@ -54,34 +62,43 @@ class TestMetering:
         srv.peer_send(5)
         assert srv.meter.peer == 5
 
-    def test_empty_calls_are_noops(self, tiny_devices, tiny_split):
-        srv = make_server(tiny_devices, tiny_split)
-        assert srv.broadcast([]) == []
-        assert srv.collect([]) == []
+    @pytest.mark.parametrize("env", [
+        None,
+        Environment(UniformNetwork(latency=0.1, bandwidth=2.0, drop_prob=0.5)),
+    ])
+    def test_empty_calls_are_noops(self, tiny_devices, tiny_split, env):
+        srv = make_server(tiny_devices, tiny_split, env=env)
+        none = np.empty(0, dtype=np.intp)
+        got = srv.broadcast(none)
+        arrived = srv.collect(none)
+        assert got.dtype == arrived.dtype == np.intp
+        assert len(got) == len(arrived) == 0
         assert srv.meter.server_total == 0
         assert srv.clock.now == 0.0
+        assert srv.dropped_messages == 0
+        assert srv._drop_rng is None  # no draw was made
 
     def test_lost_messages_still_metered(self, tiny_devices, tiny_split):
         """The paper costs transmitted models; a dropped one was transmitted."""
         env = Environment(UniformNetwork(drop_prob=0.5))
         srv = make_server(tiny_devices, tiny_split, env=env)
-        srv.broadcast(tiny_devices)
+        srv.broadcast(tiny_devices.device_ids)
         assert srv.meter.server_down == len(tiny_devices)
 
 
 class TestClockCharging:
     def test_ideal_charges_nothing(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
-        srv.broadcast(tiny_devices)
-        srv.collect(tiny_devices)
+        srv.broadcast(tiny_devices.device_ids)
+        srv.collect(tiny_devices.device_ids)
         assert srv.clock.now == 0.0
 
     def test_transfer_time_advances_clock(self, tiny_devices, tiny_split):
         env = Environment(UniformNetwork(latency=0.1, bandwidth=2.0))
         srv = make_server(tiny_devices, tiny_split, env=env)
-        srv.broadcast(tiny_devices)  # slowest link: 0.1 + 1/2
+        srv.broadcast(tiny_devices.device_ids)  # slowest link: 0.1 + 1/2
         assert srv.clock.now == pytest.approx(0.6)
-        srv.collect(tiny_devices, model_units=2.0)  # 0.1 + 2/2
+        srv.collect(tiny_devices.device_ids, model_units=2.0)  # 0.1 + 2/2
         assert srv.clock.now == pytest.approx(1.7)
 
     def test_round_time_includes_transfers(self, tiny_devices, tiny_split):
@@ -97,7 +114,7 @@ class TestDrops:
     def test_drops_reduce_deliveries(self, tiny_devices, tiny_split):
         env = Environment(UniformNetwork(drop_prob=0.5))
         srv = make_server(tiny_devices, tiny_split, env=env)
-        delivered = [len(srv.broadcast(tiny_devices)) for _ in range(50)]
+        delivered = [len(srv.broadcast(tiny_devices.device_ids)) for _ in range(50)]
         assert min(delivered) < len(tiny_devices)
         assert srv.dropped_messages > 0
 
@@ -105,23 +122,46 @@ class TestDrops:
         env = Environment(UniformNetwork(drop_prob=0.99))
         srv = make_server(tiny_devices, tiny_split, env=env)
         for _ in range(30):
-            assert len(srv.broadcast(tiny_devices)) >= 1
-            assert len(srv.collect(tiny_devices)) >= 1
+            assert len(srv.broadcast(tiny_devices.device_ids)) >= 1
+            assert len(srv.collect(tiny_devices.device_ids)) >= 1
 
     def test_event_level_calls_may_drop_everything(self, tiny_devices, tiny_split):
         env = Environment(UniformNetwork(drop_prob=0.99))
         srv = make_server(tiny_devices, tiny_split, env=env)
-        outcomes = {len(srv.collect([tiny_devices[0]], ensure_one=False))
-                    for _ in range(50)}
+        first = tiny_devices.device_ids[:1]
+        outcomes = {len(srv.collect(first, ensure_one=False)) for _ in range(50)}
         assert 0 in outcomes
 
     def test_drop_sequence_reproducible(self, tiny_devices, tiny_split):
         def run():
             env = Environment(UniformNetwork(drop_prob=0.4))
             srv = make_server(tiny_devices, tiny_split, env=env)
-            return [tuple(srv.collect(tiny_devices)) for _ in range(10)]
+            return [tuple(srv.collect(tiny_devices.device_ids)) for _ in range(10)]
 
         assert run() == run()
+
+    def test_seeded_drops_pin_the_survivors(self, tiny_devices, tiny_split):
+        """Masking the id array makes the draws the object-list channel
+        made, in the same order: these survivors are what it delivered."""
+        env = Environment(UniformNetwork(drop_prob=0.4))
+        srv = make_server(tiny_devices, tiny_split, env=env)
+        ids = tiny_devices.device_ids
+        down = [srv.broadcast(ids).tolist() for _ in range(5)]
+        up = [srv.collect(ids).tolist() for _ in range(5)]
+        assert down == [[1, 2, 4, 5, 6], [0, 3, 5, 6, 7], [1, 3, 4, 5],
+                        [0, 4, 5, 6, 7], [0, 1, 2]]
+        assert up == [[0, 2, 5, 6], [3, 5, 6, 7], [0, 2, 3, 7],
+                      list(range(8)), [1, 3, 4, 6]]
+        assert srv.dropped_messages == 34
+
+    def test_seeded_ensure_one_survivor(self, tiny_devices, tiny_split):
+        env = Environment(UniformNetwork(drop_prob=0.99))
+        srv = make_server(tiny_devices, tiny_split, env=env)
+        ids = tiny_devices.device_ids
+        down = [srv.broadcast(ids).tolist() for _ in range(5)]
+        up = [srv.collect(ids).tolist() for _ in range(5)]
+        assert down == [[1], [7], [7], [0], [5]]
+        assert up == [[7], [0], [4], [3], [6]]
 
 
 class TestAvailability:
@@ -131,12 +171,12 @@ class TestAvailability:
         srv = make_server(tiny_devices, tiny_split, env=env)
         round1 = srv.select_participants(1)
         round2 = srv.select_participants(2)
-        assert [d.device_id for d in round1] == list(range(4, len(tiny_devices)))
+        assert round1.tolist() == list(range(4, len(tiny_devices)))
         assert len(round2) == len(tiny_devices)
         assert srv.unavailable_count == 4
 
     def test_all_offline_round_keeps_one(self, tiny_devices, tiny_split):
-        traces = {d.device_id: [False] for d in tiny_devices}
+        traces = {i: [False] for i in range(len(tiny_devices))}
         env = Environment(availability=TraceAvailability(traces))
         srv = make_server(tiny_devices, tiny_split, env=env)
         participants = srv.select_participants(1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.registry import METHODS
 from repro.core.selection import (
     BernoulliSelection,
     DataSizeSelection,
@@ -109,14 +110,14 @@ class TestServerIntegration:
         _, test_set = tiny_split
         srv = EchoServer(tiny_devices, test_set, ServerConfig(rounds=2))
         srv.selection_policy = FastestSelection(0.25)
-        participants = srv.select_participants(1)
-        assert len(participants) == 2  # 25% of 8
-        times = [d.unit_time for d in participants]
-        assert max(times) <= min(d.unit_time for d in tiny_devices
-                                 if d not in participants)
-        # The ranked order reaches run_round, and ids_of is the free path.
-        assert srv.ids_of(participants) is srv._round_ids
-        assert [d.device_id for d in participants] == srv._round_ids.tolist()
+        ids = srv.select_participants(1)
+        assert ids.dtype == np.intp
+        assert len(ids) == 2  # 25% of 8
+        times = tiny_devices.unit_times
+        rest = np.setdiff1d(tiny_devices.device_ids, ids)
+        assert times[ids].max() <= times[rest].min()
+        # The ranked order is the participant order run_round receives.
+        assert ids.tolist() == sorted(ids.tolist(), key=lambda i: (times[i], i))
 
     def test_fastest_selection_loses_data(self, tiny_devices, tiny_split):
         """End-to-end version of the paper's critique: training only on the
@@ -138,31 +139,35 @@ class TestServerIntegration:
         assert full.final_accuracy >= restricted.final_accuracy - 0.05
 
 
-class TestSelectionAtFleetScale:
-    """A policy reads population arrays: selecting from 5000 devices builds
-    facades for the participants only, never for the fleet."""
+class TestRoundPathBuildsNoFacades:
+    """Rounds speak id arrays: no method, selection policy or lossy
+    channel builds a ``Device`` facade, at any fleet size."""
+
+    @pytest.mark.parametrize("env", ["ideal", "flaky_mobile"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_every_method(self, method, env):
+        from repro.experiments import ExperimentSpec, build_experiment
+
+        srv = build_experiment(ExperimentSpec(
+            method=method, num_samples=400, num_devices=8, rounds=2,
+            participation=0.5, env=env,
+        ))
+        srv.fit()
+        assert not any(f is not None for f in srv.fleet._facades)
 
     @pytest.mark.parametrize("selection", [None, "bernoulli", "fastest", "datasize"])
-    def test_facades_only_for_participants(self, selection):
+    def test_city_fleet_under_a_policy(self, selection):
         from repro.experiments import ExperimentSpec, build_experiment
 
         srv = build_experiment(ExperimentSpec(
             method="fedavg", fleet_profile="city", rounds=3, env="lan",
             selection=selection,
         ))
-        seen = set()
-        select = srv.select_participants
-
-        def recording_select(round_idx):
-            participants = select(round_idx)
-            seen.update(d.device_id for d in participants)
-            return participants
-
-        srv.select_participants = recording_select
         srv.fit()
-        built = sum(f is not None for f in srv.fleet._facades)
-        assert 0 < built <= len(seen) < len(srv.fleet)
+        assert not any(f is not None for f in srv.fleet._facades)
 
+
+class TestSelectionAtFleetScale:
     @pytest.mark.parametrize("method", ["fedavg", "fedbuff"])
     def test_bernoulli_policy_is_the_default_draw(self, method):
         """``selection="bernoulli"`` at ``selection_fraction=participation``

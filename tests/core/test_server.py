@@ -12,10 +12,10 @@ class EchoServer(FederatedServer):
 
     method = "echo"
 
-    def run_round(self, round_idx, participants, global_weights):
-        self.meter.record_download(len(participants))
-        self.meter.record_upload(len(participants))
-        self.clock.advance_by(self.round_duration(participants))
+    def run_round(self, round_idx, ids, global_weights):
+        self.meter.record_download(len(ids))
+        self.meter.record_upload(len(ids))
+        self.clock.advance_by(self.round_duration(ids))
         return global_weights
 
 
@@ -64,15 +64,18 @@ class TestFederatedServer:
         a = EchoServer(tiny_devices, test_set, ServerConfig(participation=0.5, seed=3))
         b = EchoServer(tiny_devices, test_set, ServerConfig(participation=0.5, seed=3))
         for r in range(1, 5):
-            assert [d.device_id for d in a.select_participants(r)] == [
-                d.device_id for d in b.select_participants(r)
-            ]
+            np.testing.assert_array_equal(
+                a.select_participants(r), b.select_participants(r)
+            )
 
     def test_round_duration_is_slowest(self, tiny_devices, tiny_split):
         _, test_set = tiny_split
         srv = EchoServer(tiny_devices, test_set)
-        assert srv.round_duration(tiny_devices) == max(
+        assert srv.round_duration(tiny_devices.device_ids) == max(
             d.unit_time for d in tiny_devices
+        )
+        assert srv.round_duration(tiny_devices.device_ids[:1]) == (
+            tiny_devices[0].unit_time
         )
 
     def test_fit_produces_history(self, tiny_devices, tiny_split):

@@ -241,7 +241,9 @@ class TestRunUnits:
 
     def _scalar(self, fleet, starts, units):
         return [
-            fleet.device(i).run_unit(starts[i], 2, 1, units[i], sync=False).copy()
+            fleet.trainer.train(
+                starts[i], fleet.shard(i), 2, stream_key=(i, 1, units[i])
+            )[0]
             for i in range(5)
         ]
 

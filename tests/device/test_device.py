@@ -109,32 +109,22 @@ class TestLocalTrainer:
 
 
 class TestDevice:
-    def test_buffer_reset(self, trainer, dev):
-        w = np.zeros(trainer.dim)
-        dev.receive(np.ones(trainer.dim))
-        dev.reset_buffer(w)
-        assert len(dev.buffer) == 1
-        np.testing.assert_array_equal(dev.buffer[0], w)
+    def test_weights_read_the_fleet_row(self, trainer, dev):
+        fleet = dev.fleet
+        assert dev.weights is None  # idle until a row is written
+        w = np.arange(trainer.dim, dtype=np.float64)
+        fleet.set_weights(dev.device_id, w)
+        np.testing.assert_array_equal(dev.weights, w)
+        assert np.shares_memory(dev.weights, fleet.weights_row(dev.device_id))
 
-    def test_train_unit_uses_buffer_back(self, trainer, dev):
-        w0 = get_flat_params(trainer.model)
-        dev.reset_buffer(w0)
-        received = w0 + 0.1
-        dev.receive(received)
-        out = dev.train_unit(1, round_idx=0, unit_idx=0)
-        # trained from `received`, not w0
-        ref = dev.run_unit(received, 1, 0, 0)
-        np.testing.assert_array_equal(out, ref)
+    def test_facade_is_read_only(self, trainer, dev):
+        with pytest.raises(AttributeError):
+            dev.weights = np.zeros(trainer.dim)
 
-    def test_train_unit_supersedes_buffer(self, trainer, dev):
-        dev.reset_buffer(get_flat_params(trainer.model))
-        out = dev.train_unit(1, 0, 0)
-        assert len(dev.buffer) == 1
-        np.testing.assert_array_equal(dev.buffer[0], out)
-
-    def test_empty_buffer_raises(self, dev):
-        with pytest.raises(RuntimeError):
-            dev.train_unit(1, 0, 0)
+    def test_shard_and_profile(self, shard, dev):
+        assert dev.shard is dev.fleet.shard(dev.device_id)
+        assert len(dev.shard) == dev.num_samples == len(shard)
+        assert dev.unit_time == 1.0
 
 
 class TestMakeFleet:

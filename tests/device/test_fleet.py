@@ -12,7 +12,9 @@ from repro.device import (
     make_fleet,
     unit_times_from_counts,
 )
+from repro.device.batched import run_units
 from repro.nn.serialization import get_flat_params
+from repro.simulation.engine import RingRoundEngine
 
 
 def _parts(train_set):
@@ -117,64 +119,54 @@ class TestLazyMaterialization:
         assert tiny_fleet.state_nbytes == dim * 8
 
 
-class TestFacadeContract:
-    def test_run_unit_matches_training_a_shard_copy(self, tiny_split, tiny_trainer):
-        """The facade trains bit-for-bit like the trainer on the device's
-        own copy of its samples, on the (device, round, unit) stream."""
+class TestTrainingThroughTheFleet:
+    def test_run_units_matches_training_a_shard_copy(self, tiny_split, tiny_trainer):
+        """A device trains bit-for-bit like the trainer on its own copy of
+        its samples, on the (device, round, unit) stream, and ``sync``
+        snapshots the result into its row."""
         train_set, _ = tiny_split
         parts = _parts(train_set)
         times = unit_times_from_counts(np.array([1, 2, 4, 1, 2, 4, 1, 2]))
         fleet = make_fleet(train_set, parts, times, tiny_trainer)
         w0 = get_flat_params(tiny_trainer.model)
-        out_fleet = fleet.device(3).run_unit(w0, epochs=2, round_idx=1, unit_idx=0)
+        out = np.empty((1, fleet.dim))
+        run_units(None, fleet, [3], 2, 1, w0, out, sync=True)
         out_copy, _ = tiny_trainer.train(
             w0, train_set.subset(parts[3]), 2, stream_key=(3, 1, 0)
         )
-        np.testing.assert_array_equal(out_fleet, out_copy)
-        np.testing.assert_array_equal(fleet.device(3).weights, out_copy)
+        np.testing.assert_array_equal(out[0], out_copy)
+        np.testing.assert_array_equal(fleet.weights_row(3), out_copy)
+        assert not np.shares_memory(fleet.weights_row(3), out)
 
-    def test_run_unit_out_row_skips_sync_copy(self, tiny_fleet, tiny_trainer):
+    def test_registered_row_needs_no_sync(self, tiny_fleet, tiny_trainer):
         w0 = get_flat_params(tiny_trainer.model)
         tiny_fleet.retain_history = False
         rows = tiny_fleet.round_matrix([3])
-        out = tiny_fleet.device(3).run_unit(
-            w0, epochs=1, round_idx=0, unit_idx=0, out=rows[0], sync=False
-        )
-        assert np.shares_memory(out, rows)
-        np.testing.assert_array_equal(tiny_fleet.device(3).weights, out)
-
-    def test_buffer_choreography(self, tiny_fleet, tiny_trainer):
-        dev = tiny_fleet.device(1)
-        w0 = get_flat_params(tiny_trainer.model)
-        dev.receive(np.ones(tiny_fleet.dim))
-        dev.reset_buffer(w0)
-        assert len(dev.buffer) == 1
-        out = dev.train_unit(1, round_idx=0, unit_idx=0)
-        np.testing.assert_array_equal(dev.buffer[0], out)
+        run_units(None, tiny_fleet, [3], 1, 0, w0, rows)
+        assert np.shares_memory(tiny_fleet.weights_row(3), rows)
+        assert not np.array_equal(rows[0], w0)
 
 
 class TestMutationSafety:
-    """Satellite regression: the weight-ownership rule (Device docstring).
-
-    A device snapshots every ``weights`` assignment, so mutating the
-    server's array after ``reset_buffer`` can never corrupt device state.
-    """
+    """The weight-ownership rule (DESIGN §10.1): writing a row snapshots,
+    training and the ring engine's inbox only borrow."""
 
     def test_fleet_weights_survive_caller_mutation(self, tiny_fleet):
         dim = tiny_fleet.dim
         global_weights = np.ones(dim)
-        dev = tiny_fleet.device(0)
-        dev.reset_buffer(global_weights)
+        tiny_fleet.set_weights(0, global_weights)
         global_weights *= 1e9  # server misbehaves after handing over
-        np.testing.assert_array_equal(dev.weights, np.ones(dim))
+        np.testing.assert_array_equal(tiny_fleet[0].weights, np.ones(dim))
 
-    def test_buffered_array_is_never_mutated(self, tiny_fleet, tiny_trainer):
-        """Training must not write into a borrowed buffer entry."""
+    def test_borrowed_starts_are_never_mutated(self, tiny_fleet, tiny_trainer):
+        """Neither a training wave nor a ring round writes into the start
+        vector it was handed."""
         w0 = get_flat_params(tiny_trainer.model)
         keep = w0.copy()
-        dev = tiny_fleet.device(2)
-        dev.reset_buffer(w0)
-        dev.train_unit(1, round_idx=0, unit_idx=0)
+        run_units(None, tiny_fleet, [2], 1, 0, w0, np.empty((1, tiny_fleet.dim)))
+        RingRoundEngine(tiny_fleet, epochs_per_unit=1).run_round(
+            [tiny_fleet.device_ids.tolist()], w0, duration=4.0
+        )
         np.testing.assert_array_equal(w0, keep)
 
 

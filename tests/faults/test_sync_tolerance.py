@@ -54,6 +54,18 @@ class TestDeadline:
         assert armed.resilience["deadline_hits"] == 0
         assert clean.resilience == {}
 
+    def test_all_late_round_waits_for_the_earliest(self):
+        """Every upload misses a 0.5 deadline: each round aggregates its
+        earliest finisher and bills that completion, not the deadline.
+        The ledger is pinned to what the object-list round produced."""
+        result = run_experiment(_spec(faults="crash",
+                                      fault_kwargs={"crash_prob": 0.3},
+                                      round_deadline=0.5))
+        assert list(result.history.times) == [1.0, 2.0, 3.0, 4.0]
+        res = result.resilience
+        assert (res["deadline_hits"], res["dropped_updates"]) == (4, 40)
+        assert res["wasted_time"] == 63.215932439172065
+
     def test_fedprox_shares_the_path(self):
         res = run_experiment(_spec(method="fedprox",
                                    faults="straggler",
@@ -116,14 +128,14 @@ class TestResilienceAccounting:
         spec = _spec(faults="byzantine",
                      fault_kwargs={"fraction": 0.3, "scale": 1000.0})
         server = build_experiment(spec)
-        receivers = list(map(server.fleet.device, range(spec.num_devices)))
+        ids = server.fleet.device_ids
         stack = np.arange(spec.num_devices * 4, dtype=np.float64).reshape(
             spec.num_devices, 4
         )
         before = stack.copy()
-        arrived = list(range(spec.num_devices))
+        arrived = np.arange(spec.num_devices)
         out_arrived, out_stack = server.charge_round(
-            1, receivers, 1.0, stack, arrived
+            1, ids, 1.0, stack, arrived
         )
         np.testing.assert_array_equal(stack, before)  # input untouched
         assert out_stack is not stack  # corruption landed on a copy

@@ -70,6 +70,14 @@ class TestRingRotation:
         assert stats.peer_sends == 0
         np.testing.assert_allclose(devices[0].weights, [4.0])
 
+    def test_newest_arrival_wins(self):
+        """Two models reach slow device 1 during its first unit (at 0.5 and
+        at 1.0); its second unit trains the newer one, [2, 0], not [1, 0]."""
+        devices = make_fleet([0.5, 1.0])
+        engine = RingRoundEngine(devices, epochs_per_unit=1)
+        engine.run_round([[0, 1]], np.zeros(2), duration=2.0)
+        np.testing.assert_allclose(devices[1].weights, [2.0, 1.0])
+
     def test_large_delay_isolates_devices(self):
         """Deliveries landing after the round end never get trained: every
         device keeps training its own line (Eq. 7 fallback)."""

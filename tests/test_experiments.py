@@ -200,8 +200,8 @@ class TestSelectionWiring:
         srv = build_experiment(spec)
         chosen = srv.select_participants(1)
         assert len(chosen) == 3  # half of 6 devices
-        slowest = max(srv.devices, key=lambda d: d.unit_time)
-        assert slowest not in chosen
+        slowest = int(np.argmax(srv.fleet.unit_times))
+        assert slowest not in chosen.tolist()
 
 
 class TestRunExperiment:
