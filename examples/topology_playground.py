@@ -45,6 +45,8 @@ def main() -> None:
     rings = build_rings(classes, ids, unit_times, order="small_to_large")
     print(f"\nrings: {rings}")
 
+    # The round's weight rows: ring members train into the fleet's arena.
+    devices.round_matrix(devices.device_ids)
     engine = RingRoundEngine(devices, epochs_per_unit=1)
     w0 = get_flat_params(model)
     duration = float(unit_times.max())

@@ -89,6 +89,9 @@ def communication_mode_experiment(
     seeds = SeedSequenceFactory(seed)
     n = len(devices)
     ids = devices.device_ids
+    # Every device is in every round: one registration gives each device
+    # its fleet row for the whole run.
+    devices.round_matrix(ids)
     weights = [initial_weights.copy() for _ in range(n)]
     result = ObservationResult(label=mode)
 
@@ -96,7 +99,7 @@ def communication_mode_experiment(
         # Local training step for every device on its current model: one
         # scalar wave, so the figure never depends on the BLAS build.
         trained = np.empty((n, devices.dim))
-        run_units(None, devices, ids, epochs_per_round, r, weights, trained, sync=True)
+        run_units(None, devices, ids, epochs_per_round, r, weights, trained)
         weights = list(trained)
         # Communication step.
         if mode != "none":
@@ -146,6 +149,9 @@ def ring_order_experiment(
     duration = float(times.max())
     result = ObservationResult(label=order)
     ids = devices.device_ids
+    # One registration for the whole run: the engine's fleet rows are the
+    # devices' models, carried from round to round.
+    devices.round_matrix(ids)
     current = {i: initial_weights.copy() for i in ids.tolist()}
     for r in range(rounds):
         engine.run_round([ring], current, duration, r)
@@ -177,6 +183,7 @@ def cluster_count_experiment(
     engine = RingRoundEngine(devices, epochs_per_unit=epochs_per_unit)
     duration = float(times.max())
     result = ObservationResult(label=f"K={num_clusters}")
+    devices.round_matrix(devices.device_ids)  # one registration, as above
     ids = devices.device_ids.tolist()
     current = {i: initial_weights.copy() for i in ids}
     for r in range(rounds):

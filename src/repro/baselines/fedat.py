@@ -99,10 +99,9 @@ class FedATServer(FederatedServer):
     ) -> np.ndarray:
         cfg: FedATConfig = self.config  # type: ignore[assignment]
         duration = self.round_duration(ids)
-        # Register this round's weight rows up front so every tier-round
-        # result snapshots into recycled fleet storage, not into
-        # per-device allocations that outlive the round.
-        self.register_round(ids)
+        # Register this round's weight rows up front: every tier-round
+        # result snapshots into the recycled round arena.
+        self.fleet.round_matrix(ids)
 
         # This round's participants grouped by their stable tier, in
         # participant order; absent tiers simply run no tier-round.  The

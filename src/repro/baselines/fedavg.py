@@ -94,10 +94,10 @@ class FedAvgServer(FederatedServer):
         # itself under the identity codec, the decoded broadcast otherwise.
         receivers, view = self.broadcast_model(ids, global_weights)
         epochs = self.epochs_for(receivers, duration)
-        # In recycled-fleet mode these rows double as the devices' weight
-        # rows: each unit trains straight into fleet state, no per-device
-        # result copy, and the stack feeds aggregation as-is.
-        stack = self.round_rows(receivers)
+        # The round arena's rows double as the devices' weight rows: each
+        # unit trains straight into fleet state, no per-device result
+        # copy, and the stack feeds aggregation as-is.
+        stack = self.fleet.round_matrix(receivers)
         self.train_round(stack=stack, ids=receivers, epochs=epochs,
                          round_idx=round_idx, global_weights=view)
         arrived, stack = self.collect_models(receivers, stack, reference=view)

@@ -50,7 +50,7 @@ class FedProxServer(FedAvgServer):
         duration = self.round_duration(ids)
         receivers, view = self.broadcast_model(ids, global_weights)
         epochs = self.epochs_for(receivers, duration)
-        stack = self.round_rows(receivers)
+        stack = self.fleet.round_matrix(receivers)
         # The proximal anchor is the model devices received — the decoded
         # broadcast under a lossy codec, global_weights itself otherwise.
         self.train_round(stack=stack, ids=receivers, epochs=epochs,

@@ -87,7 +87,7 @@ class ScaffoldServer(FederatedServer):
         # variates stack into one (P, dim) correction matrix c - c_i, and
         # the option-II refresh runs as whole-matrix ops whose row i sees
         # exactly the float ops of a per-device refresh.
-        rows = self.round_rows(receivers)
+        rows = self.fleet.round_matrix(receivers)
         c_stack = np.empty((len(receivers), self.trainer.dim))
         for i, dev_id in enumerate(receivers.tolist()):
             np.copyto(c_stack[i], self.device_variates[dev_id])
@@ -100,7 +100,6 @@ class ScaffoldServer(FederatedServer):
             view,
             rows,
             corrections=np.subtract(self.server_variate, c_stack),
-            sync=not self.rows_live,
         )
         # Option II variate refresh, anchored on the received model.
         denom = steps.astype(np.float64) * eta

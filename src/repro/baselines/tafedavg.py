@@ -66,17 +66,23 @@ class TAFedAvgServer(FederatedServer):
     ) -> np.ndarray:
         cfg: TAFedAvgConfig = self.config  # type: ignore[assignment]
         duration = self.round_duration(ids)
-        self.register_round(ids)
         id_list = ids.tolist()
+        # Only a lossy downlink reads a device's last model back
+        # (start_views); each unit's result is then its history row.
+        lossy = self.env.network.drop_prob > 0.0
 
         # Round start: every participant pulls the current global model; a
-        # device whose pull is lost keeps training its previous weights.
-        # Under a codec the pull delivers the decoded broadcast view.
+        # device whose pull is lost keeps training its previous weights,
+        # unit after unit, until a reply reaches it (``on_own``).  Under a
+        # codec the pull delivers the decoded broadcast view.
         receivers, view0 = self.broadcast_model(ids, global_weights)
         views = self.start_views(ids, receivers, view0)
-        local_view: dict[int, np.ndarray] = (
-            views if isinstance(views, dict) else dict.fromkeys(id_list, view0)
-        )
+        if isinstance(views, dict):
+            local_view = views
+            on_own = {d for d, v in views.items() if v is not view0}
+        else:
+            local_view = dict.fromkeys(id_list, view0)
+            on_own = set()
         unit_counter = dict.fromkeys(id_list, 0)
         # Server version counter for staleness: the version each device's
         # view was taken at, vs the version at its upload.
@@ -91,6 +97,7 @@ class TAFedAvgServer(FederatedServer):
             # Each unit starts from the device's latest mix, so every wave
             # has one member.
             one = np.array([dev_id], dtype=np.intp)
+            start = local_view[dev_id]
             trained = np.empty((1, self.trainer.dim))
             run_units(
                 self.batched_trainer,
@@ -98,14 +105,19 @@ class TAFedAvgServer(FederatedServer):
                 one,
                 cfg.local_epochs,
                 round_idx,
-                local_view[dev_id],
+                start,
                 trained,
                 unit_idx=unit_counter[dev_id],
-                sync=True,
             )
             unit_counter[dev_id] += 1
+            # ``trained`` is fresh and never written again, so the rows it
+            # replaces stay what they were for whoever still holds them.
+            if lossy:
+                self.device_history[dev_id] = trained[0]
+            if dev_id in on_own:
+                local_view[dev_id] = trained[0]
             arrived, uploaded = self.collect_models(
-                one, trained, reference=local_view[dev_id], ensure_one=False,
+                one, trained, reference=start, ensure_one=False,
             )
             if not len(arrived):
                 continue  # upload lost: the global model never sees it
@@ -121,6 +133,7 @@ class TAFedAvgServer(FederatedServer):
             if len(delivered):
                 local_view[dev_id] = reply
                 view_version[dev_id] = version
+                on_own.discard(dev_id)
 
         self.clock.advance_by(duration)
         return current

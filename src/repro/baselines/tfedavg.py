@@ -40,7 +40,7 @@ class TFedAvgServer(FederatedServer):
     ) -> np.ndarray:
         duration = self.round_duration(ids)  # wait for the straggler
         receivers, view = self.broadcast_model(ids, global_weights)
-        stack = self.round_rows(receivers)
+        stack = self.fleet.round_matrix(receivers)
         epochs = np.full(len(receivers), self.config.local_epochs)
         self.train_round(stack=stack, ids=receivers, epochs=epochs,
                          round_idx=round_idx, global_weights=view)

@@ -129,9 +129,9 @@ class FedHiSynServer(FederatedServer):
         # Under a codec everyone who received starts from the decoded view.
         receivers, view = self.broadcast_model(ids, global_weights)
         start = self.start_views(ids, receivers, view)
-        # Ring results snapshot into recycled fleet rows for the upload
-        # stack below (no-op for lossy envs).
-        self.register_round(ids)
+        # Ring results snapshot into the round arena, which then is the
+        # upload stack below.
+        self.fleet.round_matrix(ids)
 
         # (4) ring training for the round duration (lines 7-16).  Ring
         # forwards compress against the round's shared broadcast view;
@@ -159,6 +159,13 @@ class FedHiSynServer(FederatedServer):
 
         # (5) synchronous upload + aggregation (line 17).
         stack = self.fleet.stack_weights(ids)
+        if self.env.network.drop_prob > 0.0:
+            # Each participant's last trained model, for the start_views
+            # fallback of a later round whose pull it loses.  Fresh rows:
+            # this round's start dict still holds the ones they replace.
+            self.device_history.update(
+                (dev_id, row.copy()) for dev_id, row in zip(ids.tolist(), stack)
+            )
         # Uplink reference: the shared view, or the per-device start dict
         # after a lossy broadcast (collect_models resolves it per sender).
         arrived, stack = self.collect_models(ids, stack, reference=start)

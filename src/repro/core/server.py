@@ -143,10 +143,11 @@ class FederatedServer:
         self.fleet = self.devices = DeviceFleet.require(devices)
         self.trainer = devices.trainer
         self._unit_times = devices.unit_times
-        # With lossless channels nothing reads a device's weights across
-        # rounds, so fleet rows can be recycled per round — the
-        # O(dim x participants) peak-memory mode.
-        self.fleet.retain_history = self.env.network.drop_prob > 0.0
+        # {id: last trained row}: the Eq. 7 fallback :meth:`start_views`
+        # hands a device whose pull was lost.  Only the methods that call
+        # it (FedHiSyn, TAFedAvg) write it, and only on a lossy downlink;
+        # fleet rows themselves are recycled every round.
+        self.device_history: dict[int, np.ndarray] = {}
         self.meter = TransmissionMeter()
         self.meter.bytes_per_unit = 8.0 * self.trainer.dim
         self.clock = VirtualClock()
@@ -371,39 +372,6 @@ class FederatedServer:
         times = self._unit_times[ids]
         return completed_units_array(duration, times) * self.config.local_epochs
 
-    def round_rows(self, ids: np.ndarray) -> np.ndarray:
-        """``(len(ids), dim)`` training stack for this round.
-
-        In recycled-fleet mode (lossless channels) the rows *are* the
-        devices' weight rows — training into them lands results directly
-        in fleet state with zero extra copies, and the arena is reused
-        every round.  Otherwise a plain scratch matrix: ``run_units(...,
-        sync=True)`` snapshots results into per-device rows, preserving
-        drop-fallback history.
-        """
-        if self.rows_live:
-            return self.fleet.round_matrix(ids)
-        return np.empty((len(ids), self.trainer.dim))
-
-    @property
-    def rows_live(self) -> bool:
-        """True when :meth:`round_rows` hands out *registered* fleet rows:
-        training into them updates device state directly, so callers skip
-        the per-device ``weights`` sync entirely."""
-        return not self.fleet.retain_history
-
-    def register_round(self, ids: np.ndarray) -> None:
-        """Pin this round's devices to recycled fleet rows.
-
-        For methods whose training results are staged elsewhere (FedAT
-        tier stacks, the ring engine, async mixing): every
-        ``fleet.set_weights`` during the round then snapshots into the
-        reused arena instead of materializing per-device rows that outlive
-        the round.  No-op when history must be retained.
-        """
-        if self.rows_live:
-            self.fleet.round_matrix(ids)
-
     def train_round(
         self,
         ids: np.ndarray,
@@ -568,18 +536,20 @@ class FederatedServer:
 
         The companion to :meth:`broadcast`: the ``delivered`` subset of
         ``ids`` starts from the global model; a device whose pull was lost
-        continues its previous fleet row (or the global model when it has
-        none yet — round one).  Returns the plain global vector when
-        everyone received, so the lossless path allocates nothing.
+        continues its last trained model from ``device_history`` (or the
+        global model when it has none yet).  Returns the plain global
+        vector when everyone received, so the lossless path allocates
+        nothing.
         """
         if len(delivered) == len(ids):
             return global_weights
         got = set(delivered.tolist())
-        views = {}
-        for dev_id in ids.tolist():
-            own = self.fleet.weights_row(dev_id)
-            views[dev_id] = global_weights if dev_id in got or own is None else own
-        return views
+        history = self.device_history
+        return {
+            dev_id: global_weights if dev_id in got
+            else history.get(dev_id, global_weights)
+            for dev_id in ids.tolist()
+        }
 
     @staticmethod
     def filter_arrived(

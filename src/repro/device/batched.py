@@ -302,10 +302,12 @@ def run_units(
     (``server.batched_trainer = None``) — calls ``LocalTrainer.train`` once
     per member.  Callers then run their codec/drop/send bookkeeping over
     ``out`` in member order, so every rng draw and meter charge keeps its
-    place.  ``sync=True`` snapshots each result into its device's fleet row
-    (``fleet.set_weights``); callers that trained straight into registered
-    rows (or keep results to themselves) leave it off.  There is no other
-    way to train a device.
+    place.  ``sync=True`` snapshots each result into its device's row of
+    the registered round arena (``fleet.set_weights``), for callers that
+    train into staging buffers while the fleet rows stay readable (the
+    ring engine, FedAT tiers); callers that trained straight into the
+    arena's rows, or keep results to themselves, leave it off.  There is
+    no other way to train a device.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if batched is not None and len(ids) >= 2:

@@ -190,7 +190,7 @@ class Device:
 
     Owns no arrays — ``shard`` is a zero-copy slice of the fleet's
     gathered data block (built on first access), ``weights`` is a
-    zero-copy view of the device's fleet row (None while idle) — and is
+    zero-copy view of its round-arena row (None outside the round) — and is
     built lazily by :meth:`DeviceFleet.device`, never on the round path:
     servers, the ring engine and the transports speak id arrays and read
     or write rows through the fleet.  The facade serves tests, examples
@@ -213,5 +213,5 @@ class Device:
 
     @property
     def weights(self) -> np.ndarray | None:
-        """The device's current model (None until it first trains)."""
+        """The device's row in the registered round (None outside it)."""
         return self.fleet.weights_row(self.device_id)

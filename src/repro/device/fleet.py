@@ -1,30 +1,23 @@
-"""Struct-of-arrays device population: O(active) memory, vectorized rounds.
+"""Struct-of-arrays device population: O(participants) memory, vectorized rounds.
 
 A :class:`DeviceFleet` owns an entire device population as contiguous
 arrays — ``unit_times``, ``num_samples``, shard index bounds over one
 gathered feature/label block — instead of a list of per-device Python
-objects.  Per-device *state* (the weight vector a device would upload) is
-materialized lazily: an idle device costs O(1) memory, an active one costs
-one row of a shared ``(participants, dim)`` weights matrix, mirroring the
-flat ``Sequential.theta`` buffer one layer down.
-
-Two storage modes, chosen by the server from the environment:
-
-* **recycled** (``retain_history=False``, lossless channels): every round
-  re-registers participant rows inside one reused arena, so peak fleet
-  state is ``O(dim x max participants)`` no matter how large the
-  population is.  Safe because with ``drop_prob == 0`` nothing ever reads
-  a device's weights across a round boundary (every method restarts
-  participants from the global model).
-* **retained** (``retain_history=True``, lossy channels): a device keeps
-  its last trained row until it trains again — the server's
-  ``start_views`` drop-fallback may need it next round.  Memory grows
-  with the set of ever-active devices, which is inherent: state someone
-  may still read cannot be recycled.
+objects.  Per-device *state* (the weight vector a device would upload)
+lives in one place: the round arena, a reused ``(participants, dim)``
+matrix that :meth:`DeviceFleet.round_matrix` registers each round.  A
+registered device's row is a view into it; every other device has no
+row, so peak fleet state is ``O(dim x max participants)`` however large
+the population is, mirroring the flat ``Sequential.theta`` buffer one
+layer down.  Registering a round invalidates the previous one, so
+nothing here survives a round boundary: cross-round per-device state
+lives with the code that reads it (SCAFFOLD's variates in a
+:class:`FleetState`, FedAT's per-tier models, the drop-fallback rows in
+the server's ``device_history``).
 
 Servers, the ring engine and the transports address devices by id: a
-round is an intp id array, and state moves through ``weights_row``,
-``set_weights`` and ``round_matrix``.  A
+round is an intp id array, and state moves through ``round_matrix``,
+``weights_row`` and ``set_weights``.  A
 :class:`~repro.device.device.Device` (``fleet[i]``) is the read-only row
 facade over one slot, built lazily and cached for tests, examples and
 inspection — never on the round path.
@@ -199,19 +192,10 @@ class DeviceFleet:
         self.trainer = trainer
         self.dim = trainer.dim
 
-        #: Lossy channels may read a device's last weights next round
-        #: (``start_views`` fallback); the server clears this flag for
-        #: lossless environments to enable arena recycling.
-        self.retain_history = True
-
-        # Lazily materialized per-device weight rows.  ``_views[i]`` is the
-        # standalone (dim,) row a device owns, or None (idle: O(1) cost).
-        # Devices registered in the current round arena are tracked in
-        # ``_arena_row`` (id -> arena row) instead; their views are built
-        # on demand so registering a round costs one dict, not p view
-        # objects.  Arena registration wins over a stale standalone row.
-        self._views: list[np.ndarray | None] = [None] * n
-        self._has_standalone = False
+        # The round arena and its registration: ``_arena_row`` maps id ->
+        # arena row, and views are built on demand, so registering a round
+        # costs one dict, not p view objects.  Unregistered devices (idle
+        # or from an earlier round) hold no row: O(1) cost.
         self._arena: np.ndarray | None = None  # recycled round matrix
         self._arena_row: dict[int, int] = {}
         self._arena_reg_ids: np.ndarray | None = None
@@ -277,27 +261,24 @@ class DeviceFleet:
     # --------------------------------------------------------- weight rows
 
     def weights_row(self, device_id: int) -> np.ndarray | None:
-        """Zero-copy view of the device's current weights (None if idle)."""
+        """Zero-copy view of the device's row in the current round arena
+        (None if the device is not registered)."""
         row = self._arena_row.get(device_id)
-        if row is not None:
-            return self._arena[row]
-        return self._views[device_id]
+        return None if row is None else self._arena[row]
 
     def set_weights(self, device_id: int, values: np.ndarray) -> None:
-        """Copy ``values`` into the device's row, materializing it if idle.
+        """Copy ``values`` into the device's registered arena row.
 
         Writing the row the device already owns (e.g. training with
-        ``out=`` straight into its round-matrix row) is a no-op.
+        ``out=`` straight into its round-matrix row) is a no-op; a device
+        outside the registered round has no row to write.
         """
-        row = self._arena_row.get(device_id)
-        if row is not None:
-            view = self._arena[row]
-        else:
-            view = self._views[device_id]
-            if view is None:
-                view = np.empty(self.dim)
-                self._views[device_id] = view
-                self._has_standalone = True
+        view = self.weights_row(device_id)
+        if view is None:
+            raise ValueError(
+                f"device {device_id} is not in the registered round; "
+                "register the round's ids with round_matrix first"
+            )
         if values is view or (
             isinstance(values, np.ndarray)
             and values.ndim == 1
@@ -313,36 +294,17 @@ class DeviceFleet:
         The matrix is one reused arena (grown only when the participant
         count does) and every previous registration is invalidated first,
         so peak fleet state stays O(dim x participants) regardless of
-        population size.  Only valid with ``retain_history`` off: the
-        rows are registered *before* they are written, which is safe
-        exactly when no cross-round reader exists (lossless channels —
-        see the class docstring).  Lossy environments must instead write
-        through :meth:`set_weights`, which snapshots values into retained
-        per-device rows.
+        population size.  The rows are registered *before* they are
+        written; a caller that needs a device's weights across a round
+        boundary keeps its own copy.
         """
-        if self.retain_history:
-            raise RuntimeError(
-                "round_matrix requires retain_history=False; a lossy "
-                "environment may still read last-round weights, so rows "
-                "cannot be recycled"
-            )
         ids = np.asarray(ids, dtype=np.intp)
         p = len(ids)
         if self._arena is None or self._arena.shape[0] < p:
             self._arena = np.empty((p, self.dim))
-        block = self._arena[:p]
-        id_list = ids.tolist()
-        # One dict replaces p registered view objects; previous arena
-        # registrations vanish with the old dict (recycled rows hold no
-        # readable state across rounds by construction).
-        self._arena_row = dict(zip(id_list, range(p)))
+        self._arena_row = dict(zip(ids.tolist(), range(p)))
         self._arena_reg_ids = ids
-        if self._has_standalone:
-            # A standalone row must not shadow the new arena registration
-            # once the arena moves on — recycled history is gone either way.
-            for i in id_list:
-                self._views[i] = None
-        return block
+        return self._arena[:p]
 
     def stack_weights(self, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Stacked weights of the given devices (aggregation input).
@@ -373,34 +335,13 @@ class DeviceFleet:
 
     @property
     def materialized_rows(self) -> int:
-        """Devices currently holding a weight row."""
-        standalone = sum(
-            1 for i, v in enumerate(self._views)
-            if v is not None and i not in self._arena_row
-        )
-        return standalone + len(self._arena_row)
+        """Devices currently holding a weight row (the registered round)."""
+        return len(self._arena_row)
 
     @property
     def state_nbytes(self) -> int:
-        """Bytes of weight state held by the fleet (arena + retained rows).
-
-        Counts each backing allocation once — many views share one round
-        block — which is what "peak fleet state memory" means in the perf
-        suite.
-        """
-        seen: set[int] = set()
-        total = 0
-        if self._arena is not None:
-            seen.add(id(self._arena))
-            total += self._arena.nbytes
-        for view in self._views:
-            if view is None:
-                continue
-            base = view.base if view.base is not None else view
-            if id(base) not in seen:
-                seen.add(id(base))
-                total += base.nbytes
-        return total
+        """Bytes of weight state held by the fleet: the round arena."""
+        return 0 if self._arena is None else self._arena.nbytes
 
 
 def make_fleet(

@@ -164,9 +164,11 @@ class RingRoundEngine:
         completion wave trains as one stack; None trains unit by unit.
 
         Every device completes at least one unit (Algorithm 1 line 11
-        enters the loop whenever the remaining budget is positive).  After
-        the call each device's fleet row holds its last trained model —
-        the vector it would upload to the server.
+        enters the loop whenever the remaining budget is positive).  The
+        caller registers every ring member in the fleet's round arena
+        (``fleet.round_matrix``) first; after the call each device's row
+        holds its last trained model — the vector it would upload to the
+        server.
 
         Ownership: the inbox *borrows* (an arrival aliases the sender's
         array and is never mutated); seeding a device and finishing a unit

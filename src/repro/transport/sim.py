@@ -51,9 +51,8 @@ class SimTransport(Transport):
 
         The FedAvg-family inner loop: the round is one
         :func:`~repro.device.batched.run_units` wave on the server's own
-        batched trainer.  With live fleet rows ``stack`` already is device
-        state; under retained storage ``sync`` also snapshots each result
-        into the device's row (the drop-fallback history).
+        batched trainer, straight into ``stack`` — the round arena's
+        registered rows, so results land in device state with no copy.
         """
         run_units(
             server.batched_trainer,
@@ -65,5 +64,4 @@ class SimTransport(Transport):
             stack,
             anchor=anchor,
             mu=mu,
-            sync=not server.rows_live,
         )

@@ -46,7 +46,6 @@ class TestScaffoldRekeying:
             fleet, test_set, ScaffoldConfig(rounds=3, local_epochs=1),
             env=_churn_env(),
         )
-        assert not fleet.retain_history  # lossless env -> recycled rows
 
         w = srv.global_weights
         w = srv.run_round(1, srv.select_participants(1), w)
@@ -114,11 +113,13 @@ class TestFleetMatchesPerObject:
             assert got[name] == want, f"{cell}: '{name}' diverged"
 
     def test_cells_reach_what_they_claim(self):
-        """Churn epochs that really draw, drops that force row retention."""
+        """Churn epochs that really draw, drops that really fire."""
         coin = FROZEN["hand-fedbuff-coin"]["observables"]
         assert coin["unavailable_count"] > 0
         lossy = build_population_cell(POPULATION_MATRIX["hand-scaffold-lossy"])
-        assert lossy.fleet.retain_history  # drops -> per-device rows kept
+        assert lossy.env.network.drop_prob > 0
+        lossy.fit()
+        assert lossy.dropped_messages > 0
         assert FROZEN["hand-scaffold-lossy"]["observables"]["dropped_messages"] > 0
 
 

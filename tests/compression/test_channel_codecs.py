@@ -224,6 +224,7 @@ class TestRingCodec:
     def test_peer_units_shrink(self, tiny_devices, tiny_split):
         from repro.simulation.engine import RingRoundEngine
 
+        tiny_devices.round_matrix(tiny_devices.device_ids)
         engine = RingRoundEngine(tiny_devices, epochs_per_unit=1)
         rings = [tiny_devices.device_ids.tolist()]
         w = np.zeros(tiny_devices.dim)
@@ -243,6 +244,7 @@ class TestRingCodec:
     def test_identity_codec_is_dense_path(self, tiny_devices, tiny_split):
         from repro.simulation.engine import RingRoundEngine
 
+        tiny_devices.round_matrix(tiny_devices.device_ids)
         rings = [tiny_devices.device_ids.tolist()]
         w = np.zeros(tiny_devices.dim)
         a = RingRoundEngine(tiny_devices, epochs_per_unit=1).run_round(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import (
@@ -71,14 +71,22 @@ class TestWeightedAverage:
         assert np.all(agg <= stack.max(axis=0) + 1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
+    @example(seed=6071)  # a coordinate that averages to ~9e-5
     @settings(max_examples=25, deadline=None)
     def test_property_scale_invariance(self, seed):
         """Scaling all weights by a constant changes nothing."""
         rng = np.random.default_rng(seed)
         stack = rng.normal(size=(5, 4))
         w = rng.uniform(0.1, 1.0, size=5)
+        # Rescaled weights round differently, and a weighted sum carries
+        # cancellation error at the scale of its inputs (a few eps times
+        # max |stack|), not of its result.  A coordinate whose average
+        # nearly cancels therefore needs an absolute tolerance: no
+        # relative one bounds an error of 1e-16 on a result of 1e-4.
+        atol = 8 * np.finfo(np.float64).eps * np.abs(stack).max()
         np.testing.assert_allclose(
-            weighted_average(stack, w), weighted_average(stack, w * 37.0), rtol=1e-12
+            weighted_average(stack, w), weighted_average(stack, w * 37.0),
+            rtol=1e-12, atol=atol,
         )
 
 

@@ -252,6 +252,7 @@ class TestRunUnits:
         units = [0, 2, 1, 0, 3]
         want = self._scalar(fleet, starts, units)
         got = np.empty((5, trainer.dim))
+        fleet.round_matrix(self.IDS)
         steps = run_units(BatchedTrainer(trainer, fleet), fleet, self.IDS, 2, 1,
                           starts, got, unit_idx=units, sync=True)
         np.testing.assert_array_equal(steps, 2 * -(-fleet.num_samples // BATCH))

@@ -111,7 +111,8 @@ class TestLocalTrainer:
 class TestDevice:
     def test_weights_read_the_fleet_row(self, trainer, dev):
         fleet = dev.fleet
-        assert dev.weights is None  # idle until a row is written
+        assert dev.weights is None  # idle until its round is registered
+        fleet.round_matrix([dev.device_id])
         w = np.arange(trainer.dim, dtype=np.float64)
         fleet.set_weights(dev.device_id, w)
         np.testing.assert_array_equal(dev.weights, w)

@@ -111,12 +111,22 @@ class TestLazyMaterialization:
             with pytest.raises(IndexError, match=f"population of {n}"):
                 tiny_fleet[bad]
 
-    def test_set_weights_materializes_one_row(self, tiny_fleet):
+    def test_set_weights_writes_the_registered_row(self, tiny_fleet):
         dim = tiny_fleet.dim
+        tiny_fleet.round_matrix([5])
         tiny_fleet.set_weights(5, np.arange(dim, dtype=np.float64))
         assert tiny_fleet.materialized_rows == 1
         np.testing.assert_array_equal(tiny_fleet.weights_row(5), np.arange(dim))
         assert tiny_fleet.state_nbytes == dim * 8
+
+    def test_set_weights_outside_the_round_raises(self, tiny_fleet):
+        """No round, no row: writing one never allocates behind the arena."""
+        with pytest.raises(ValueError, match="not in the registered round"):
+            tiny_fleet.set_weights(5, np.zeros(tiny_fleet.dim))
+        tiny_fleet.round_matrix([1, 2])
+        with pytest.raises(ValueError, match="round_matrix"):
+            tiny_fleet.set_weights(5, np.zeros(tiny_fleet.dim))
+        assert tiny_fleet.state_nbytes == 2 * tiny_fleet.dim * 8
 
 
 class TestTrainingThroughTheFleet:
@@ -130,6 +140,7 @@ class TestTrainingThroughTheFleet:
         fleet = make_fleet(train_set, parts, times, tiny_trainer)
         w0 = get_flat_params(tiny_trainer.model)
         out = np.empty((1, fleet.dim))
+        fleet.round_matrix([3])
         run_units(None, fleet, [3], 2, 1, w0, out, sync=True)
         out_copy, _ = tiny_trainer.train(
             w0, train_set.subset(parts[3]), 2, stream_key=(3, 1, 0)
@@ -140,7 +151,6 @@ class TestTrainingThroughTheFleet:
 
     def test_registered_row_needs_no_sync(self, tiny_fleet, tiny_trainer):
         w0 = get_flat_params(tiny_trainer.model)
-        tiny_fleet.retain_history = False
         rows = tiny_fleet.round_matrix([3])
         run_units(None, tiny_fleet, [3], 1, 0, w0, rows)
         assert np.shares_memory(tiny_fleet.weights_row(3), rows)
@@ -154,6 +164,7 @@ class TestMutationSafety:
     def test_fleet_weights_survive_caller_mutation(self, tiny_fleet):
         dim = tiny_fleet.dim
         global_weights = np.ones(dim)
+        tiny_fleet.round_matrix([0])
         tiny_fleet.set_weights(0, global_weights)
         global_weights *= 1e9  # server misbehaves after handing over
         np.testing.assert_array_equal(tiny_fleet[0].weights, np.ones(dim))
@@ -163,6 +174,7 @@ class TestMutationSafety:
         vector it was handed."""
         w0 = get_flat_params(tiny_trainer.model)
         keep = w0.copy()
+        tiny_fleet.round_matrix(tiny_fleet.device_ids)
         run_units(None, tiny_fleet, [2], 1, 0, w0, np.empty((1, tiny_fleet.dim)))
         RingRoundEngine(tiny_fleet, epochs_per_unit=1).run_round(
             [tiny_fleet.device_ids.tolist()], w0, duration=4.0
@@ -171,13 +183,7 @@ class TestMutationSafety:
 
 
 class TestRoundMatrix:
-    def test_requires_recycle_mode(self, tiny_fleet):
-        assert tiny_fleet.retain_history  # safe default
-        with pytest.raises(RuntimeError, match="retain_history"):
-            tiny_fleet.round_matrix([0, 1])
-
     def test_rows_are_registered_views(self, tiny_fleet):
-        tiny_fleet.retain_history = False
         rows = tiny_fleet.round_matrix([4, 1])
         rows[0] = 7.0
         rows[1] = 9.0
@@ -186,7 +192,6 @@ class TestRoundMatrix:
         assert tiny_fleet.weights_row(0) is None
 
     def test_arena_recycles_and_bounds_memory(self, tiny_fleet):
-        tiny_fleet.retain_history = False
         dim = tiny_fleet.dim
         tiny_fleet.round_matrix([0, 1, 2])
         first = tiny_fleet.state_nbytes
@@ -196,17 +201,18 @@ class TestRoundMatrix:
         assert tiny_fleet.weights_row(0) is None  # recycled away
         assert tiny_fleet.materialized_rows == 2
 
-    def test_stale_standalone_row_cleared(self, tiny_fleet):
-        tiny_fleet.set_weights(2, np.zeros(tiny_fleet.dim))
-        tiny_fleet.retain_history = False
+    def test_reregistration_forgets_the_previous_round(self, tiny_fleet):
+        """A device left out of the new round has no row, even where the
+        arena row it used survives for someone else."""
         rows = tiny_fleet.round_matrix([2])
         rows[0] = 5.0
         np.testing.assert_array_equal(tiny_fleet.weights_row(2), rows[0])
         tiny_fleet.round_matrix([3])
-        assert tiny_fleet.weights_row(2) is None  # not the stale zeros
+        assert tiny_fleet.weights_row(2) is None  # not the stale 5.0
+        with pytest.raises(ValueError, match="device 2"):
+            tiny_fleet.set_weights(2, np.zeros(tiny_fleet.dim))
 
     def test_stack_weights_zero_copy_for_registered_round(self, tiny_fleet):
-        tiny_fleet.retain_history = False
         rows = tiny_fleet.round_matrix([2, 6, 4])
         rows[:] = 3.0
         stacked = tiny_fleet.stack_weights([2, 6, 4])
@@ -214,7 +220,6 @@ class TestRoundMatrix:
         np.testing.assert_array_equal(stacked, rows)
 
     def test_stack_weights(self, tiny_fleet):
-        tiny_fleet.retain_history = False
         rows = tiny_fleet.round_matrix([1, 5])
         rows[0] = 1.0
         rows[1] = 2.0

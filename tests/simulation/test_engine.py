@@ -32,14 +32,17 @@ class LineageTrainer:
 
 def make_fleet(unit_times, dim=None):
     """A real DeviceFleet (two dummy samples per device) around the fake
-    trainer."""
+    trainer, every device registered in the round arena (the engine's
+    caller owns the registration)."""
     n = len(unit_times)
     trainer = LineageTrainer(dim if dim is not None else n)
     dataset = ClassificationDataset(
         np.zeros((2 * n, 1)), np.zeros(2 * n, dtype=int), 1
     )
     parts = list(np.arange(2 * n).reshape(n, 2))
-    return DeviceFleet(dataset, parts, np.asarray(unit_times, dtype=float), trainer)
+    fleet = DeviceFleet(dataset, parts, np.asarray(unit_times, dtype=float), trainer)
+    fleet.round_matrix(fleet.device_ids)
+    return fleet
 
 
 class TestRingRotation:
@@ -216,6 +219,7 @@ class TestWaveTraining:
             paper_mlp(16, 10, seed=0, hidden=(12, 8)), lr=0.1, batch_size=20, seed=2
         )
         fleet = real_fleet(dataset, parts, unit_times, trainer)
+        fleet.round_matrix(fleet.device_ids)
         engine = RingRoundEngine(fleet, epochs_per_unit=1, **kwargs)
         return engine, BatchedTrainer(trainer, fleet), trainer.model.theta.copy()
 
