@@ -1,7 +1,9 @@
 """FedBuff (Nguyen et al., 2022): buffered asynchronous aggregation.
 
 Uploads accumulate in a server-side buffer as model *deltas* (trained
-minus the model the device actually started from).  When the buffer
+minus the model the device actually started from), held as a running
+staleness-weighted sum in preallocated vectors: one subtract, scale and
+add per upload.  When the buffer
 reaches its goal size K the server applies one aggregated step,
 
     w <- w + eta_g * sum_i(s_i * delta_i) / sum_i(s_i),
@@ -58,23 +60,37 @@ class FedBuffServer(AsyncFederatedServer):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # (delta, staleness_weight) pairs awaiting the next flush.
-        self._buffer: list[tuple[np.ndarray, float]] = []
+        # The buffer as a running sum: sum_i(s_i * delta_i) in ``_acc``,
+        # sum_i(s_i) in ``_total``, ``_buffered`` uploads since the last
+        # flush.  Accumulating from zero in arrival order is the float-op
+        # order of ``sum(s * d) / sum(s)`` over a list of the entries
+        # (``sum`` starts from ``0 + first term``), so flushes are
+        # bit-identical to buffering the deltas themselves.
+        self._acc = np.zeros(self.trainer.dim)
+        self._delta = np.empty(self.trainer.dim)
+        self._total = 0.0
+        self._buffered = 0
 
     def apply_upload(
         self, dev_id: int, trained: np.ndarray, base: np.ndarray, staleness: int
     ) -> bool:
         cfg: FedBuffConfig = self.config  # type: ignore[assignment]
-        self._buffer.append((trained - base, self.mix_weight(staleness)))
+        weight = self.mix_weight(staleness)
+        delta = np.subtract(trained, base, out=self._delta)
+        delta *= weight
+        self._acc += delta
+        self._total += weight
+        self._buffered += 1
         # The flush goal shrinks to the unsuspected cohort size so the
         # buffer never waits on devices the failure detector parked.
-        if len(self._buffer) < self.live_target(cfg.buffer_goal):
+        if self._buffered < self.live_target(cfg.buffer_goal):
             return False
-        total = sum(weight for _, weight in self._buffer)
-        delta = sum(weight * d for d, weight in self._buffer) / total
+        delta = self._acc / self._total
         # Replace, never mutate: in-flight broadcast payloads alias the
         # previous global vector.
         self.global_weights = self.global_weights + cfg.global_lr * delta
-        self._buffer.clear()
+        self._acc.fill(0.0)
+        self._total = 0.0
+        self._buffered = 0
         self._version += 1
         return True

@@ -24,7 +24,7 @@ The device lifecycle (one state machine per cohort member):
    ``(device, 0, unit_idx)`` stream) is fixed when the unit begins, so a
    wave that needs training trains in one ``run_units`` call together
    with the earliest-due other in-flight units, topping the pool of
-   results held ahead up to ``_AHEAD`` (96)
+   results held ahead up to ``_AHEAD`` (192)
    (:meth:`AsyncFederatedServer._train_ahead`).  That stacks equal shard
    sizes a single instant's wave rarely holds, and it costs at most
    ``_AHEAD`` extra result vectors; a crash discards its unit's result.
@@ -221,6 +221,7 @@ class AsyncFederatedServer(FederatedServer):
     hook, :meth:`apply_upload`, and inherit the whole event loop."""
 
     method = "async-base"
+    fault_aware = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

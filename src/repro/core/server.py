@@ -125,6 +125,10 @@ class FederatedServer:
     """
 
     method = "base"
+    #: True when the method's round path injects ``self.faults``; an armed
+    #: fault model on any other method is ignored, and ``build_experiment``
+    #: warns rather than let the run pass as a faulty one.
+    fault_aware = False
 
     def __init__(
         self,

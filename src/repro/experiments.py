@@ -13,6 +13,7 @@ and every paper-scale value remains one field away (see DESIGN.md).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
@@ -437,7 +438,16 @@ def build_experiment(
         # Fault draws run on their own (*, 200..202) seed streams —
         # disjoint from substrate (+0..+6) and codec (+7) randomness — so
         # arming a model that injects nothing perturbs nothing.
-        server.set_faults(FAULT_MODELS.make(spec.faults, **spec.fault_kwargs))
+        faults = FAULT_MODELS.make(spec.faults, **spec.fault_kwargs)
+        if not faults.is_null and not server.fault_aware:
+            warnings.warn(
+                f"method {spec.method!r} ignores the fault model "
+                f"{spec.faults!r}: its round path injects no faults, so "
+                "this run is fault-free",
+                UserWarning,
+                stacklevel=2,
+            )
+        server.set_faults(faults)
     if spec.transport != "sim" or spec.transport_kwargs:
         # The live backend needs the spec itself: worker processes rebuild
         # the whole substrate from it (same seeds -> identical shards,

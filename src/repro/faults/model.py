@@ -34,8 +34,9 @@ Fault-aware surfaces: the FedAvg family (fedavg, fedprox) on the barrier
 runtime and the async family (fedasync, fedbuff) on the event loop.  The
 remaining methods (scaffold, fedat, fedhisyn, ...) ignore an injected
 model — their round engines predate the fault layer — which
-``build_experiment`` surfaces rather than letting a sweep silently run
-clean.
+``build_experiment`` surfaces as a ``UserWarning`` naming the method
+(``FederatedServer.fault_aware``) rather than letting a sweep silently
+run clean.
 """
 
 from __future__ import annotations

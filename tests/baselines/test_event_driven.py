@@ -195,7 +195,50 @@ class TestFedBuff:
         w0 = srv.global_weights.copy()
         srv.fit(initial_weights=w0)
         # Leftover buffer entries below the goal stay unapplied.
-        assert len(srv._buffer) < 4
+        assert srv._buffered < 4
+
+    def test_running_sum_flush_is_the_list_sum_bitwise(
+        self, tiny_devices, tiny_split
+    ):
+        """The running-sum buffer flushes exactly what summing a list of
+        ``(delta, weight)`` entries did: ``w + lr * sum(s*d) / sum(s)``,
+        with ``-0.0`` deltas and staleness weights, over two flushes."""
+        _, test_set = tiny_split
+        goal, lr = 5, 0.7
+        srv = FedBuffServer(
+            tiny_devices, test_set,
+            FedBuffConfig(rounds=1, buffer_goal=goal, global_lr=lr,
+                          staleness_decay="polynomial",
+                          staleness_exponent=0.5, seed=0),
+        )
+        dim = srv.trainer.dim
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            entries = []
+            # A -0.0 global coordinate shows the sign of a zero delta sum.
+            w0 = srv.global_weights.copy()
+            w0[dim // 4: dim // 2] = -0.0
+            srv.global_weights = w0
+            for k in range(goal):
+                base = rng.normal(size=dim)
+                trained = base + rng.normal(scale=1e-3, size=dim)
+                # Exact zeros and negative zeros in the delta.
+                trained[: dim // 4] = base[: dim // 4]
+                base[dim // 4: dim // 2] = 0.0
+                trained[dim // 4: dim // 2] = -0.0
+                staleness = 3 * k
+                entries.append((trained - base, srv.mix_weight(staleness)))
+                flushed = srv.apply_upload(k, trained, base, staleness)
+                assert flushed == (k == goal - 1)
+                if not flushed:
+                    assert srv.global_weights is w0
+            total = sum(weight for _, weight in entries)
+            delta = sum(weight * d for d, weight in entries) / total
+            expected = w0 + lr * delta
+            assert srv._buffered == 0
+            np.testing.assert_array_equal(
+                srv.global_weights.view(np.uint64), expected.view(np.uint64)
+            )
 
     def test_staleness_leak_weights_buffer_entries(
         self, tiny_devices, tiny_split

@@ -79,6 +79,18 @@ class TestBuildExperiment:
         srv = build_experiment(spec)
         assert srv.method == method
 
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_ignored_fault_model_warns(self, method, recwarn):
+        """An armed fault model on a method whose round path never injects
+        it warns, naming the method; the fault-aware methods stay quiet."""
+        spec = fast_spec(method=method, method_kwargs={}, faults="crash")
+        if method in {"fedavg", "fedprox", "fedasync", "fedbuff"}:
+            build_experiment(spec)
+            assert not [w for w in recwarn if "ignores the fault model" in str(w.message)]
+        else:
+            with pytest.warns(UserWarning, match=f"'{method}' ignores the fault model 'crash'"):
+                build_experiment(spec)
+
     def test_device_count(self):
         srv = build_experiment(fast_spec(num_devices=9))
         assert len(srv.devices) == 9

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.rng import SeedSequenceFactory, as_generator, spawn_generators
 
@@ -88,3 +90,62 @@ class TestSeedSequenceFactory:
     def test_negative_root_raises(self):
         with pytest.raises(ValueError):
             SeedSequenceFactory(-1)
+
+
+_roots = st.one_of(
+    st.none(),
+    st.just(0),
+    st.integers(1, 1000),
+    st.integers(2**32, 2**140),
+)
+_words = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+class TestPcg64States:
+    """``pcg64_states`` is the per-call stream derivation the batched
+    trainer runs on: it must equal ``generator(*key)`` exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        root=_roots,
+        data=st.data(),
+        n=st.integers(1, 300),
+        width=st.integers(0, 4),
+    )
+    def test_matches_generator(self, root, data, n, width):
+        f = SeedSequenceFactory(root)
+        head = data.draw(st.lists(
+            st.lists(_words, min_size=width, max_size=width), min_size=1, max_size=8
+        ))
+        keys = np.array(
+            (head + np.random.default_rng(n).integers(0, 2**32, (n, width)).tolist())[:n],
+            dtype=np.int64,
+        )
+        states = f.pcg64_states(keys)
+        assert len(states) == n
+        gen = np.random.Generator(np.random.PCG64())
+        for key, state in zip(keys.tolist(), states):
+            ref = f.generator(*key)
+            assert state == ref.bit_generator.state
+            gen.bit_generator.state = state
+            np.testing.assert_array_equal(gen.permutation(n), ref.permutation(n))
+
+    def test_generators_match_generator(self):
+        f = SeedSequenceFactory(9)
+        keys = [(3, 0, 1), (0, 2**32 - 1, 7)]
+        for gen, key in zip(f.generators(keys), keys):
+            np.testing.assert_array_equal(
+                gen.permutation(50), f.generator(*key).permutation(50)
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(root=_roots, big=st.integers(2**32, 2**62), col=st.integers(0, 2))
+    def test_oversized_key_raises(self, root, big, col):
+        keys = np.zeros((4, 3), dtype=np.int64)
+        keys[2, col] = big
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            SeedSequenceFactory(root).pcg64_states(keys)
+
+    def test_negative_key_raises(self):
+        with pytest.raises(ValueError):
+            SeedSequenceFactory(0).pcg64_states(np.array([[0, -1, 0]]))
