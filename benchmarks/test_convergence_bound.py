@@ -30,7 +30,7 @@ def estimate_gammas(scale):
     parts = dirichlet_partition(train_set, 8, beta=0.3, seed=2)
     model = logistic_model(train_set.flat_features, train_set.num_classes, seed=3)
     trainer = LocalTrainer(model, lr=0.1, batch_size=50, seed=4)
-    devices = make_fleet(train_set, parts, np.ones(8), trainer)
+    fleet = make_fleet(train_set, parts, np.ones(8), trainer)
     w0 = get_flat_params(model)
 
     def global_loss(w):
@@ -46,24 +46,25 @@ def estimate_gammas(scale):
 
     # Per-device minima.
     f_i_stars = []
-    for d in devices:
+    for dev in fleet.device_ids.tolist():
+        shard = fleet.shard(dev)
         w_i = w0
         for _ in range(60):
-            w_i, _ = trainer.train(w_i, d.shard, 1, stream_key=(d.device_id,))
+            w_i, _ = trainer.train(w_i, shard, 1, stream_key=(dev,))
         set_flat_params(model, w_i)
-        f_i_stars.append(model.evaluate_loss(d.shard.x, d.shard.y))
+        f_i_stars.append(model.evaluate_loss(shard.x, shard.y))
     gamma_fedavg = gamma_heterogeneity(f_star, np.array(f_i_stars))
 
     # FedHiSyn's effective per-model risk: a model that traversed a ring of
     # devices is evaluated on the union of their shards (Eq. 8) — its
     # reachable minimum is closer to F*.
     f_ring_stars = []
-    ring = [d.device_id for d in devices]
+    ring = fleet.device_ids.tolist()
     for start in range(len(ring)):
         # union of 4 consecutive devices' data
-        members = [devices[(start + j) % len(ring)] for j in range(4)]
-        union_x = np.concatenate([m.shard.x for m in members])
-        union_y = np.concatenate([m.shard.y for m in members])
+        members = [fleet.shard(ring[(start + j) % len(ring)]) for j in range(4)]
+        union_x = np.concatenate([m.x for m in members])
+        union_y = np.concatenate([m.y for m in members])
         from repro.datasets.core import ClassificationDataset
 
         union = ClassificationDataset(union_x, union_y, train_set.num_classes)

@@ -30,12 +30,12 @@ def main() -> None:
 
     counts = sample_unit_counts(12, 1, 10, seed=5)  # units per round
     unit_times = unit_times_from_counts(counts)
-    devices = make_fleet(train_set, parts, unit_times, trainer)
-    print(f"fleet of {len(devices)} devices, H = "
+    fleet = make_fleet(train_set, parts, unit_times, trainer)
+    print(f"fleet of {fleet.num_devices} devices, H = "
           f"{heterogeneity_ratio(unit_times):.1f}")
 
     # --- the server's per-round steps, spelled out ------------------------
-    ids = [d.device_id for d in devices]
+    ids = fleet.device_ids.tolist()
     classes = cluster_by_capacity(unit_times, k=3)
     print("\ncapacity classes (fastest first):")
     for i, cls in enumerate(classes):
@@ -46,22 +46,22 @@ def main() -> None:
     print(f"\nrings: {rings}")
 
     # The round's weight rows: ring members train into the fleet's arena.
-    devices.round_matrix(devices.device_ids)
-    engine = RingRoundEngine(devices, epochs_per_unit=1)
+    fleet.round_matrix(fleet.device_ids)
+    engine = RingRoundEngine(fleet, epochs_per_unit=1)
     w0 = get_flat_params(model)
     duration = float(unit_times.max())
     stats = engine.run_round(rings, w0, duration, round_idx=0)
 
     print(f"\nround of duration {duration:.2f}:")
     print(f"  peer model hops: {stats.peer_sends}")
-    for dev in devices:
-        units = stats.units_completed[dev.device_id]
-        set_flat_params(model, dev.weights)
+    for dev in ids:
+        units = stats.units_completed[dev]
+        set_flat_params(model, fleet.weights_row(dev))
         acc = model.accuracy(test_set.x, test_set.y)
-        print(f"  device {dev.device_id:2d}: {units:2d} units "
-              f"(t={dev.unit_time:.2f}) -> upload accuracy {acc:.3f}")
+        print(f"  device {dev:2d}: {units:2d} units "
+              f"(t={unit_times[dev]:.2f}) -> upload accuracy {acc:.3f}")
 
-    agg = np.stack([d.weights for d in devices]).mean(axis=0)
+    agg = fleet.stack_weights(fleet.device_ids).mean(axis=0)
     set_flat_params(model, agg)
     print(f"\naggregated global model accuracy after one round: "
           f"{model.accuracy(test_set.x, test_set.y):.3f}")

@@ -65,6 +65,7 @@ class FedAvgConfig(ServerConfig):
 class FedAvgServer(FederatedServer):
     method = "fedavg"
     fault_aware = True
+    deadline_aware = True
 
     def aggregate_stack(self, stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Apply the configured aggregation rule to the arrived stack."""

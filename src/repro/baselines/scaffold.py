@@ -58,9 +58,8 @@ class ScaffoldServer(FederatedServer):
         # Control variates live in a fleet-owned lazy state pool keyed by
         # stable device id: an idle device costs nothing (reads resolve to
         # one shared zeros row), a deselected-then-reselected device finds
-        # its variate untouched, and the mapping interface keeps the old
-        # ``dict[int, ndarray]`` surface.
-        self.device_variates = FleetState(len(self.devices), dim)
+        # its variate untouched.
+        self.device_variates = FleetState(self.fleet.num_devices, dim)
 
     def run_round(
         self,
@@ -90,7 +89,7 @@ class ScaffoldServer(FederatedServer):
         rows = self.fleet.round_matrix(receivers)
         c_stack = np.empty((len(receivers), self.trainer.dim))
         for i, dev_id in enumerate(receivers.tolist()):
-            np.copyto(c_stack[i], self.device_variates[dev_id])
+            np.copyto(c_stack[i], self.device_variates.row(dev_id))
         steps = run_units(
             self.batched_trainer,
             self.fleet,
@@ -120,5 +119,5 @@ class ScaffoldServer(FederatedServer):
             delta_variate += variate_deltas[i]
         s = len(arrived)
         new_global = global_weights + cfg.global_lr * delta_model / s
-        self.server_variate = self.server_variate + delta_variate / len(self.devices)
+        self.server_variate = self.server_variate + delta_variate / self.fleet.num_devices
         return new_global

@@ -92,7 +92,7 @@ class FedHiSynServer(FederatedServer):
         # seed replicates see independent drop patterns (matching the
         # server channel's seeded drop stream).
         self.engine = RingRoundEngine(
-            self.devices,
+            self.fleet,
             delay_model=delay_model,
             epochs_per_unit=config.local_epochs,
             combine=config.combine,

@@ -8,11 +8,14 @@ round clock, transmission metering, periodic evaluation, and the RunResult
 assembly — so method comparisons differ only in the algorithm itself.
 
 Server↔device traffic flows through the **channel API** —
-:meth:`~FederatedServer.broadcast`, :meth:`~FederatedServer.collect`,
+:meth:`~FederatedServer.broadcast_model`,
+:meth:`~FederatedServer.collect_models`,
 :meth:`~FederatedServer.peer_send` — which meters every transfer, charges
 link transfer time to the virtual clock and applies the
 :class:`~repro.env.environment.Environment`'s message drops, so method
 implementations never touch the meter or the network model directly.
+It is the only such accounting: a transport backend moves bytes and
+reports what arrived, and the channel charges for it.
 
 The round protocol speaks device *ids*: a participant set is an intp
 array of fleet ids in participant order, and every hook and channel call
@@ -118,10 +121,10 @@ class FederatedServer:
 
     Subclasses set ``method`` and implement ``run_round(round_idx, ids,
     global_weights) -> new_global_weights``, where ``ids`` is the round's
-    participant id array in participant order; they move models
-    through :meth:`broadcast`/:meth:`collect`/:meth:`peer_send` (which own
-    all metering and environment effects) and advance ``self.clock`` by the
-    round's compute duration.
+    participant id array in participant order; they move models through
+    :meth:`broadcast_model`/:meth:`collect_models`/:meth:`peer_send`
+    (which own all metering and environment effects) and advance
+    ``self.clock`` by the round's compute duration.
     """
 
     method = "base"
@@ -129,6 +132,10 @@ class FederatedServer:
     #: fault model on any other method is ignored, and ``build_experiment``
     #: warns rather than let the run pass as a faulty one.
     fault_aware = False
+    #: True when the round path cuts rounds at ``config.round_deadline``
+    #: (:meth:`charge_round`); on any other method ``build_experiment``
+    #: warns that the deadline is ignored.
+    deadline_aware = False
 
     def __init__(
         self,
@@ -142,9 +149,8 @@ class FederatedServer:
         self.config = config if config is not None else ServerConfig()
         self.logger = logger if logger is not None else NullLogger()
         self.env = env if env is not None else Environment.ideal()
-        # The population lives in struct-of-arrays storage; `self.devices`
-        # is the same object under its sequence protocol.
-        self.fleet = self.devices = DeviceFleet.require(devices)
+        # The population lives in struct-of-arrays storage, addressed by id.
+        self.fleet = DeviceFleet.require(devices)
         self.trainer = devices.trainer
         self._unit_times = devices.unit_times
         # {id: last trained row}: the Eq. 7 fallback :meth:`start_views`
@@ -224,8 +230,8 @@ class FederatedServer:
         if self.selection_policy is not None:
             fraction = getattr(self.selection_policy, "expected_fraction", None)
             if fraction is not None:
-                return fraction * len(self.devices)
-        return self.config.participation * len(self.devices)
+                return fraction * self.fleet.num_devices
+        return self.config.participation * self.fleet.num_devices
 
     @property
     def per_round_unit(self) -> float:
@@ -292,7 +298,7 @@ class FederatedServer:
         self.faults = model
         if not model.is_null:
             model.attach(
-                len(self.devices),
+                self.fleet.num_devices,
                 self._seeds.generator(*_FAULT_MEMBER_STREAM_KEY),
             )
 
@@ -408,48 +414,6 @@ class FederatedServer:
 
     # -------------------------------------------------------- channel API
 
-    def broadcast(
-        self,
-        ids: np.ndarray,
-        model_units: float = 1.0,
-        ensure_one: bool = True,
-    ) -> np.ndarray:
-        """Server -> device push of the current model (or model + state).
-
-        Meters one download per receiver in ``ids`` (sent, not delivered —
-        a lost message still crossed the costed channel), charges the
-        slowest link's transfer time to the virtual clock, and returns the
-        ids the message actually reached, in ``ids`` order.
-        ``ensure_one=True`` (round-level calls) guarantees at least one
-        delivery so a round can never stall; event-level callers (FedAT
-        tier rounds, TAFedAvg replies) pass ``False`` and handle an empty
-        delivery themselves.
-        """
-        if not len(ids):
-            return ids
-        self.meter.record_download(len(ids), model_units)
-        self._charge_transfer(ids, model_units)
-        return self._apply_drops(ids, ensure_one)
-
-    def collect(
-        self,
-        ids: np.ndarray,
-        model_units: float = 1.0,
-        ensure_one: bool = True,
-    ) -> np.ndarray:
-        """Device -> server uploads after local training.
-
-        Meters one upload per sender in ``ids``, charges the slowest uplink
-        to the clock, and returns the *indices* (into ``ids``) whose upload
-        survived message drops — the aggregation step filters its stacked
-        updates by them.  Indices are always returned in ascending order.
-        """
-        if not len(ids):
-            return np.empty(0, dtype=np.intp)
-        self.meter.record_upload(len(ids), model_units)
-        self._charge_transfer(ids, model_units)
-        return self._apply_drops(np.arange(len(ids)), ensure_one)
-
     def broadcast_model(
         self,
         ids: np.ndarray,
@@ -457,33 +421,39 @@ class FederatedServer:
         extra_units: float = 0.0,
         ensure_one: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Codec-aware :meth:`broadcast`: push ``weights`` down the wire.
+        """Server -> device push of ``weights`` to every receiver in ``ids``.
 
-        Returns ``(delivered, view)``: the ids reached, and the model they
-        actually obtain — ``weights`` itself under the identity
-        codec (fast path: delegates to :meth:`broadcast`, bit-identical),
-        the codec's decoded reconstruction otherwise.  The decoded view
-        becomes the new shared downlink reference, so successive
-        broadcasts compress against what the population last received.
-        ``extra_units`` rides along uncompressed (SCAFFOLD's control
-        variate — server state, not a model update).
+        The one downlink accounting, whatever the transport: meters one
+        download per receiver (sent, not delivered — a lost message still
+        crossed the costed channel), charges the slowest link's transfer
+        time to the virtual clock and draws the environment's drops.
+        Returns ``(delivered, view)``: the ids reached, in ``ids`` order,
+        and the model they actually obtain — ``weights`` itself under the
+        identity codec, the codec's decoded reconstruction otherwise.  The
+        decoded view becomes the new shared downlink reference, so
+        successive broadcasts compress against what the population last
+        received.  ``extra_units`` rides along uncompressed (SCAFFOLD's
+        control variate — server state, not a model update).
+        ``ensure_one=True`` (round-level calls) guarantees at least one
+        delivery so a round can never stall; event-level callers (FedAT
+        tier rounds, TAFedAvg replies) pass ``False`` and handle an empty
+        delivery themselves.
         """
         if not len(ids):
             return ids, weights
-        if not self.transport.is_sim:
-            return self.transport.broadcast_model(
-                self, ids, weights, extra_units, ensure_one
-            )
         codec = self.codec
-        if codec.is_identity:
-            return self.broadcast(ids, 1.0 + extra_units, ensure_one), weights
-        enc = codec.encode(weights, key="server-down", reference=self._codec_down_ref)
-        units = enc.model_units + extra_units
+        enc = None
+        units = 1.0 + extra_units
+        if not codec.is_identity:
+            enc = codec.encode(weights, key="server-down", reference=self._codec_down_ref)
+            units = enc.model_units + extra_units
         self.meter.record_download(len(ids), units, raw_units=1.0 + extra_units)
         self._charge_transfer(ids, units)
         delivered = self._apply_drops(ids, ensure_one)
-        view = codec.decode(enc)
-        self._codec_down_ref = view
+        view = weights
+        if enc is not None:
+            view = self._codec_down_ref = codec.decode(enc)
+        self.transport.downlink(self, weights, enc, view)
         return delivered, view
 
     def collect_models(
@@ -494,41 +464,37 @@ class FederatedServer:
         extra_units: float = 0.0,
         ensure_one: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Codec-aware :meth:`collect`: upload ``stack``'s rows (row i is
-        device ``ids[i]``'s trained model).
+        """Device -> server uploads of ``stack``'s rows (row i is device
+        ``ids[i]``'s trained model).
 
-        Returns ``(arrived, decoded)``: the surviving indices plus the
-        stack the server actually reconstructs — ``stack`` itself under
-        the identity codec (fast path, same object, bit-identical),
-        otherwise a fresh array of per-sender decodes.  ``reference`` is
-        the model each sender trained from (the broadcast view, or a
-        :meth:`start_views` dict keyed by device id after a lossy
-        broadcast); senders without one upload dense.  Per-sender wire
-        sizes differ, so the clock charge uses the per-link unit vector.
+        The one uplink accounting: the transport reports which senders'
+        bytes are present (sim: all; live: what the workers delivered),
+        the stack the server reconstructs and their wire sizes; this
+        meters one upload per present sender, charges the slowest uplink
+        and draws drops.  Returns ``(arrived, decoded)``: the surviving
+        *indices* into ``ids``, always ascending — the aggregation step
+        filters its stacked updates by them — plus the reconstructed
+        stack (``stack`` itself under the identity codec).
+        ``reference`` is the model each sender trained from (the
+        broadcast view, or a :meth:`start_views` dict keyed by device id
+        after a lossy broadcast); senders without one upload dense.
+        Per-sender wire sizes differ, so a codec's clock charge uses the
+        per-link unit vector.
         """
         if not len(ids):
             return np.empty(0, dtype=np.intp), stack
-        if not self.transport.is_sim:
-            return self.transport.collect_models(
-                self, ids, stack, reference, extra_units, ensure_one
+        present, decoded, wire_units = self.transport.uplink(self, ids, stack, reference)
+        senders = ids if len(present) == len(ids) else ids[present]
+        if self.codec.is_identity:
+            units = 1.0 + extra_units
+            self.meter.record_upload(len(senders), units)
+        else:
+            units = wire_units + extra_units
+            self.meter.record_upload(
+                1, float(units.sum()), raw_units=len(senders) * (1.0 + extra_units)
             )
-        codec = self.codec
-        if codec.is_identity:
-            return self.collect(ids, 1.0 + extra_units, ensure_one), stack
-        decoded = np.empty((len(ids), stack.shape[1]), dtype=np.float64)
-        units = np.empty(len(ids), dtype=np.float64)
-        by_id = reference if isinstance(reference, dict) else None
-        for i, dev_id in enumerate(ids.tolist()):
-            ref = by_id.get(dev_id) if by_id is not None else reference
-            enc = codec.encode(stack[i], key=dev_id, reference=ref)
-            units[i] = enc.model_units + extra_units
-            decoded[i] = codec.decode(enc)
-        self.meter.record_upload(
-            1, float(units.sum()), raw_units=len(ids) * (1.0 + extra_units)
-        )
-        self._charge_transfer(ids, units)
-        arrived = self._apply_drops(np.arange(len(ids)), ensure_one)
-        return arrived, decoded
+        self._charge_transfer(senders, units)
+        return self._apply_drops(present, ensure_one), decoded
 
     def start_views(
         self,
@@ -538,7 +504,7 @@ class FederatedServer:
     ) -> np.ndarray | dict[int, np.ndarray]:
         """Per-device training start model after a (possibly lossy) broadcast.
 
-        The companion to :meth:`broadcast`: the ``delivered`` subset of
+        The companion to :meth:`broadcast_model`: the ``delivered`` subset of
         ``ids`` starts from the global model; a device whose pull was lost
         continues its last trained model from ``device_history`` (or the
         global model when it has none yet).  Returns the plain global
@@ -561,7 +527,7 @@ class FederatedServer:
     ) -> tuple[np.ndarray, ...]:
         """Slice per-sender stacked arrays down to the uploads that arrived.
 
-        The companion to :meth:`collect`: pass the stacked updates (and any
+        The companion to :meth:`collect_models`: pass the stacked updates (and any
         aligned per-sender vectors) and get them filtered by the surviving
         indices.  When everything arrived the inputs are returned unchanged
         (same objects — the ``ideal`` bit-identity path).

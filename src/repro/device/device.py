@@ -1,15 +1,14 @@
-"""Federated device: data shard + compute profile + local SGD.
+"""Local training: the one SGD routine every device's unit runs.
 
-Memory note: every device stores only its flat weight vector.  A single
-shared model instance per architecture executes all devices' training (the
-simulation is single-threaded), so parameters are swapped in and out via
-the flat-vector serialization — 100 devices cost 100 vectors, not 100
-models (guide: be easy on the memory).
+A device is an id into a :class:`~repro.device.fleet.DeviceFleet` (shard
+bounds, unit time, a round-arena weight row); there is no per-device
+object.  A single shared model instance per architecture executes every
+device's training (the simulation is single-threaded), so parameters are
+swapped in and out via the flat-vector serialization — 100 devices cost
+100 vectors, not 100 models.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,10 +17,7 @@ from repro.nn.models import Sequential
 from repro.nn.serialization import num_params
 from repro.utils.rng import SeedSequenceFactory
 
-if TYPE_CHECKING:
-    from repro.device.fleet import DeviceFleet
-
-__all__ = ["LocalTrainer", "Device"]
+__all__ = ["LocalTrainer"]
 
 
 class LocalTrainer:
@@ -183,35 +179,3 @@ class LocalTrainer:
             model.loss_and_grad(shard.x[batch_indices], shard.y[batch_indices])
         return model.grad.copy()
 
-
-class Device:
-    """One federated participant, read-only: the row facade ``fleet[i]``
-    over a :class:`~repro.device.fleet.DeviceFleet` slot.
-
-    Owns no arrays — ``shard`` is a zero-copy slice of the fleet's
-    gathered data block (built on first access), ``weights`` is a
-    zero-copy view of its round-arena row (None outside the round) — and is
-    built lazily by :meth:`DeviceFleet.device`, never on the round path:
-    servers, the ring engine and the transports speak id arrays and read
-    or write rows through the fleet.  The facade serves tests, examples
-    and interactive inspection of one device.
-    """
-
-    def __init__(self, fleet: DeviceFleet, device_id: int) -> None:
-        # The fleet constructor already validated unit times and shard sizes.
-        self.fleet = fleet
-        self.device_id = device_id
-        self.unit_time = float(fleet.unit_times[device_id])
-
-    @property
-    def shard(self) -> ClassificationDataset:
-        return self.fleet.shard(self.device_id)
-
-    @property
-    def num_samples(self) -> int:
-        return int(self.fleet.num_samples[self.device_id])
-
-    @property
-    def weights(self) -> np.ndarray | None:
-        """The device's row in the registered round (None outside it)."""
-        return self.fleet.weights_row(self.device_id)

@@ -15,12 +15,10 @@ lives with the code that reads it (SCAFFOLD's variates in a
 :class:`FleetState`, FedAT's per-tier models, the drop-fallback rows in
 the server's ``device_history``).
 
-Servers, the ring engine and the transports address devices by id: a
-round is an intp id array, and state moves through ``round_matrix``,
-``weights_row`` and ``set_weights``.  A
-:class:`~repro.device.device.Device` (``fleet[i]``) is the read-only row
-facade over one slot, built lazily and cached for tests, examples and
-inspection — never on the round path.
+A device *is* its id: a round is an intp id array, per-device
+attributes are array entries (``unit_times[i]``, ``num_samples[i]``),
+data is ``shard(i)`` and state moves through ``round_matrix``,
+``weights_row`` and ``set_weights``.  There is no per-device object.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 
 from repro.datasets.core import ClassificationDataset
 from repro.datasets.partition import Partition
-from repro.device.device import Device, LocalTrainer
+from repro.device.device import LocalTrainer
 
 __all__ = ["DeviceFleet", "FleetState", "make_fleet"]
 
@@ -39,9 +37,8 @@ __all__ = ["DeviceFleet", "FleetState", "make_fleet"]
 class FleetState:
     """Lazily materialized per-device state rows keyed by stable device id.
 
-    Methods with cross-round per-device state (SCAFFOLD control variates,
-    FedAT tier models) store it here instead of in eagerly allocated
-    dicts: a device that never participates costs nothing, and a device
+    Methods with cross-round per-device state (SCAFFOLD's control
+    variates) store it here instead of in eagerly allocated dicts: a device that never participates costs nothing, and a device
     that is deselected and later reselected finds its row untouched —
     state is keyed by device id, never by a per-round position.
 
@@ -61,26 +58,6 @@ class FleetState:
         self._zeros.flags.writeable = False
         self._pool = np.empty((0, dim))
         self._row_of: dict[int, int] = {}
-
-    # Read-only mapping interface: conceptually *every* device has state
-    # (default zero), so iteration spans the population while storage
-    # stays O(materialized).  Consumers that held ``dict[int, ndarray]``
-    # state keep working unchanged.
-
-    def __len__(self) -> int:
-        return self.num_devices
-
-    def __getitem__(self, device_id: int) -> np.ndarray:
-        return self.row(device_id)
-
-    def keys(self):
-        return range(self.num_devices)
-
-    def values(self):
-        return (self.row(i) for i in range(self.num_devices))
-
-    def items(self):
-        return ((i, self.row(i)) for i in range(self.num_devices))
 
     def is_materialized(self, device_id: int) -> bool:
         return device_id in self._row_of
@@ -199,7 +176,6 @@ class DeviceFleet:
         self._arena: np.ndarray | None = None  # recycled round matrix
         self._arena_row: dict[int, int] = {}
         self._arena_reg_ids: np.ndarray | None = None
-        self._facades: list[Device | None] = [None] * n
         self._shards: list[ClassificationDataset | None] = [None] * n
 
     @classmethod
@@ -217,31 +193,6 @@ class DeviceFleet:
 
     def __len__(self) -> int:
         return self.num_devices
-
-    def __getitem__(self, device_id: int) -> Device:
-        return self.device(device_id)
-
-    def __iter__(self):
-        # Materializes every facade — fine for small fleets and tests;
-        # fleet-scale callers should work with id arrays instead.
-        return (self.device(i) for i in range(self.num_devices))
-
-    def device(self, device_id: int) -> Device:
-        """The (cached) row-view facade for one device; a negative index
-        counts from the end of the population."""
-        device_id = int(device_id)
-        if device_id < 0:
-            device_id += self.num_devices
-        if not 0 <= device_id < self.num_devices:
-            raise IndexError(
-                f"device index out of range for a population of "
-                f"{self.num_devices}"
-            )
-        facade = self._facades[device_id]
-        if facade is None:
-            facade = Device(self, device_id)
-            self._facades[device_id] = facade
-        return facade
 
     def shard(self, device_id: int) -> ClassificationDataset:
         """Device shard as a zero-copy slice of the fleet block (cached)."""

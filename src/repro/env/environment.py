@@ -3,8 +3,9 @@
 An :class:`Environment` bundles a :class:`~repro.env.network.NetworkModel`
 (link latency, bandwidth, message loss) with an
 :class:`~repro.env.availability.AvailabilityModel` (device churn).  The
-server's channel API (:meth:`FederatedServer.broadcast` /
-:meth:`~FederatedServer.collect` / :meth:`~FederatedServer.peer_send`)
+server's channel API (:meth:`FederatedServer.broadcast_model` /
+:meth:`~FederatedServer.collect_models` /
+:meth:`~FederatedServer.peer_send`)
 reads transfer times and drop probabilities from it; participant sampling
 filters through :meth:`Environment.available_ids`; the FedHiSyn ring engine
 uses the same network model for peer hops.

@@ -448,6 +448,14 @@ def build_experiment(
                 stacklevel=2,
             )
         server.set_faults(faults)
+    if config.round_deadline is not None and not server.deadline_aware:
+        warnings.warn(
+            f"method {spec.method!r} ignores round_deadline="
+            f"{config.round_deadline}: its round path never cuts a round, "
+            "so this run waits for every participant",
+            UserWarning,
+            stacklevel=2,
+        )
     if spec.transport != "sim" or spec.transport_kwargs:
         # The live backend needs the spec itself: worker processes rebuild
         # the whole substrate from it (same seeds -> identical shards,

@@ -112,7 +112,7 @@ class RingRoundEngine:
         # Ring members are fleet ids; a round reads only their rows, so a
         # round over a small slice of a huge population never touches idle
         # devices.
-        self.devices = DeviceFleet.require(devices)
+        self.fleet = DeviceFleet.require(devices)
         self.delay_model = delay_model if delay_model is not None else UniformDelay(0.0)
         self.epochs_per_unit = epochs_per_unit
         combiners: dict[str, Callable] = {"direct": _direct_use, "average": _average}
@@ -187,7 +187,7 @@ class RingRoundEngine:
             for pos, dev in enumerate(ring):
                 successor[dev] = ring[(pos + 1) % len(ring)]
 
-        fleet = self.devices
+        fleet = self.fleet
         unit_time = dict(zip(participants, fleet.unit_times[participants].tolist()))
         # Per-device mutable state for the event loop.
         units_done = {i: 0 for i in participants}

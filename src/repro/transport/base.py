@@ -6,22 +6,26 @@ A transport backend sits *behind* the server's channel API.  The default
 and moves nothing — the discrete-event simulator's semantics, bit-
 identical to every run that predates the transport layer.  The
 :class:`~repro.transport.live.LiveTransport` executes the same
-``ExperimentSpec`` as real OS processes exchanging UDP datagrams, while
-the coordinator keeps running the identical virtual clock, metering and
-aggregation math — which is what makes sim and live runs cross-validate
-(down to bit-identity for lossless codecs).
+``ExperimentSpec`` as real OS processes exchanging UDP datagrams.  The
+seam: the transport moves bytes; the server's channel
+(``broadcast_model``/``collect_models``) is the only accounting — it
+meters, charges the virtual clock, draws drops and moves the downlink
+codec reference for every backend, which is what makes sim and live
+runs cross-validate (down to bit-identity for lossless codecs).
 
-The server calls three hooks per synchronous round, mirroring its own
-channel API and, like it, speaking device-id arrays:
+A backend supplies only what differs between backends, through three
+hooks that, like the channel, speak device-id arrays:
 
+* :meth:`Transport.downlink` — ship a broadcast's payload (sim: nothing
+  moves; live: one chunked transfer to every worker).
 * :meth:`Transport.train_round` — run one training unit per receiver id,
   results landing in the round's stacked rows.  Sim trains in-process;
   live ships the round to the worker processes owning those devices and
   reassembles their uploads.
-* :meth:`Transport.broadcast_model` / :meth:`Transport.collect_models`
-  — only consulted when ``is_sim`` is False: the live down/uplink legs
-  (real sends plus the same metering/clock charges the sim applies),
-  returning the delivered ids and the ascending arrived indices.
+* :meth:`Transport.uplink` — report an upload's present senders (the
+  ascending indices whose bytes arrived), the stack the server
+  reconstructs from them and their wire sizes.  Sim encodes every row
+  through the codec; live reads what ``train_round`` reassembled.
 
 Lifecycle: :meth:`bind` attaches the backend to a built server (and
 validates the spec), :meth:`start` brings up any real infrastructure,
@@ -36,6 +40,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.compression.base import Encoded
     from repro.core.server import FederatedServer
 
 __all__ = ["LiveTransportStats", "Transport"]
@@ -70,10 +75,6 @@ class Transport:
     """Base class: lifecycle + the per-round execution hooks."""
 
     name = "base"
-    #: True for backends whose channel legs are pure simulation — the
-    #: server then keeps its original (bit-identity fast path) channel
-    #: code and only delegates :meth:`train_round`.
-    is_sim = True
     description = ""
 
     # ------------------------------------------------------------ lifecycle
@@ -99,6 +100,18 @@ class Transport:
 
     # ---------------------------------------------------------------- hooks
 
+    def downlink(
+        self,
+        server: "FederatedServer",
+        weights: np.ndarray,
+        enc: "Encoded | None",
+        view: np.ndarray,
+    ) -> None:
+        """Ship a broadcast, after the channel accounted for it: ``enc``
+        is the encoded payload (None under the identity codec, where
+        ``weights`` themselves go), ``view`` what receivers decode."""
+        raise NotImplementedError
+
     def train_round(
         self,
         server: "FederatedServer",
@@ -112,25 +125,17 @@ class Transport:
     ) -> None:
         raise NotImplementedError
 
-    def broadcast_model(
-        self,
-        server: "FederatedServer",
-        ids: np.ndarray,
-        weights: np.ndarray,
-        extra_units: float = 0.0,
-        ensure_one: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def collect_models(
+    def uplink(
         self,
         server: "FederatedServer",
         ids: np.ndarray,
         stack: np.ndarray,
-        reference: np.ndarray | dict[int, np.ndarray] | None = None,
-        extra_units: float = 0.0,
-        ensure_one: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        reference: np.ndarray | dict[int, np.ndarray] | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(present, decoded, wire_units)`` of an upload of ``stack``'s
+        rows: the ascending indices into ``ids`` whose bytes reached the
+        server, the stack it reconstructs, and each present sender's
+        wire size in model units (None under the identity codec)."""
         raise NotImplementedError
 
     # ---------------------------------------------------------------- stats

@@ -2,9 +2,10 @@
 
 ``LiveTransport`` runs the round loop's device training in ``workers``
 OS processes (one coordinator endpoint + N worker endpoints exchanging
-framed datagrams over loopback, :mod:`repro.transport.frames`) while the
-coordinator keeps executing the *identical* virtual-clock, metering,
-drop and aggregation code the simulator runs.  That shared math is the
+framed datagrams over loopback, :mod:`repro.transport.frames`).  It only
+moves bytes and reports which updates arrived: the coordinator's server
+meters, charges the virtual clock, draws drops and aggregates with the
+same channel code the simulator runs.  That shared code is the
 cross-validation contract:
 
 * under the identity codec a clean live run is **bit-identical** to the
@@ -77,7 +78,6 @@ LIVE_CAPABLE_METHODS = frozenset({"fedavg", "fedprox", "tfedavg"})
 )
 class LiveTransport(Transport):
     name = "live"
-    is_sim = False
     description = (
         "coordinator + N worker processes exchanging framed UDP "
         "datagrams; sim-identical metering and aggregation"
@@ -124,6 +124,8 @@ class LiveTransport(Transport):
         # (round_idx, device_id) -> (kind_code, param, payload bytes)
         self._updates: dict[tuple[int, int], tuple[int, int, bytes]] = {}
         self._last_view: np.ndarray | None = None
+        # device_id -> wire model_units of the last round's arrived updates
+        self._arrived: dict[int, float] | None = None
 
     # ----------------------------------------------------------- validation
 
@@ -298,50 +300,25 @@ class LiveTransport(Transport):
 
     # ---------------------------------------------------------- round legs
 
-    def broadcast_model(
+    def downlink(
         self,
         server: "FederatedServer",
-        ids: np.ndarray,
         weights: np.ndarray,
-        extra_units: float = 0.0,
-        ensure_one: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The sim's downlink leg, plus real MODEL transfers.
-
-        Metering/clock/drop calls are copied verbatim from the server's
-        own ``broadcast``/``broadcast_model`` so a clean identity-codec
-        run charges bit-identically; the encoded payload additionally
-        ships to every non-parked worker as one chunked UDP transfer.
-        """
-        if not len(ids):
-            return ids, weights
+        enc: Encoded | None,
+        view: np.ndarray,
+    ) -> None:
+        """Ship the broadcast payload to every non-parked worker as one
+        chunked UDP transfer: the raw float64 vector under the identity
+        codec, ``enc``'s wire bytes otherwise."""
         self.start()
-        codec = server.codec
-        round_idx = int(getattr(server, "current_round", 0))
-        if codec.is_identity:
+        assert self.ep is not None
+        if enc is None:
             blob = np.ascontiguousarray(weights, dtype=np.float64).tobytes()
             kind_code, param = PAYLOAD_KIND_CODES["raw"], 0
-            units = 1.0 + extra_units
-            server.meter.record_download(len(ids), units)
-            server._charge_transfer(ids, units)
-            delivered = server._apply_drops(ids, ensure_one)
-            view = weights
         else:
-            enc = codec.encode(
-                weights, key="server-down", reference=server._codec_down_ref
-            )
             blob = enc.to_bytes()
             kind_code, param = PAYLOAD_KIND_CODES[enc.kind], enc.param
-            units = enc.model_units + extra_units
-            server.meter.record_download(
-                len(ids), units, raw_units=1.0 + extra_units
-            )
-            server._charge_transfer(ids, units)
-            delivered = server._apply_drops(ids, ensure_one)
-            view = codec.decode(enc)
-            server._codec_down_ref = view
         self._last_view = view
-        assert self.ep is not None
         for rank, addr in self._addrs.items():
             if rank in self._parked:
                 continue
@@ -351,11 +328,10 @@ class LiveTransport(Transport):
                 blob,
                 kind=kind_code,
                 param=param,
-                round_idx=round_idx,
+                round_idx=server.current_round,
                 device_id=NO_DEVICE,
                 dim=weights.size,
             )
-        return delivered, view
 
     def train_round(
         self,
@@ -458,56 +434,34 @@ class LiveTransport(Transport):
             if time.monotonic() > deadline:
                 self.server.resilience.deadline_hits += 1
                 break
-        self._pending_collect = (round_idx, arrived)
+        self._arrived = arrived
 
-    def collect_models(
+    def uplink(
         self,
         server: "FederatedServer",
         ids: np.ndarray,
         stack: np.ndarray,
-        reference: np.ndarray | dict[int, np.ndarray] | None = None,
-        extra_units: float = 0.0,
-        ensure_one: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The sim's uplink leg over the updates that really arrived.
+        reference: np.ndarray | dict[int, np.ndarray] | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The senders whose updates really arrived.
 
         ``train_round`` already decoded each arriving update into its
-        ``stack`` row; this leg reproduces the simulator's metering and
-        clock charges over exactly those senders and returns their
-        ascending indices — a killed worker's devices simply never make
-        the list (the PR 7 deadline-fallback shape).
+        ``stack`` row; a killed worker's devices simply never make the
+        list (the round-deadline fallback shape).
         """
-        if not len(ids):
-            return np.empty(0, dtype=np.intp), stack
-        pending = getattr(self, "_pending_collect", None)
-        if pending is None:
+        arrived = self._arrived
+        if arrived is None:
             raise RuntimeError("collect_models before train_round on live")
-        self._pending_collect = None
-        _round_idx, arrived_units = pending
-        codec = server.codec
-        arrived = np.flatnonzero(
-            [dev_id in arrived_units for dev_id in ids.tolist()]
-        )
-        if not len(arrived):
+        self._arrived = None
+        present = np.flatnonzero([dev_id in arrived for dev_id in ids.tolist()])
+        if not len(present):
             raise RuntimeError(
                 "live round produced no updates (all workers dead?)"
             )
-        arrived_ids = ids[arrived]
-        if codec.is_identity:
-            units = 1.0 + extra_units
-            server.meter.record_upload(len(arrived_ids), units)
-            server._charge_transfer(arrived_ids, units)
-        else:
-            unit_vec = np.array(
-                [arrived_units[d] + extra_units for d in arrived_ids.tolist()]
-            )
-            server.meter.record_upload(
-                1,
-                float(unit_vec.sum()),
-                raw_units=len(arrived_ids) * (1.0 + extra_units),
-            )
-            server._charge_transfer(arrived_ids, unit_vec)
-        return arrived, stack
+        units = None
+        if not server.codec.is_identity:
+            units = np.array([arrived[d] for d in ids[present].tolist()])
+        return present, stack, units
 
     # ---------------------------------------------------------------- stats
 

@@ -1,9 +1,10 @@
 """The default transport: in-process training, simulated channels.
 
-``SimTransport`` is the bit-identical no-op backend: the server's own
-channel methods keep doing all the work (metering, clock charges, codec
-transforms, simulated drops) and only the round's training is delegated
-here, as one in-process wave.
+``SimTransport`` moves no bytes: a broadcast ships nothing, a round's
+training runs in-process as one wave, and an upload's every sender is
+present, each row encoded and decoded through the server's codec.  The
+server's channel does all the accounting (metering, clock charges,
+simulated drops) for this backend exactly as for the live one.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.transport.base import Transport
 from repro.transport.registry import register_transport
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.compression.base import Encoded
     from repro.core.server import FederatedServer
 
 __all__ = ["SimTransport"]
@@ -29,11 +31,19 @@ class SimTransport(Transport):
     """Everything stays inside the coordinator process."""
 
     name = "sim"
-    is_sim = True
     description = (
         "in-process discrete-event execution; the no-op default, "
         "bit-identical to pre-transport runs"
     )
+
+    def downlink(
+        self,
+        server: "FederatedServer",
+        weights: np.ndarray,
+        enc: "Encoded | None",
+        view: np.ndarray,
+    ) -> None:
+        """In-process receivers read ``view`` directly: nothing moves."""
 
     def train_round(
         self,
@@ -65,3 +75,28 @@ class SimTransport(Transport):
             anchor=anchor,
             mu=mu,
         )
+
+    def uplink(
+        self,
+        server: "FederatedServer",
+        ids: np.ndarray,
+        stack: np.ndarray,
+        reference: np.ndarray | dict[int, np.ndarray] | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Every sender is present.  Under the identity codec the server
+        reads ``stack`` itself; otherwise each row is encoded against its
+        sender's reference (a dict is keyed by device id) and decoded
+        into a fresh stack."""
+        present = np.arange(len(ids))
+        codec = server.codec
+        if codec.is_identity:
+            return present, stack, None
+        decoded = np.empty((len(ids), stack.shape[1]), dtype=np.float64)
+        units = np.empty(len(ids), dtype=np.float64)
+        by_id = reference if isinstance(reference, dict) else None
+        for i, dev_id in enumerate(ids.tolist()):
+            ref = by_id.get(dev_id) if by_id is not None else reference
+            enc = codec.encode(stack[i], key=dev_id, reference=ref)
+            units[i] = enc.model_units
+            decoded[i] = codec.decode(enc)
+        return present, decoded, units

@@ -39,9 +39,9 @@ class TestTAFedAvg:
         srv = TAFedAvgServer(tiny_devices, test_set,
                              TAFedAvgConfig(rounds=1, local_epochs=1))
         srv.fit()
-        duration = max(d.unit_time for d in tiny_devices)
+        duration = tiny_devices.unit_times.max()
         expected_uploads = len(
-            async_upload_schedule({d.device_id: d.unit_time for d in tiny_devices},
+            async_upload_schedule(dict(enumerate(tiny_devices.unit_times)),
                                   duration)
         )
         assert srv.meter.server_up == expected_uploads
@@ -113,9 +113,9 @@ class TestFedATTierStability:
                           FedATConfig(rounds=1, local_epochs=1, num_tiers=3))
         # unit times 0.25 / 0.5 / 1.0 -> three clean tiers, fastest first.
         by_tier = {}
-        for dev in tiny_devices:
-            by_tier.setdefault(srv.device_tier[dev.device_id], set()).add(
-                dev.unit_time)
+        for dev_id in tiny_devices.device_ids:
+            by_tier.setdefault(srv.device_tier[dev_id], set()).add(
+                tiny_devices.unit_times[dev_id])
         assert by_tier == {0: {0.25}, 1: {0.5}, 2: {1.0}}
 
     def test_disjoint_rounds_write_disjoint_tier_keys(self, tiny_devices,

@@ -39,7 +39,7 @@ class TestFedAvg:
         srv = FedAvgServer(tiny_devices, test_set, FedAvgConfig(local_epochs=1))
         g = srv.global_weights.copy()
         new = srv.run_round(1, tiny_devices.device_ids, g)
-        stack = np.stack([d.weights for d in tiny_devices])
+        stack = tiny_devices.stack_weights(tiny_devices.device_ids)
         assert np.all(new >= stack.min(axis=0) - 1e-12)
         assert np.all(new <= stack.max(axis=0) + 1e-12)
 
@@ -55,20 +55,18 @@ class TestTFedAvg:
         # same shard sizes & epochs -> weights differ only via data/stream;
         # verify stragglers were NOT given extra epochs by re-running one
         # device manually with exactly local_epochs.
-        dev = tiny_devices[2]  # the fastest in the fixture
+        dev = 2  # the fastest in the fixture
         expected = tiny_devices.trainer.train(
-            g, dev.shard, 1, stream_key=(dev.device_id, 1, 0)
+            g, tiny_devices.shard(dev), 1, stream_key=(dev, 1, 0)
         )[0]
-        np.testing.assert_array_equal(dev.weights, expected)
+        np.testing.assert_array_equal(tiny_devices.weights_row(dev), expected)
 
     def test_clock_waits_for_straggler(self, tiny_devices, tiny_split):
         _, test_set = tiny_split
         srv = TFedAvgServer(tiny_devices, test_set,
                             TFedAvgConfig(rounds=2, local_epochs=1))
         srv.fit()
-        assert srv.clock.now == pytest.approx(
-            2 * max(d.unit_time for d in tiny_devices)
-        )
+        assert srv.clock.now == pytest.approx(2 * tiny_devices.unit_times.max())
 
     def test_learns(self, tiny_devices, tiny_split):
         _, test_set = tiny_split
@@ -101,9 +99,8 @@ class TestFedProx:
                                 FedProxConfig(local_epochs=1, mu=mu))
             g = srv.global_weights.copy()
             srv.run_round(1, tiny_devices.device_ids, g)
-            drifts[mu] = np.mean(
-                [np.linalg.norm(d.weights - g) for d in tiny_devices]
-            )
+            rows = tiny_devices.stack_weights(tiny_devices.device_ids)
+            drifts[mu] = np.mean(np.linalg.norm(rows - g, axis=1))
         assert drifts[5.0] < drifts[0.0]
 
     def test_mu_zero_matches_fedavg(self, tiny_devices, tiny_split):

@@ -30,8 +30,8 @@ class TestScaffold:
         _, test_set = tiny_split
         srv = ScaffoldServer(tiny_devices, test_set, ScaffoldConfig())
         np.testing.assert_array_equal(srv.server_variate, 0.0)
-        for v in srv.device_variates.values():
-            np.testing.assert_array_equal(v, 0.0)
+        for dev_id in tiny_devices.device_ids:
+            np.testing.assert_array_equal(srv.device_variates.row(dev_id), 0.0)
 
     def test_variates_update_after_round(self, tiny_devices, tiny_split):
         _, test_set = tiny_split
@@ -40,8 +40,8 @@ class TestScaffold:
         g = srv.global_weights.copy()
         srv.run_round(1, tiny_devices.device_ids, g)
         assert np.abs(srv.server_variate).sum() > 0
-        for d in tiny_devices:
-            assert np.abs(srv.device_variates[d.device_id]).sum() > 0
+        for dev_id in tiny_devices.device_ids:
+            assert np.abs(srv.device_variates.row(dev_id)).sum() > 0
 
     def test_variate_mean_invariant(self, tiny_devices, tiny_split):
         """Server variate equals the participation-weighted mean shift:
@@ -52,7 +52,7 @@ class TestScaffold:
         g = srv.global_weights.copy()
         srv.run_round(1, tiny_devices.device_ids, g)
         mean_ci = np.mean(
-            [srv.device_variates[d.device_id] for d in tiny_devices], axis=0
+            [srv.device_variates.row(i) for i in tiny_devices.device_ids], axis=0
         )
         np.testing.assert_allclose(srv.server_variate, mean_ci, rtol=1e-8, atol=1e-12)
 

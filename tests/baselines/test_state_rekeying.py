@@ -49,7 +49,7 @@ class TestScaffoldRekeying:
 
         w = srv.global_weights
         w = srv.run_round(1, srv.select_participants(1), w)
-        after_round1 = srv.device_variates[0].copy()
+        after_round1 = srv.device_variates.row(0).copy()
         assert np.abs(after_round1).sum() > 0
 
         ids = srv.select_participants(2)
@@ -57,12 +57,12 @@ class TestScaffoldRekeying:
         w = srv.run_round(2, ids, w)
         # Deselected: the variate is untouched even though the fleet
         # recycled every weight row in between.
-        np.testing.assert_array_equal(srv.device_variates[0], after_round1)
+        np.testing.assert_array_equal(srv.device_variates.row(0), after_round1)
 
         ids = srv.select_participants(3)
         assert 0 in ids
         srv.run_round(3, ids, w)
-        assert not np.array_equal(srv.device_variates[0], after_round1)
+        assert not np.array_equal(srv.device_variates.row(0), after_round1)
 
     def test_variates_materialize_only_for_participants(
         self, tiny_split, tiny_fleet

@@ -1,9 +1,11 @@
-"""Tests for the FederatedServer channel API (broadcast/collect/peer_send).
+"""Tests for the FederatedServer channel API (broadcast_model/
+collect_models/peer_send).
 
 The channel owns everything the environment does to server↔device traffic:
 metering, transfer-time clock charges, message drops and availability
-filtering.  Method implementations are forbidden from touching the meter
-directly — the last test enforces that at the source level.
+filtering.  Method implementations and transport backends are forbidden
+from doing any of it themselves — the last test enforces that at the
+source level.
 """
 
 import pathlib
@@ -28,32 +30,46 @@ def make_server(tiny_devices, tiny_split, env=None, **cfg):
     return FedAvgServer(tiny_devices, test_set, config, env=env)
 
 
+def down(srv, ids, **kwargs):
+    """The ids a broadcast of the global model reached."""
+    return srv.broadcast_model(ids, srv.global_weights, **kwargs)[0]
+
+
+def up(srv, ids, **kwargs):
+    """The indices into ``ids`` whose uploads arrived."""
+    stack = np.zeros((len(ids), srv.trainer.dim))
+    return srv.collect_models(ids, stack, **kwargs)[0]
+
+
 class TestMetering:
     def test_broadcast_meters_sends(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
         ids = tiny_devices.device_ids
-        got = srv.broadcast(ids)
+        got, view = srv.broadcast_model(ids, srv.global_weights)
         assert got is ids  # ideal: everyone receives, no copy
+        assert view is srv.global_weights  # identity codec: no copy
         assert srv.meter.server_down == len(tiny_devices)
         assert srv.meter.server_up == 0
 
     def test_collect_meters_and_returns_all_indices(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
-        arrived = srv.collect(tiny_devices.device_ids)
+        stack = np.zeros((len(tiny_devices), srv.trainer.dim))
+        arrived, got = srv.collect_models(tiny_devices.device_ids, stack)
         np.testing.assert_array_equal(arrived, np.arange(len(tiny_devices)))
+        assert got is stack  # identity codec: no copy
         assert srv.meter.server_up == len(tiny_devices)
 
     def test_id_slices_meter_their_length(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
         some = tiny_devices.device_ids[2:5]
-        np.testing.assert_array_equal(srv.broadcast(some), [2, 3, 4])
-        np.testing.assert_array_equal(srv.collect(some), [0, 1, 2])
+        np.testing.assert_array_equal(down(srv, some), [2, 3, 4])
+        np.testing.assert_array_equal(up(srv, some), [0, 1, 2])
         assert srv.meter.server_down == srv.meter.server_up == 3
 
     def test_model_units_scale(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
-        srv.broadcast(tiny_devices.device_ids, model_units=2.0)
-        srv.collect(tiny_devices.device_ids, model_units=2.0)
+        down(srv, tiny_devices.device_ids, extra_units=1.0)
+        up(srv, tiny_devices.device_ids, extra_units=1.0)
         assert srv.meter.server_down == 2.0 * len(tiny_devices)
         assert srv.meter.server_up == 2.0 * len(tiny_devices)
 
@@ -69,8 +85,8 @@ class TestMetering:
     def test_empty_calls_are_noops(self, tiny_devices, tiny_split, env):
         srv = make_server(tiny_devices, tiny_split, env=env)
         none = np.empty(0, dtype=np.intp)
-        got = srv.broadcast(none)
-        arrived = srv.collect(none)
+        got = down(srv, none)
+        arrived = up(srv, none)
         assert got.dtype == arrived.dtype == np.intp
         assert len(got) == len(arrived) == 0
         assert srv.meter.server_total == 0
@@ -82,23 +98,23 @@ class TestMetering:
         """The paper costs transmitted models; a dropped one was transmitted."""
         env = Environment(UniformNetwork(drop_prob=0.5))
         srv = make_server(tiny_devices, tiny_split, env=env)
-        srv.broadcast(tiny_devices.device_ids)
+        down(srv, tiny_devices.device_ids)
         assert srv.meter.server_down == len(tiny_devices)
 
 
 class TestClockCharging:
     def test_ideal_charges_nothing(self, tiny_devices, tiny_split):
         srv = make_server(tiny_devices, tiny_split)
-        srv.broadcast(tiny_devices.device_ids)
-        srv.collect(tiny_devices.device_ids)
+        down(srv, tiny_devices.device_ids)
+        up(srv, tiny_devices.device_ids)
         assert srv.clock.now == 0.0
 
     def test_transfer_time_advances_clock(self, tiny_devices, tiny_split):
         env = Environment(UniformNetwork(latency=0.1, bandwidth=2.0))
         srv = make_server(tiny_devices, tiny_split, env=env)
-        srv.broadcast(tiny_devices.device_ids)  # slowest link: 0.1 + 1/2
+        down(srv, tiny_devices.device_ids)  # slowest link: 0.1 + 1/2
         assert srv.clock.now == pytest.approx(0.6)
-        srv.collect(tiny_devices.device_ids, model_units=2.0)  # 0.1 + 2/2
+        up(srv, tiny_devices.device_ids, extra_units=1.0)  # 0.1 + 2/2
         assert srv.clock.now == pytest.approx(1.7)
 
     def test_round_time_includes_transfers(self, tiny_devices, tiny_split):
@@ -106,7 +122,7 @@ class TestClockCharging:
         env = Environment(UniformNetwork(latency=0.25))
         srv = make_server(tiny_devices, tiny_split, env=env, rounds=1)
         result = srv.fit()
-        compute = max(d.unit_time for d in tiny_devices)
+        compute = tiny_devices.unit_times.max()
         assert result.history.times[-1] == pytest.approx(compute + 0.5)
 
 
@@ -114,7 +130,7 @@ class TestDrops:
     def test_drops_reduce_deliveries(self, tiny_devices, tiny_split):
         env = Environment(UniformNetwork(drop_prob=0.5))
         srv = make_server(tiny_devices, tiny_split, env=env)
-        delivered = [len(srv.broadcast(tiny_devices.device_ids)) for _ in range(50)]
+        delivered = [len(down(srv, tiny_devices.device_ids)) for _ in range(50)]
         assert min(delivered) < len(tiny_devices)
         assert srv.dropped_messages > 0
 
@@ -122,21 +138,21 @@ class TestDrops:
         env = Environment(UniformNetwork(drop_prob=0.99))
         srv = make_server(tiny_devices, tiny_split, env=env)
         for _ in range(30):
-            assert len(srv.broadcast(tiny_devices.device_ids)) >= 1
-            assert len(srv.collect(tiny_devices.device_ids)) >= 1
+            assert len(down(srv, tiny_devices.device_ids)) >= 1
+            assert len(up(srv, tiny_devices.device_ids)) >= 1
 
     def test_event_level_calls_may_drop_everything(self, tiny_devices, tiny_split):
         env = Environment(UniformNetwork(drop_prob=0.99))
         srv = make_server(tiny_devices, tiny_split, env=env)
         first = tiny_devices.device_ids[:1]
-        outcomes = {len(srv.collect(first, ensure_one=False)) for _ in range(50)}
+        outcomes = {len(up(srv, first, ensure_one=False)) for _ in range(50)}
         assert 0 in outcomes
 
     def test_drop_sequence_reproducible(self, tiny_devices, tiny_split):
         def run():
             env = Environment(UniformNetwork(drop_prob=0.4))
             srv = make_server(tiny_devices, tiny_split, env=env)
-            return [tuple(srv.collect(tiny_devices.device_ids)) for _ in range(10)]
+            return [tuple(up(srv, tiny_devices.device_ids)) for _ in range(10)]
 
         assert run() == run()
 
@@ -146,22 +162,22 @@ class TestDrops:
         env = Environment(UniformNetwork(drop_prob=0.4))
         srv = make_server(tiny_devices, tiny_split, env=env)
         ids = tiny_devices.device_ids
-        down = [srv.broadcast(ids).tolist() for _ in range(5)]
-        up = [srv.collect(ids).tolist() for _ in range(5)]
-        assert down == [[1, 2, 4, 5, 6], [0, 3, 5, 6, 7], [1, 3, 4, 5],
-                        [0, 4, 5, 6, 7], [0, 1, 2]]
-        assert up == [[0, 2, 5, 6], [3, 5, 6, 7], [0, 2, 3, 7],
-                      list(range(8)), [1, 3, 4, 6]]
+        delivered = [down(srv, ids).tolist() for _ in range(5)]
+        arrived = [up(srv, ids).tolist() for _ in range(5)]
+        assert delivered == [[1, 2, 4, 5, 6], [0, 3, 5, 6, 7], [1, 3, 4, 5],
+                             [0, 4, 5, 6, 7], [0, 1, 2]]
+        assert arrived == [[0, 2, 5, 6], [3, 5, 6, 7], [0, 2, 3, 7],
+                           list(range(8)), [1, 3, 4, 6]]
         assert srv.dropped_messages == 34
 
     def test_seeded_ensure_one_survivor(self, tiny_devices, tiny_split):
         env = Environment(UniformNetwork(drop_prob=0.99))
         srv = make_server(tiny_devices, tiny_split, env=env)
         ids = tiny_devices.device_ids
-        down = [srv.broadcast(ids).tolist() for _ in range(5)]
-        up = [srv.collect(ids).tolist() for _ in range(5)]
-        assert down == [[1], [7], [7], [0], [5]]
-        assert up == [[7], [0], [4], [3], [6]]
+        delivered = [down(srv, ids).tolist() for _ in range(5)]
+        arrived = [up(srv, ids).tolist() for _ in range(5)]
+        assert delivered == [[1], [7], [7], [0], [5]]
+        assert arrived == [[7], [0], [4], [3], [6]]
 
 
 class TestAvailability:
@@ -201,16 +217,22 @@ class TestAvailability:
 
 class TestNoDirectMeterCalls:
     def test_method_files_use_channel_api_only(self):
-        """Acceptance criterion: no method file records transfers directly."""
+        """Acceptance criterion: the channel is the one copy of the
+        accounting — no method file or transport backend meters, charges
+        the clock, draws drops or moves the downlink codec reference."""
         src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
         method_files = [
             *(src / "baselines").glob("*.py"),
             src / "core" / "fedhisyn.py",
         ]
+        transport_files = list((src / "transport").glob("*.py"))
         assert len(method_files) >= 8  # 6 baselines + __init__ + fedhisyn
-        pattern = re.compile(r"meter\.record_")
-        for path in method_files:
-            assert not pattern.search(path.read_text()), (
-                f"{path.name} bypasses the channel API with a direct "
-                "meter.record_* call"
+        assert any(p.name == "live.py" for p in transport_files)
+        pattern = re.compile(
+            r"meter\.record_|_charge_transfer\(|_apply_drops\(|_codec_down_ref"
+        )
+        for path in method_files + transport_files:
+            hit = pattern.search(path.read_text())
+            assert hit is None, (
+                f"{path.name} bypasses the channel API: {hit.group()}"
             )

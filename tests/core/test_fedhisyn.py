@@ -61,10 +61,11 @@ class TestFedHiSynServer:
         srv = self.make(tiny_devices, test_set, rounds=1)
         srv.fit()
         stats = srv.last_round_stats
-        duration = max(d.unit_time for d in tiny_devices)
-        for d in tiny_devices:
-            expected = max(1, int(duration / d.unit_time + 1e-9))
-            assert stats.units_completed[d.device_id] == expected
+        times = tiny_devices.unit_times
+        duration = times.max()
+        for dev_id in tiny_devices.device_ids.tolist():
+            expected = max(1, int(duration / times[dev_id] + 1e-9))
+            assert stats.units_completed[dev_id] == expected
 
     def test_class_time_aggregation_runs(self, tiny_devices, tiny_split):
         _, test_set = tiny_split

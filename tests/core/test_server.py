@@ -41,9 +41,9 @@ class TestServerConfig:
 class TestFederatedServer:
     def test_requires_devices(self, tiny_devices, tiny_split):
         """The population is a DeviceFleet; anything else — an empty list,
-        a list of its devices — is rejected at the boundary."""
+        a list of its ids — is rejected at the boundary."""
         _, test_set = tiny_split
-        for not_a_fleet in ([], list(tiny_devices)):
+        for not_a_fleet in ([], tiny_devices.device_ids.tolist()):
             with pytest.raises(TypeError, match="make_fleet"):
                 EchoServer(not_a_fleet, test_set)
 
@@ -71,11 +71,11 @@ class TestFederatedServer:
     def test_round_duration_is_slowest(self, tiny_devices, tiny_split):
         _, test_set = tiny_split
         srv = EchoServer(tiny_devices, test_set)
-        assert srv.round_duration(tiny_devices.device_ids) == max(
-            d.unit_time for d in tiny_devices
+        assert srv.round_duration(tiny_devices.device_ids) == (
+            tiny_devices.unit_times.max()
         )
         assert srv.round_duration(tiny_devices.device_ids[:1]) == (
-            tiny_devices[0].unit_time
+            tiny_devices.unit_times[0]
         )
 
     def test_fit_produces_history(self, tiny_devices, tiny_split):
@@ -108,6 +108,4 @@ class TestFederatedServer:
         _, test_set = tiny_split
         srv = EchoServer(tiny_devices, test_set, ServerConfig(rounds=3))
         srv.fit()
-        assert srv.clock.now == pytest.approx(
-            3 * max(d.unit_time for d in tiny_devices)
-        )
+        assert srv.clock.now == pytest.approx(3 * tiny_devices.unit_times.max())

@@ -258,13 +258,13 @@ class TestRunUnits:
         np.testing.assert_array_equal(steps, 2 * -(-fleet.num_samples // BATCH))
         for i in range(5):
             np.testing.assert_allclose(got[i], want[i], rtol=1e-12, atol=1e-12)
-            np.testing.assert_array_equal(fleet.device(i).weights, got[i])
+            np.testing.assert_array_equal(fleet.weights_row(i), got[i])
 
     def test_sync_false_leaves_device_rows_alone(self):
         trainer, fleet, starts = self._wave()
         run_units(BatchedTrainer(trainer, fleet), fleet, self.IDS, 1, 0, starts,
                   np.empty((5, trainer.dim)))
-        assert all(fleet.device(i).weights is None for i in range(5))
+        assert all(fleet.weights_row(i) is None for i in range(5))
 
     def test_wave_of_one_and_no_engine_take_the_scalar_path(self):
         trainer, fleet, starts = self._wave()

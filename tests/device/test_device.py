@@ -1,4 +1,4 @@
-"""Tests for repro.device.device: LocalTrainer and the Device facade."""
+"""Tests for repro.device.device: LocalTrainer, and make_fleet over it."""
 
 import numpy as np
 import pytest
@@ -19,12 +19,6 @@ def shard():
 def trainer():
     model = paper_mlp(6, 3, seed=0, hidden=(8, 4))
     return LocalTrainer(model, lr=0.1, batch_size=16, seed=1)
-
-
-@pytest.fixture()
-def dev(trainer, shard):
-    """The one device of a single-shard fleet."""
-    return make_fleet(shard, [np.arange(len(shard))], np.array([1.0]), trainer)[0]
 
 
 class TestLocalTrainer:
@@ -108,35 +102,15 @@ class TestLocalTrainer:
             LocalTrainer(model, **bad)
 
 
-class TestDevice:
-    def test_weights_read_the_fleet_row(self, trainer, dev):
-        fleet = dev.fleet
-        assert dev.weights is None  # idle until its round is registered
-        fleet.round_matrix([dev.device_id])
-        w = np.arange(trainer.dim, dtype=np.float64)
-        fleet.set_weights(dev.device_id, w)
-        np.testing.assert_array_equal(dev.weights, w)
-        assert np.shares_memory(dev.weights, fleet.weights_row(dev.device_id))
-
-    def test_facade_is_read_only(self, trainer, dev):
-        with pytest.raises(AttributeError):
-            dev.weights = np.zeros(trainer.dim)
-
-    def test_shard_and_profile(self, shard, dev):
-        assert dev.shard is dev.fleet.shard(dev.device_id)
-        assert len(dev.shard) == dev.num_samples == len(shard)
-        assert dev.unit_time == 1.0
-
-
 class TestMakeFleet:
     def test_builds_fleet(self, trainer):
         rng = np.random.default_rng(0)
         ds = ClassificationDataset(rng.normal(size=(30, 6)), rng.integers(0, 3, 30), 3)
         parts = [np.arange(0, 10), np.arange(10, 20), np.arange(20, 30)]
-        devs = make_fleet(ds, parts, np.array([1.0, 0.5, 0.25]), trainer)
-        assert [d.device_id for d in devs] == [0, 1, 2]
-        assert [d.num_samples for d in devs] == [10, 10, 10]
-        assert devs[2].unit_time == 0.25
+        fleet = make_fleet(ds, parts, np.array([1.0, 0.5, 0.25]), trainer)
+        assert fleet.device_ids.tolist() == [0, 1, 2]
+        assert fleet.num_samples.tolist() == [10, 10, 10]
+        assert fleet.unit_times[2] == 0.25
 
     def test_length_mismatch_raises(self, trainer):
         ds = ClassificationDataset(np.zeros((4, 6)), np.zeros(4, dtype=int), 2)

@@ -1,4 +1,4 @@
-"""Tests for repro.device.fleet: DeviceFleet, its Device facades, FleetState."""
+"""Tests for repro.device.fleet: DeviceFleet and FleetState."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.datasets.core import ClassificationDataset
 from repro.datasets.partition import dirichlet_partition
 from repro.device import (
-    Device,
     DeviceFleet,
     FleetState,
     make_fleet,
@@ -34,8 +33,8 @@ class TestConstruction:
             np.testing.assert_array_equal(shard.x, copy.x)
             np.testing.assert_array_equal(shard.y, copy.y)
             assert shard.name == copy.name
-            assert fleet[i].num_samples == len(copy)
-            assert fleet[i].unit_time == times[i]
+            assert fleet.num_samples[i] == len(copy)
+            assert fleet.unit_times[i] == times[i]
         np.testing.assert_array_equal(fleet.num_samples, [len(p) for p in parts])
         np.testing.assert_array_equal(fleet.unit_times, times)
 
@@ -43,7 +42,6 @@ class TestConstruction:
         shard = tiny_fleet.shard(3)
         assert shard.x.base is tiny_fleet.x
         assert tiny_fleet.shard(3) is shard
-        assert tiny_fleet.device(3).shard is shard
 
     def test_length_mismatch_raises(self, tiny_split, tiny_trainer):
         train_set, _ = tiny_split
@@ -87,29 +85,7 @@ class TestLazyMaterialization:
     def test_idle_devices_cost_nothing(self, tiny_fleet):
         assert tiny_fleet.materialized_rows == 0
         assert tiny_fleet.state_nbytes == 0
-        assert all(f is None for f in tiny_fleet._facades)
         assert tiny_fleet.weights_row(0) is None
-        assert tiny_fleet.device(0).weights is None
-
-    def test_facades_cached_and_lazy(self, tiny_fleet):
-        dev = tiny_fleet.device(2)
-        assert isinstance(dev, Device)
-        assert tiny_fleet.device(2) is dev
-        assert tiny_fleet[2] is dev
-        built = sum(1 for f in tiny_fleet._facades if f is not None)
-        assert built == 1
-
-    def test_index_normalised_before_the_facade_cache(self, tiny_fleet):
-        """``fleet[-1]`` is the last device — not a facade with id -1
-        parked in the last cache slot — and beyond-range raises."""
-        n = len(tiny_fleet)
-        last = tiny_fleet[-1]
-        assert last is tiny_fleet[n - 1] is tiny_fleet[np.int64(n - 1)]
-        assert last.device_id == n - 1
-        assert tiny_fleet[-n].device_id == 0
-        for bad in (n, -n - 1):
-            with pytest.raises(IndexError, match=f"population of {n}"):
-                tiny_fleet[bad]
 
     def test_set_weights_writes_the_registered_row(self, tiny_fleet):
         dim = tiny_fleet.dim
@@ -167,7 +143,7 @@ class TestMutationSafety:
         tiny_fleet.round_matrix([0])
         tiny_fleet.set_weights(0, global_weights)
         global_weights *= 1e9  # server misbehaves after handing over
-        np.testing.assert_array_equal(tiny_fleet[0].weights, np.ones(dim))
+        np.testing.assert_array_equal(tiny_fleet.weights_row(0), np.ones(dim))
 
     def test_borrowed_starts_are_never_mutated(self, tiny_fleet, tiny_trainer):
         """Neither a training wave nor a ring round writes into the start
@@ -245,21 +221,11 @@ class TestFleetState:
         state.set(2, np.full(4, 5.0))
         assert state.materialized == 2
         np.testing.assert_array_equal(state.row(7), np.arange(4.0))
-        np.testing.assert_array_equal(state[2], np.full(4, 5.0))
+        np.testing.assert_array_equal(state.row(2), np.full(4, 5.0))
         # Pool growth must not invalidate values.
         for i in (0, 1, 3, 4, 5, 6, 8, 9):
             state.set(i, np.full(4, float(i)))
         np.testing.assert_array_equal(state.row(7), np.arange(4.0))
-
-    def test_mapping_interface_spans_population(self):
-        state = FleetState(3, 2)
-        state.set(1, np.ones(2))
-        assert len(state) == 3
-        assert list(state.keys()) == [0, 1, 2]
-        values = list(state.values())
-        np.testing.assert_array_equal(values[1], 1.0)
-        np.testing.assert_array_equal(values[0], 0.0)
-        assert {i for i, _ in state.items()} == {0, 1, 2}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -269,11 +235,9 @@ class TestFleetState:
 
 
 class TestPopulationProtocol:
-    def test_len_iter_getitem(self, tiny_fleet):
-        assert len(tiny_fleet) == 8
-        devs = list(tiny_fleet)
-        assert [d.device_id for d in devs] == list(range(8))
-        assert all(isinstance(d, Device) for d in devs)
+    def test_len_and_ids(self, tiny_fleet):
+        assert len(tiny_fleet) == tiny_fleet.num_devices == 8
+        assert tiny_fleet.device_ids.tolist() == list(range(8))
 
     def test_make_fleet_returns_device_fleet(self, tiny_fleet):
         assert isinstance(tiny_fleet, DeviceFleet)

@@ -53,8 +53,8 @@ class TestRingRotation:
         engine = RingRoundEngine(devices, epochs_per_unit=1)
         stats = engine.run_round([[0, 1, 2]], np.zeros(3), duration=3.0)
         assert stats.units_completed == {0: 3, 1: 3, 2: 3}
-        for d in devices:
-            np.testing.assert_allclose(sorted(d.weights), [1.0, 1.0, 1.0])
+        for i in devices.device_ids:
+            np.testing.assert_allclose(sorted(devices.weights_row(i)), [1.0, 1.0, 1.0])
 
     def test_two_units_partial_rotation(self):
         """Duration 2: each model saw its own device and its predecessor."""
@@ -62,8 +62,8 @@ class TestRingRotation:
         engine = RingRoundEngine(devices, epochs_per_unit=1)
         engine.run_round([[0, 1, 2]], np.zeros(3), duration=2.0)
         # device 1's model: trained by 0 (unit 1) then by 1 (unit 2).
-        np.testing.assert_allclose(devices[1].weights, [1.0, 1.0, 0.0])
-        np.testing.assert_allclose(devices[0].weights, [1.0, 0.0, 1.0])
+        np.testing.assert_allclose(devices.weights_row(1), [1.0, 1.0, 0.0])
+        np.testing.assert_allclose(devices.weights_row(0), [1.0, 0.0, 1.0])
 
     def test_singleton_ring_trains_alone(self):
         """Eq. (7): no incoming models -> keep training the own model."""
@@ -71,7 +71,7 @@ class TestRingRotation:
         engine = RingRoundEngine(devices, epochs_per_unit=1)
         stats = engine.run_round([[0]], np.zeros(1), duration=1.0)
         assert stats.peer_sends == 0
-        np.testing.assert_allclose(devices[0].weights, [4.0])
+        np.testing.assert_allclose(devices.weights_row(0), [4.0])
 
     def test_newest_arrival_wins(self):
         """Two models reach slow device 1 during its first unit (at 0.5 and
@@ -79,7 +79,7 @@ class TestRingRotation:
         devices = make_fleet([0.5, 1.0])
         engine = RingRoundEngine(devices, epochs_per_unit=1)
         engine.run_round([[0, 1]], np.zeros(2), duration=2.0)
-        np.testing.assert_allclose(devices[1].weights, [2.0, 1.0])
+        np.testing.assert_allclose(devices.weights_row(1), [2.0, 1.0])
 
     def test_large_delay_isolates_devices(self):
         """Deliveries landing after the round end never get trained: every
@@ -88,8 +88,8 @@ class TestRingRotation:
         engine = RingRoundEngine(devices, delay_model=UniformDelay(100.0),
                                  epochs_per_unit=1)
         engine.run_round([[0, 1]], np.zeros(2), duration=3.0)
-        np.testing.assert_allclose(devices[0].weights, [3.0, 0.0])
-        np.testing.assert_allclose(devices[1].weights, [0.0, 3.0])
+        np.testing.assert_allclose(devices.weights_row(0), [3.0, 0.0])
+        np.testing.assert_allclose(devices.weights_row(1), [0.0, 3.0])
 
 
 class TestUnitBudgets:
@@ -131,7 +131,7 @@ class TestEngineValidation:
 
     def test_requires_a_fleet(self):
         with pytest.raises(TypeError, match="make_fleet"):
-            RingRoundEngine(list(make_fleet([1.0])))
+            RingRoundEngine(make_fleet([1.0]).device_ids.tolist())
 
     def test_bad_combine_raises(self):
         with pytest.raises(ValueError):
@@ -151,9 +151,9 @@ class TestCombineModes:
             engine = RingRoundEngine(devices, epochs_per_unit=1, combine=mode)
             engine.run_round([[0, 1]], np.zeros(2), duration=2.0)
             if mode == "direct":
-                direct = devices[0].weights.copy()
+                direct = devices.weights_row(0).copy()
             else:
-                averaged = devices[0].weights.copy()
+                averaged = devices.weights_row(0).copy()
         assert not np.allclose(direct, averaged)
         # direct: trained by 1 then 0 -> [1, 1]
         np.testing.assert_allclose(direct, [1.0, 1.0])
@@ -246,8 +246,9 @@ class TestWaveTraining:
         assert min(widths) >= 2 and max(widths) >= 5  # real stacks, no stack of one
         assert auto_stats == off_stats
         assert auto.dropped_sends == off.dropped_sends
-        for a, b in zip(auto.devices, off.devices):
-            np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12, atol=1e-12)
+        for i in auto.fleet.device_ids:
+            np.testing.assert_allclose(auto.fleet.weights_row(i), off.fleet.weights_row(i),
+                                       rtol=1e-12, atol=1e-12)
         if codec is not None:
             for dev_id in range(10):
                 np.testing.assert_allclose(

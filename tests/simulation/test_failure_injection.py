@@ -24,9 +24,9 @@ class TestDropInjection:
         # peer sends attempted but (almost surely) all dropped
         assert stats.peer_sends == 9
         assert engine.dropped_sends == 9
-        for d in devices:
-            np.testing.assert_allclose(d.weights.sum(), 3.0)
-            assert d.weights.max() == 3.0  # all own-training
+        for i in devices.device_ids:
+            np.testing.assert_allclose(devices.weights_row(i).sum(), 3.0)
+            assert devices.weights_row(i).max() == 3.0  # all own-training
 
     def test_no_drops_by_default(self):
         devices = make_fleet([1.0, 1.0])
@@ -49,7 +49,7 @@ class TestDropInjection:
             engine = RingRoundEngine(devices, epochs_per_unit=1,
                                      drop_prob=0.5, drop_seed=seed)
             engine.run_round([[0, 1, 2]], np.zeros(3), duration=4.0)
-            return engine.dropped_sends, [d.weights.copy() for d in devices]
+            return engine.dropped_sends, devices.stack_weights(devices.device_ids).copy()
 
         d1, w1 = run(7)
         d2, w2 = run(7)

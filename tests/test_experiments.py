@@ -91,18 +91,31 @@ class TestBuildExperiment:
             with pytest.warns(UserWarning, match=f"'{method}' ignores the fault model 'crash'"):
                 build_experiment(spec)
 
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_ignored_round_deadline_warns(self, method, recwarn):
+        """A round deadline on a method whose round path never cuts a
+        round warns, naming the method; fedavg and fedprox apply it and
+        stay quiet."""
+        spec = fast_spec(method=method, method_kwargs={}, round_deadline=0.5)
+        if method in {"fedavg", "fedprox"}:
+            build_experiment(spec)
+            assert not [w for w in recwarn if "round_deadline" in str(w.message)]
+        else:
+            with pytest.warns(UserWarning, match=f"'{method}' ignores round_deadline=0.5"):
+                build_experiment(spec)
+
     def test_device_count(self):
         srv = build_experiment(fast_spec(num_devices=9))
-        assert len(srv.devices) == 9
+        assert srv.fleet.num_devices == 9
 
     def test_iid_partition(self):
         srv = build_experiment(fast_spec(partition="iid"))
-        sizes = [d.num_samples for d in srv.devices]
-        assert max(sizes) - min(sizes) <= 1
+        sizes = srv.fleet.num_samples
+        assert sizes.max() - sizes.min() <= 1
 
     def test_het_ratio_mode(self):
         srv = build_experiment(fast_spec(het_ratio=4.0))
-        times = np.array([d.unit_time for d in srv.devices])
+        times = srv.fleet.unit_times
         np.testing.assert_allclose(times.max() / times.min(), 4.0)
 
 

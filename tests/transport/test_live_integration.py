@@ -66,8 +66,9 @@ class TestBitIdentity:
         np.testing.assert_array_equal(sim.final_weights, liv.final_weights)
         assert sim.history.to_dict() == liv.history.to_dict()
 
-    def test_meter_ledger_identical_to_sim(self):
-        spec = dict(LIVE_SPEC, method="fedavg")
+    @pytest.mark.parametrize("codec", ["none", "topk"])
+    def test_meter_ledger_identical_to_sim(self, codec):
+        spec = dict(LIVE_SPEC, method="fedavg", codec=codec)
         sim = run_experiment(ExperimentSpec(**spec))
         liv = run_experiment(live(spec))
         live_meter = {

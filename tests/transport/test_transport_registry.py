@@ -47,20 +47,16 @@ class TestRegistry:
 
 class TestDefaults:
     def test_sim_is_the_simulated_default(self):
-        sim = SimTransport()
-        assert sim.is_sim and sim.stats() == {}
-
-    def test_live_is_not_sim(self):
-        assert not LiveTransport().is_sim
+        assert SimTransport().stats() == {}
 
     def test_base_hooks_unimplemented(self):
         t = Transport()
         with pytest.raises(NotImplementedError):
             t.train_round(None, [], None, None, 0, None)
         with pytest.raises(NotImplementedError):
-            t.broadcast_model(None, [], None)
+            t.downlink(None, None, None, None)
         with pytest.raises(NotImplementedError):
-            t.collect_models(None, [], None)
+            t.uplink(None, [], None, None)
 
     def test_lifecycle_noops(self):
         t = SimTransport()
