@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.registry import METHODS
 from repro.core.selection import (
     BernoulliSelection,
     DataSizeSelection,
@@ -138,7 +139,32 @@ class TestServerIntegration:
         assert full.final_accuracy >= restricted.final_accuracy - 0.05
 
 
-class TestSelectionAtFleetScale:
+def _assert_id_only(fleet):
+    """The fleet hands out no per-device object: rows are read by id."""
+    with pytest.raises(TypeError):
+        fleet[0]
+    with pytest.raises(TypeError):
+        iter(fleet)
+
+
+class TestRoundPathBuildsNoFacades:
+    """Rounds speak id arrays: every method, selection policy and lossy
+    channel runs on a fleet that has no per-device object to build."""
+
+    @pytest.mark.parametrize("env", ["ideal", "flaky_mobile"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_every_method(self, method, env):
+        from repro.experiments import ExperimentSpec, build_experiment
+
+        srv = build_experiment(ExperimentSpec(
+            method=method, num_samples=400, num_devices=8, rounds=2,
+            participation=0.5, env=env,
+        ))
+        result = srv.fit()
+        _assert_id_only(srv.fleet)
+        assert np.isfinite(result.final_weights).all()
+        assert srv.fleet.materialized_rows <= srv.fleet.num_devices
+
     @pytest.mark.parametrize("selection", [None, "bernoulli", "fastest", "datasize"])
     def test_city_fleet_under_a_policy(self, selection):
         """A policy picks ids from a 5k-device fleet; only the last
@@ -150,9 +176,12 @@ class TestSelectionAtFleetScale:
             selection=selection,
         ))
         result = srv.fit()
+        _assert_id_only(srv.fleet)
         assert np.isfinite(result.final_weights).all()
         assert 0 < srv.fleet.materialized_rows < srv.fleet.num_devices
 
+
+class TestSelectionAtFleetScale:
     @pytest.mark.parametrize("method", ["fedavg", "fedbuff"])
     def test_bernoulli_policy_is_the_default_draw(self, method):
         """``selection="bernoulli"`` at ``selection_fraction=participation``

@@ -21,6 +21,12 @@ def trainer():
     return LocalTrainer(model, lr=0.1, batch_size=16, seed=1)
 
 
+@pytest.fixture()
+def fleet(trainer, shard):
+    """A single-shard fleet: its one device is id 0."""
+    return make_fleet(shard, [np.arange(len(shard))], np.array([1.0]), trainer)
+
+
 class TestLocalTrainer:
     def test_train_changes_weights(self, trainer, shard):
         w0 = get_flat_params(trainer.model)
@@ -100,6 +106,23 @@ class TestLocalTrainer:
         model = paper_mlp(6, 3, seed=0, hidden=(4, 3))
         with pytest.raises(ValueError):
             LocalTrainer(model, **bad)
+
+
+class TestDevice:
+    """A device is an id into the fleet's arrays."""
+
+    def test_weights_read_the_fleet_row(self, trainer, fleet):
+        assert fleet.weights_row(0) is None  # idle until its round is registered
+        matrix = fleet.round_matrix([0])
+        w = np.arange(trainer.dim, dtype=np.float64)
+        fleet.set_weights(0, w)
+        np.testing.assert_array_equal(fleet.weights_row(0), w)
+        assert np.shares_memory(fleet.weights_row(0), matrix)
+
+    def test_shard_and_profile(self, shard, fleet):
+        assert fleet.shard(0) is fleet.shard(0)
+        assert len(fleet.shard(0)) == fleet.num_samples[0] == len(shard)
+        assert fleet.unit_times[0] == 1.0
 
 
 class TestMakeFleet:

@@ -87,6 +87,14 @@ class TestLazyMaterialization:
         assert tiny_fleet.state_nbytes == 0
         assert tiny_fleet.weights_row(0) is None
 
+    def test_facades_cached_and_lazy(self, tiny_fleet):
+        """The one per-device view, the shard, is built on first read
+        and cached; the rest of the population builds nothing."""
+        assert all(s is None for s in tiny_fleet._shards)
+        shard = tiny_fleet.shard(2)
+        assert tiny_fleet.shard(2) is shard
+        assert sum(1 for s in tiny_fleet._shards if s is not None) == 1
+
     def test_set_weights_writes_the_registered_row(self, tiny_fleet):
         dim = tiny_fleet.dim
         tiny_fleet.round_matrix([5])
@@ -235,9 +243,15 @@ class TestFleetState:
 
 
 class TestPopulationProtocol:
-    def test_len_and_ids(self, tiny_fleet):
+    def test_len_iter_getitem(self, tiny_fleet):
+        """``len`` is the population size; devices are ids, so the fleet
+        is neither iterable nor indexable."""
         assert len(tiny_fleet) == tiny_fleet.num_devices == 8
         assert tiny_fleet.device_ids.tolist() == list(range(8))
+        with pytest.raises(TypeError):
+            iter(tiny_fleet)
+        with pytest.raises(TypeError):
+            tiny_fleet[0]
 
     def test_make_fleet_returns_device_fleet(self, tiny_fleet):
         assert isinstance(tiny_fleet, DeviceFleet)
