@@ -1,15 +1,16 @@
 """Tracked performance microbenchmarks.
 
 ``python -m benchmarks.perf --scale quick --out BENCH_perf.json`` times the
-reproduction's hot paths — local-SGD train units, flatten/unflatten,
-aggregation, and a full FedHiSyn round — and writes the numbers to
-``BENCH_perf.json`` so every PR leaves a perf trajectory behind.
+reproduction's hot paths — local-SGD train units, aggregation, FedHiSyn and
+FedAvg rounds, the scheduler, codecs and the live transport — and writes
+the numbers to ``BENCH_perf.json`` so every PR leaves a perf trajectory
+behind.
 
-Where the flat-buffer engine replaced a measurably different code path,
-the suite also runs a faithful re-implementation of the pre-flat-buffer
-("legacy") path from :mod:`benchmarks.perf.legacy` on the same inputs, so
-the JSON carries honest before/after pairs measured on the same hardware,
-plus an equality assertion that both paths produce identical weights.
+A row carries a before/after pair only where its "before" is a live
+oracle the code can still run — the scalar trainer
+(``batched_trainer=None``), the heap ``EventQueue``, an unarmed fault
+model — timed interleaved on the same inputs after both sides are checked
+to agree.  Every other row reports ``after_s`` alone.
 """
 
 # NOTE: no eager imports here — `python -m benchmarks.perf` must reach

@@ -1,14 +1,10 @@
 """Microbenchmark definitions and the suite runner.
 
-Four hot paths, matching where the reproduction spends its runtime:
+Three hot paths, matching where the reproduction spends its runtime:
 
-* ``train_unit`` / ``train_unit_prox_correction`` — one local-SGD training
-  unit (``LocalTrainer.train``), plain and with the FedProx proximal pull +
-  SCAFFOLD correction active.  Measured against the seed per-parameter path
-  (:mod:`benchmarks.perf.legacy`) on identical inputs; the two results are
-  asserted bitwise equal before timing is trusted.
-* ``flatten_unflatten`` — one ``get_flat_params`` + ``set_flat_params``
-  round trip, fast path vs. the seed per-layer loop.
+* ``train_unit`` — one local-SGD training unit (``LocalTrainer.train``),
+  the scalar path; a throughput row (``after_s`` only), since no live code
+  path is its "before".
 * ``aggregation`` — uniform + sample-weighted averaging of a device stack.
 * ``fedhisyn_round`` — wall time per round of an end-to-end FedHiSyn run on
   Dirichlet-ragged ``lab`` shards, ring waves trained as stacks (the
@@ -50,12 +46,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from benchmarks.perf.legacy import (
-    LegacyLocalTrainer,
-    legacy_get_flat_params,
-    legacy_paper_mlp,
-    legacy_set_flat_params,
-)
 from repro.baselines.fedavg import FedAvgConfig, FedAvgServer
 from repro.compression import QSGDCodec, TopKCodec
 from repro.core.aggregation import sample_weighted_average, uniform_average
@@ -72,7 +62,7 @@ from repro.faults import NoFaults, make_fault_model
 from repro.nn.batched import stacked_gemm_is_bitwise
 from repro.nn.models import paper_mlp
 from repro.simulation.metrics import ResilienceStats
-from repro.nn.serialization import get_flat_params, set_flat_params
+from repro.nn.serialization import get_flat_params
 from repro.simulation.events import EventQueue
 from repro.simulation.scheduler import UNIT_COMPLETE, Scheduler
 
@@ -91,7 +81,6 @@ class PerfScale:
     shard_size: int
     batch_size: int
     epochs: int  # epochs per train unit (the paper's local_epochs)
-    flatten_iters: int  # round trips per timed flatten call
     agg_devices: int
     round_devices: int
     round_samples: int
@@ -118,7 +107,6 @@ SCALES = {
         shard_size=250,
         batch_size=50,
         epochs=5,
-        flatten_iters=200,
         agg_devices=20,
         round_devices=10,
         round_samples=600,
@@ -140,7 +128,6 @@ SCALES = {
         shard_size=1000,
         batch_size=50,
         epochs=5,
-        flatten_iters=500,
         agg_devices=100,
         round_devices=20,
         round_samples=1500,
@@ -198,70 +185,28 @@ def _pair(before_s: float, after_s: float, **detail) -> dict:
     return entry
 
 
-def _bench_train_unit(scale: PerfScale, with_prox_correction: bool) -> dict:
+def _bench_train_unit(scale: PerfScale) -> dict:
+    """One local-SGD training unit (``LocalTrainer.train``): the scalar
+    path every wave of one and every unstackable model takes."""
     model = paper_mlp(
-        scale.feature_dim, scale.num_classes, seed=0, hidden=scale.hidden
-    )
-    # Same architecture and identical init, built from seed-path layers.
-    legacy_model = legacy_paper_mlp(
         scale.feature_dim, scale.num_classes, seed=0, hidden=scale.hidden
     )
     shard = mnist_like(
         num_samples=scale.shard_size, seed=1, feature_dim=scale.feature_dim
     )
-    fused = LocalTrainer(model, lr=0.1, batch_size=scale.batch_size, seed=2)
-    legacy = LegacyLocalTrainer(
-        legacy_model, lr=0.1, batch_size=scale.batch_size, seed=2
-    )
+    trainer = LocalTrainer(model, lr=0.1, batch_size=scale.batch_size, seed=2)
     w0 = get_flat_params(model)
-    kwargs: dict = {}
-    if with_prox_correction:
-        rng = np.random.default_rng(3)
-        kwargs = {
-            "anchor": w0,
-            "mu": 0.01,
-            "correction": rng.normal(scale=1e-3, size=fused.dim),
-        }
+    out = np.empty_like(w0)
 
-    # Both paths must produce bit-identical weights before times mean much.
-    w_fused, steps = fused.train(w0, shard, scale.epochs, stream_key=(7,), **kwargs)
-    w_legacy, _ = legacy.train(w0, shard, scale.epochs, stream_key=(7,), **kwargs)
-    np.testing.assert_array_equal(w_fused, w_legacy)
+    def unit() -> int:
+        return trainer.train(w0, shard, scale.epochs, stream_key=(7,), out=out)[1]
 
-    after, before = _best_pair(
-        lambda: fused.train(w0, shard, scale.epochs, stream_key=(7,), **kwargs),
-        lambda: legacy.train(w0, shard, scale.epochs, stream_key=(7,), **kwargs),
-        scale.repeats,
-    )
-    return _pair(
-        before,
-        after,
-        dim=fused.dim,
-        sgd_steps=steps,
-        steps_per_s_after=steps / after,
-        steps_per_s_before=steps / before,
-    )
-
-
-def _bench_flatten(scale: PerfScale) -> dict:
-    model = paper_mlp(
-        scale.feature_dim, scale.num_classes, seed=0, hidden=scale.hidden
-    )
-    w = get_flat_params(model)
-    iters = scale.flatten_iters
-
-    def fast() -> None:
-        for _ in range(iters):
-            set_flat_params(model, w)
-            get_flat_params(model, out=w)
-
-    def slow() -> None:
-        for _ in range(iters):
-            legacy_set_flat_params(model, w)
-            legacy_get_flat_params(model, out=w)
-
-    after, before = _best_pair(fast, slow, scale.repeats)
-    return _pair(before / iters, after / iters, dim=w.size, round_trips=iters)
+    steps = unit()
+    after = _best_of(unit, scale.repeats)
+    return {
+        "after_s": after,
+        "detail": {"dim": trainer.dim, "sgd_steps": steps, "steps_per_s": steps / after},
+    }
 
 
 def _bench_aggregation(scale: PerfScale) -> dict:
@@ -764,11 +709,7 @@ def run_suite(scale_name: str = "quick", repeats: int | None = None) -> dict:
     if repeats is not None:
         scale = PerfScale(**{**asdict(scale), "repeats": repeats})
     benchmarks = {
-        "train_unit": _bench_train_unit(scale, with_prox_correction=False),
-        "train_unit_prox_correction": _bench_train_unit(
-            scale, with_prox_correction=True
-        ),
-        "flatten_unflatten": _bench_flatten(scale),
+        "train_unit": _bench_train_unit(scale),
         "aggregation": _bench_aggregation(scale),
         "fedhisyn_round": _bench_fedhisyn_round(scale),
         "fedavg_round_batched": _bench_fedavg_round_batched(scale),

@@ -8,7 +8,7 @@ counts and the same difficulty *ordering* (see DESIGN.md substitution
 table); the partitioners reproduce the paper's splits exactly.
 """
 
-from repro.datasets.core import ClassificationDataset, DataBatchIterator, train_test_split
+from repro.datasets.core import ClassificationDataset, train_test_split
 from repro.datasets.partition import (
     Partition,
     contiguous_partition,
@@ -30,7 +30,6 @@ from repro.datasets.synthetic import (
 
 __all__ = [
     "ClassificationDataset",
-    "DataBatchIterator",
     "train_test_split",
     "Partition",
     "iid_partition",

@@ -1,4 +1,4 @@
-"""Dataset container and batching.
+"""Dataset container and the stratified train/test split.
 
 A :class:`ClassificationDataset` is an immutable-by-convention pair of a
 feature array ``x`` (either flat ``(N, D)`` or image ``(N, C, H, W)``) and an
@@ -9,13 +9,13 @@ over copies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = ["ClassificationDataset", "DataBatchIterator", "train_test_split"]
+__all__ = ["ClassificationDataset", "train_test_split"]
 
 
 @dataclass
@@ -66,47 +66,6 @@ class ClassificationDataset:
     def class_counts(self) -> np.ndarray:
         """Histogram of labels (length ``num_classes``)."""
         return np.bincount(self.y, minlength=self.num_classes)
-
-    def shuffled(self, seed: int | np.random.Generator | None = 0) -> "ClassificationDataset":
-        """A shuffled copy (used before splitting)."""
-        rng = as_generator(seed)
-        perm = rng.permutation(len(self))
-        return self.subset(perm)
-
-
-@dataclass
-class DataBatchIterator:
-    """Reshuffling mini-batch iterator over a dataset.
-
-    Each epoch reshuffles with its own derived stream so traversal order is
-    reproducible yet differs between epochs.
-    """
-
-    dataset: ClassificationDataset
-    batch_size: int
-    seed: int | np.random.Generator | None = 0
-    drop_last: bool = False
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        self._rng = as_generator(self.seed)
-
-    def epoch(self):
-        """Yield ``(x_batch, y_batch)`` covering the dataset once."""
-        n = len(self.dataset)
-        order = self._rng.permutation(n)
-        stop = n - (n % self.batch_size) if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
-            idx = order[start : start + self.batch_size]
-            yield self.dataset.x[idx], self.dataset.y[idx]
-
-    def num_batches(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return -(-n // self.batch_size)
 
 
 def train_test_split(

@@ -13,10 +13,10 @@ shard size (DESIGN.md §15): rows are ordered largest shard first, full-batch
 step *j* runs as one stacked-GEMM pass
 (:class:`~repro.nn.batched.BatchedSequential`) over the arena prefix of
 members that still have a full batch, and each member's short tail batch
-runs with the adjacent members of exactly its shard size.  The optimizer
-math (SGD step, heavy-ball momentum, FedProx pull, SCAFFOLD correction) runs
-as whole-matrix ops over the same rows, mirroring ``LocalTrainer.train``'s
-fused scalar path line for line.
+runs with the adjacent members of exactly its shard size.  The update
+math (SGD step, FedProx pull, SCAFFOLD correction) runs as whole-matrix
+ops over the same rows, mirroring ``LocalTrainer.train``'s fused scalar
+path line for line.
 
 Callers never pick a path: barrier rounds, SCAFFOLD, FedAT tier rounds,
 ring waves and the event loop's train-ahead pool all train through
@@ -88,9 +88,6 @@ class BatchedTrainer:
         self._theta = np.empty((width, self.dim))
         self._grad = np.empty((width, self.dim))
         self._scratch = np.empty((width, self.dim))
-        self._velocity = (
-            np.empty((width, self.dim)) if trainer.momentum > 0.0 else None
-        )
         self.model.bind(self._theta, self._grad)
         # One gathered mini-batch per member (features, targets), flat.
         self._xb = np.empty(width * batch * x2d.shape[1], dtype=x2d.dtype)
@@ -116,7 +113,6 @@ class BatchedTrainer:
         anchor: np.ndarray | None = None,
         mu: float = 0.0,
         corrections: np.ndarray | None = None,
-        lr: float | None = None,
         unit_idx: np.ndarray | int = 0,
     ) -> np.ndarray:
         """Train every member; ``out[k]`` receives member ``k``'s result.
@@ -159,7 +155,7 @@ class BatchedTrainer:
         )
         size_of = sizes[order].tolist()
         start_of = self.fleet.shard_starts[by_order].tolist()
-        eta = trainer.lr if lr is None else lr
+        eta = trainer.lr
         if mu <= 0.0:
             anchor = None
         shared = isinstance(weights, np.ndarray) and weights.ndim == 1
@@ -202,7 +198,6 @@ class BatchedTrainer:
         ``(shuffle stream, shard size, fleet-block offset)`` member; sizes
         are non-increasing."""
         batch = self.trainer.batch_size
-        momentum = self.trainer.momentum
         P = len(members)
         sizes = [n for _, n, _ in members]
         # Full-batch step j trains the prefix of members with more than j
@@ -228,8 +223,6 @@ class BatchedTrainer:
         if self._idx.shape[1] < sizes[0]:
             self._idx = np.empty((len(self._theta), sizes[0]), dtype=np.intp)
         idx = self._idx
-        if self._velocity is not None:
-            self._velocity[:P] = 0.0
         for _ in range(epochs):
             for p, (gen, n, start) in enumerate(members):
                 np.add(gen.permutation(n), start, out=idx[p, :n])
@@ -245,13 +238,7 @@ class BatchedTrainer:
                     np.subtract(theta, anchor, out=scratch)
                     scratch *= mu
                     grad += scratch
-                if self._velocity is None:
-                    np.multiply(grad, eta, out=scratch)
-                else:
-                    velocity = self._velocity[a:b]
-                    velocity *= momentum
-                    velocity += grad
-                    np.multiply(velocity, eta, out=scratch)
+                np.multiply(grad, eta, out=scratch)
                 theta -= scratch
 
     def _gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.datasets.core import ClassificationDataset
 from repro.nn.models import Sequential
-from repro.nn.serialization import num_params
 from repro.utils.rng import SeedSequenceFactory
 
 __all__ = ["LocalTrainer"]
@@ -39,33 +38,20 @@ class LocalTrainer:
         lr: float = 0.1,
         batch_size: int = 50,
         seed: int | None = 0,
-        momentum: float = 0.0,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.model = model
         self.lr = lr
         self.batch_size = batch_size
-        # Heavy-ball momentum, reset at every train() call: a training unit
-        # is a fresh optimization leg on freshly received weights, so no
-        # velocity carries across units (the paper notes momentum [9] can
-        # be combined with FL methods).
-        self.momentum = momentum
         self._seeds = SeedSequenceFactory(seed)
-        self.dim = num_params(model)
-        # Reusable d-vectors for the fused update math (one set per trainer;
-        # the simulation is single-threaded so one scratch buffer serves
-        # every device that shares this trainer).  The momentum velocity is
-        # preallocated once and zero-filled per train() call instead of
-        # reallocated, matching the ``_scratch`` pattern.
+        self.dim = model.dim
+        # Reusable d-vector for the fused update math (one per trainer; the
+        # simulation is single-threaded so one scratch buffer serves every
+        # device that shares this trainer).
         self._scratch = np.empty(self.dim, dtype=np.float64)
-        self._velocity = (
-            np.empty(self.dim, dtype=np.float64) if self.momentum > 0 else None
-        )
         # Reusable per-epoch gather destinations, grown to the largest shard
         # seen so the per-epoch shuffle is one ``np.take(..., out=...)``
         # instead of a fresh fancy-index allocation per epoch per device.
@@ -95,7 +81,6 @@ class LocalTrainer:
         anchor: np.ndarray | None = None,
         mu: float = 0.0,
         correction: np.ndarray | None = None,
-        lr: float | None = None,
         out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int]:
         """Train ``epochs`` passes starting from ``weights``.
@@ -108,27 +93,22 @@ class LocalTrainer:
         allocation.
 
         The per-batch update runs as whole-vector ops on the model's flat
-        ``theta`` / ``grad`` buffers: SGD step, heavy-ball momentum, the
-        FedProx proximal pull, and the SCAFFOLD correction are each one
-        BLAS-level operation over R^d rather than a Python loop over
-        layers.
+        ``theta`` / ``grad`` buffers: the SGD step at the fixed rate
+        ``self.lr``, the FedProx proximal pull, and the SCAFFOLD correction
+        are each one BLAS-level operation over R^d rather than a Python
+        loop over layers.
         """
         if epochs <= 0:
             raise ValueError(f"epochs must be positive, got {epochs}")
         if len(shard) == 0:
             raise ValueError("cannot train on an empty shard")
-        eta = self.lr if lr is None else lr
+        eta = self.lr
         model = self.model
         model.set_flat(weights)
         theta = model.theta
         grad = model.grad
         scratch = self._scratch
         rng = self._seeds.generator(*stream_key)
-        # A training unit is a fresh optimization leg, so the (reused)
-        # velocity buffer starts from rest every call.
-        velocity = self._velocity
-        if velocity is not None:
-            velocity.fill(0.0)
         prox = anchor is not None and mu > 0.0
         steps = 0
         n = len(shard)
@@ -151,31 +131,10 @@ class LocalTrainer:
                     np.subtract(theta, anchor, out=scratch)
                     scratch *= mu
                     grad += scratch
-                if velocity is None:
-                    np.multiply(grad, eta, out=scratch)
-                else:
-                    velocity *= self.momentum
-                    velocity += grad
-                    np.multiply(velocity, eta, out=scratch)
+                np.multiply(grad, eta, out=scratch)
                 theta -= scratch
                 steps += 1
         if out is None:
             return theta.copy(), steps
         np.copyto(out, theta)
         return out, steps
-
-    def gradient(
-        self,
-        weights: np.ndarray,
-        shard: ClassificationDataset,
-        batch_indices: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Full-batch (or given-batch) loss gradient at ``weights``, flat."""
-        model = self.model
-        model.set_flat(weights)
-        if batch_indices is None:
-            model.loss_and_grad(shard.x, shard.y)
-        else:
-            model.loss_and_grad(shard.x[batch_indices], shard.y[batch_indices])
-        return model.grad.copy()
-

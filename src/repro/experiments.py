@@ -341,7 +341,7 @@ def build_model(
             hidden=sizes["mlp_hidden"],
         )
         if len(dataset.feature_shape) > 1:
-            model.layers.insert(0, Flatten())
+            model = Sequential([Flatten(), *model.layers])
         return model
     if family == "cnn":
         if len(dataset.feature_shape) != 3:

@@ -18,7 +18,7 @@ to the sequential path.  Where a BLAS build breaks that, results agree to
 
 Only the shapes the fast path needs are supported: ``Dense``/``ReLU`` stacks
 (plus an optional leading ``Flatten``) under ``SoftmaxCrossEntropy``.
-Anything else — convolutions, dropout, custom layers — reports
+Anything else — convolutions, pooling, custom layers — reports
 ``supports() == False`` and the caller falls back to per-device training.
 """
 
@@ -57,7 +57,7 @@ def _plan(model):
 
     ``ops`` is a list of ``(_DENSE, w_lo, fin, fout, b_lo)`` /  ``(_RELU,)``
     tuples; offsets index the flat parameter vector, mirroring the layout
-    ``Sequential._ensure_flat`` builds (per layer: weight, then bias).
+    ``Sequential._build_flat`` builds (per layer: weight, then bias).
     """
     if type(getattr(model, "loss", None)) is not SoftmaxCrossEntropy:
         return None, "loss must be SoftmaxCrossEntropy"
@@ -122,10 +122,6 @@ class BatchedSequential:
         """True when ``model`` can run on the batched engine."""
         ops, _ = _plan(model)
         return ops is not None
-
-    @property
-    def num_replicas(self) -> int:
-        return 0 if self._theta is None else self._theta.shape[0]
 
     def bind(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Attach ``(P, dim)`` theta/grad arenas; views persist until re-bind."""

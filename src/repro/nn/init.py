@@ -1,7 +1,7 @@
 """Weight-initialization schemes.
 
-He initialization for ReLU networks (the paper's MLP/CNN), Glorot for tanh,
-both in the *uniform* variant for cheap sampling.
+He initialization for ReLU networks (the paper's MLP/CNN), in the
+*uniform* variant for cheap sampling.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["he_uniform", "glorot_uniform", "zeros"]
+__all__ = ["he_uniform", "zeros"]
 
 
 def he_uniform(
@@ -20,16 +20,6 @@ def he_uniform(
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def glorot_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot/Xavier uniform: U(-sqrt(6/(fan_in+fan_out)), +...)."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -18,10 +18,8 @@ __all__ = [
     "Dense",
     "Conv2d",
     "ReLU",
-    "Tanh",
     "Flatten",
     "MaxPool2d",
-    "Dropout",
 ]
 
 
@@ -222,25 +220,6 @@ class ReLU(Layer):
         return grad_out
 
 
-class Tanh(Layer):
-    """Elementwise tanh (used by the strongly-convex analysis examples)."""
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        out = np.tanh(x)
-        self._out = out if train else None
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before a training forward pass")
-        grad_in = grad_out * (1.0 - self._out**2)
-        self._out = None
-        return grad_in
-
-
 class Flatten(Layer):
     """Collapse all but the batch dimension."""
 
@@ -302,30 +281,4 @@ class MaxPool2d(Layer):
         )
         self._argmax = None
         self._x_shape = None
-        return grad_in
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at evaluation time."""
-
-    def __init__(self, p: float, rng: np.random.Generator | None = None) -> None:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if not train or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        grad_in = grad_out * self._mask
-        self._mask = None
         return grad_in

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.functional import log_softmax, softmax
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MSELoss"]
+__all__ = ["Loss", "SoftmaxCrossEntropy"]
 
 
 class Loss:
@@ -92,27 +92,3 @@ class SoftmaxCrossEntropy(Loss):
                     raise ValueError("target class index out of range")
             elif targets.min() < 0 or targets.max() >= logits.shape[1]:
                 raise ValueError("target class index out of range")
-
-
-class MSELoss(Loss):
-    """Mean squared error (used in convex/analysis examples)."""
-
-    def value(self, logits: np.ndarray, targets: np.ndarray) -> float:
-        if logits.shape != targets.shape:
-            raise ValueError(f"shape mismatch {logits.shape} vs {targets.shape}")
-        diff = logits - targets
-        return float((diff * diff).mean())
-
-    def grad(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        if logits.shape != targets.shape:
-            raise ValueError(f"shape mismatch {logits.shape} vs {targets.shape}")
-        return 2.0 * (logits - targets) / logits.size
-
-    def value_and_grad(
-        self, logits: np.ndarray, targets: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        if logits.shape != targets.shape:
-            raise ValueError(f"shape mismatch {logits.shape} vs {targets.shape}")
-        diff = logits - targets
-        value = float((diff * diff).mean())
-        return value, 2.0 * diff / logits.size

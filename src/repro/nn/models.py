@@ -33,21 +33,22 @@ class Sequential:
     *views* into them.  Federated serialization
     (:func:`~repro.nn.serialization.get_flat_params` /
     :func:`~repro.nn.serialization.set_flat_params`) therefore collapses to
-    a single ``np.copyto`` and optimizer math can run as whole-vector BLAS
-    ops.  Mutating ``self.layers`` after construction is supported: the
-    flat buffer is rebuilt (values preserved) the next time it is touched.
+    a single ``np.copyto`` and the SGD step runs as whole-vector BLAS ops.
+    The layer stack is fixed at construction (``layers`` is a read-only
+    tuple) and the buffers are built once; a model with a different stack
+    is a new ``Sequential``.
     """
 
     def __init__(self, layers: list[Layer], loss: Loss | None = None) -> None:
         if not layers:
             raise ValueError("Sequential requires at least one layer")
-        self.layers = list(layers)
+        self._layers = tuple(layers)
         self.loss = loss if loss is not None else SoftmaxCrossEntropy()
-        self._flat_key: tuple[Layer, ...] | None = None
-        self._params: list[Parameter] = []
-        self._theta = np.empty(0, dtype=np.float64)
-        self._grad = np.empty(0, dtype=np.float64)
-        self._ensure_flat()
+        self._build_flat()
+
+    @property
+    def layers(self) -> tuple[Layer, ...]:
+        return self._layers
 
     # ----------------------------------------------------- flat buffer
 
@@ -58,7 +59,6 @@ class Sequential:
         them from the layers' (standalone) parameter values."""
         state = self.__dict__.copy()
         for key in (
-            "_flat_key",
             "_params",
             "_theta",
             "_grad",
@@ -72,23 +72,13 @@ class Sequential:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._flat_key = None
-        self._params = []
-        self._theta = np.empty(0, dtype=np.float64)
-        self._grad = np.empty(0, dtype=np.float64)
-        self._ensure_flat()
+        self._build_flat()
 
-    def _ensure_flat(self) -> None:
-        """(Re)base every parameter onto the shared flat buffers."""
-        # The key holds the layer objects themselves (compared by identity
-        # via tuple ==): strong references keep replaced layers alive, so
-        # a new layer can never reuse a freed layer's id and masquerade as
-        # the cached structure.
-        key = tuple(self.layers)
-        if key == self._flat_key:
-            return
+    def _build_flat(self) -> None:
+        """Rebase every parameter onto freshly allocated flat buffers."""
+        layers = self._layers
         params: list[Parameter] = []
-        for layer in self.layers:
+        for layer in layers:
             params.extend(layer.parameters())
         # Backward-pass fast-path eligibility.  Exact types only: a layer
         # subclass may override backward() without the fast-path keywords,
@@ -98,16 +88,16 @@ class Sequential:
         # _overwrite_ok: every parameterized layer can write its gradient
         # in place of (rather than into) the grad buffer.
         self._skip_idx = -1
-        for i, layer in enumerate(self.layers):
+        for i, layer in enumerate(layers):
             if layer.parameters():
                 if type(layer) in (Conv2d, Dense):
                     self._skip_idx = i
                 break
-        self._fast_layer = [type(layer) in (Conv2d, Dense) for layer in self.layers]
-        self._relu_layer = [type(layer) is ReLU for layer in self.layers]
+        self._fast_layer = [type(layer) in (Conv2d, Dense) for layer in layers]
+        self._relu_layer = [type(layer) is ReLU for layer in layers]
         self._overwrite_ok = all(
             fast
-            for fast, layer in zip(self._fast_layer, self.layers)
+            for fast, layer in zip(self._fast_layer, layers)
             if layer.parameters()
         )
         dim = sum(p.size for p in params)
@@ -116,38 +106,29 @@ class Sequential:
         offset = 0
         for p in params:
             lo, hi = offset, offset + p.size
-            p._rebase(
-                theta[lo:hi].reshape(p.shape),
-                grad[lo:hi].reshape(p.shape),
-                (theta, grad, lo, hi),
-            )
+            p._rebase(theta[lo:hi].reshape(p.shape), grad[lo:hi].reshape(p.shape))
             offset = hi
         self._params = params
         self._theta = theta
         self._grad = grad
-        self._flat_key = key
 
     @property
     def theta(self) -> np.ndarray:
         """The contiguous parameter vector every ``Parameter.data`` views."""
-        self._ensure_flat()
         return self._theta
 
     @property
     def grad(self) -> np.ndarray:
         """The contiguous gradient vector every ``Parameter.grad`` views."""
-        self._ensure_flat()
         return self._grad
 
     @property
     def dim(self) -> int:
-        """Total number of trainable scalars (cached; no per-call sum)."""
-        self._ensure_flat()
+        """Total number of trainable scalars."""
         return self._theta.size
 
     def set_flat(self, flat: np.ndarray) -> None:
         """Load a flat vector into ``theta`` (one ``np.copyto``)."""
-        self._ensure_flat()
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != self._theta.shape:
             raise ValueError(
@@ -158,11 +139,10 @@ class Sequential:
     # ------------------------------------------------------- training
 
     def parameters(self) -> list[Parameter]:
-        self._ensure_flat()
         return list(self._params)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        for layer in self.layers:
+        for layer in self._layers:
             x = layer.forward(x, train=train)
         return x
 
@@ -186,8 +166,6 @@ class Sequential:
         parameterized layer to support it (``self._overwrite_ok``).  The
         ``grad`` argument may be reused as scratch in this mode.
         """
-        if not need_input_grad or overwrite:
-            self._ensure_flat()
         if overwrite and not self._overwrite_ok:
             raise ValueError(
                 "overwrite=True requires every parameterized layer to be a "
@@ -199,10 +177,10 @@ class Sequential:
     def _backward(
         self, grad: np.ndarray, need_input_grad: bool, overwrite: bool
     ) -> np.ndarray | None:
-        """Backward loop; the caller guarantees ``_ensure_flat`` ran when
-        the skip/overwrite fast paths are requested."""
+        """Backward loop shared by :meth:`backward` and
+        :meth:`loss_and_grad`."""
         stop = self._skip_idx if not need_input_grad else -1
-        layers = self.layers
+        layers = self._layers
         fast_layer = self._fast_layer
         for i in range(len(layers) - 1, -1, -1):
             layer = layers[i]
@@ -221,19 +199,17 @@ class Sequential:
         return grad
 
     def zero_grad(self) -> None:
-        self._ensure_flat()
         self._grad[...] = 0.0
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> float:
         """One fused training pass: forward, loss, backward.
 
         On return the parameter gradients hold exactly this batch's
-        gradients (no pre-zeroing needed); the caller steps an optimizer
+        gradients (no pre-zeroing needed); the caller takes the SGD step
         afterwards.  The loss head's value and logit gradient come from
         one fused computation, and standard layers write their gradients
         via overwriting GEMMs instead of zero-then-accumulate.
         """
-        self._ensure_flat()
         logits = self.forward(x, train=True)
         value, logit_grad = self.loss.value_and_grad(logits, y)
         if self._overwrite_ok:
@@ -259,8 +235,10 @@ class Sequential:
 
     def evaluate_loss(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
         """Mean loss over (x, y) without touching gradients."""
-        total = 0.0
         n = x.shape[0]
+        if n == 0:
+            raise ValueError("cannot compute loss on an empty set")
+        total = 0.0
         for start in range(0, n, batch_size):
             xb = x[start : start + batch_size]
             yb = y[start : start + batch_size]

@@ -1,69 +1,17 @@
-"""SGD-family optimizers and learning-rate schedules.
+"""The learning-rate schedule of the convergence analysis.
 
-:class:`ProximalSGD` implements the FedProx device objective
-``F_i(w) + (mu/2)||w - w_anchor||^2`` by adding ``mu (w - w_anchor)`` to every
-step — the anchor is the global model the device received at the start of
-the round.
-
-When the parameter list is backed by one contiguous flat buffer (every
-``Parameter`` of a :class:`~repro.nn.models.Sequential` views a span of the
-model's ``theta`` / ``grad`` vectors), the update fuses into whole-vector
-BLAS ops on that span instead of a Python loop over layers.  The fused and
-per-parameter paths apply the same elementwise arithmetic, so results are
-bitwise identical.
+Local training itself is plain mini-batch SGD at a fixed rate, written
+once in :meth:`repro.device.device.LocalTrainer.train` (and its stacked
+twin in :mod:`repro.device.batched`); this module only keeps the decaying
+schedule Theorem 5.1 is stated for.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.nn.tensor import Parameter
-
-__all__ = ["LRSchedule", "ConstantLR", "InverseTimeLR", "SGD", "ProximalSGD"]
+__all__ = ["InverseTimeLR"]
 
 
-def _flat_span(
-    params: list[Parameter],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(theta_span, grad_span) if ``params`` tile one contiguous flat range.
-
-    Requires every parameter to be flat-backed by the *same* buffer pair,
-    in order, with no gaps — exactly what ``Sequential`` constructs.
-    """
-    if not params:
-        return None
-    first = params[0]._flat
-    if first is None:
-        return None
-    theta, grad_vec, lo0, hi = first
-    for p in params[1:]:
-        f = p._flat
-        if f is None or f[0] is not theta or f[2] != hi:
-            return None
-        hi = f[3]
-    return theta[lo0:hi], grad_vec[lo0:hi]
-
-
-class LRSchedule:
-    """Maps a step counter to a learning rate."""
-
-    def rate(self, step: int) -> float:
-        raise NotImplementedError
-
-
-class ConstantLR(LRSchedule):
-    """Fixed learning rate (the paper uses 0.1 everywhere)."""
-
-    def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        self.lr = lr
-
-    def rate(self, step: int) -> float:
-        return self.lr
-
-
-class InverseTimeLR(LRSchedule):
+class InverseTimeLR:
     """``eta_t = numerator / (offset + t)``.
 
     With ``numerator = 2/mu`` and ``offset = gamma = max(8L/mu, E)`` this is
@@ -78,164 +26,3 @@ class InverseTimeLR(LRSchedule):
 
     def rate(self, step: int) -> float:
         return self.numerator / (self.offset + step)
-
-
-class SGD:
-    """Plain / momentum SGD over a list of parameters.
-
-    ``step`` consumes accumulated ``Parameter.grad`` buffers and updates
-    ``Parameter.data`` in place; callers zero gradients between batches.
-    """
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float | LRSchedule = 0.1,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.params = list(params)
-        self.schedule = lr if isinstance(lr, LRSchedule) else ConstantLR(lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.step_count = 0
-        self._span = _flat_span(self.params)
-        if self._span is not None:
-            self._velocity = [np.zeros_like(self._span[0])] if momentum > 0 else None
-        else:
-            self._velocity = (
-                [np.zeros_like(p.data) for p in self.params] if momentum > 0 else None
-            )
-
-    def _current_span(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The fused span, revalidated against the parameters' live backing.
-
-        A layer-list mutation makes ``Sequential`` reallocate and rebase
-        its flat buffers; a span cached at construction would then view
-        the orphaned old buffers and steps would silently go nowhere.  The
-        identity check is O(1); a rebase triggers one re-derivation.  The
-        momentum state stays valid across a rebase because the span covers
-        the same parameters in the same order.
-        """
-        span = self._span
-        if span is None:
-            return None
-        flat = self.params[0]._flat
-        if flat is not None and flat[0] is span[0].base:
-            return span
-        self._span = _flat_span(self.params)
-        if self._span is None and self._velocity is not None and len(self.params) > 1:
-            # The params are no longer one contiguous span (e.g. a
-            # parameterized layer was spliced between them): split the
-            # fused velocity back onto the per-parameter layout.
-            flat_v = self._velocity[0]
-            per_param, offset = [], 0
-            for p in self.params:
-                per_param.append(
-                    flat_v[offset : offset + p.size].reshape(p.shape).copy()
-                )
-                offset += p.size
-            self._velocity = per_param
-        return self._span
-
-    @property
-    def lr(self) -> float:
-        """Learning rate that the *next* step will use."""
-        return self.schedule.rate(self.step_count)
-
-    def zero_grad(self) -> None:
-        span = self._current_span()
-        if span is not None:
-            span[1][...] = 0.0
-            return
-        for p in self.params:
-            p.zero_grad()
-
-    def _apply(self, data: np.ndarray, update: np.ndarray, eta: float, idx: int) -> None:
-        if self._velocity is not None:
-            v = self._velocity[idx]
-            v *= self.momentum
-            v += update
-            update = v
-        data -= eta * update
-
-    def _extra_term(self, data: np.ndarray, idx: int) -> np.ndarray | None:
-        """Hook for subclasses: an additive gradient term (or None)."""
-        return None
-
-    def step(self) -> None:
-        eta = self.schedule.rate(self.step_count)
-        span = self._current_span()
-        if span is not None:
-            theta, grad = span
-            update = grad
-            extra = self._extra_term(theta, 0)
-            if extra is not None:
-                update = update + extra
-            if self.weight_decay:
-                update = update + self.weight_decay * theta
-            self._apply(theta, update, eta, 0)
-        else:
-            for i, p in enumerate(self.params):
-                update = p.grad
-                extra = self._extra_term(p.data, i)
-                if extra is not None:
-                    update = update + extra
-                if self.weight_decay:
-                    update = update + self.weight_decay * p.data
-                self._apply(p.data, update, eta, i)
-        self.step_count += 1
-
-
-class ProximalSGD(SGD):
-    """SGD plus the FedProx proximal pull toward an anchor point."""
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float | LRSchedule = 0.1,
-        mu: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr=lr, momentum=momentum, weight_decay=weight_decay)
-        if mu < 0:
-            raise ValueError(f"mu must be >= 0, got {mu}")
-        self.mu = mu
-        self._anchor: list[np.ndarray] | None = None
-
-    def _current_span(self) -> tuple[np.ndarray, np.ndarray] | None:
-        span = super()._current_span()
-        if span is None and self._anchor is not None and len(self._anchor) == 1 \
-                and len(self.params) > 1:
-            # Mirror the velocity conversion: split a fused anchor back
-            # onto the per-parameter layout.
-            flat_a = self._anchor[0]
-            per_param, offset = [], 0
-            for p in self.params:
-                per_param.append(
-                    flat_a[offset : offset + p.size].reshape(p.shape).copy()
-                )
-                offset += p.size
-            self._anchor = per_param
-        return span
-
-    def set_anchor(self) -> None:
-        """Snapshot current parameters as the proximal anchor w_global."""
-        span = self._current_span()
-        if span is not None:
-            self._anchor = [span[0].copy()]
-        else:
-            self._anchor = [p.data.copy() for p in self.params]
-
-    def _extra_term(self, data: np.ndarray, idx: int) -> np.ndarray | None:
-        return self.mu * (data - self._anchor[idx])
-
-    def step(self) -> None:
-        if self._anchor is None:
-            raise RuntimeError("call set_anchor() before stepping ProximalSGD")
-        super().step()

@@ -1,15 +1,11 @@
 """Flat parameter-vector view of a model.
 
 Federated-learning algorithms treat a model as a point in R^d: aggregation
-is vector arithmetic, transmission cost is ``d`` floats.  These helpers
-convert between a model's :class:`~repro.nn.tensor.Parameter` list and one
-contiguous float64 vector, in a stable order.
-
-For :class:`~repro.nn.models.Sequential` (which already stores all
-parameters in one contiguous ``theta`` / ``grad`` vector, with per-layer
-views into it) every helper is a single ``np.copyto`` and ``num_params``
-is an attribute read.  The per-parameter loops remain as the fallback for
-duck-typed models that only expose ``parameters()``.
+is vector arithmetic, transmission cost is ``d`` floats.  A
+:class:`~repro.nn.models.Sequential` already stores all parameters in one
+contiguous ``theta`` / ``grad`` vector (per-layer views into it), so every
+helper here is a single ``np.copyto`` and ``num_params`` is an attribute
+read.
 """
 
 from __future__ import annotations
@@ -20,68 +16,32 @@ __all__ = ["num_params", "get_flat_params", "set_flat_params", "get_flat_grads"]
 
 
 def num_params(model) -> int:
-    """Total number of scalar parameters in ``model`` (cached when the
-    model exposes a ``dim`` attribute, as ``Sequential`` does)."""
-    dim = getattr(model, "dim", None)
-    if dim is not None:
-        return int(dim)
-    return sum(p.size for p in model.parameters())
+    """Total number of scalar parameters in ``model``."""
+    return model.dim
 
 
-def _check_out(out: np.ndarray | None, total: int) -> np.ndarray:
+def _copy_out(src: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     if out is None:
-        return np.empty(total, dtype=np.float64)
-    if out.shape != (total,):
-        raise ValueError(f"out must have shape ({total},), got {out.shape}")
+        return src.copy()
+    if out.shape != src.shape:
+        raise ValueError(f"out must have shape {src.shape}, got {out.shape}")
+    np.copyto(out, src)
     return out
 
 
 def get_flat_params(model, out: np.ndarray | None = None) -> np.ndarray:
-    """Concatenate all parameters into one float64 vector.
+    """Copy of the model's parameter vector.
 
     Pass ``out`` to reuse a buffer (hot aggregation loops).
     """
-    theta = getattr(model, "theta", None)
-    if theta is not None:
-        out = _check_out(out, theta.size)
-        np.copyto(out, theta)
-        return out
-    total = num_params(model)
-    out = _check_out(out, total)
-    offset = 0
-    for p in model.parameters():
-        out[offset : offset + p.size] = p.data.ravel()
-        offset += p.size
-    return out
+    return _copy_out(model.theta, out)
 
 
 def set_flat_params(model, flat: np.ndarray) -> None:
     """Load a flat vector back into the model's parameters (copies data)."""
-    total = num_params(model)
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (total,):
-        raise ValueError(f"expected vector of length {total}, got {flat.shape}")
-    theta = getattr(model, "theta", None)
-    if theta is not None:
-        np.copyto(theta, flat)
-        return
-    offset = 0
-    for p in model.parameters():
-        p.data[...] = flat[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
+    model.set_flat(flat)
 
 
 def get_flat_grads(model, out: np.ndarray | None = None) -> np.ndarray:
-    """Concatenate all parameter gradients into one float64 vector."""
-    grad = getattr(model, "grad", None)
-    if isinstance(grad, np.ndarray):
-        out = _check_out(out, grad.size)
-        np.copyto(out, grad)
-        return out
-    total = num_params(model)
-    out = _check_out(out, total)
-    offset = 0
-    for p in model.parameters():
-        out[offset : offset + p.size] = p.grad.ravel()
-        offset += p.size
-    return out
+    """Copy of the model's gradient vector."""
+    return _copy_out(model.grad, out)

@@ -7,9 +7,7 @@ copies).
 
 When a parameter belongs to a :class:`~repro.nn.models.Sequential`, its
 ``data`` and ``grad`` are *views* into the model's contiguous ``theta`` /
-``grad`` vectors (see DESIGN.md, "Flat-buffer memory model").  ``_flat``
-records that backing as ``(theta, grad_vec, lo, hi)`` so whole-vector
-consumers (fused optimizers) can detect contiguous spans.
+``grad`` vectors (see DESIGN.md, "Flat-buffer memory model").
 """
 
 from __future__ import annotations
@@ -22,13 +20,12 @@ __all__ = ["Parameter"]
 class Parameter:
     """A trainable array with an accumulated gradient."""
 
-    __slots__ = ("data", "grad", "name", "_flat")
+    __slots__ = ("data", "grad", "name")
 
     def __init__(self, data: np.ndarray, name: str = "param") -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
         self.name = name
-        self._flat: tuple[np.ndarray, np.ndarray, int, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -49,27 +46,19 @@ class Parameter:
         return p
 
     def __getstate__(self):
-        """Pickle values only: views and the flat-backing record do not
-        survive serialization (the owning model rebuilds them, see
-        ``Sequential.__setstate__``)."""
+        """Pickle values only: views do not survive serialization (the
+        owning model rebuilds them, see ``Sequential.__setstate__``)."""
         return (self.data, self.grad, self.name)
 
     def __setstate__(self, state) -> None:
         self.data, self.grad, self.name = state
-        self._flat = None
 
-    def _rebase(
-        self,
-        data_view: np.ndarray,
-        grad_view: np.ndarray,
-        flat: tuple[np.ndarray, np.ndarray, int, int],
-    ) -> None:
+    def _rebase(self, data_view: np.ndarray, grad_view: np.ndarray) -> None:
         """Move storage onto externally-owned views, preserving values."""
         data_view[...] = self.data
         grad_view[...] = self.grad
         self.data = data_view
         self.grad = grad_view
-        self._flat = flat
 
     def __repr__(self) -> str:
         return f"Parameter(name={self.name!r}, shape={self.shape})"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets.core import ClassificationDataset, DataBatchIterator, train_test_split
+from repro.datasets.core import ClassificationDataset, train_test_split
 
 
 def small_ds(n=30, classes=3, seed=0):
@@ -49,44 +49,6 @@ class TestClassificationDataset:
     def test_class_counts(self):
         ds = small_ds(n=30, classes=3)
         np.testing.assert_array_equal(ds.class_counts(), [10, 10, 10])
-
-    def test_shuffled_preserves_pairs(self):
-        ds = small_ds()
-        sh = ds.shuffled(seed=1)
-        # every (x, y) pair still present: sort by a hashable key
-        orig = sorted(map(tuple, np.column_stack([ds.x, ds.y])))
-        new = sorted(map(tuple, np.column_stack([sh.x, sh.y])))
-        assert orig == new
-
-
-class TestDataBatchIterator:
-    def test_covers_dataset(self):
-        ds = small_ds(n=25)
-        it = DataBatchIterator(ds, batch_size=8, seed=0)
-        total = sum(len(yb) for _, yb in it.epoch())
-        assert total == 25
-
-    def test_drop_last(self):
-        ds = small_ds(n=25)
-        it = DataBatchIterator(ds, batch_size=8, seed=0, drop_last=True)
-        sizes = [len(yb) for _, yb in it.epoch()]
-        assert sizes == [8, 8, 8]
-        assert it.num_batches() == 3
-
-    def test_num_batches_ceil(self):
-        ds = small_ds(n=25)
-        assert DataBatchIterator(ds, batch_size=8).num_batches() == 4
-
-    def test_epochs_reshuffle(self):
-        ds = small_ds(n=20)
-        it = DataBatchIterator(ds, batch_size=20, seed=0)
-        (x1, _), = list(it.epoch())
-        (x2, _), = list(it.epoch())
-        assert not np.array_equal(x1, x2)
-
-    def test_bad_batch_size_raises(self):
-        with pytest.raises(ValueError):
-            DataBatchIterator(small_ds(), batch_size=0)
 
 
 class TestTrainTestSplit:

@@ -30,15 +30,13 @@ FEATURES = 16
 CLASSES = 10  # mnist_like is a fixed 10-class task
 
 
-def _substrate(momentum=0.0):
+def _substrate(lr=0.1):
     """(trainer, fleet, w0) over ragged dirichlet shards."""
     dataset = mnist_like(num_samples=700, seed=5, feature_dim=FEATURES)
     parts = partition_by_name("dirichlet", dataset, NUM_DEVICES, seed=6, beta=0.3)
     counts = sample_unit_counts(NUM_DEVICES, 1, 10, seed=7)
     model = paper_mlp(FEATURES, CLASSES, seed=0, hidden=(12, 8))
-    trainer = LocalTrainer(
-        model, lr=0.1, batch_size=20, seed=2, momentum=momentum
-    )
+    trainer = LocalTrainer(model, lr=lr, batch_size=20, seed=2)
     fleet = make_fleet(dataset, parts, unit_times_from_counts(counts), trainer)
     return trainer, fleet, get_flat_params(model)
 
@@ -90,11 +88,6 @@ class TestTrainRound:
         epochs = [2, 2, 1, 2, 1]
         _assert_matches(trainer, fleet, ids, epochs)
 
-    def test_momentum(self):
-        trainer, fleet, _ = _substrate(momentum=0.9)
-        ids = list(range(NUM_DEVICES))
-        _assert_matches(trainer, fleet, ids, [2] * NUM_DEVICES)
-
     def test_prox_anchor(self):
         trainer, fleet, w0 = _substrate()
         anchor = w0 + 0.01
@@ -113,9 +106,9 @@ class TestTrainRound:
         )
 
     def test_lr_override(self):
-        trainer, fleet, _ = _substrate()
+        trainer, fleet, _ = _substrate(lr=0.02)
         ids = [0, 1, 2, 3]
-        _assert_matches(trainer, fleet, ids, [1, 1, 2, 2], lr=0.02)
+        _assert_matches(trainer, fleet, ids, [1, 1, 2, 2])
 
     def test_round_stream_preserved(self):
         # Training round r batched must equal round r sequential — and
@@ -152,7 +145,7 @@ BATCH = 8
 _RAGGED_DATA = mnist_like(num_samples=400, seed=5, feature_dim=FEATURES)
 
 
-def _ragged_substrate(sizes, momentum):
+def _ragged_substrate(sizes):
     """(trainer, fleet) whose device ``i`` holds exactly ``sizes[i]`` samples."""
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     parts = Partition(
@@ -160,7 +153,7 @@ def _ragged_substrate(sizes, momentum):
         num_samples=len(_RAGGED_DATA),
     )
     model = paper_mlp(FEATURES, CLASSES, seed=0, hidden=(6, 5))
-    trainer = LocalTrainer(model, lr=0.1, batch_size=BATCH, seed=2, momentum=momentum)
+    trainer = LocalTrainer(model, lr=0.1, batch_size=BATCH, seed=2)
     return trainer, make_fleet(_RAGGED_DATA, parts, np.ones(len(sizes)), trainer)
 
 
@@ -179,20 +172,19 @@ _member = st.tuples(
 @given(
     members=st.lists(_member, min_size=1, max_size=9),
     shared_start=st.booleans(),
-    momentum=st.sampled_from([0.0, 0.9]),
     prox=st.booleans(),
     scaffold=st.booleans(),
     cap=st.sampled_from([2, 3, batched._MAX_STACK]),
     seed=st.integers(0, 2**16),
 )
 def test_ragged_wave_matches_local_trainer(
-    members, shared_start, momentum, prox, scaffold, cap, seed
+    members, shared_start, prox, scaffold, cap, seed
 ):
     """Any mix of shard sizes, epoch counts and unit indices, from a shared
-    or per-member start, with every optimizer term, at any stack width:
+    or per-member start, with every update term, at any stack width:
     each member's result is what ``LocalTrainer.train`` gives it alone."""
     sizes, epochs, units = (np.array(col) for col in zip(*members))
-    trainer, fleet = _ragged_substrate(sizes, momentum)
+    trainer, fleet = _ragged_substrate(sizes)
     P, dim = len(members), trainer.dim
     rng = np.random.default_rng(seed)
     ids = rng.permutation(P)  # wave order is not shard order
@@ -232,8 +224,8 @@ class TestRunUnits:
 
     IDS = np.arange(5)
 
-    def _wave(self, momentum=0.0):
-        trainer, fleet = _ragged_substrate([20, 3, 20, 9, 16], momentum)
+    def _wave(self):
+        trainer, fleet = _ragged_substrate([20, 3, 20, 9, 16])
         rng = np.random.default_rng(4)
         w0 = get_flat_params(trainer.model)
         starts = list(w0 + 0.01 * rng.normal(size=(5, trainer.dim)))
@@ -280,11 +272,10 @@ class TestRunUnits:
         for got, want in zip(off, self._scalar(fleet, starts, [0, 2, 1, 0, 3])):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_scalar_and_stacked_agree_on_every_term(self, momentum):
+    def test_scalar_and_stacked_agree_on_every_term(self):
         # Shared start, per-member epochs, prox pull and SCAFFOLD rows: the
         # scalar branch honours each of them exactly as the stack does.
-        trainer, fleet, _ = self._wave(momentum)
+        trainer, fleet, _ = self._wave()
         w0 = get_flat_params(trainer.model)
         rng = np.random.default_rng(8)
         kwargs = dict(

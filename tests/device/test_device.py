@@ -80,26 +80,88 @@ class TestLocalTrainer:
         assert (pushed < plain).mean() > 0.9  # pushed down almost everywhere
 
     def test_gradient_shape_and_direction(self, trainer, shard):
-        w0 = get_flat_params(trainer.model)
-        g = trainer.gradient(w0, shard)
+        # The full-batch gradient the trainer steps along is a descent
+        # direction: a small step along -g lowers the shard loss.
+        model = trainer.model
+        w0 = get_flat_params(model)
+        model.set_flat(w0)
+        model.loss_and_grad(shard.x, shard.y)
+        g = model.grad.copy()
         assert g.shape == (trainer.dim,)
-        # A small step along -g must reduce the full-batch loss.
-        from repro.nn.serialization import set_flat_params
-
-        set_flat_params(trainer.model, w0)
-        before = trainer.model.evaluate_loss(shard.x, shard.y)
-        set_flat_params(trainer.model, w0 - 0.01 * g)
-        after = trainer.model.evaluate_loss(shard.x, shard.y)
+        before = model.evaluate_loss(shard.x, shard.y)
+        model.set_flat(w0 - 0.01 * g)
+        after = model.evaluate_loss(shard.x, shard.y)
         assert after < before
+
+    @pytest.mark.parametrize(
+        "batch_size, epochs, steps",
+        [(16, 1, 3), (16, 2, 6), (40, 1, 1), (7, 3, 18), (64, 2, 2)],
+    )
+    def test_step_count(self, trainer, shard, batch_size, epochs, steps):
+        t = LocalTrainer(trainer.model, lr=0.1, batch_size=batch_size, seed=1)
+        _, got = t.train(get_flat_params(t.model), shard, epochs)
+        assert got == steps
+
+    def test_out_buffer_filled_in_place(self, trainer, shard):
+        w0 = get_flat_params(trainer.model)
+        want, _ = trainer.train(w0, shard, 1, stream_key=(3,))
+        out = np.full(trainer.dim, np.nan)
+        got, _ = trainer.train(w0, shard, 1, stream_key=(3,), out=out)
+        assert got is out
+        np.testing.assert_array_equal(out, want)
+
+    def test_empty_shard_raises(self, trainer):
+        empty = ClassificationDataset(np.empty((0, 6)), np.empty(0, dtype=int), 3)
+        with pytest.raises(ValueError, match="empty"):
+            trainer.train(get_flat_params(trainer.model), empty, 1)
+
+    def test_zero_mu_ignores_anchor(self, trainer, shard):
+        w0 = get_flat_params(trainer.model)
+        plain, _ = trainer.train(w0, shard, 2, stream_key=(5,))
+        anchored, _ = trainer.train(w0, shard, 2, stream_key=(5,), anchor=w0 + 1.0, mu=0.0)
+        np.testing.assert_array_equal(anchored, plain)
+
+    def test_zero_correction_is_plain(self, trainer, shard):
+        w0 = get_flat_params(trainer.model)
+        plain, _ = trainer.train(w0, shard, 2, stream_key=(5,))
+        corrected, _ = trainer.train(
+            w0, shard, 2, stream_key=(5,), correction=np.zeros(trainer.dim)
+        )
+        np.testing.assert_array_equal(corrected, plain)
+
+    @pytest.mark.parametrize("lr", [0.01, 0.1, 0.5])
+    def test_single_step_is_lr_times_gradient(self, trainer, shard, lr):
+        # One full-shard batch: the update is exactly -lr * (batch gradient).
+        t = LocalTrainer(trainer.model, lr=lr, batch_size=len(shard), seed=1)
+        w0 = get_flat_params(t.model)
+        w1, steps = t.train(w0, shard, 1)
+        assert steps == 1
+        t.model.set_flat(w0)
+        t.model.loss_and_grad(shard.x, shard.y)
+        np.testing.assert_allclose(w1, w0 - lr * t.model.grad, rtol=1e-10, atol=1e-12)
+
+    def test_epoch_buffers_follow_shard_size(self, trainer, shard):
+        # Reused gather buffers grow for a larger shard and are sliced for a
+        # smaller one; results match a fresh trainer's either way.
+        rng = np.random.default_rng(4)
+        big = ClassificationDataset(rng.normal(size=(70, 6)), rng.integers(0, 3, 70), 3)
+        small = shard.subset(np.arange(11))
+        w0 = get_flat_params(trainer.model)
+        for data in (shard, big, small):
+            got, _ = trainer.train(w0, data, 2, stream_key=(2,))
+            fresh = LocalTrainer(trainer.model, lr=0.1, batch_size=16, seed=1)
+            want, _ = fresh.train(w0, data, 2, stream_key=(2,))
+            np.testing.assert_array_equal(got, want)
 
     def test_zero_epochs_raises(self, trainer, shard):
         with pytest.raises(ValueError):
             trainer.train(get_flat_params(trainer.model), shard, 0)
 
     def test_lr_override(self, trainer, shard):
+        slow = LocalTrainer(trainer.model, lr=1e-6, batch_size=16, seed=1)
         w0 = get_flat_params(trainer.model)
-        slow, _ = trainer.train(w0, shard, 1, stream_key=(0,), lr=1e-6)
-        np.testing.assert_allclose(slow, w0, atol=1e-3)
+        moved, _ = slow.train(w0, shard, 1, stream_key=(0,))
+        np.testing.assert_allclose(moved, w0, atol=1e-3)
 
     @pytest.mark.parametrize("bad", [{"lr": 0}, {"batch_size": 0}])
     def test_bad_ctor_raises(self, bad):

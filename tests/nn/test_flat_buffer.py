@@ -5,8 +5,8 @@ The flat-buffer engine rests on two promises:
 1. every ``Parameter.data``/``Parameter.grad`` is a live view into the
    model's contiguous ``theta``/``grad`` vectors, and nothing in the
    training stack ever reallocates those vectors mid-run;
-2. the fused whole-vector training math (optimizer step, momentum,
-   proximal pull, SCAFFOLD correction, overwriting backward, fused loss)
+2. the fused whole-vector training math (SGD step, proximal pull,
+   SCAFFOLD correction, overwriting backward, fused loss)
    produces bit-identical results to the seed revision's per-parameter
    path.
 
@@ -19,9 +19,8 @@ import pytest
 
 from repro.datasets.synthetic import cifar10_like, mnist_like
 from repro.device.device import LocalTrainer
-from repro.nn.layers import Dense, Flatten, ReLU, Tanh
-from repro.nn.models import Sequential, paper_cnn, paper_mlp
-from repro.nn.optim import SGD, ProximalSGD
+from repro.nn.layers import Dense, ReLU
+from repro.nn.models import Sequential, logistic_model, paper_cnn, paper_mlp
 from repro.nn.serialization import get_flat_params, num_params, set_flat_params
 from repro.utils.rng import SeedSequenceFactory
 
@@ -119,16 +118,25 @@ class TestViewAliasing:
         assert not np.shares_memory(out, mlp.theta)
 
     def test_optimizer_step_never_reallocates(self, mlp):
+        # The SGD step is an in-place whole-vector update of ``theta``.
         theta = mlp.theta
-        opt = SGD(mlp.parameters(), lr=0.1, momentum=0.5)
         rng = np.random.default_rng(1)
         for _ in range(3):
-            mlp.zero_grad()
             mlp.loss_and_grad(rng.normal(size=(5, 12)), rng.integers(0, 4, size=5))
-            opt.step()
+            theta -= 0.1 * mlp.grad
         assert mlp.theta is theta
         for p in mlp.parameters():
             assert np.shares_memory(p.data, theta)
+
+    def test_layer_replacement_detected(self, mlp):
+        """Replacing a layer in place is rejected: the stack is a tuple, so
+        buffers and backward fast-path tables can never go stale."""
+        theta, relu_layer = mlp.theta, list(mlp._relu_layer)
+        with pytest.raises(TypeError):
+            mlp.layers[1] = Dense(8, 8, rng=np.random.default_rng(0))
+        assert mlp.theta is theta and mlp._relu_layer == relu_layer
+        for p in mlp.parameters():
+            assert np.shares_memory(p.data, mlp.theta)
 
     def test_trainer_never_reallocates(self, mlp):
         shard = mnist_like(num_samples=40, seed=0, feature_dim=12)
@@ -137,28 +145,6 @@ class TestViewAliasing:
         theta = mlp.theta
         trainer.train(get_flat_params(mlp), shard, 2)
         assert mlp.theta is theta
-
-    def test_layer_mutation_rebuilds_preserving_values(self, mlp):
-        before = get_flat_params(mlp)
-        old_theta = mlp.theta
-        mlp.layers.insert(0, Flatten())  # what build_model does for MLPs
-        after = get_flat_params(mlp)
-        np.testing.assert_array_equal(before, after)
-        assert mlp.theta is not old_theta  # rebuilt buffer
-        for p in mlp.parameters():
-            assert np.shares_memory(p.data, mlp.theta)
-
-    def test_layer_replacement_detected(self, mlp):
-        """Delete-and-replace at one position must trigger a rebuild even
-        if CPython hands the new layer the freed layer's id (the structure
-        key holds strong references, so ids cannot be recycled)."""
-        del mlp.layers[1]  # the first ReLU
-        mlp.layers.insert(1, Tanh())
-        rng = np.random.default_rng(7)
-        mlp.loss_and_grad(rng.normal(size=(4, 12)), rng.integers(0, 4, size=4))
-        assert mlp._relu_layer[1] is False  # masks rebuilt for the Tanh
-        for p in mlp.parameters():
-            assert np.shares_memory(p.data, mlp.theta)
 
     def test_backward_overwrite_guarded_on_custom_layers(self):
         class MyDense(Dense):
@@ -205,17 +191,14 @@ class TestBitwiseEquivalence:
 
     CASES = {
         "plain": {},
-        "momentum": {"momentum": 0.9},
         "fedprox": {"mu": 0.05, "use_anchor": True},
         "scaffold": {"use_correction": True},
-        "all_terms": {"momentum": 0.5, "mu": 0.01, "use_anchor": True,
-                      "use_correction": True},
+        "all_terms": {"mu": 0.01, "use_anchor": True, "use_correction": True},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_mlp_unit_matches_seed(self, case):
         opts = dict(self.CASES[case])
-        momentum = opts.pop("momentum", 0.0)
         mu = opts.pop("mu", 0.0)
         use_anchor = opts.pop("use_anchor", False)
         use_correction = opts.pop("use_correction", False)
@@ -230,17 +213,45 @@ class TestBitwiseEquivalence:
             rng.normal(scale=1e-3, size=w0.size) if use_correction else None
         )
 
-        trainer = LocalTrainer(
-            model_a, lr=0.1, batch_size=32, seed=9, momentum=momentum
-        )
+        trainer = LocalTrainer(model_a, lr=0.1, batch_size=32, seed=9)
         fused, _ = trainer.train(
             w0, shard, 3, stream_key=(1, 2), anchor=anchor, mu=mu,
             correction=correction,
         )
         reference = seed_train(
             model_b, w0, shard, 3, lr=0.1, batch_size=32, seed=9,
-            stream_key=(1, 2), momentum=momentum, anchor=anchor, mu=mu,
+            stream_key=(1, 2), anchor=anchor, mu=mu,
             correction=correction,
+        )
+        np.testing.assert_array_equal(fused, reference)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 90, 200])
+    def test_mlp_unit_matches_seed_at_batch_size(self, batch_size):
+        # Single-sample batches, a ragged tail, one full batch, and a batch
+        # larger than the shard all follow the seed loop exactly.
+        shard = mnist_like(num_samples=90, seed=5, feature_dim=10)
+        model_a = paper_mlp(10, 10, seed=11, hidden=(7, 5))
+        model_b = paper_mlp(10, 10, seed=11, hidden=(7, 5))
+        w0 = get_flat_params(model_a)
+        trainer = LocalTrainer(model_a, lr=0.05, batch_size=batch_size, seed=3)
+        fused, steps = trainer.train(w0, shard, 2, stream_key=(4,))
+        reference = seed_train(
+            model_b, w0, shard, 2, lr=0.05, batch_size=batch_size, seed=3,
+            stream_key=(4,),
+        )
+        np.testing.assert_array_equal(fused, reference)
+        assert steps == 2 * -(-90 // batch_size)
+
+    def test_logistic_unit_matches_seed(self):
+        shard = mnist_like(num_samples=50, seed=2, feature_dim=6)
+        model_a = logistic_model(6, 10, seed=1)
+        model_b = logistic_model(6, 10, seed=1)
+        w0 = get_flat_params(model_a)
+        trainer = LocalTrainer(model_a, lr=0.2, batch_size=16, seed=5)
+        fused, _ = trainer.train(w0, shard, 3, stream_key=(0, 1), mu=0.1, anchor=w0)
+        reference = seed_train(
+            model_b, w0, shard, 3, lr=0.2, batch_size=16, seed=5,
+            stream_key=(0, 1), mu=0.1, anchor=w0,
         )
         np.testing.assert_array_equal(fused, reference)
 
@@ -264,84 +275,6 @@ class TestBitwiseEquivalence:
         v, g = m.loss.value_and_grad(logits, y)
         assert v == m.loss.value(logits, y)
         np.testing.assert_array_equal(g, m.loss.grad(logits, y))
-
-    def test_fused_sgd_matches_per_param_path(self):
-        """Flat-span SGD == the per-parameter fallback on detached params."""
-        m = paper_mlp(8, 3, seed=7, hidden=(6, 4))
-        detached = [p.copy() for p in m.parameters()]  # no flat backing
-        rng = np.random.default_rng(8)
-        fused_opt = SGD(m.parameters(), lr=0.2, momentum=0.7, weight_decay=0.01)
-        plain_opt = SGD(detached, lr=0.2, momentum=0.7, weight_decay=0.01)
-        assert fused_opt._span is not None and plain_opt._span is None
-        for _ in range(4):
-            for p, d in zip(m.parameters(), detached):
-                g = rng.normal(size=p.shape)
-                p.grad[...] = g
-                d.grad[...] = g
-            fused_opt.step()
-            plain_opt.step()
-        for p, d in zip(m.parameters(), detached):
-            np.testing.assert_array_equal(p.data, d.data)
-
-    def test_optimizer_survives_layer_mutation(self):
-        """A layer-list mutation rebases the flat buffers; an optimizer
-        built earlier must keep stepping the *live* parameters."""
-        m = paper_mlp(6, 3, seed=5, hidden=(4, 3))
-        opt = SGD(m.parameters(), lr=0.1)
-        m.layers.insert(0, Flatten())  # triggers a theta/grad rebuild
-        rng = np.random.default_rng(0)
-        before = get_flat_params(m)
-        m.loss_and_grad(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4))
-        opt.step()
-        after = get_flat_params(m)
-        assert not np.array_equal(before, after)  # the step landed
-        expected = before - 0.1 * m.grad
-        np.testing.assert_array_equal(after, expected)
-
-    def test_optimizer_falls_back_when_span_breaks(self):
-        """Splicing a parameterized layer between existing ones breaks
-        span contiguity; the optimizer must fall back per-parameter (and
-        carry its momentum state) instead of stepping a stale buffer."""
-        m = paper_mlp(6, 3, seed=5, hidden=(4, 3))
-        opt = SGD(m.parameters(), lr=0.1, momentum=0.5)
-        rng = np.random.default_rng(1)
-        m.loss_and_grad(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4))
-        opt.step()  # fused step builds fused velocity
-        m.layers.insert(2, Dense(4, 4, rng=np.random.default_rng(9)))
-        assert m.theta is not None  # force the rebase, as training would
-        old_params = opt.params
-        grads = [rng.normal(size=p.shape) for p in old_params]
-        for p, g in zip(old_params, grads):
-            p.grad[...] = g
-        data_before = [p.data.copy() for p in old_params]
-        vel_before = [v.copy() for v in (opt._velocity or [])]
-        opt.step()
-        assert opt._span is None  # span no longer contiguous
-        if vel_before:
-            flat_v = np.concatenate([v.ravel() for v in vel_before])
-        offset = 0
-        for p, g, d in zip(old_params, grads, data_before):
-            v = 0.5 * flat_v[offset : offset + p.size].reshape(p.shape) + g
-            np.testing.assert_array_equal(p.data, d - 0.1 * v)
-            offset += p.size
-
-    def test_fused_proximal_sgd_matches_per_param_path(self):
-        m = paper_mlp(8, 3, seed=7, hidden=(6, 4))
-        detached = [p.copy() for p in m.parameters()]
-        rng = np.random.default_rng(9)
-        fused_opt = ProximalSGD(m.parameters(), lr=0.1, mu=0.3)
-        plain_opt = ProximalSGD(detached, lr=0.1, mu=0.3)
-        fused_opt.set_anchor()
-        plain_opt.set_anchor()
-        for _ in range(3):
-            for p, d in zip(m.parameters(), detached):
-                g = rng.normal(size=p.shape)
-                p.grad[...] = g
-                d.grad[...] = g
-            fused_opt.step()
-            plain_opt.step()
-        for p, d in zip(m.parameters(), detached):
-            np.testing.assert_array_equal(p.data, d.data)
 
 
 class TestOverwriteBackward:

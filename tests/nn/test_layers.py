@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Conv2d, Dense, Dropout, Flatten, MaxPool2d, ReLU, Tanh
+from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
 
 
@@ -158,15 +158,6 @@ class TestReLU:
         check_input_grad(ReLU(), np.random.default_rng(6).normal(size=(4, 5)) + 0.1)
 
 
-class TestTanh:
-    def test_input_gradient(self):
-        check_input_grad(Tanh(), np.random.default_rng(7).normal(size=(4, 5)))
-
-    def test_range(self):
-        out = Tanh().forward(np.array([[-100.0, 100.0]]))
-        np.testing.assert_allclose(out, [[-1.0, 1.0]], atol=1e-12)
-
-
 class TestFlatten:
     def test_roundtrip(self):
         layer = Flatten()
@@ -202,37 +193,6 @@ class TestMaxPool2d:
         grad = layer.backward(np.array([[[[3.0]]]]))
         assert grad[0, 0, 1, 1] == 3.0
         assert grad.sum() == 3.0
-
-
-class TestDropout:
-    def test_eval_is_identity(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.random.default_rng(10).normal(size=(4, 6))
-        np.testing.assert_allclose(layer.forward(x, train=False), x)
-
-    def test_p_zero_is_identity(self):
-        layer = Dropout(0.0)
-        x = np.ones((3, 3))
-        np.testing.assert_allclose(layer.forward(x, train=True), x)
-
-    def test_scaling_preserves_expectation(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((200, 200))
-        out = layer.forward(x, train=True)
-        assert abs(out.mean() - 1.0) < 0.05
-
-    def test_mask_applied_to_gradient(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((10, 10))
-        out = layer.forward(x, train=True)
-        grad = layer.backward(np.ones_like(x))
-        # Gradient zero exactly where output was dropped.
-        np.testing.assert_allclose((grad == 0), (out == 0))
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
-    def test_bad_p_raises(self, bad):
-        with pytest.raises(ValueError):
-            Dropout(bad)
 
 
 class TestEndToEndGradient:

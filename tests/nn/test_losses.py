@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 
 
 class TestSoftmaxCrossEntropy:
@@ -59,34 +59,3 @@ class TestSoftmaxCrossEntropy:
     def test_1d_logits_raise(self):
         with pytest.raises(ValueError):
             self.loss.value(np.zeros(3), np.array([0]))
-
-
-class TestMSELoss:
-    def test_zero_at_match(self):
-        x = np.ones((3, 2))
-        assert MSELoss().value(x, x.copy()) == 0.0
-
-    def test_known_value(self):
-        a = np.zeros((1, 2))
-        b = np.array([[3.0, 4.0]])
-        np.testing.assert_allclose(MSELoss().value(a, b), (9 + 16) / 2)
-
-    def test_grad_matches_fd(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(3, 2))
-        b = rng.normal(size=(3, 2))
-        g = MSELoss().grad(a, b)
-        eps = 1e-6
-        for i in range(3):
-            for j in range(2):
-                orig = a[i, j]
-                a[i, j] = orig + eps
-                up = MSELoss().value(a, b)
-                a[i, j] = orig - eps
-                down = MSELoss().value(a, b)
-                a[i, j] = orig
-                np.testing.assert_allclose(g[i, j], (up - down) / (2 * eps), rtol=1e-6)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            MSELoss().value(np.zeros((2, 2)), np.zeros((2, 3)))

@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense
+from repro.nn.layers import Dense, Flatten, ReLU
 from repro.nn.models import Sequential, logistic_model, paper_cnn, paper_mlp
-from repro.nn.optim import SGD
 from repro.nn.serialization import num_params
+
+#: (builder, input feature shape) for each architecture a run can build.
+BUILDERS = {
+    "mlp": (lambda: paper_mlp(4, 3, seed=0, hidden=(3, 3)), (4,)),
+    "cnn": (
+        lambda: paper_cnn(2, 4, 3, seed=0, conv_channels=2, fc_sizes=(5, 4)),
+        (2, 4, 4),
+    ),
+    "logistic": (lambda: logistic_model(4, 3, seed=0), (4,)),
+}
 
 
 class TestSequential:
@@ -51,18 +60,121 @@ class TestSequential:
         batched = m.evaluate_loss(x, y, batch_size=7)
         np.testing.assert_allclose(batched, full, rtol=1e-10)
 
+    def test_evaluate_loss_empty_raises(self):
+        m = paper_mlp(4, 3, seed=0, hidden=(3, 3))
+        with pytest.raises(ValueError, match="empty"):
+            m.evaluate_loss(np.empty((0, 4)), np.empty(0, dtype=int))
+
+    def test_layers_are_fixed_at_construction(self):
+        m = paper_mlp(4, 3, seed=0, hidden=(3, 3))
+        theta = m.theta
+        with pytest.raises(AttributeError):
+            m.layers.insert(0, Flatten())
+        with pytest.raises(TypeError):
+            del m.layers[1]
+        with pytest.raises(AttributeError):
+            m.layers = [Flatten(), *m.layers]
+        assert len(m.layers) == 5 and m.theta is theta
+
     def test_training_reduces_loss(self, tiny_dataset):
         m = paper_mlp(tiny_dataset.flat_features, tiny_dataset.num_classes,
                       seed=0, hidden=(16, 8))
-        opt = SGD(m.parameters(), lr=0.1)
         x, y = tiny_dataset.x, tiny_dataset.y
+        theta, grad = m.theta, m.grad
         first = None
         for _ in range(30):
-            m.zero_grad()
             loss = m.loss_and_grad(x, y)
             first = first if first is not None else loss
-            opt.step()
+            theta -= 0.1 * grad
         assert loss < first * 0.5
+
+
+class TestFixedLayerStack:
+    """``layers`` is fixed at construction and the flat buffers are built
+    once; there is no mutation path that rebuilds them."""
+
+    MUTATIONS = {
+        "append": lambda layers: layers.append(ReLU()),
+        "insert": lambda layers: layers.insert(0, Flatten()),
+        "extend": lambda layers: layers.extend([ReLU()]),
+        "pop": lambda layers: layers.pop(),
+        "remove": lambda layers: layers.remove(layers[1]),
+        "clear": lambda layers: layers.clear(),
+        "sort": lambda layers: layers.sort(key=id),
+        "reverse": lambda layers: layers.reverse(),
+        "setitem": lambda layers: layers.__setitem__(1, ReLU()),
+        "delitem": lambda layers: layers.__delitem__(1),
+    }
+
+    @pytest.mark.parametrize("op", sorted(MUTATIONS))
+    def test_layer_list_mutation_raises(self, op):
+        m = paper_mlp(4, 3, seed=0, hidden=(3, 3))
+        layers, theta, values = m.layers, m.theta, m.theta.copy()
+        with pytest.raises((AttributeError, TypeError)):
+            self.MUTATIONS[op](m.layers)
+        assert m.layers is layers and len(m.layers) == 5
+        assert m.theta is theta
+        np.testing.assert_array_equal(m.theta, values)
+
+    def test_augmented_assignment_raises(self):
+        m = paper_mlp(4, 3, seed=0, hidden=(3, 3))
+        with pytest.raises(AttributeError):
+            m.layers += (ReLU(),)
+        assert len(m.layers) == 5
+
+    def test_constructor_list_is_copied(self):
+        rng = np.random.default_rng(0)
+        source = [Dense(4, 3, rng=rng)]
+        m = Sequential(source)
+        source.append(Dense(3, 2, rng=rng))
+        assert len(m.layers) == 1 and m.dim == 4 * 3 + 3
+        assert m.forward(np.zeros((2, 4)), train=False).shape == (2, 3)
+
+    @pytest.mark.parametrize("family", sorted(BUILDERS))
+    def test_buffers_built_once(self, family):
+        build, shape = BUILDERS[family]
+        m = build()
+        theta, grad = m.theta, m.grad
+        assert m.dim == sum(p.size for p in m.parameters()) == theta.size
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=(3, *shape)), rng.integers(0, 3, size=3)
+        m.forward(x, train=True)
+        m.loss_and_grad(x, y)
+        m.set_flat(np.zeros(m.dim))
+        m.evaluate_metrics(x, y)
+        m.parameters()
+        assert m.theta is theta and m.grad is grad
+        for p in m.parameters():
+            assert np.shares_memory(p.data, theta)
+            assert np.shares_memory(p.grad, grad)
+
+    def test_parameters_returns_a_fresh_list(self):
+        m = paper_mlp(4, 3, seed=0, hidden=(3, 3))
+        params = m.parameters()
+        params.clear()
+        assert len(m.parameters()) == 6
+
+
+class TestEmptyEvaluation:
+    """Every evaluation entry point rejects an empty set with the same
+    ``ValueError`` instead of dividing by zero or averaging nothing."""
+
+    @pytest.mark.parametrize("method", ["accuracy", "evaluate_loss", "evaluate_metrics"])
+    @pytest.mark.parametrize("family", ["cnn", "logistic"])
+    def test_empty_set_raises(self, family, method):
+        build, shape = BUILDERS[family]
+        m = build()
+        with pytest.raises(ValueError, match="empty"):
+            getattr(m, method)(np.empty((0, *shape)), np.empty(0, dtype=int))
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 7, 256])
+    def test_evaluate_metrics_matches_separate_calls(self, batch_size):
+        m = paper_mlp(4, 3, seed=0, hidden=(3, 3))
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(19, 4)), rng.integers(0, 3, size=19)
+        acc, loss = m.evaluate_metrics(x, y, batch_size=batch_size)
+        assert acc == m.accuracy(x, y, batch_size=batch_size)
+        assert loss == m.evaluate_loss(x, y, batch_size=batch_size)
 
 
 class TestPaperArchitectures:

@@ -3,136 +3,37 @@
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, ConstantLR, InverseTimeLR, ProximalSGD
-from repro.nn.tensor import Parameter
-
-
-def make_param(values):
-    p = Parameter(np.asarray(values, dtype=float))
-    return p
+from repro.nn.optim import InverseTimeLR
 
 
 class TestSchedules:
-    def test_constant(self):
-        assert ConstantLR(0.1).rate(0) == 0.1
-        assert ConstantLR(0.1).rate(100) == 0.1
-
-    def test_constant_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ConstantLR(0.0)
-
     def test_inverse_time_decreasing(self):
         s = InverseTimeLR(numerator=2.0, offset=8.0)
         rates = [s.rate(t) for t in range(5)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
         np.testing.assert_allclose(rates[0], 0.25)
 
+    @pytest.mark.parametrize(
+        "numerator, offset, step, expected",
+        [(2.0, 8.0, 0, 0.25), (2.0, 8.0, 8, 0.125), (1.0, 1.0, 99, 0.01)],
+    )
+    def test_inverse_time_values(self, numerator, offset, step, expected):
+        assert InverseTimeLR(numerator, offset).rate(step) == expected
+
+    def test_theorem_schedule_is_harmonic(self):
+        # eta_t * (gamma + t) stays the constant 2/mu (Theorem 5.1).
+        mu, gamma = 0.5, 16.0
+        s = InverseTimeLR(numerator=2.0 / mu, offset=gamma)
+        for t in (0, 1, 10, 1000):
+            np.testing.assert_allclose(s.rate(t) * (gamma + t), 2.0 / mu)
+
+    @pytest.mark.parametrize("numerator, offset", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_inverse_time_rejects_negative(self, numerator, offset):
+        with pytest.raises(ValueError):
+            InverseTimeLR(numerator, offset)
+
     def test_inverse_time_rejects_bad(self):
         with pytest.raises(ValueError):
             InverseTimeLR(0, 1)
         with pytest.raises(ValueError):
             InverseTimeLR(1, 0)
-
-
-class TestSGD:
-    def test_plain_step(self):
-        p = make_param([1.0, 2.0])
-        p.grad[...] = [0.5, -0.5]
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [0.95, 2.05])
-
-    def test_schedule_used(self):
-        p = make_param([1.0])
-        opt = SGD([p], lr=InverseTimeLR(1.0, 1.0))
-        p.grad[...] = 1.0
-        opt.step()  # eta = 1/(1+0) = 1
-        np.testing.assert_allclose(p.data, [0.0])
-        p.grad[...] = 1.0
-        opt.step()  # eta = 1/2
-        np.testing.assert_allclose(p.data, [-0.5])
-
-    def test_weight_decay(self):
-        p = make_param([2.0])
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        p.grad[...] = 0.0
-        opt.step()
-        np.testing.assert_allclose(p.data, [2.0 - 0.1 * 0.5 * 2.0])
-
-    def test_momentum_accumulates(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad[...] = 1.0
-        opt.step()  # v = 1, p = -1
-        np.testing.assert_allclose(p.data, [-1.0])
-        p.grad[...] = 1.0
-        opt.step()  # v = 1.9, p = -2.9
-        np.testing.assert_allclose(p.data, [-2.9])
-
-    def test_zero_grad(self):
-        p = make_param([1.0])
-        p.grad[...] = 5.0
-        SGD([p]).zero_grad()
-        np.testing.assert_allclose(p.grad, 0.0)
-
-    def test_bad_momentum_raises(self):
-        with pytest.raises(ValueError):
-            SGD([make_param([1.0])], momentum=1.0)
-
-    def test_bad_weight_decay_raises(self):
-        with pytest.raises(ValueError):
-            SGD([make_param([1.0])], weight_decay=-0.1)
-
-    def test_converges_on_quadratic(self):
-        """min (w-3)^2: gradient 2(w-3)."""
-        p = make_param([0.0])
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            p.grad[...] = 2 * (p.data - 3.0)
-            opt.step()
-        np.testing.assert_allclose(p.data, [3.0], atol=1e-6)
-
-
-class TestProximalSGD:
-    def test_requires_anchor(self):
-        p = make_param([1.0])
-        opt = ProximalSGD([p], mu=0.1)
-        with pytest.raises(RuntimeError):
-            opt.step()
-
-    def test_prox_pull(self):
-        p = make_param([1.0])
-        opt = ProximalSGD([p], lr=0.1, mu=1.0)
-        opt.set_anchor()  # anchor = 1.0
-        p.data[...] = 2.0  # drifted away
-        p.grad[...] = 0.0
-        opt.step()
-        # update = mu*(2-1) = 1; p = 2 - 0.1 = 1.9 — pulled back.
-        np.testing.assert_allclose(p.data, [1.9])
-
-    def test_mu_zero_equals_sgd(self):
-        p1, p2 = make_param([1.0, -1.0]), make_param([1.0, -1.0])
-        prox = ProximalSGD([p1], lr=0.1, mu=0.0)
-        prox.set_anchor()
-        sgd = SGD([p2], lr=0.1)
-        for _ in range(3):
-            p1.grad[...] = p1.data
-            p2.grad[...] = p2.data
-            prox.step()
-            sgd.step()
-        np.testing.assert_allclose(p1.data, p2.data)
-
-    def test_negative_mu_raises(self):
-        with pytest.raises(ValueError):
-            ProximalSGD([make_param([1.0])], mu=-1.0)
-
-    def test_prox_limits_drift(self):
-        """With a strong pull, the iterate stays near the anchor even under
-        a constant adversarial gradient."""
-        p = make_param([0.0])
-        opt = ProximalSGD([p], lr=0.1, mu=10.0)
-        opt.set_anchor()
-        for _ in range(100):
-            p.grad[...] = -1.0  # pushes p up forever
-            opt.step()
-        # equilibrium: mu*(p-0) = 1 -> p = 0.1
-        np.testing.assert_allclose(p.data, [0.1], atol=1e-6)

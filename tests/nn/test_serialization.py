@@ -63,6 +63,19 @@ class TestRoundTrip:
 
 
 class TestFlatGrads:
+    def test_out_buffer_reused(self):
+        m = paper_mlp(5, 3, seed=0, hidden=(4, 3))
+        m.loss_and_grad(np.ones((2, 5)), np.array([0, 2]))
+        buf = np.empty(num_params(m))
+        out = get_flat_grads(m, out=buf)
+        assert out is buf
+        np.testing.assert_array_equal(buf, m.grad)
+
+    def test_wrong_out_shape_raises(self):
+        m = paper_mlp(5, 3, seed=0, hidden=(4, 3))
+        with pytest.raises(ValueError):
+            get_flat_grads(m, out=np.empty(num_params(m) - 1))
+
     def test_zero_after_zero_grad(self):
         m = paper_mlp(5, 3, seed=0, hidden=(4, 3))
         m.zero_grad()

@@ -9,12 +9,15 @@ import pytest
 from repro.experiments import (
     FLEET_PROFILES,
     METHODS,
+    MODEL_PRESETS,
     ExperimentSpec,
     build_experiment,
     build_model,
     run_experiment,
 )
-from repro.datasets.synthetic import cifar10_like, mnist_like
+from repro.datasets.synthetic import cifar10_like, cifar100_like, emnist_like, mnist_like
+from repro.nn.models import paper_mlp
+from repro.nn.serialization import get_flat_params
 
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 
@@ -43,8 +46,52 @@ class TestBuildModel:
     def test_mlp_on_images_gets_flatten(self):
         ds = cifar10_like(num_samples=100, seed=0)
         m = build_model(ds, "mlp", "small", seed=0)
+        kinds = [type(layer).__name__ for layer in m.layers]
+        assert kinds == ["Flatten", "Dense", "ReLU", "Dense", "ReLU", "Dense"]
         out = m.forward(ds.x[:4], train=False)
         assert out.shape == (4, 10)
+
+    def test_flatten_front_keeps_the_mlp_init(self):
+        # Same init and parameter layout as the bare MLP from the same seed.
+        ds = cifar10_like(num_samples=100, seed=0)
+        m = build_model(ds, "mlp", "small", seed=3)
+        bare = paper_mlp(ds.flat_features, ds.num_classes, seed=3,
+                         hidden=MODEL_PRESETS["small"]["mlp_hidden"])
+        np.testing.assert_array_equal(get_flat_params(m), get_flat_params(bare))
+
+    @pytest.mark.parametrize("preset", sorted(MODEL_PRESETS))
+    @pytest.mark.parametrize("make", [cifar10_like, cifar100_like])
+    def test_every_image_mlp_is_flatten_first(self, make, preset):
+        ds = make(num_samples=200, seed=1)
+        m = build_model(ds, "mlp", preset, seed=2)
+        assert [type(layer).__name__ for layer in m.layers] == [
+            "Flatten", "Dense", "ReLU", "Dense", "ReLU", "Dense"
+        ]
+        bare = paper_mlp(ds.flat_features, ds.num_classes, seed=2,
+                         hidden=MODEL_PRESETS[preset]["mlp_hidden"])
+        np.testing.assert_array_equal(get_flat_params(m), get_flat_params(bare))
+        np.testing.assert_array_equal(
+            m.forward(ds.x[:3], train=False),
+            bare.forward(ds.x[:3].reshape(3, -1), train=False),
+        )
+
+    @pytest.mark.parametrize("make", [mnist_like, emnist_like])
+    def test_flat_mlp_has_no_flatten(self, make):
+        ds = make(num_samples=60, seed=0)
+        m = build_model(ds, "mlp", "small", seed=0)
+        assert [type(layer).__name__ for layer in m.layers] == [
+            "Dense", "ReLU", "Dense", "ReLU", "Dense"
+        ]
+
+    def test_flatten_front_owns_its_buffers(self):
+        # The Flatten-first model's parameters view its own theta, so flat
+        # writes reach its forward pass.
+        ds = cifar10_like(num_samples=20, seed=0)
+        m = build_model(ds, "mlp", "small", seed=0)
+        for p in m.parameters():
+            assert np.shares_memory(p.data, m.theta)
+        m.set_flat(np.zeros(m.dim))
+        np.testing.assert_array_equal(m.forward(ds.x[:2], train=False), 0.0)
 
     def test_cnn_on_images(self):
         ds = cifar10_like(num_samples=100, seed=0)

@@ -1,9 +1,10 @@
-"""The perf suite's server-driving benches, run at a toy scale.
+"""The perf suite's server-driving benches and its training-unit row, run
+at a toy scale.
 
 ``repro bench`` drives the same server API the methods use (selection,
-epoch budgets, whole fits).  These run each such bench once at a scale of
-seconds, so a protocol change that breaks the suite fails here rather than
-only in the dedicated bench job.
+epoch budgets, whole fits) and the scalar ``LocalTrainer.train``.  These
+run each such bench once at a scale of seconds, so a protocol change that
+breaks the suite fails here rather than only in the dedicated bench job.
 """
 
 from dataclasses import replace
@@ -15,6 +16,7 @@ from benchmarks.perf.suite import (
     _bench_fedavg_e2e,
     _bench_fedavg_round_batched,
     _bench_fedhisyn_round,
+    _bench_train_unit,
 )
 from repro.nn.batched import stacked_gemm_is_bitwise
 
@@ -43,3 +45,9 @@ def test_bench_runs_at_toy_scale(bench):
         assert detail["max_abs_diff"] == 0.0
     if "participants" in detail:  # the selected id array drove the round
         assert 0 < detail["participants"] < TINY.fleet_devices
+
+
+def test_train_unit_row_is_after_only():
+    entry = _bench_train_unit(TINY)
+    assert entry["after_s"] > 0 and "before_s" not in entry
+    assert entry["detail"]["sgd_steps"] > 0
