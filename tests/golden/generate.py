@@ -248,7 +248,8 @@ def _policy_cell(method: str, selection: str, env: str) -> dict:
 #: around a population directly, the way tests and benches do): the
 #: stateful and event-loop methods under partial participation and traced
 #: churn, the event loop under churn epochs that really draw, SCAFFOLD on
-#: retained rows.  Spec cells: every selection policy through
+#: retained rows.  Spec cells: FedHiSyn ring hops on ``wan`` with and
+#: without a codec, then every selection policy through
 #: ``build_experiment``, under no churn, drawn churn, and
 #: capacity-correlated churn with lossy links.
 POPULATION_MATRIX: dict[str, dict] = {
@@ -260,6 +261,14 @@ POPULATION_MATRIX: dict[str, dict] = {
     "hand-fedbuff-coin": _hand_cell("fedbuff", "coin", rounds=30),
     "hand-scaffold-lossy": _hand_cell(
         "scaffold", "lossy", rounds=3, participation=1.0),
+    # Ring hops over sampled peer links, dense and with a codec whose
+    # encoded size scales each hop's link time.
+    **{
+        f"fedhisyn-wan-{codec}": {
+            **_policy_cell("fedhisyn", "bernoulli", "wan"), "codec": codec,
+        }
+        for codec in ("none", "topk")
+    },
     **{
         f"{method}-{selection}-{env}": _policy_cell(method, selection, env)
         for method in ("fedavg", "fedhisyn", "fedat", "fedbuff")
