@@ -27,7 +27,6 @@ from repro.core.ring import RING_ORDERS, build_rings
 from repro.core.server import FederatedServer, ServerConfig
 from repro.datasets.core import ClassificationDataset
 from repro.device.fleet import DeviceFleet
-from repro.device.network import LinkDelayModel
 from repro.env.environment import Environment
 from repro.simulation.engine import RingRoundEngine
 from repro.utils.logging import RunLogger
@@ -80,23 +79,20 @@ class FedHiSynServer(FederatedServer):
         devices: DeviceFleet,
         test_set: ClassificationDataset,
         config: FedHiSynConfig | None = None,
-        delay_model: LinkDelayModel | None = None,
         logger: RunLogger | None = None,
         env: Environment | None = None,
     ) -> None:
         config = config if config is not None else FedHiSynConfig()
         super().__init__(devices, test_set, config, logger, env=env)
-        # Ring hops run over the same environment as the server channel;
-        # an explicitly passed delay_model still wins (ablation benches).
+        # Ring hops cross the same network as the server channel.
         # drop_seed ties peer-hop loss draws to the experiment seed so
         # seed replicates see independent drop patterns (matching the
         # server channel's seeded drop stream).
         self.engine = RingRoundEngine(
             self.fleet,
-            delay_model=delay_model,
+            self.env.network,
             epochs_per_unit=config.local_epochs,
             combine=config.combine,
-            env=self.env,
             drop_seed=config.seed,
         )
         self.last_round_stats = None

@@ -11,10 +11,10 @@ Orderings:
 * ``large_to_small`` — descending (works equally well per Figure 3),
 * ``random`` — the strawman that Figure 3 shows losing badly.
 
-When a link-delay matrix matters, the ordering metric generalizes to
-``M_i = t_i + D_{i,i+1}`` (Eq. 5); with the paper's equal-delay
-simplification the metric reduces to ``t_i`` and is what's implemented on
-the default path.
+When link delays differ, the ordering metric generalizes to
+``M_i = t_i + D_{i,i+1}`` (Eq. 5, :func:`build_ring_eq5`); with the
+paper's equal-delay simplification the metric reduces to ``t_i`` and is
+what's implemented on the default path.
 """
 
 from __future__ import annotations
@@ -65,18 +65,20 @@ def build_ring(
 def build_ring_eq5(
     device_ids: Sequence[int],
     unit_times: Sequence[float],
-    delay_model,
+    network,
 ) -> list[int]:
     """Ring construction under the *full* Eq. (5) metric
-    ``M_i = t_i + D_{i,i+1}``.
+    ``M_i = t_i + D_{i,i+1}``, with ``D`` the one-model hop time of
+    ``network`` (a :class:`~repro.env.network.NetworkModel`).
 
     The paper simplifies to equal link delays (where the metric reduces to
     ``t_i`` and :func:`build_ring` applies); with heterogeneous delays the
     successor choice feeds back into the metric, so an exact minimum is a
     TSP.  This implements the natural greedy heuristic: start at the
     fastest device, then repeatedly append the unvisited device minimizing
-    ``delay(current, next) + t_next`` — the virtual time until the
-    forwarded model has been retrained at the next hop.
+    ``transfer_time(current, next) + t_next`` — the virtual time until the
+    forwarded model has been retrained at the next hop.  Ties break by
+    device id.
     """
     ids = list(device_ids)
     times = np.asarray(unit_times, dtype=np.float64)
@@ -84,22 +86,18 @@ def build_ring_eq5(
         raise ValueError("device_ids and unit_times disagree in length")
     if len(ids) <= 1:
         return ids
-    ids_arr = np.asarray(ids, dtype=np.int64)
-    remaining = np.ones(len(ids), dtype=bool)
+    remaining = set(range(len(ids)))
     current = int(np.argmin(times))
     order = [current]
-    remaining[current] = False
-    while remaining.any():
-        cand = np.flatnonzero(remaining)
-        # One vectorized delay-row read per hop instead of a Python min()
-        # that calls delay() per candidate — the score is Eq. 5's
-        # "time until retrained at the next hop".
-        scores = delay_model.delay_row(ids[current], ids_arr[cand]) + times[cand]
-        tied = cand[scores == scores.min()]  # ties break by device id
-        nxt = int(tied[np.argmin(ids_arr[tied])])
-        order.append(nxt)
-        remaining[nxt] = False
-        current = nxt
+    remaining.discard(current)
+    while remaining:
+        cur = ids[current]
+        current = min(
+            remaining,
+            key=lambda j: (network.transfer_time(cur, ids[j], 1.0) + times[j], ids[j]),
+        )
+        order.append(current)
+        remaining.discard(current)
     return [ids[i] for i in order]
 
 

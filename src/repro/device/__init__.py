@@ -1,4 +1,4 @@
-"""Device substrate: local training, resource heterogeneity, link delays.
+"""Device substrate: local training and resource heterogeneity.
 
 A federated *device* couples a data shard with a compute profile.  Compute
 capacity is expressed in **virtual time per local-training unit** (one unit
@@ -20,7 +20,6 @@ from repro.device.heterogeneity import (
     unit_times_from_counts,
     unit_times_from_ratio,
 )
-from repro.device.network import LinkDelayModel, UniformDelay
 
 __all__ = [
     "DeviceFleet",
@@ -31,6 +30,4 @@ __all__ = [
     "unit_times_from_counts",
     "unit_times_from_ratio",
     "heterogeneity_ratio",
-    "LinkDelayModel",
-    "UniformDelay",
 ]

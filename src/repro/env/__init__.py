@@ -20,13 +20,7 @@ from repro.env.availability import (
     TraceAvailability,
 )
 from repro.env.environment import Environment
-from repro.env.network import (
-    SERVER,
-    IdealNetwork,
-    NetworkModel,
-    SampledNetwork,
-    UniformNetwork,
-)
+from repro.env.network import SERVER, NetworkModel
 from repro.env.registry import (
     AVAILABILITY_KINDS,
     ENVIRONMENTS,
@@ -37,9 +31,6 @@ from repro.env.registry import (
 __all__ = [
     "SERVER",
     "NetworkModel",
-    "IdealNetwork",
-    "UniformNetwork",
-    "SampledNetwork",
     "AvailabilityModel",
     "AlwaysOn",
     "BernoulliAvailability",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.env.availability import AlwaysOn, AvailabilityModel
-from repro.env.network import IdealNetwork, NetworkModel
+from repro.env.network import NetworkModel
 
 __all__ = ["Environment"]
 
@@ -39,7 +39,7 @@ class Environment:
         availability: AvailabilityModel | None = None,
         name: str = "custom",
     ) -> None:
-        self.network = network if network is not None else IdealNetwork()
+        self.network = network if network is not None else NetworkModel()
         self.availability = (
             availability if availability is not None else AlwaysOn()
         )
@@ -57,18 +57,9 @@ class Environment:
     @classmethod
     def ideal(cls) -> "Environment":
         """Paper semantics: the default environment of every server."""
-        return cls(IdealNetwork(), AlwaysOn(), name="ideal")
+        return cls(NetworkModel(), AlwaysOn(), name="ideal")
 
     # ------------------------------------------------------------ queries
-
-    @property
-    def is_ideal(self) -> bool:
-        """True when the environment can never perturb a run."""
-        return (
-            self.network.is_instant
-            and self.network.drop_prob == 0.0
-            and self.availability.always_on
-        )
 
     def available_ids(
         self,
@@ -127,8 +118,8 @@ class Environment:
     ) -> float:
         """Time until the slowest server↔device link finishes one transfer.
 
-        Links are symmetric in every bundled network model, so this serves
-        both broadcast (down) and collect (up).  ``model_units`` may be an
+        Links are symmetric, so this serves both broadcast (down) and
+        collect (up).  ``model_units`` may be an
         array aligned with ``device_ids`` (codec uploads size per sender).
         """
         net = self.network

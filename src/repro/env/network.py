@@ -1,20 +1,12 @@
-"""Network models: per-link latency, bandwidth and message loss.
+"""The network model: per-link latency, bandwidth and message loss.
 
-The seed code only modelled device-to-device link delays (for the FedHiSyn
-ring) via :class:`repro.device.network.LinkDelayModel`; server↔device
-transfers were free and lossless.  :class:`NetworkModel` generalizes the
-link-delay interface to *every* link — the server is addressed by the
-:data:`SERVER` sentinel — and adds two quantities the paper's robustness
-story turns on:
-
-* **bandwidth** (models per unit of virtual time): a transfer of ``u``
-  model units over a link takes ``latency + u / bandwidth``;
-* **drop_prob**: independent per-message loss, subsuming the
-  ``RingRoundEngine.drop_prob`` failure injection and extending it to
-  server links.
-
-Because :class:`NetworkModel` subclasses :class:`LinkDelayModel`, the ring
-engine and the Eq. 5 ring builder consume it unchanged for peer hops.
+One :class:`NetworkModel` serves every link of a run: server↔device
+transfers (the server is the :data:`SERVER` endpoint), FedHiSyn ring hops
+and the link term ``D_{i,i+1}`` of the Eq. 5 ring metric.  A transfer of
+``u`` model units over a link takes ``latency + u / bandwidth`` (bandwidth
+in models per unit of virtual time); every message is independently lost
+with probability ``drop_prob``.  ``NetworkModel()`` is the paper's ideal
+network: instant, lossless links everywhere.
 """
 
 from __future__ import annotations
@@ -23,13 +15,15 @@ import math
 
 import numpy as np
 
-from repro.device.network import LinkDelayModel
 from repro.utils.config import validate_non_negative
 
-__all__ = ["SERVER", "NetworkModel", "IdealNetwork", "UniformNetwork", "SampledNetwork"]
+__all__ = ["SERVER", "NetworkModel"]
 
 #: Link endpoint denoting the central server (device ids are >= 0).
 SERVER = -1
+
+#: The server's (latency multiplier, bandwidth divisor): never sampled.
+_SERVER_FACTORS = (1.0, 1.0)
 
 
 def _validate_bandwidth(value: float, name: str) -> float:
@@ -44,148 +38,21 @@ def _validate_bandwidth(value: float, name: str) -> float:
     return float(value)
 
 
-class NetworkModel(LinkDelayModel):
-    """Interface: transfer times and loss for server↔device and peer links.
-
-    Subclasses implement :meth:`latency` and :meth:`bandwidth` for any
-    ``(src, dst)`` pair (either endpoint may be :data:`SERVER`) and expose
-    ``drop_prob``.  The inherited :class:`LinkDelayModel` protocol
-    (``delay``/``delay_row``) reports the one-model transfer time, which is
-    what ring construction and the ring engine mean by "link delay".
-    """
-
-    drop_prob: float = 0.0
-
-    @property
-    def is_instant(self) -> bool:
-        """True when every link is zero-latency and infinite-bandwidth —
-        lets the channel layer skip per-transfer work under ``ideal``."""
-        return False
-
-    def latency(self, src: int, dst: int) -> float:
-        raise NotImplementedError
-
-    def bandwidth(self, src: int, dst: int) -> float:
-        raise NotImplementedError
-
-    def transfer_time(self, src: int, dst: int, model_units: float = 1.0) -> float:
-        """Virtual time to move ``model_units`` across the ``src -> dst`` link."""
-        bw = self.bandwidth(src, dst)
-        lat = self.latency(src, dst)
-        if bw == math.inf:
-            return lat
-        return lat + model_units / bw
-
-    def server_transfer_times(
-        self, device_ids: np.ndarray, model_units: float = 1.0
-    ) -> np.ndarray:
-        """Per-device server-link transfer times as one vectorized read.
-
-        The fleet server charges the slowest link of a broadcast/collect;
-        a Python ``transfer_time`` call per device would make that O(n)
-        interpreted work every channel call.  Subclasses with per-device
-        structure (:class:`SampledNetwork`) override this with array math;
-        the generic fallback loops.  ``model_units`` may be an array
-        aligned with ``device_ids`` (per-sender codec wire sizes).
-        """
-        units = np.broadcast_to(model_units, (len(device_ids),))
-        return np.array(
-            [
-                self.transfer_time(SERVER, int(d), float(u))
-                for d, u in zip(device_ids, units)
-            ],
-            dtype=np.float64,
-        )
-
-    # ------------------------------------------- LinkDelayModel protocol
-
-    def delay(self, src: int, dst: int) -> float:
-        return self.transfer_time(src, dst, 1.0)
-
-    def delay_row(self, src: int, dsts: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.transfer_time(src, int(d), 1.0) for d in dsts], dtype=np.float64
-        )
-
-
-class UniformNetwork(NetworkModel):
-    """One latency/bandwidth for every link, optional peer-link overrides.
+class NetworkModel:
+    """Transfer times and loss for server↔device and peer links.
 
     ``latency``/``bandwidth`` describe server↔device links;
     ``peer_latency``/``peer_bandwidth`` default to the same values and
     govern device-to-device ring hops.
-    """
 
-    def __init__(
-        self,
-        latency: float = 0.0,
-        bandwidth: float = math.inf,
-        drop_prob: float = 0.0,
-        peer_latency: float | None = None,
-        peer_bandwidth: float | None = None,
-    ) -> None:
-        validate_non_negative(latency, "latency")
-        _validate_bandwidth(bandwidth, "bandwidth")
-        if not 0.0 <= drop_prob < 1.0:
-            raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
-        self._latency = float(latency)
-        self._bandwidth = float(bandwidth)
-        self.drop_prob = float(drop_prob)
-        self._peer_latency = (
-            self._latency if peer_latency is None
-            else validate_non_negative(peer_latency, "peer_latency")
-        )
-        self._peer_bandwidth = (
-            self._bandwidth if peer_bandwidth is None
-            else _validate_bandwidth(peer_bandwidth, "peer_bandwidth")
-        )
-
-    @property
-    def is_instant(self) -> bool:
-        return (
-            self._latency == 0.0
-            and self._peer_latency == 0.0
-            and self._bandwidth == math.inf
-            and self._peer_bandwidth == math.inf
-        )
-
-    def _is_server_link(self, src: int, dst: int) -> bool:
-        return src == SERVER or dst == SERVER
-
-    def latency(self, src: int, dst: int) -> float:
-        return self._latency if self._is_server_link(src, dst) else self._peer_latency
-
-    def bandwidth(self, src: int, dst: int) -> float:
-        return self._bandwidth if self._is_server_link(src, dst) else self._peer_bandwidth
-
-    def delay_row(self, src: int, dsts: np.ndarray) -> np.ndarray:
-        # delay_row is only queried for peer hops (ring construction), so
-        # the whole row shares one per-hop time.
-        time_per_hop = self._peer_latency + (
-            0.0 if self._peer_bandwidth == math.inf else 1.0 / self._peer_bandwidth
-        )
-        return np.full(len(dsts), time_per_hop)
-
-    def server_transfer_times(
-        self, device_ids: np.ndarray, model_units: float = 1.0
-    ) -> np.ndarray:
-        t = self._latency + (
-            0.0 if self._bandwidth == math.inf else model_units / self._bandwidth
-        )
-        if np.ndim(t) == 0:
-            return np.full(len(device_ids), t)
-        return np.asarray(np.broadcast_to(t, (len(device_ids),)), dtype=np.float64)
-
-
-class SampledNetwork(UniformNetwork):
-    """Per-device link quality sampled deterministically from the device id.
-
-    Each device draws a latency multiplier ``exp(N(0, latency_spread))``
-    and a bandwidth divisor ``exp(N(0, bandwidth_spread))`` from an RNG
-    keyed by ``(seed, device_id)``, so a device's links look the same
-    regardless of fleet size, round count or query order.  A link's
-    latency is the base latency scaled by the mean of its endpoints'
-    multipliers (the server's multiplier is 1).
+    Link quality may vary per device: each device draws a latency
+    multiplier ``exp(N(0, latency_spread))`` and a bandwidth divisor
+    ``exp(N(0, bandwidth_spread))`` from an RNG keyed by
+    ``(seed, device_id)``, so a device's links look the same regardless of
+    fleet size, round count or query order.  A link's latency is the base
+    latency scaled by the mean of its endpoints' multipliers, its
+    bandwidth the base divided by the mean of their divisors (the server's
+    factors are 1).
     """
 
     def __init__(
@@ -199,125 +66,128 @@ class SampledNetwork(UniformNetwork):
         bandwidth_spread: float = 0.0,
         seed: int = 0,
     ) -> None:
-        super().__init__(latency, bandwidth, drop_prob, peer_latency, peer_bandwidth)
+        validate_non_negative(latency, "latency")
+        _validate_bandwidth(bandwidth, "bandwidth")
+        if not 0.0 <= drop_prob < 1.0:
+            raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
         validate_non_negative(latency_spread, "latency_spread")
         validate_non_negative(bandwidth_spread, "bandwidth_spread")
+        self._latency = float(latency)
+        self._bandwidth = float(bandwidth)
+        self.drop_prob = float(drop_prob)
+        self._peer_latency = (
+            self._latency if peer_latency is None
+            else float(validate_non_negative(peer_latency, "peer_latency"))
+        )
+        self._peer_bandwidth = (
+            self._bandwidth if peer_bandwidth is None
+            else _validate_bandwidth(peer_bandwidth, "peer_bandwidth")
+        )
         self.latency_spread = float(latency_spread)
         self.bandwidth_spread = float(bandwidth_spread)
         self.seed = int(seed)
-        self._factors: dict[int, tuple[float, float]] = {SERVER: (1.0, 1.0)}
-        # Dense factor cache for the vectorized fleet path: row i holds
-        # device i's (latency multiplier, bandwidth divisor); NaN = not
-        # yet drawn.  Grown on demand, filled once per device, then every
-        # server_transfer_times call is pure array indexing.
+        # Row i holds device i's (latency multiplier, bandwidth divisor);
+        # NaN = not yet drawn.  Grown on demand and filled once per device,
+        # so a vectorized server_transfer_times is pure array indexing.
         self._factor_table = np.full((0, 2), np.nan)
-
-    def _device_factors(self, endpoint: int) -> tuple[float, float]:
-        """(latency multiplier, bandwidth divisor) for one endpoint, cached."""
-        cached = self._factors.get(endpoint)
-        if cached is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(endpoint,))
-            )
-            lat_mult = float(np.exp(rng.normal(0.0, self.latency_spread))) \
-                if self.latency_spread else 1.0
-            bw_div = float(np.exp(rng.normal(0.0, self.bandwidth_spread))) \
-                if self.bandwidth_spread else 1.0
-            cached = (lat_mult, bw_div)
-            self._factors[endpoint] = cached
-        return cached
 
     @property
     def is_instant(self) -> bool:
-        # Spreads only scale the base values; instant iff the base is.
-        return super().is_instant
+        """True when every link is zero-latency and infinite-bandwidth —
+        lets the channel layer skip per-transfer work under ``ideal``.
+        Spreads only scale the base values; dropping does not slow links."""
+        return (
+            self._latency == 0.0
+            and self._peer_latency == 0.0
+            and self._bandwidth == math.inf
+            and self._peer_bandwidth == math.inf
+        )
 
-    def latency(self, src: int, dst: int) -> float:
-        base = super().latency(src, dst)
-        if base == 0.0 or self.latency_spread == 0.0:
-            return base
-        m_src = self._device_factors(src)[0]
-        m_dst = self._device_factors(dst)[0]
-        return base * 0.5 * (m_src + m_dst)
+    # ------------------------------------------------------- link factors
 
-    def bandwidth(self, src: int, dst: int) -> float:
-        base = super().bandwidth(src, dst)
-        if base == math.inf or self.bandwidth_spread == 0.0:
-            return base
-        d_src = self._device_factors(src)[1]
-        d_dst = self._device_factors(dst)[1]
-        return base / (0.5 * (d_src + d_dst))
-
-    def delay_row(self, src: int, dsts: np.ndarray) -> np.ndarray:
-        # Vectorized row read — build_ring_eq5 calls this once per ring
-        # position, so a per-destination Python transfer_time loop would
-        # put the Eq. 5 construction back in O(n^2) interpreted code.
-        # Factor lookups are cached dict reads after the first round.
-        dsts = np.asarray(dsts, dtype=np.intp)
-        lat_mult_src, bw_div_src = self._device_factors(src)
-        lat_mults = np.empty(len(dsts))
-        bw_divs = np.empty(len(dsts))
-        for i, d in enumerate(dsts):
-            lat_mults[i], bw_divs[i] = self._device_factors(int(d))
-
-        lat_base = self._peer_latency
-        if lat_base == 0.0 or self.latency_spread == 0.0:
-            lat = np.full(len(dsts), lat_base)
-        else:
-            lat = lat_base * 0.5 * (lat_mult_src + lat_mults)
-
-        bw_base = self._peer_bandwidth
-        if bw_base == math.inf:
-            return lat
-        if self.bandwidth_spread == 0.0:
-            return lat + 1.0 / bw_base
-        return lat + 0.5 * (bw_div_src + bw_divs) / bw_base
-
-    def _factor_columns(self, device_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(latency multipliers, bandwidth divisors) for an id array."""
-        device_ids = np.asarray(device_ids, dtype=np.intp)
+    def _factor_rows(self, device_ids: np.ndarray) -> np.ndarray:
+        """``(len(device_ids), 2)`` factors, drawing each device's once."""
         table = self._factor_table
         top = int(device_ids.max()) + 1 if len(device_ids) else 0
         if top > table.shape[0]:
             grown = np.full((top, 2), np.nan)
             grown[: table.shape[0]] = table
             self._factor_table = table = grown
-        rows = device_ids[np.isnan(table[device_ids, 0])]
-        for d in rows:
-            table[d] = self._device_factors(int(d))
-        return table[device_ids, 0], table[device_ids, 1]
+        for d in device_ids[np.isnan(table[device_ids, 0])].tolist():
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=self.seed, spawn_key=(d,))
+            )
+            lat_mult = float(np.exp(rng.normal(0.0, self.latency_spread))) \
+                if self.latency_spread else 1.0
+            bw_div = float(np.exp(rng.normal(0.0, self.bandwidth_spread))) \
+                if self.bandwidth_spread else 1.0
+            table[d] = (lat_mult, bw_div)
+        return table[device_ids]
+
+    def _endpoint_factors(self, endpoint: int) -> tuple[float, float]:
+        """(latency multiplier, bandwidth divisor) of one link endpoint."""
+        if endpoint == SERVER:
+            return _SERVER_FACTORS
+        lat_mult, bw_div = self._factor_rows(np.array([endpoint], dtype=np.intp))[0]
+        return float(lat_mult), float(bw_div)
+
+    # ------------------------------------------------------------- links
+
+    def latency(self, src: int, dst: int) -> float:
+        server_link = src == SERVER or dst == SERVER
+        base = self._latency if server_link else self._peer_latency
+        if base == 0.0 or self.latency_spread == 0.0:
+            return base
+        m_src = self._endpoint_factors(src)[0]
+        m_dst = self._endpoint_factors(dst)[0]
+        return base * 0.5 * (m_src + m_dst)
+
+    def bandwidth(self, src: int, dst: int) -> float:
+        server_link = src == SERVER or dst == SERVER
+        base = self._bandwidth if server_link else self._peer_bandwidth
+        if base == math.inf or self.bandwidth_spread == 0.0:
+            return base
+        d_src = self._endpoint_factors(src)[1]
+        d_dst = self._endpoint_factors(dst)[1]
+        return base / (0.5 * (d_src + d_dst))
+
+    def transfer_time(self, src: int, dst: int, model_units: float = 1.0) -> float:
+        """Virtual time to move ``model_units`` across the ``src -> dst`` link."""
+        bw = self.bandwidth(src, dst)
+        lat = self.latency(src, dst)
+        if bw == math.inf:
+            return lat
+        return lat + model_units / bw
 
     def server_transfer_times(
-        self, device_ids: np.ndarray, model_units: float = 1.0
+        self, device_ids: np.ndarray, model_units: float | np.ndarray = 1.0
     ) -> np.ndarray:
-        # Mirrors transfer_time(SERVER, d) element for element (same op
-        # order, so the slowest-link max is bitwise equal to the loop).
+        """Per-device server-link transfer times as one vectorized read.
+
+        The fleet server charges the slowest link of a broadcast/collect;
+        a Python ``transfer_time`` call per device would make that O(n)
+        interpreted work every channel call.  Mirrors
+        ``transfer_time(SERVER, d)`` element for element (same op order,
+        so the slowest-link max is bitwise equal to the scalar loop).
+        ``model_units`` may be an array aligned with ``device_ids``
+        (per-sender codec wire sizes).
+        """
+        device_ids = np.asarray(device_ids, dtype=np.intp)
         n = len(device_ids)
         lat_base = self._latency
         bw_base = self._bandwidth
         need_lat = lat_base != 0.0 and self.latency_spread != 0.0
         need_bw = bw_base != math.inf and self.bandwidth_spread != 0.0
         if need_lat or need_bw:
-            lat_mults, bw_divs = self._factor_columns(device_ids)
+            factors = self._factor_rows(device_ids)
         if need_lat:
-            lat = lat_base * 0.5 * (1.0 + lat_mults)
+            lat = lat_base * 0.5 * (1.0 + factors[:, 0])
         else:
             lat = np.full(n, lat_base)
         if bw_base == math.inf:
             return lat
         if need_bw:
-            bw = bw_base / (0.5 * (1.0 + bw_divs))
+            bw = bw_base / (0.5 * (1.0 + factors[:, 1]))
         else:
             bw = np.full(n, bw_base)
         return lat + model_units / bw
-
-
-class IdealNetwork(UniformNetwork):
-    """The paper's semantics: instant, lossless links everywhere."""
-
-    def __init__(self) -> None:
-        super().__init__(latency=0.0, bandwidth=math.inf, drop_prob=0.0)
-
-    @property
-    def is_instant(self) -> bool:
-        return True

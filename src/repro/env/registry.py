@@ -36,7 +36,7 @@ from repro.env.availability import (
     TraceAvailability,
 )
 from repro.env.environment import Environment
-from repro.env.network import SampledNetwork, UniformNetwork
+from repro.env.network import NetworkModel
 from repro.utils.registry import Registry
 
 __all__ = [
@@ -80,25 +80,16 @@ def _build(
     seed: int = 0,
 ) -> Environment:
     """Assemble an Environment from flat, JSON-safe keyword parameters."""
-    if latency_spread or bandwidth_spread:
-        network = SampledNetwork(
-            latency=latency,
-            bandwidth=bandwidth,
-            drop_prob=drop_prob,
-            peer_latency=peer_latency,
-            peer_bandwidth=peer_bandwidth,
-            latency_spread=latency_spread,
-            bandwidth_spread=bandwidth_spread,
-            seed=seed,
-        )
-    else:
-        network = UniformNetwork(
-            latency=latency,
-            bandwidth=bandwidth,
-            drop_prob=drop_prob,
-            peer_latency=peer_latency,
-            peer_bandwidth=peer_bandwidth,
-        )
+    network = NetworkModel(
+        latency=latency,
+        bandwidth=bandwidth,
+        drop_prob=drop_prob,
+        peer_latency=peer_latency,
+        peer_bandwidth=peer_bandwidth,
+        latency_spread=latency_spread,
+        bandwidth_spread=bandwidth_spread,
+        seed=seed,
+    )
     avail: AvailabilityModel
     if availability == "always":
         avail = AlwaysOn()

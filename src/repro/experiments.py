@@ -37,7 +37,12 @@ from repro.faults import FAULT_MODELS
 from repro.nn.layers import Flatten
 from repro.nn.models import Sequential, paper_cnn, paper_mlp
 from repro.transport import TRANSPORTS
-from repro.utils.config import validate_fraction, validate_positive
+from repro.utils.config import (
+    validate_at_least,
+    validate_fraction,
+    validate_non_negative,
+    validate_positive,
+)
 from repro.utils.logging import RunLogger
 
 __all__ = [
@@ -230,8 +235,8 @@ class ExperimentSpec:
                 f"units_high ({self.units_high}) must be >= units_low "
                 f"({self.units_low})"
             )
-        if self.het_ratio is not None and self.het_ratio < 1.0:
-            raise ValueError(f"het_ratio must be >= 1, got {self.het_ratio}")
+        if self.het_ratio is not None:
+            validate_at_least(self.het_ratio, 1, "het_ratio")
         if self.model_preset not in MODEL_PRESETS:
             raise ValueError(
                 f"model_preset must be one of {sorted(MODEL_PRESETS)}, "
@@ -262,10 +267,8 @@ class ExperimentSpec:
             )
         if self.round_deadline is not None:
             validate_positive(self.round_deadline, "round_deadline")
-        if self.over_select is not None and self.over_select < 0:
-            raise ValueError(
-                f"over_select must be >= 0, got {self.over_select}"
-            )
+        if self.over_select is not None:
+            validate_non_negative(self.over_select, "over_select")
         if self.over_select and self.selection is not None:
             raise ValueError(
                 f"over_select={self.over_select} has no effect with "
@@ -273,10 +276,8 @@ class ExperimentSpec:
                 "default Bernoulli(participation) draw, a selection policy "
                 "sizes its own cohort — raise selection_fraction instead"
             )
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
+        if self.max_retries is not None:
+            validate_non_negative(self.max_retries, "max_retries")
         for _, kwargs_field, _ in AXES:
             kwargs = getattr(self, kwargs_field)
             if not isinstance(kwargs, dict):

@@ -7,7 +7,7 @@ reached it by unit *start* (Algorithm 1's buffer B_i, of which only the
 back is ever read, so the engine keeps just that: an inbox of the newest
 arrival per device id); models arriving mid-unit take effect on the next
 unit; every completed unit is forwarded to the ring successor after the
-link delay.
+hop's transfer time on the network model.
 
 The engine is algorithm-agnostic about what "training" means — the units
 that complete together train as one :func:`repro.device.batched.run_units`
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.device.batched import BatchedTrainer, run_units
 from repro.device.fleet import DeviceFleet
-from repro.device.network import LinkDelayModel, UniformDelay
+from repro.env.network import NetworkModel
 from repro.simulation.scheduler import (
     PEER_DELIVER,
     UNIT_COMPLETE,
@@ -75,60 +75,45 @@ class RingRoundEngine:
     ----------
     devices:
         The population; ring members are device ids into it.
-    delay_model:
-        Link delays for peer hops (paper simplification: uniform 0).
+    network:
+        The :class:`~repro.env.network.NetworkModel` every peer hop
+        crosses: its transfer time and its ``drop_prob``.  None is the
+        paper's ideal network (instant, lossless hops).
     epochs_per_unit:
         Local epochs of one training unit (the paper's 5).
     combine:
         How a device merges the newest buffered model with its own before
         training — ``"direct"`` (paper) or ``"average"`` (Fig. 2 ablation).
-    env:
-        Optional :class:`~repro.env.environment.Environment` supplying the
-        peer-hop delay model and message-drop probability.  Explicit
-        ``delay_model``/``drop_prob`` arguments take precedence, so the
-        ablation benches can still pin either independently.
+    drop_seed:
+        Seed of the peer-hop drop stream.
     """
 
     def __init__(
         self,
         devices: DeviceFleet,
-        delay_model: LinkDelayModel | None = None,
+        network: NetworkModel | None = None,
         epochs_per_unit: int = 5,
         combine: str = "direct",
-        drop_prob: float | None = None,
         drop_seed: int = 0,
-        env=None,
     ) -> None:
         if epochs_per_unit <= 0:
             raise ValueError("epochs_per_unit must be positive")
-        if env is not None:
-            if delay_model is None:
-                delay_model = env.network
-            if drop_prob is None:
-                drop_prob = env.network.drop_prob
-        drop_prob = 0.0 if drop_prob is None else drop_prob
-        if not 0.0 <= drop_prob < 1.0:
-            raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
         # Ring members are fleet ids; a round reads only their rows, so a
         # round over a small slice of a huge population never touches idle
         # devices.
         self.fleet = DeviceFleet.require(devices)
-        self.delay_model = delay_model if delay_model is not None else UniformDelay(0.0)
+        self.network = network if network is not None else NetworkModel()
         self.epochs_per_unit = epochs_per_unit
         combiners: dict[str, Callable] = {"direct": _direct_use, "average": _average}
         if combine not in combiners:
             raise ValueError(f"combine must be one of {sorted(combiners)}")
         self._combine = combiners[combine]
-        # Failure injection: each peer hop is independently lost with
-        # probability drop_prob.  A lost hop is harmless to liveness —
-        # the successor simply continues its own model (Eq. 7).  The rng
-        # is a SeedSequenceFactory keyed stream — the same seed discipline
-        # as the server's (0, 101) drop stream — so ring drops reproduce
+        # Failure injection: each peer hop is independently lost with the
+        # network's drop_prob.  A lost hop is harmless to liveness — the
+        # successor simply continues its own model (Eq. 7).  The rng is a
+        # SeedSequenceFactory keyed stream — the same seed discipline as
+        # the server's (0, 101) drop stream — so ring drops reproduce
         # under the experiment seed like every other stochastic component.
-        # ``drop_seed`` keeps its name and place in the signature (the
-        # compat shim: existing call sites and golden regeneration stay
-        # deterministic without edits).
-        self.drop_prob = drop_prob
         self._drop_rng = SeedSequenceFactory(drop_seed).generator(
             *_PEER_DROP_STREAM_KEY
         )
@@ -213,6 +198,8 @@ class RingRoundEngine:
 
         if codec is not None and codec.is_identity:
             codec = None  # dense fast path below is bit-identical
+        network = self.network
+        drop_prob = network.drop_prob
         peer_sends = 0
         peer_units = 0.0
         while sched:
@@ -265,23 +252,10 @@ class RingRoundEngine:
                         )
                         forwarded, hop_units = codec.decode(enc), enc.model_units
                     peer_units += hop_units
-                    if self.drop_prob and self._drop_rng.random() < self.drop_prob:
+                    if drop_prob and self._drop_rng.random() < drop_prob:
                         self.dropped_sends += 1
                     else:
-                        if codec is None:
-                            delay = self.delay_model.delay(dev_id, succ)
-                        else:
-                            # A NetworkModel scales link time with payload
-                            # size; plain LinkDelayModels have one per-hop
-                            # delay regardless of size.
-                            transfer = getattr(
-                                self.delay_model, "transfer_time", None
-                            )
-                            delay = (
-                                transfer(dev_id, succ, hop_units)
-                                if transfer is not None
-                                else self.delay_model.delay(dev_id, succ)
-                            )
+                        delay = network.transfer_time(dev_id, succ, hop_units)
                         if delay == 0.0:
                             instant.append((succ, forwarded))
                         else:
@@ -305,7 +279,7 @@ class RingRoundEngine:
             units_completed=units_done,
             peer_sends=peer_sends,
             end_time=sched.now,
-            peer_units=peer_units if codec is not None else float(peer_sends),
+            peer_units=peer_units,
         )
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 __all__ = ["TransmissionMeter", "MetricsHistory", "ResilienceStats"]
 
 
@@ -257,13 +255,6 @@ class MetricsHistory:
             raise ValueError("empty history")
         return max(self.accuracies)
 
-    def rounds_to_target(self, target: float) -> int | None:
-        """First recorded round index reaching ``target`` accuracy, else None."""
-        for r, a in zip(self.rounds, self.accuracies):
-            if a >= target:
-                return r
-        return None
-
     def transfers_to_target(self, target: float) -> float | None:
         """Cumulative server transfers when ``target`` is first reached."""
         for t, a in zip(self.server_transfers, self.accuracies):
@@ -335,16 +326,3 @@ class MetricsHistory:
             float(l) for l in data.get("checkpoint_losses", [])
         ]
         return history
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "rounds": np.asarray(self.rounds),
-            "times": np.asarray(self.times),
-            "server_transfers": np.asarray(self.server_transfers),
-            "accuracies": np.asarray(self.accuracies),
-            "losses": np.asarray(self.losses),
-            "checkpoint_times": np.asarray(self.checkpoint_times),
-            "checkpoint_transfers": np.asarray(self.checkpoint_transfers),
-            "checkpoint_accuracies": np.asarray(self.checkpoint_accuracies),
-            "checkpoint_losses": np.asarray(self.checkpoint_losses),
-        }

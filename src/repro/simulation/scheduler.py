@@ -184,11 +184,6 @@ class Scheduler:
             return self._pending.get(kind, 0)
         return self._live
 
-    def pending_except(self, *kinds: str) -> int:
-        """Live scheduled logical events whose kind is not in ``kinds``."""
-        get = self._pending.get
-        return self._live - sum(get(k, 0) for k in set(kinds))
-
     def __bool__(self) -> bool:
         return self._live > 0
 

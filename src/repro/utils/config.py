@@ -6,7 +6,13 @@ import dataclasses
 import numbers
 from typing import Any
 
-__all__ = ["validate_fraction", "validate_positive", "validate_non_negative", "freeze"]
+__all__ = [
+    "validate_fraction",
+    "validate_positive",
+    "validate_at_least",
+    "validate_non_negative",
+    "freeze",
+]
 
 
 def _require_number(value: Any, name: str) -> None:
@@ -34,12 +40,17 @@ def validate_positive(value: float, name: str) -> float:
     return value
 
 
+def validate_at_least(value: float, low: float, name: str) -> float:
+    """Validate that ``value`` is >= ``low`` (NaN compares false: rejected)."""
+    _require_number(value, name)
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low:g}, got {value}")
+    return value
+
+
 def validate_non_negative(value: float, name: str) -> float:
     """Validate that ``value`` is >= 0."""
-    _require_number(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
+    return validate_at_least(value, 0, name)
 
 
 def freeze(obj: Any) -> Any:

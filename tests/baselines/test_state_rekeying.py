@@ -18,7 +18,7 @@ from repro.baselines.fedat import FedATConfig, FedATServer
 from repro.baselines.scaffold import ScaffoldConfig, ScaffoldServer
 from repro.env.availability import TraceAvailability
 from repro.env.environment import Environment
-from repro.env.network import IdealNetwork
+from repro.env.network import NetworkModel
 from repro.experiments import METHODS, ExperimentSpec, run_experiment
 from tests.golden.generate import (
     POPULATION_MATRIX,
@@ -33,7 +33,7 @@ FROZEN = json.loads(POPULATION_MATRIX_PATH.read_text())
 def _churn_env():
     """Device 0 offline in round 2 only; everyone else always on."""
     return Environment(
-        IdealNetwork(),
+        NetworkModel(),
         TraceAvailability({0: [True, False, True]}),
         name="churn-trace",
     )

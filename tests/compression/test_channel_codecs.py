@@ -14,7 +14,7 @@ import pytest
 from repro.baselines.fedavg import FedAvgConfig, FedAvgServer
 from repro.compression import IdentityCodec, TopKCodec, make_codec
 from repro.core.server import ServerConfig
-from repro.env import Environment, UniformNetwork
+from repro.env import Environment, NetworkModel
 from repro.experiments import ExperimentSpec, run_experiment
 
 
@@ -86,7 +86,7 @@ class TestCodecChannel:
         assert np.linalg.norm(decoded - ref) > 0.0
 
     def test_transfer_time_scales_with_wire_size(self, tiny_devices, tiny_split):
-        env = Environment(UniformNetwork(latency=0.0, bandwidth=1.0))
+        env = Environment(NetworkModel(latency=0.0, bandwidth=1.0))
 
         def clock_after_two_broadcasts(codec):
             srv = make_server(tiny_devices, tiny_split, env=env, codec=codec)
@@ -137,7 +137,7 @@ class TestCodecChannel:
         channel delivered for this seed."""
         srv = make_server(
             tiny_devices, tiny_split,
-            env=Environment(UniformNetwork(drop_prob=0.4)),
+            env=Environment(NetworkModel(drop_prob=0.4)),
             codec=TopKCodec(fraction=0.5),
         )
         ids = tiny_devices.device_ids

@@ -19,8 +19,8 @@ from repro.core.server import ServerConfig
 from repro.env import (
     BernoulliAvailability,
     Environment,
+    NetworkModel,
     TraceAvailability,
-    UniformNetwork,
 )
 
 
@@ -80,7 +80,7 @@ class TestMetering:
 
     @pytest.mark.parametrize("env", [
         None,
-        Environment(UniformNetwork(latency=0.1, bandwidth=2.0, drop_prob=0.5)),
+        Environment(NetworkModel(latency=0.1, bandwidth=2.0, drop_prob=0.5)),
     ])
     def test_empty_calls_are_noops(self, tiny_devices, tiny_split, env):
         srv = make_server(tiny_devices, tiny_split, env=env)
@@ -96,7 +96,7 @@ class TestMetering:
 
     def test_lost_messages_still_metered(self, tiny_devices, tiny_split):
         """The paper costs transmitted models; a dropped one was transmitted."""
-        env = Environment(UniformNetwork(drop_prob=0.5))
+        env = Environment(NetworkModel(drop_prob=0.5))
         srv = make_server(tiny_devices, tiny_split, env=env)
         down(srv, tiny_devices.device_ids)
         assert srv.meter.server_down == len(tiny_devices)
@@ -110,7 +110,7 @@ class TestClockCharging:
         assert srv.clock.now == 0.0
 
     def test_transfer_time_advances_clock(self, tiny_devices, tiny_split):
-        env = Environment(UniformNetwork(latency=0.1, bandwidth=2.0))
+        env = Environment(NetworkModel(latency=0.1, bandwidth=2.0))
         srv = make_server(tiny_devices, tiny_split, env=env)
         down(srv, tiny_devices.device_ids)  # slowest link: 0.1 + 1/2
         assert srv.clock.now == pytest.approx(0.6)
@@ -119,7 +119,7 @@ class TestClockCharging:
 
     def test_round_time_includes_transfers(self, tiny_devices, tiny_split):
         """Round wall-clock = down-transfer + compute + up-transfer."""
-        env = Environment(UniformNetwork(latency=0.25))
+        env = Environment(NetworkModel(latency=0.25))
         srv = make_server(tiny_devices, tiny_split, env=env, rounds=1)
         result = srv.fit()
         compute = tiny_devices.unit_times.max()
@@ -128,21 +128,21 @@ class TestClockCharging:
 
 class TestDrops:
     def test_drops_reduce_deliveries(self, tiny_devices, tiny_split):
-        env = Environment(UniformNetwork(drop_prob=0.5))
+        env = Environment(NetworkModel(drop_prob=0.5))
         srv = make_server(tiny_devices, tiny_split, env=env)
         delivered = [len(down(srv, tiny_devices.device_ids)) for _ in range(50)]
         assert min(delivered) < len(tiny_devices)
         assert srv.dropped_messages > 0
 
     def test_ensure_one_guarantees_progress(self, tiny_devices, tiny_split):
-        env = Environment(UniformNetwork(drop_prob=0.99))
+        env = Environment(NetworkModel(drop_prob=0.99))
         srv = make_server(tiny_devices, tiny_split, env=env)
         for _ in range(30):
             assert len(down(srv, tiny_devices.device_ids)) >= 1
             assert len(up(srv, tiny_devices.device_ids)) >= 1
 
     def test_event_level_calls_may_drop_everything(self, tiny_devices, tiny_split):
-        env = Environment(UniformNetwork(drop_prob=0.99))
+        env = Environment(NetworkModel(drop_prob=0.99))
         srv = make_server(tiny_devices, tiny_split, env=env)
         first = tiny_devices.device_ids[:1]
         outcomes = {len(up(srv, first, ensure_one=False)) for _ in range(50)}
@@ -150,7 +150,7 @@ class TestDrops:
 
     def test_drop_sequence_reproducible(self, tiny_devices, tiny_split):
         def run():
-            env = Environment(UniformNetwork(drop_prob=0.4))
+            env = Environment(NetworkModel(drop_prob=0.4))
             srv = make_server(tiny_devices, tiny_split, env=env)
             return [tuple(up(srv, tiny_devices.device_ids)) for _ in range(10)]
 
@@ -159,7 +159,7 @@ class TestDrops:
     def test_seeded_drops_pin_the_survivors(self, tiny_devices, tiny_split):
         """Masking the id array makes the draws the object-list channel
         made, in the same order: these survivors are what it delivered."""
-        env = Environment(UniformNetwork(drop_prob=0.4))
+        env = Environment(NetworkModel(drop_prob=0.4))
         srv = make_server(tiny_devices, tiny_split, env=env)
         ids = tiny_devices.device_ids
         delivered = [down(srv, ids).tolist() for _ in range(5)]
@@ -171,7 +171,7 @@ class TestDrops:
         assert srv.dropped_messages == 34
 
     def test_seeded_ensure_one_survivor(self, tiny_devices, tiny_split):
-        env = Environment(UniformNetwork(drop_prob=0.99))
+        env = Environment(NetworkModel(drop_prob=0.99))
         srv = make_server(tiny_devices, tiny_split, env=env)
         ids = tiny_devices.device_ids
         delivered = [down(srv, ids).tolist() for _ in range(5)]
@@ -207,7 +207,7 @@ class TestAvailability:
         assert np.mean(sizes) < 0.5 * len(tiny_devices)
 
     def test_fit_survives_heavy_churn(self, tiny_devices, tiny_split):
-        env = Environment(UniformNetwork(drop_prob=0.3),
+        env = Environment(NetworkModel(drop_prob=0.3),
                           BernoulliAvailability(0.4))
         srv = make_server(tiny_devices, tiny_split, env=env, rounds=3)
         result = srv.fit()

@@ -6,7 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ring import build_ring, build_ring_eq5
-from repro.device.network import MatrixDelay, UniformDelay
+from repro.env.network import NetworkModel
+
+
+class PairDelay:
+    """Test-local network: one-model hop time read from ``D[src, dst]``
+    (``index`` maps device ids to matrix positions)."""
+
+    def __init__(self, matrix, index=None):
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.index = index
+
+    def transfer_time(self, src, dst, model_units=1.0):
+        if self.index is not None:
+            src, dst = self.index[src], self.index[dst]
+        return float(self.matrix[src, dst]) * model_units
+
+
+def uniform(delay=0.0):
+    """Equal delay on every peer hop (the paper's simplification)."""
+    return NetworkModel(peer_latency=delay)
 
 
 class TestBuildRingEq5:
@@ -15,7 +34,7 @@ class TestBuildRingEq5:
         fastest node reproduces the ascending order (ties by id)."""
         ids = [3, 1, 2]
         times = [0.9, 0.1, 0.5]
-        eq5 = build_ring_eq5(ids, times, UniformDelay(0.2))
+        eq5 = build_ring_eq5(ids, times, uniform(0.2))
         s2l = build_ring(ids, times, order="small_to_large")
         assert eq5 == s2l
 
@@ -29,22 +48,22 @@ class TestBuildRingEq5:
              [100.0, 0.0, 100.0],
              [0.0, 100.0, 0.0]]
         )
-        ring = build_ring_eq5(ids, times, MatrixDelay(d))
+        ring = build_ring_eq5(ids, times, PairDelay(d))
         assert ring == [0, 2, 1]
 
     def test_permutation_invariant(self):
         ids = [10, 20, 30, 40]
         times = [0.4, 0.2, 0.3, 0.1]
-        ring = build_ring_eq5(ids, times, UniformDelay(0.0))
+        ring = build_ring_eq5(ids, times, uniform(0.0))
         assert sorted(ring) == sorted(ids)
 
     def test_singleton_and_empty(self):
-        assert build_ring_eq5([5], [0.1], UniformDelay()) == [5]
-        assert build_ring_eq5([], [], UniformDelay()) == []
+        assert build_ring_eq5([5], [0.1], uniform()) == [5]
+        assert build_ring_eq5([], [], uniform()) == []
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            build_ring_eq5([1, 2], [0.1], UniformDelay())
+            build_ring_eq5([1, 2], [0.1], uniform())
 
     @given(
         n=st.integers(min_value=1, max_value=15),
@@ -57,35 +76,33 @@ class TestBuildRingEq5:
         times = rng.uniform(0.1, 1.0, size=n)
         delays = rng.uniform(0.0, 0.5, size=(n, n))
         np.fill_diagonal(delays, 0.0)
-        ring = build_ring_eq5(ids, times, MatrixDelay(delays))
+        ring = build_ring_eq5(ids, times, PairDelay(delays))
         assert sorted(ring) == ids
         assert ring[0] == int(np.argmin(times))  # starts at the fastest
 
 
-def brute_force_eq5(device_ids, unit_times, delay_model):
-    """The pre-vectorization greedy loop: Python min() over candidates."""
+def brute_force_eq5(device_ids, unit_times, network):
+    """Reference greedy: score every (current, candidate) pair, take the
+    best unvisited candidate by (score, device id)."""
     ids = list(device_ids)
     times = np.asarray(unit_times, dtype=np.float64)
     if len(ids) <= 1:
         return ids
-    remaining = set(range(len(ids)))
-    current = int(np.argmin(times))
-    order = [current]
-    remaining.discard(current)
-    while remaining:
-        nxt = min(
-            remaining,
-            key=lambda j: (delay_model.delay(ids[current], ids[j]) + times[j], ids[j]),
-        )
-        order.append(nxt)
-        remaining.discard(nxt)
-        current = nxt
+    order = [int(np.argmin(times))]
+    while len(order) < len(ids):
+        cur = ids[order[-1]]
+        scores = [
+            (network.transfer_time(cur, ids[j], 1.0) + times[j], ids[j], j)
+            for j in range(len(ids))
+            if j not in order
+        ]
+        order.append(sorted(scores)[0][2])
     return [ids[i] for i in order]
 
 
-class TestVectorizedMatchesBruteForce:
-    """The argmin-over-delay-row construction must pick exactly the hops
-    the original O(n^2) Python min() picked, ties included."""
+class TestMatchesBruteForce:
+    """The greedy construction picks exactly the hops an exhaustive
+    per-step scoring picks, ties included."""
 
     @given(
         n=st.integers(min_value=1, max_value=20),
@@ -98,38 +115,30 @@ class TestVectorizedMatchesBruteForce:
         times = rng.uniform(0.1, 1.0, size=n)
         delays = rng.uniform(0.0, 0.5, size=(n, n))
         np.fill_diagonal(delays, 0.0)
-        # Index the matrix by position, not id, via a wrapper.
-        pos = {i: k for k, i in enumerate(ids)}
-
-        class PosDelay(MatrixDelay):
-            def delay(self, src, dst):
-                return float(self.matrix[pos[src], pos[dst]])
-
-            def delay_row(self, src, dsts):
-                cols = np.array([pos[int(d)] for d in dsts])
-                return self.matrix[pos[src], cols]
-
-        model = PosDelay(delays)
+        # Index the matrix by position, not id.
+        model = PairDelay(delays, index={i: k for k, i in enumerate(ids)})
         assert build_ring_eq5(ids, times, model) == brute_force_eq5(
             ids, times, model
         )
+
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_property_sampled_links(self, n, seed):
+        """Heterogeneous delays from per-device spreads on peer links."""
+        rng = np.random.default_rng(seed)
+        ids = [int(i) for i in rng.permutation(500)[:n]]
+        times = rng.uniform(0.1, 1.0, size=n)
+        net = NetworkModel(peer_latency=0.3, peer_bandwidth=4.0,
+                           latency_spread=1.0, bandwidth_spread=0.5,
+                           seed=seed)
+        assert build_ring_eq5(ids, times, net) == brute_force_eq5(ids, times, net)
 
     def test_tie_breaks_by_device_id(self):
         """Equal scores must resolve to the smallest device id."""
         ids = [42, 7, 19]
         times = [0.5, 0.2, 0.5]  # 42 and 19 tie after starting at 7
-        ring = build_ring_eq5(ids, times, UniformDelay(0.3))
+        ring = build_ring_eq5(ids, times, uniform(0.3))
         assert ring == [7, 19, 42]
-
-    def test_base_class_delay_row_matches_scalar(self):
-        from repro.device.network import LinkDelayModel
-
-        class Affine(LinkDelayModel):
-            def delay(self, src, dst):
-                return 0.1 * src + 0.01 * dst
-
-        m = Affine()
-        dsts = np.array([3, 1, 4])
-        np.testing.assert_allclose(
-            m.delay_row(2, dsts), [m.delay(2, 3), m.delay(2, 1), m.delay(2, 4)]
-        )

@@ -10,8 +10,7 @@ from repro.env import (
     AlwaysOn,
     BernoulliAvailability,
     Environment,
-    IdealNetwork,
-    UniformNetwork,
+    NetworkModel,
     make_environment,
 )
 
@@ -19,16 +18,18 @@ from repro.env import (
 class TestEnvironment:
     def test_ideal_is_ideal(self):
         env = Environment.ideal()
-        assert env.is_ideal
+        assert env.name == "ideal"
+        assert env.network.is_instant and env.network.drop_prob == 0.0
+        assert env.availability.always_on
         assert env.server_transfer_time_ids(np.arange(2)) == 0.0
 
-    def test_non_ideal_detection(self):
-        assert not Environment(UniformNetwork(latency=0.1)).is_ideal
-        assert not Environment(UniformNetwork(drop_prob=0.1)).is_ideal
-        assert not Environment(availability=BernoulliAvailability(0.5)).is_ideal
+    def test_default_parts_are_ideal(self):
+        env = Environment()
+        assert env.network.is_instant and env.network.drop_prob == 0.0
+        assert env.availability.always_on
 
     def test_server_transfer_time_is_slowest_link(self):
-        env = Environment(UniformNetwork(latency=0.1, bandwidth=2.0))
+        env = Environment(NetworkModel(latency=0.1, bandwidth=2.0))
         ids = np.arange(2)
         assert env.server_transfer_time_ids(ids) == pytest.approx(0.6)
         assert env.server_transfer_time_ids(ids, model_units=2.0) == pytest.approx(1.1)
@@ -69,9 +70,8 @@ class TestRegistry:
 
     def test_ideal_preset_is_bit_identity_safe(self):
         env = make_environment("ideal")
-        assert env.is_ideal
         assert isinstance(env.availability, AlwaysOn)
-        assert env.network.is_instant
+        assert env.network.is_instant and env.network.drop_prob == 0.0
 
     def test_presets_construct_and_describe(self):
         for entry in ENVIRONMENTS.entries():
@@ -95,6 +95,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_environment("ideal", availability="sometimes")
 
-    def test_ideal_network_class(self):
-        assert IdealNetwork().transfer_time(0, 1, 7.0) == 0.0
-        assert math.isinf(IdealNetwork().bandwidth(0, 1))
+    def test_ideal_network(self):
+        net = make_environment("ideal").network
+        assert net.transfer_time(0, 1, 7.0) == 0.0
+        assert math.isinf(net.bandwidth(0, 1))
+
+    def test_spreads_reach_the_network(self):
+        net = make_environment("flaky_mobile").network
+        assert (net.latency_spread, net.bandwidth_spread) == (1.0, 0.5)
+        hops = {net.transfer_time(0, d) for d in range(1, 6)}
+        assert len(hops) > 1

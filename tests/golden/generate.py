@@ -55,7 +55,7 @@ from repro.datasets.synthetic import SyntheticSpec, make_synthetic
 from repro.device import LocalTrainer, make_fleet, unit_times_from_counts
 from repro.env.availability import BernoulliAvailability, TraceAvailability
 from repro.env.environment import Environment
-from repro.env.network import IdealNetwork, UniformNetwork
+from repro.env.network import NetworkModel
 from repro.experiments import ExperimentSpec, build_experiment
 from repro.nn.models import paper_mlp
 
@@ -214,13 +214,13 @@ def write_event_matrix() -> None:
 _HAND_ENVS = {
     # Device 0 offline in round 2 only; everyone else always on.
     "trace": lambda: Environment(
-        IdealNetwork(), TraceAvailability({0: [True, False, True]}), name="trace"
+        NetworkModel(), TraceAvailability({0: [True, False, True]}), name="trace"
     ),
     "coin": lambda: Environment(
-        IdealNetwork(), BernoulliAvailability(up_prob=0.5), name="coin"
+        NetworkModel(), BernoulliAvailability(up_prob=0.5), name="coin"
     ),
     # Lossy channels force row retention.
-    "lossy": lambda: Environment(UniformNetwork(drop_prob=0.3), name="lossy"),
+    "lossy": lambda: Environment(NetworkModel(drop_prob=0.3), name="lossy"),
 }
 
 

@@ -221,7 +221,7 @@ class TestBatchedEvents:
         sched.at(2.0, UNIT_COMPLETE, 9)
         sched.cancel(ev)
         assert sched.pending() == 1
-        assert sched.pending_except(UNIT_COMPLETE) == 0
+        assert sched.pending(UNIT_COMPLETE) == 1
 
     def test_trace_tag_fingerprints_id_arrays(self):
         """Satellite fix: ndarray payloads used to fingerprint as None,

@@ -11,7 +11,7 @@ import pytest
 
 from repro.datasets.core import ClassificationDataset
 from repro.device.fleet import DeviceFleet
-from repro.device.network import UniformDelay
+from repro.env.network import NetworkModel
 from repro.simulation.engine import RingRoundEngine, async_upload_schedule
 
 
@@ -85,7 +85,7 @@ class TestRingRotation:
         """Deliveries landing after the round end never get trained: every
         device keeps training its own line (Eq. 7 fallback)."""
         devices = make_fleet([1.0, 1.0])
-        engine = RingRoundEngine(devices, delay_model=UniformDelay(100.0),
+        engine = RingRoundEngine(devices, NetworkModel(peer_latency=100.0),
                                  epochs_per_unit=1)
         engine.run_round([[0, 1]], np.zeros(2), duration=3.0)
         np.testing.assert_allclose(devices.weights_row(0), [3.0, 0.0])
@@ -271,16 +271,43 @@ class TestWaveTraining:
         self._assert_same_round(combine="average")
 
     def test_nonzero_link_delay(self):
-        self._assert_same_round(delay_model=UniformDelay(0.1))
+        self._assert_same_round(network=NetworkModel(peer_latency=0.1))
 
     def test_dropped_hops(self):
-        _, engine = self._assert_same_round(drop_prob=0.4, drop_seed=3)
+        _, engine = self._assert_same_round(
+            network=NetworkModel(drop_prob=0.4), drop_seed=3
+        )
         assert engine.dropped_sends > 0
 
     def test_topk_hops_with_drops(self):
         from repro.compression import TopKCodec
 
         stats, _ = self._assert_same_round(
-            codec=lambda: TopKCodec(fraction=0.2), drop_prob=0.3, drop_seed=1
+            codec=lambda: TopKCodec(fraction=0.2),
+            network=NetworkModel(drop_prob=0.3), drop_seed=1,
         )
         assert stats.peer_units < stats.peer_sends
+
+    def test_hop_time_reads_the_encoded_size(self):
+        """Every hop asks the network for its transfer time: one model
+        unit when dense, the encoded size under a codec."""
+        from repro.compression import TopKCodec
+
+        units = []
+
+        class Recording(NetworkModel):
+            def transfer_time(self, src, dst, model_units=1.0):
+                units.append(model_units)
+                return super().transfer_time(src, dst, model_units)
+
+        for codec in (None, TopKCodec(fraction=0.2)):
+            units.clear()
+            engine, _, w0 = self._engine(network=Recording(peer_bandwidth=8.0))
+            stats = engine.run_round(self.RINGS, w0, duration=1.0, codec=codec,
+                                     codec_reference=w0)
+            assert len(units) == stats.peer_sends > 0
+            assert sum(units) == pytest.approx(stats.peer_units)
+            if codec is None:
+                assert set(units) == {1.0}
+            else:
+                assert max(units) < 1.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.env.network import NetworkModel
 from repro.simulation.engine import RingRoundEngine
 
 from tests.simulation.test_engine import make_fleet
@@ -10,16 +11,16 @@ from tests.simulation.test_engine import make_fleet
 
 class TestDropInjection:
     def test_drop_prob_validation(self):
-        with pytest.raises(ValueError):
-            RingRoundEngine(make_fleet([1.0]), drop_prob=1.0)
-        with pytest.raises(ValueError):
-            RingRoundEngine(make_fleet([1.0]), drop_prob=-0.1)
+        with pytest.raises(ValueError, match="drop_prob"):
+            NetworkModel(drop_prob=1.0)
+        with pytest.raises(ValueError, match="drop_prob"):
+            NetworkModel(drop_prob=-0.1)
 
     def test_all_drops_degenerates_to_isolation(self):
         """drop_prob ~ 1: every hop lost, devices train alone (Eq. 7)."""
         devices = make_fleet([1.0, 1.0, 1.0])
-        engine = RingRoundEngine(devices, epochs_per_unit=1, drop_prob=0.999,
-                                 drop_seed=0)
+        engine = RingRoundEngine(devices, NetworkModel(drop_prob=0.999),
+                                 epochs_per_unit=1, drop_seed=0)
         stats = engine.run_round([[0, 1, 2]], np.zeros(3), duration=3.0)
         # peer sends attempted but (almost surely) all dropped
         assert stats.peer_sends == 9
@@ -37,8 +38,8 @@ class TestDropInjection:
     def test_partial_drops_keep_progress(self):
         """With 50% loss, every device still completes its unit budget."""
         devices = make_fleet([1.0, 0.5, 0.25, 1.0])
-        engine = RingRoundEngine(devices, epochs_per_unit=1, drop_prob=0.5,
-                                 drop_seed=1)
+        engine = RingRoundEngine(devices, NetworkModel(drop_prob=0.5),
+                                 epochs_per_unit=1, drop_seed=1)
         stats = engine.run_round([[0, 1], [2, 3]], np.zeros(4), duration=1.0)
         assert stats.units_completed == {0: 1, 1: 2, 2: 4, 3: 1}
         assert 0 < engine.dropped_sends <= stats.peer_sends
@@ -46,8 +47,8 @@ class TestDropInjection:
     def test_drop_seed_reproducible(self):
         def run(seed):
             devices = make_fleet([1.0, 1.0, 1.0])
-            engine = RingRoundEngine(devices, epochs_per_unit=1,
-                                     drop_prob=0.5, drop_seed=seed)
+            engine = RingRoundEngine(devices, NetworkModel(drop_prob=0.5),
+                                     epochs_per_unit=1, drop_seed=seed)
             engine.run_round([[0, 1, 2]], np.zeros(3), duration=4.0)
             return engine.dropped_sends, devices.stack_weights(devices.device_ids).copy()
 
@@ -66,33 +67,32 @@ class TestDropInjection:
             tiny_devices, test_set,
             FedHiSynConfig(rounds=6, num_classes=3, local_epochs=1),
         )
-        srv.engine.drop_prob = 0.3
+        srv.engine.network = NetworkModel(drop_prob=0.3)  # ring hops only
         result = srv.fit()
         assert result.final_accuracy > 1.5 / test_set.num_classes
 
 
-class TestEngineEnvPrecedence:
+class TestEngineNetwork:
     def test_env_supplies_drop_prob(self):
         from repro.env import make_environment
 
-        engine = RingRoundEngine(make_fleet([1.0]),
-                                 env=make_environment("flaky_mobile"))
-        assert engine.drop_prob == 0.05
-        assert engine.delay_model is not None
+        network = make_environment("flaky_mobile").network
+        engine = RingRoundEngine(make_fleet([1.0]), network)
+        assert engine.network is network
+        assert engine.network.drop_prob == 0.05
 
-    def test_explicit_zero_overrides_lossy_env(self):
-        """drop_prob=0.0 must pin a lossless ring even under a lossy env."""
+    def test_default_network_is_ideal(self):
+        engine = RingRoundEngine(make_fleet([1.0]))
+        assert engine.network.is_instant
+        assert engine.network.drop_prob == 0.0
+
+    def test_fedhisyn_ring_crosses_the_env_network(self, tiny_devices, tiny_split):
+        from repro.core.fedhisyn import FedHiSynConfig, FedHiSynServer
         from repro.env import make_environment
 
-        engine = RingRoundEngine(make_fleet([1.0]), drop_prob=0.0,
-                                 env=make_environment("flaky_mobile"))
-        assert engine.drop_prob == 0.0
-
-    def test_explicit_delay_model_overrides_env(self):
-        from repro.device.network import UniformDelay
-        from repro.env import make_environment
-
-        pinned = UniformDelay(0.7)
-        engine = RingRoundEngine(make_fleet([1.0]), delay_model=pinned,
-                                 env=make_environment("satellite"))
-        assert engine.delay_model is pinned
+        _, test_set = tiny_split
+        srv = FedHiSynServer(
+            tiny_devices, test_set, FedHiSynConfig(rounds=1, num_classes=3),
+            env=make_environment("satellite"),
+        )
+        assert srv.engine.network is srv.env.network

@@ -1,6 +1,5 @@
 """Tests for transmission metering and metrics history."""
 
-import numpy as np
 import pytest
 
 from repro.simulation.metrics import MetricsHistory, TransmissionMeter
@@ -55,12 +54,6 @@ class TestMetricsHistory:
         h2.record(2, 2.0, 2.0, 0.4)
         assert h2.best_accuracy == 0.9
 
-    def test_rounds_to_target(self):
-        h = self.make_history()
-        assert h.rounds_to_target(0.5) == 2
-        assert h.rounds_to_target(0.69) == 4
-        assert h.rounds_to_target(0.9) is None
-
     def test_transfers_to_target(self):
         h = self.make_history()
         assert h.transfers_to_target(0.5) == 20.0
@@ -90,11 +83,6 @@ class TestMetricsHistory:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             MetricsHistory().final_accuracy
-
-    def test_as_arrays(self):
-        arrays = self.make_history().as_arrays()
-        np.testing.assert_array_equal(arrays["rounds"], [1, 2, 3, 4])
-        assert arrays["accuracies"].dtype == np.float64
 
 
 class TestTimeCheckpoints:

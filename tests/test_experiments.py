@@ -20,6 +20,7 @@ from repro.nn.models import paper_mlp
 from repro.nn.serialization import get_flat_params
 
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+NAN = float("nan")
 
 
 def fast_spec(**kwargs):
@@ -222,6 +223,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             build_experiment(spec)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"method": "fedavg", "method_kwargs": {}, "over_select": NAN},
+             "over_select"),
+            ({"het_ratio": NAN}, "het_ratio"),
+            ({"env": "wan", "env_kwargs": {"latency": NAN}}, "latency"),
+            ({"env": "wan", "env_kwargs": {"latency_spread": NAN}},
+             "latency_spread"),
+            ({"method": "fedprox", "method_kwargs": {"mu": NAN}}, "mu"),
+            ({"method": "fedasync", "method_kwargs": {}, "max_retries": NAN},
+             "max_retries"),
+        ],
+    )
+    def test_nan_rejected_before_training(self, kwargs, field):
+        """NaN fails every comparison, so a `< 0` check lets it through;
+        each of these used to train (or crash mid-run) on a NaN."""
+        with pytest.raises(ValueError, match=rf"\b{field} must be"):
+            build_experiment(fast_spec(**kwargs))
+
     def test_dict_round_trip(self):
         spec = fast_spec(het_ratio=4.0, selection="datasize")
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
@@ -313,12 +334,15 @@ class TestRunExperiment:
 class TestEnvironmentWiring:
     def test_default_env_is_ideal(self):
         srv = build_experiment(fast_spec())
-        assert srv.env.is_ideal
+        assert srv.env.name == "ideal"
+        assert srv.env.network.is_instant
+        assert srv.env.network.drop_prob == 0.0
+        assert srv.env.availability.always_on
 
     def test_env_field_reaches_server(self):
         srv = build_experiment(fast_spec(env="churn"))
         assert srv.env.name == "churn"
-        assert not srv.env.is_ideal
+        assert not srv.env.availability.always_on
 
     def test_env_kwargs_override(self):
         srv = build_experiment(fast_spec(env="lan",
@@ -328,8 +352,7 @@ class TestEnvironmentWiring:
     def test_fedhisyn_engine_shares_env(self):
         srv = build_experiment(fast_spec(method="fedhisyn", env="satellite",
                                          method_kwargs={"num_classes": 2}))
-        assert srv.engine.delay_model is srv.env.network
-        assert srv.engine.drop_prob == srv.env.network.drop_prob
+        assert srv.engine.network is srv.env.network
 
     def test_bad_env_rejected_at_spec_time(self):
         with pytest.raises(ValueError, match="unknown environment"):
