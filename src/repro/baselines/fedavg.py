@@ -26,6 +26,7 @@ from repro.core.aggregation import (
 )
 from repro.core.registry import register_method
 from repro.core.server import FederatedServer, ServerConfig
+from repro.utils.config import validate_non_negative
 
 __all__ = ["FedAvgConfig", "FedAvgServer"]
 
@@ -51,10 +52,8 @@ class FedAvgConfig(ServerConfig):
             raise ValueError(
                 f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}"
             )
-        if self.krum_malicious is not None and self.krum_malicious < 0:
-            raise ValueError(
-                f"krum_malicious must be >= 0, got {self.krum_malicious}"
-            )
+        if self.krum_malicious is not None:
+            validate_non_negative(self.krum_malicious, "krum_malicious")
 
 
 @register_method(

@@ -22,7 +22,7 @@ from repro.core.registry import register_method
 from repro.core.server import FederatedServer, ServerConfig
 from repro.device.batched import run_units
 from repro.simulation.engine import async_upload_schedule
-from repro.utils.config import validate_fraction
+from repro.utils.config import validate_fraction, validate_non_negative
 
 __all__ = ["TAFedAvgConfig", "TAFedAvgServer"]
 
@@ -44,10 +44,7 @@ class TAFedAvgConfig(ServerConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         validate_fraction(self.alpha, "alpha")
-        if self.staleness_exponent < 0:
-            raise ValueError(
-                f"staleness_exponent must be >= 0, got {self.staleness_exponent}"
-            )
+        validate_non_negative(self.staleness_exponent, "staleness_exponent")
 
 
 @register_method(

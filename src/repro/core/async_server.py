@@ -127,7 +127,7 @@ from repro.simulation.scheduler import (
     UPLOAD_TIMEOUT,
     Scheduler,
 )
-from repro.utils.config import validate_positive
+from repro.utils.config import validate_non_negative, validate_positive
 
 __all__ = [
     "STALENESS_DECAYS",
@@ -191,10 +191,7 @@ class AsyncServerConfig(ServerConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
+        validate_non_negative(self.max_retries, "max_retries")
         validate_positive(self.retry_backoff, "retry_backoff")
         validate_positive(self.upload_timeout, "upload_timeout")
         validate_positive(self.heartbeat_period, "heartbeat_period")
@@ -204,14 +201,8 @@ class AsyncServerConfig(ServerConfig):
                 f"staleness_decay must be one of {STALENESS_DECAYS}, "
                 f"got {self.staleness_decay!r}"
             )
-        if self.staleness_exponent < 0:
-            raise ValueError(
-                f"staleness_exponent must be >= 0, got {self.staleness_exponent}"
-            )
-        if self.hinge_delay < 0:
-            raise ValueError(
-                f"hinge_delay must be >= 0, got {self.hinge_delay}"
-            )
+        validate_non_negative(self.staleness_exponent, "staleness_exponent")
+        validate_non_negative(self.hinge_delay, "hinge_delay")
         if self.churn_period is not None:
             validate_positive(self.churn_period, "churn_period")
 

@@ -119,8 +119,8 @@ class Environment:
         """Time until the slowest server↔device link finishes one transfer.
 
         Links are symmetric, so this serves both broadcast (down) and
-        collect (up).  ``model_units`` may be an
-        array aligned with ``device_ids`` (codec uploads size per sender).
+        collect (up).  ``model_units`` may be an array aligned with
+        ``device_ids`` (codec uploads size per sender).
         """
         net = self.network
         if net.is_instant or not len(device_ids):

@@ -138,7 +138,7 @@ class LiveTransport(Transport):
                 f"{sorted(LIVE_CAPABLE_METHODS)}, got {spec.method!r}"
             )
         env = make_environment(spec.env, **spec.env_kwargs)
-        drop_prob = getattr(env.network, "drop_prob", 0.0)
+        drop_prob = env.network.drop_prob
         if drop_prob > 0.0:
             raise ValueError(
                 "transport 'live' needs a drop-free environment "

@@ -13,7 +13,6 @@ import pytest
 
 from repro.baselines.fedavg import FedAvgConfig, FedAvgServer
 from repro.compression import IdentityCodec, TopKCodec, make_codec
-from repro.core.server import ServerConfig
 from repro.env import Environment, NetworkModel
 from repro.experiments import ExperimentSpec, run_experiment
 

@@ -235,6 +235,12 @@ class TestSpecValidation:
             ({"method": "fedprox", "method_kwargs": {"mu": NAN}}, "mu"),
             ({"method": "fedasync", "method_kwargs": {}, "max_retries": NAN},
              "max_retries"),
+            ({"method": "tafedavg", "method_kwargs": {"staleness_exponent": NAN}},
+             "staleness_exponent"),
+            ({"method": "fedasync", "method_kwargs": {"hinge_delay": NAN}},
+             "hinge_delay"),
+            ({"method": "fedavg", "method_kwargs": {"krum_malicious": NAN}},
+             "krum_malicious"),
         ],
     )
     def test_nan_rejected_before_training(self, kwargs, field):
