@@ -29,6 +29,7 @@ from repro.datasets.core import ClassificationDataset
 from repro.device.fleet import DeviceFleet
 from repro.env.environment import Environment
 from repro.simulation.engine import RingRoundEngine
+from repro.utils.config import validate_positive
 from repro.utils.logging import RunLogger
 
 __all__ = ["FedHiSynConfig", "FedHiSynServer"]
@@ -60,8 +61,7 @@ class FedHiSynConfig(ServerConfig):
             raise ValueError("aggregation must be 'uniform' or 'class_time'")
         if self.combine not in ("direct", "average"):
             raise ValueError("combine must be 'direct' or 'average'")
-        if self.round_length_multiplier <= 0:
-            raise ValueError("round_length_multiplier must be positive")
+        validate_positive(self.round_length_multiplier, "round_length_multiplier")
 
 
 @register_method(

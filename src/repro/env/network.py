@@ -128,33 +128,39 @@ class NetworkModel:
         """(latency multiplier, bandwidth divisor) of one link endpoint."""
         if endpoint == SERVER:
             return _SERVER_FACTORS
+        table = self._factor_table
+        if endpoint < len(table):
+            lat_mult = table.item(endpoint, 0)
+            if lat_mult == lat_mult:  # drawn already (not NaN)
+                return lat_mult, table.item(endpoint, 1)
         lat_mult, bw_div = self._factor_rows(np.array([endpoint], dtype=np.intp))[0]
         return float(lat_mult), float(bw_div)
 
     # ------------------------------------------------------------- links
 
-    def latency(self, src: int, dst: int) -> float:
-        server_link = src == SERVER or dst == SERVER
-        base = self._latency if server_link else self._peer_latency
-        if base == 0.0 or self.latency_spread == 0.0:
-            return base
-        m_src = self._endpoint_factors(src)[0]
-        m_dst = self._endpoint_factors(dst)[0]
-        return base * 0.5 * (m_src + m_dst)
+    def _link(self, src: int, dst: int) -> tuple[float, float]:
+        """(latency, bandwidth) of the ``src -> dst`` link."""
+        if src == SERVER or dst == SERVER:
+            lat, bw = self._latency, self._bandwidth
+        else:
+            lat, bw = self._peer_latency, self._peer_bandwidth
+        scale_lat = lat != 0.0 and self.latency_spread != 0.0
+        scale_bw = bw != math.inf and self.bandwidth_spread != 0.0
+        if scale_lat or scale_bw:
+            m_src, d_src = self._endpoint_factors(src)
+            m_dst, d_dst = self._endpoint_factors(dst)
+            if scale_lat:
+                lat = lat * 0.5 * (m_src + m_dst)
+            if scale_bw:
+                bw = bw / (0.5 * (d_src + d_dst))
+        return lat, bw
 
     def bandwidth(self, src: int, dst: int) -> float:
-        server_link = src == SERVER or dst == SERVER
-        base = self._bandwidth if server_link else self._peer_bandwidth
-        if base == math.inf or self.bandwidth_spread == 0.0:
-            return base
-        d_src = self._endpoint_factors(src)[1]
-        d_dst = self._endpoint_factors(dst)[1]
-        return base / (0.5 * (d_src + d_dst))
+        return self._link(src, dst)[1]
 
     def transfer_time(self, src: int, dst: int, model_units: float = 1.0) -> float:
         """Virtual time to move ``model_units`` across the ``src -> dst`` link."""
-        bw = self.bandwidth(src, dst)
-        lat = self.latency(src, dst)
+        lat, bw = self._link(src, dst)
         if bw == math.inf:
             return lat
         return lat + model_units / bw

@@ -241,6 +241,9 @@ class TestSpecValidation:
              "hinge_delay"),
             ({"method": "fedavg", "method_kwargs": {"krum_malicious": NAN}},
              "krum_malicious"),
+            ({"method": "fedhisyn",
+              "method_kwargs": {"round_length_multiplier": NAN}},
+             "round_length_multiplier"),
         ],
     )
     def test_nan_rejected_before_training(self, kwargs, field):
