@@ -62,21 +62,36 @@ class FedAvgConfig(ServerConfig):
     description="asynchronous-setting FedAvg: fast devices fit extra epochs",
 )
 class FedAvgServer(FederatedServer):
+    """The FedAvg family's one round: broadcast, train, collect, close,
+    aggregate.  FedProx and TFedAvg subclass it and declare only what
+    differs: the proximal term (:meth:`proximal`) and the epoch rule
+    (:meth:`round_epochs`)."""
+
     method = "fedavg"
     fault_aware = True
     deadline_aware = True
+    config_cls = FedAvgConfig
+
+    def round_epochs(self, ids: np.ndarray, duration: float) -> np.ndarray:
+        """Local epochs per receiver: as many units as fit in the round."""
+        return self.epochs_for(ids, duration)
+
+    def proximal(self, view: np.ndarray) -> dict:
+        """``train_round`` keywords for a proximal pull; FedAvg has none."""
+        return {}
 
     def aggregate_stack(self, stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Apply the configured aggregation rule to the arrived stack."""
-        agg = getattr(self.config, "aggregator", "sample")
+        cfg: FedAvgConfig = self.config  # type: ignore[assignment]
+        agg = cfg.aggregator
         if agg == "uniform":
             return uniform_average(stack)
         if agg == "median":
             return coordinate_median(stack)
         if agg == "trimmed_mean":
-            return trimmed_mean(stack, getattr(self.config, "trim_fraction", 0.1))
+            return trimmed_mean(stack, cfg.trim_fraction)
         if agg in ("krum", "multi_krum"):
-            f = getattr(self.config, "krum_malicious", None)
+            f = cfg.krum_malicious
             if f is None:
                 f = max((len(stack) - 3) // 2, 0)
             if agg == "krum":
@@ -94,13 +109,14 @@ class FedAvgServer(FederatedServer):
         # ``view`` is the model devices actually receive — global_weights
         # itself under the identity codec, the decoded broadcast otherwise.
         receivers, view = self.broadcast_model(ids, global_weights)
-        epochs = self.epochs_for(receivers, duration)
+        epochs = self.round_epochs(receivers, duration)
         # The round arena's rows double as the devices' weight rows: each
         # unit trains straight into fleet state, no per-device result
         # copy, and the stack feeds aggregation as-is.
         stack = self.fleet.round_matrix(receivers)
         self.train_round(stack=stack, ids=receivers, epochs=epochs,
-                         round_idx=round_idx, global_weights=view)
+                         round_idx=round_idx, global_weights=view,
+                         **self.proximal(view))
         arrived, stack = self.collect_models(receivers, stack, reference=view)
         # Fault/deadline-aware round close: on the fast path this is
         # exactly clock.advance_by(duration); with faults armed it draws

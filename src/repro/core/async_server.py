@@ -711,21 +711,9 @@ class AsyncFederatedServer(FederatedServer):
     def _after_aggregate(self) -> None:
         """Bookkeeping after a new global version: periodic round-indexed
         eval (version plays the round's role) and termination."""
-        v = self._version
-        cfg = self.config
-        if v % cfg.eval_every == 0 or v >= cfg.rounds:
-            acc, loss = self.evaluate(self.global_weights)
-            self.history.record(
-                v, self.clock.now, self.meter.server_total, acc, loss
-            )
-            self.logger.log(
-                round=v,
-                accuracy=round(acc, 4),
-                loss=round(loss, 4),
-                transfers=self.meter.server_total,
-                vtime=round(self.clock.now, 3),
-            )
-        if v >= cfg.rounds:
+        final = self._version >= self.config.rounds
+        self._record_step(self._version, final)
+        if final:
             self._finished = True
             self.scheduler.stop()
 

@@ -73,6 +73,7 @@ class FedHiSynServer(FederatedServer):
     """The paper's framework (Algorithm 1)."""
 
     method = "fedhisyn"
+    config_cls = FedHiSynConfig
 
     def __init__(
         self,
@@ -82,7 +83,6 @@ class FedHiSynServer(FederatedServer):
         logger: RunLogger | None = None,
         env: Environment | None = None,
     ) -> None:
-        config = config if config is not None else FedHiSynConfig()
         super().__init__(devices, test_set, config, logger, env=env)
         # Ring hops cross the same network as the server channel.
         # drop_seed ties peer-hop loss draws to the experiment seed so
@@ -91,9 +91,9 @@ class FedHiSynServer(FederatedServer):
         self.engine = RingRoundEngine(
             self.fleet,
             self.env.network,
-            epochs_per_unit=config.local_epochs,
-            combine=config.combine,
-            drop_seed=config.seed,
+            epochs_per_unit=self.config.local_epochs,
+            combine=self.config.combine,
+            drop_seed=self.config.seed,
         )
         self.last_round_stats = None
 

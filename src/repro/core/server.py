@@ -136,6 +136,8 @@ class FederatedServer:
     #: (:meth:`charge_round`); on any other method ``build_experiment``
     #: warns that the deadline is ignored.
     deadline_aware = False
+    #: The config a server built with ``config=None`` runs on.
+    config_cls: type[ServerConfig] = ServerConfig
 
     def __init__(
         self,
@@ -146,7 +148,7 @@ class FederatedServer:
         env: Environment | None = None,
     ) -> None:
         self.test_set = test_set
-        self.config = config if config is not None else ServerConfig()
+        self.config = config if config is not None else self.config_cls()
         self.logger = logger if logger is not None else NullLogger()
         self.env = env if env is not None else Environment.ideal()
         # The population lives in struct-of-arrays storage, addressed by id.
@@ -651,24 +653,31 @@ class FederatedServer:
         self._deployed_weights = self.global_weights
         ids = self.select_participants(r)
         self.global_weights = self.run_round(r, ids, self.global_weights)
-        if r % cfg.eval_every == 0 or r == cfg.rounds:
-            acc, loss = self.evaluate(self.global_weights)
-            self.history.record(
-                r, self.clock.now, self.meter.server_total, acc, loss
-            )
-            self.logger.log(
-                round=r,
-                accuracy=round(acc, 4),
-                loss=round(loss, 4),
-                transfers=self.meter.server_total,
-                vtime=round(self.clock.now, 3),
-            )
+        self._record_step(r, final=r == cfg.rounds)
         if r < cfg.rounds:
             self.scheduler.at(self.clock.now, ROUND_BARRIER, r + 1)
         else:
             # Drain checkpoints that matured during the final round, then
             # halt — future-dated ones must not drag the clock onward.
             self.scheduler.finish_at(self.clock.now)
+
+    def _record_step(self, step: int, final: bool) -> None:
+        """Round-indexed eval of the global model every ``eval_every``
+        steps and at the ``final`` one: a sync round, or an async server's
+        aggregation (its version plays the round's role)."""
+        if step % self.config.eval_every and not final:
+            return
+        acc, loss = self.evaluate(self.global_weights)
+        self.history.record(
+            step, self.clock.now, self.meter.server_total, acc, loss
+        )
+        self.logger.log(
+            round=step,
+            accuracy=round(acc, 4),
+            loss=round(loss, 4),
+            transfers=self.meter.server_total,
+            vtime=round(self.clock.now, 3),
+        )
 
     def _on_eval_checkpoint(self, ev) -> None:
         """Time-indexed evaluation of the model deployed at ``ev.time``.

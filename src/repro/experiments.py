@@ -69,7 +69,8 @@ AXES = (
 )
 
 #: Spec fields that only some method configs define: forwarded to the
-#: config (and echoed on the result) when set, left alone when ``None``.
+#: config (and echoed on the result) when set and the config defines them
+#: (:func:`_forwarded_optional`), left alone otherwise.
 _OPTIONAL = (
     "eval_time_every",
     "staleness_decay",
@@ -183,8 +184,9 @@ class ExperimentSpec:
     aggregator: str | None = None
     # Fault injection (repro.faults): named model plus keyword overrides.
     # "none" is the zero-overhead null model (bit-identical to the seed
-    # behavior).  Fault-aware methods: fedavg/fedprox (barrier rounds) and
-    # fedasync/fedbuff (event loop); other methods ignore the model.
+    # behavior).  Fault-aware methods: fedavg/fedprox/tfedavg (barrier
+    # rounds) and fedasync/fedbuff (event loop); other methods ignore the
+    # model.
     faults: str = "none"
     fault_kwargs: dict[str, Any] = field(default_factory=dict)
     # Sync-round fault tolerance: cut the round at this virtual-time
@@ -400,22 +402,14 @@ def build_experiment(
     # memory at any fleet size (see repro.device.fleet).
     devices = make_fleet(train_set, parts, unit_times, trainer)
 
-    # Spec fields that only some method configs define are forwarded when
-    # the config class has the field, ignored otherwise — so one campaign
-    # grid over e.g. buffer_goal can include sync methods without erroring.
-    cfg_fields = {f.name for f in fields(entry.config_cls)}
-    optional = {
-        key: getattr(spec, key)
-        for key in _OPTIONAL
-        if getattr(spec, key) is not None and key in cfg_fields
-    }
     config = entry.config_cls(
         rounds=spec.rounds,
         participation=spec.participation,
         local_epochs=spec.local_epochs,
         eval_every=spec.eval_every,
         seed=spec.seed + 6,
-        **{**optional, **spec.method_kwargs},
+        **_forwarded_optional(spec, entry.config_cls),
+        **spec.method_kwargs,
     )
     environment = ENVIRONMENTS.make(spec.env, **spec.env_kwargs)
     server = entry.server_cls(
@@ -467,6 +461,20 @@ def build_experiment(
     return server
 
 
+def _forwarded_optional(spec: ExperimentSpec, config_cls: type) -> dict[str, Any]:
+    """The set ``_OPTIONAL`` spec fields ``config_cls`` defines and
+    ``method_kwargs`` does not override: forwarded to the config and
+    echoed on the result.  The rest are ignored — so one campaign grid
+    over e.g. buffer_goal can include sync methods without erroring, and
+    the result never claims a knob the run did not take."""
+    cfg_fields = {f.name for f in fields(config_cls)} - spec.method_kwargs.keys()
+    return {
+        key: getattr(spec, key)
+        for key in _OPTIONAL
+        if getattr(spec, key) is not None and key in cfg_fields
+    }
+
+
 def run_experiment(spec: ExperimentSpec, logger: RunLogger | None = None):
     """Build and run; returns the :class:`~repro.simulation.results.RunResult`."""
     server = build_experiment(spec, logger=logger)
@@ -489,9 +497,7 @@ def run_experiment(spec: ExperimentSpec, logger: RunLogger | None = None):
             result.config[name_field] = getattr(spec, name_field)
         if getattr(spec, kwargs_field):
             result.config[kwargs_field] = dict(getattr(spec, kwargs_field))
-    for key in _OPTIONAL:
-        if getattr(spec, key) is not None:
-            result.config[key] = getattr(spec, key)
+    result.config.update(_forwarded_optional(spec, type(server.config)))
     if spec.selection is not None:
         result.config["selection"] = spec.selection
         result.config["selection_fraction"] = (

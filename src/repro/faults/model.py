@@ -30,10 +30,10 @@ byte-for-byte the pre-fault runs.  All fault draws come from dedicated
 rng streams (see ``repro.core.server``), so an *armed* model that happens
 to inject nothing still perturbs no training/selection/codec randomness.
 
-Fault-aware surfaces: the FedAvg family (fedavg, fedprox) on the barrier
-runtime and the async family (fedasync, fedbuff) on the event loop.  The
-remaining methods (scaffold, fedat, fedhisyn, ...) ignore an injected
-model — their round engines predate the fault layer — which
+Fault-aware surfaces: the FedAvg family (fedavg, fedprox, tfedavg) on the
+barrier runtime and the async family (fedasync, fedbuff) on the event
+loop.  The remaining methods (scaffold, fedat, fedhisyn, tafedavg) ignore
+an injected model — their round engines predate the fault layer — which
 ``build_experiment`` surfaces as a ``UserWarning`` naming the method
 (``FederatedServer.fault_aware``) rather than letting a sweep silently
 run clean.

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.fedavg import FedAvgConfig, FedAvgServer
 from repro.baselines.fedprox import FedProxConfig, FedProxServer
 from repro.baselines.tfedavg import TFedAvgConfig, TFedAvgServer
+from repro.experiments import ExperimentSpec, run_experiment
 
 
 class TestFedAvg:
@@ -113,3 +114,38 @@ class TestFedProx:
                            FedAvgConfig(local_epochs=1, seed=1))
         w_avg = avg.run_round(1, tiny_devices.device_ids, g0)
         np.testing.assert_allclose(w_prox, w_avg)
+
+
+class TestOneFamilyRound:
+    """FedProx and TFedAvg run FedAvg's round, so the family's aggregator,
+    faults and deadline apply to all three."""
+
+    @staticmethod
+    def _run(method, **kwargs):
+        return run_experiment(ExperimentSpec(
+            method=method, num_devices=10, num_samples=600, rounds=3,
+            partition="iid", local_epochs=1, **kwargs,
+        ))
+
+    @pytest.mark.parametrize("method", ["fedprox", "tfedavg"])
+    def test_aggregator_applies_under_byzantine(self, method):
+        weights = {
+            agg: self._run(method, faults="byzantine", aggregator=agg).final_weights
+            for agg in ("sample", "median")
+        }
+        assert not np.array_equal(weights["sample"], weights["median"])
+
+    def test_tfedavg_deadline_cuts_stragglers(self):
+        result = self._run("tfedavg", faults="straggler", round_deadline=1.0)
+        assert result.resilience["deadline_hits"] > 0
+
+    @pytest.mark.parametrize("server_cls, config_cls", [
+        (FedAvgServer, FedAvgConfig),
+        (FedProxServer, FedProxConfig),
+        (TFedAvgServer, TFedAvgConfig),
+    ])
+    def test_no_config_builds_the_methods_own(
+        self, tiny_devices, tiny_split, server_cls, config_cls
+    ):
+        _, test_set = tiny_split
+        assert type(server_cls(tiny_devices, test_set).config) is config_cls

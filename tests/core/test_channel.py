@@ -14,8 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.baselines.fedavg import FedAvgServer
-from repro.core.server import ServerConfig
+from repro.baselines.fedavg import FedAvgConfig, FedAvgServer
 from repro.env import (
     BernoulliAvailability,
     Environment,
@@ -26,7 +25,7 @@ from repro.env import (
 
 def make_server(tiny_devices, tiny_split, env=None, **cfg):
     _, test_set = tiny_split
-    config = ServerConfig(**{"rounds": 2, "local_epochs": 1, **cfg})
+    config = FedAvgConfig(**{"rounds": 2, "local_epochs": 1, **cfg})
     return FedAvgServer(tiny_devices, test_set, config, env=env)
 
 

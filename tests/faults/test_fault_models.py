@@ -6,7 +6,6 @@ import pytest
 from repro.faults import (
     FAULT_MODELS,
     ByzantineFaults,
-    CompoundFaults,
     CrashFaults,
     NoFaults,
     RoundEffects,

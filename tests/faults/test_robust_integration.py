@@ -9,8 +9,6 @@ Two claims from the issue, demonstrated end-to-end:
   vanilla FedAvg when stragglers dominate the barrier.
 """
 
-import pytest
-
 from repro.experiments import ExperimentSpec, run_experiment
 
 

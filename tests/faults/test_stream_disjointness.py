@@ -8,7 +8,6 @@ selection/availability/drops/training (substrate) and codec streams.
 """
 
 import numpy as np
-import pytest
 
 from repro.experiments import ExperimentSpec, run_experiment
 

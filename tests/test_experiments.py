@@ -132,7 +132,7 @@ class TestBuildExperiment:
         """An armed fault model on a method whose round path never injects
         it warns, naming the method; the fault-aware methods stay quiet."""
         spec = fast_spec(method=method, method_kwargs={}, faults="crash")
-        if method in {"fedavg", "fedprox", "fedasync", "fedbuff"}:
+        if method in {"fedavg", "fedprox", "tfedavg", "fedasync", "fedbuff"}:
             build_experiment(spec)
             assert not [w for w in recwarn if "ignores the fault model" in str(w.message)]
         else:
@@ -142,10 +142,10 @@ class TestBuildExperiment:
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_ignored_round_deadline_warns(self, method, recwarn):
         """A round deadline on a method whose round path never cuts a
-        round warns, naming the method; fedavg and fedprox apply it and
-        stay quiet."""
+        round warns, naming the method; the FedAvg family applies it and
+        stays quiet."""
         spec = fast_spec(method=method, method_kwargs={}, round_deadline=0.5)
-        if method in {"fedavg", "fedprox"}:
+        if method in {"fedavg", "fedprox", "tfedavg"}:
             build_experiment(spec)
             assert not [w for w in recwarn if "round_deadline" in str(w.message)]
         else:
@@ -321,6 +321,18 @@ class TestRunExperiment:
         frozen = json.loads((GOLDEN_CLI / "run_config.json").read_text())[cell]
         result = run_experiment(ExperimentSpec(**frozen["spec"]))
         assert result.config == frozen["config"]
+
+    def test_echo_omits_fields_the_method_ignores(self):
+        # FedHiSyn's config has neither field: the run never took them.
+        result = run_experiment(fast_spec(aggregator="median", buffer_goal=3))
+        assert "aggregator" not in result.config
+        assert "buffer_goal" not in result.config
+
+    def test_echo_omits_fields_method_kwargs_override(self):
+        spec = fast_spec(method="fedavg", aggregator="median",
+                         method_kwargs={"aggregator": "krum"})
+        assert build_experiment(spec).config.aggregator == "krum"
+        assert "aggregator" not in run_experiment(spec).config
 
     def test_with_method_preserves_setup(self):
         spec = fast_spec()
