@@ -93,41 +93,43 @@ class TAFedAvgServer(FederatedServer):
         for _time, dev_id in schedule:
             # Each unit starts from the device's latest mix, so every wave
             # has one member.
-            one = np.array([dev_id], dtype=np.intp)
             start = local_view[dev_id]
-            trained = np.empty((1, self.trainer.dim))
+            out = np.empty((1, self.trainer.dim))
             run_units(
                 self.batched_trainer,
                 self.fleet,
-                one,
+                np.array([dev_id], dtype=np.intp),
                 cfg.local_epochs,
                 round_idx,
                 start,
-                trained,
+                out,
                 unit_idx=unit_counter[dev_id],
             )
             unit_counter[dev_id] += 1
             # ``trained`` is fresh and never written again, so the rows it
             # replaces stay what they were for whoever still holds them.
+            trained = out[0]
             if lossy:
-                self.device_history[dev_id] = trained[0]
+                self.device_history[dev_id] = trained
             if dev_id in on_own:
-                local_view[dev_id] = trained[0]
-            arrived, uploaded = self.collect_models(
-                one, trained, reference=start, ensure_one=False,
-            )
-            if not len(arrived):
+                local_view[dev_id] = trained
+            # The upload and the reply each cross the device's own link;
+            # their transfer times extend the round.
+            uploaded, seconds = self.link_send(dev_id, trained, up_from=start)
+            self.clock.advance_by(seconds)
+            if uploaded is None:
                 continue  # upload lost: the global model never sees it
             rate = cfg.alpha
             if cfg.staleness_exponent > 0:
                 staleness = version - view_version[dev_id]
                 rate = cfg.alpha * (1.0 + staleness) ** -cfg.staleness_exponent
-            current = (1.0 - rate) * current + rate * uploaded[0]
+            current = (1.0 - rate) * current + rate * uploaded
             version += 1
             # Server replies with the fresh global; device trains it next
             # (a lost reply leaves the device on its stale view).
-            delivered, reply = self.broadcast_model(one, current, ensure_one=False)
-            if len(delivered):
+            reply, seconds = self.link_send(dev_id, current)
+            self.clock.advance_by(seconds)
+            if reply is not None:
                 local_view[dev_id] = reply
                 view_version[dev_id] = version
                 on_own.discard(dev_id)

@@ -257,6 +257,24 @@ class UpdateCodec:
         """
         raise NotImplementedError
 
+    def transmit(
+        self,
+        vec: np.ndarray,
+        key: Hashable | None = None,
+        reference: np.ndarray | None = None,
+    ) -> tuple[Encoded | None, np.ndarray, float]:
+        """One trip across a link: ``(enc, view, units)``.
+
+        Encodes ``vec`` for stream ``key`` against ``reference`` and
+        decodes what the receiver reconstructs — ``view`` — plus the wire
+        size in model units.  Every channel crossing (broadcast, upload,
+        per-link send, ring hop) goes through this one round-trip; the
+        identity codec returns ``(None, vec, 1.0)`` without touching
+        ``vec``.
+        """
+        enc = self.encode(vec, key=key, reference=reference)
+        return enc, self.decode(enc), enc.model_units
+
     def dense_encode(self, vec: np.ndarray) -> Encoded:
         """Lossless dense fallback — the no-shared-reference escape hatch."""
         vec = np.asarray(vec, dtype=np.float64)

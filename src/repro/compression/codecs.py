@@ -31,10 +31,9 @@ _INDEX_BYTES = 4
 class IdentityCodec(UpdateCodec):
     """The default codec: payloads cross the wire untouched.
 
-    ``decode(encode(v))`` returns ``v`` itself (same object), and the
-    channel layer additionally fast-paths around identity codecs
-    entirely, so ``codec="none"`` is bit-identical to runs that predate
-    the compression subsystem.
+    ``decode(encode(v))`` returns ``v`` itself (same object), and
+    :meth:`transmit` skips both calls, so ``codec="none"`` is
+    bit-identical to runs that predate the compression subsystem.
     """
 
     name = "none"
@@ -52,6 +51,14 @@ class IdentityCodec(UpdateCodec):
 
     def decode(self, enc: Encoded) -> np.ndarray:
         return enc.payload
+
+    def transmit(
+        self,
+        vec: np.ndarray,
+        key: Hashable | None = None,
+        reference: np.ndarray | None = None,
+    ) -> tuple[None, np.ndarray, float]:
+        return None, vec, 1.0
 
 
 @register_codec(

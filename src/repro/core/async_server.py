@@ -111,7 +111,6 @@ from repro.core.server import (
     ServerConfig,
 )
 from repro.device.batched import _AHEAD, run_units
-from repro.env.network import SERVER
 from repro.simulation.results import RunResult
 from repro.simulation.scheduler import (
     AVAILABILITY_CHANGE,
@@ -252,65 +251,6 @@ class AsyncFederatedServer(FederatedServer):
         rounds use ``(round >= 1, 1)``).  Availability is *not* filtered
         here: churn is event-driven over the run's span."""
         return self._select_ids(0, self._seeds.generator(0, 1))
-
-    def _send_down(self, dev_id: int) -> tuple[float | None, np.ndarray | None]:
-        """Meter one server→device push of the current global model.
-
-        Returns ``(latency, payload)`` — ``(None, None)`` when the message
-        is lost.  ``payload`` is the model the device will receive:
-        ``global_weights`` itself under the identity codec, the decoded
-        (lossy) reconstruction otherwise.  Each device has its own
-        downlink reference chain (async pushes are per-link, not
-        population-wide), advanced only on delivery — a dropped push
-        leaves the receiver on its old reference.
-        """
-        codec = self.codec
-        if codec.is_identity:
-            self.meter.record_download(1)
-            if self._drop_one():
-                return None, None
-            return (
-                self.env.network.transfer_time(SERVER, dev_id, 1.0),
-                self.global_weights,
-            )
-        enc = codec.encode(
-            self.global_weights,
-            key=("down", dev_id),
-            reference=self._down_refs.get(dev_id),
-        )
-        self.meter.record_download(1, enc.model_units, raw_units=1.0)
-        if self._drop_one():
-            return None, None
-        view = codec.decode(enc)
-        self._down_refs[dev_id] = view
-        return (
-            self.env.network.transfer_time(SERVER, dev_id, enc.model_units),
-            view,
-        )
-
-    def _send_up(
-        self, dev_id: int, trained: np.ndarray, start: np.ndarray
-    ) -> tuple[float | None, np.ndarray | None]:
-        """Meter one device→server upload of ``trained`` (encoded against
-        ``start``, the model the unit ran from — both endpoints hold it).
-        Returns ``(latency, payload)``; ``(None, None)`` when lost."""
-        codec = self.codec
-        if codec.is_identity:
-            self.meter.record_upload(1)
-            if self._drop_one():
-                return None, None
-            return (
-                self.env.network.transfer_time(dev_id, SERVER, 1.0),
-                trained,
-            )
-        enc = codec.encode(trained, key=dev_id, reference=start)
-        self.meter.record_upload(1, enc.model_units, raw_units=1.0)
-        if self._drop_one():
-            return None, None
-        return (
-            self.env.network.transfer_time(dev_id, SERVER, enc.model_units),
-            codec.decode(enc),
-        )
 
     def live_target(self, goal: int) -> int:
         """``goal`` capped at the unsuspected cohort size — how many
@@ -545,7 +485,7 @@ class AsyncFederatedServer(FederatedServer):
         first arms an ``upload_timeout`` retransmission timer — its
         ``token`` rides with the upload and cancels the timer when the
         delivery is processed; ``token`` is None on the clean path."""
-        lat, delivered = self._send_up(dev_id, payload, start)
+        delivered, lat = self.link_send(dev_id, payload, up_from=start)
         token = None
         if self._fault_machinery:
             self.resilience.uploads_sent += 1
@@ -557,7 +497,7 @@ class AsyncFederatedServer(FederatedServer):
             self._upload_timers[token] = (
                 timer, dev_id, payload, start, base_version, attempt,
             )
-        if lat is None:
+        if delivered is None:
             return None
         return lat, dev_id, delivered, start, base_version, token
 
@@ -681,8 +621,8 @@ class AsyncFederatedServer(FederatedServer):
                 # (so it is un-counted), and the finisher gets no reply.
                 self.scheduler.events_processed -= len(ids) - (k + 1)
                 break
-            lat, reply = self._send_down(dev_id)
-            if lat is not None:
+            reply, lat = self.link_send(dev_id, self.global_weights)
+            if reply is not None:
                 replies.append((lat, dev_id, reply, self._version))
         self._emit_after(BROADCAST_ARRIVAL, replies)
 
@@ -798,22 +738,10 @@ class AsyncFederatedServer(FederatedServer):
             sched.at(cfg.eval_time_every, EVAL_CHECKPOINT)
 
         # t=0 provisioning: the server pushes the initial model to the
-        # whole cohort.  Metered per link but lossless and dense — a fleet
-        # is provisioned with the initial model out of band, and a "lost"
-        # provisioning push would just re-deliver the identical vector.
-        # The dense push establishes every device's downlink reference
-        # (the per-device codec chains replies then advance).
+        # whole cohort, lossless and dense, over each device's link.
         n = len(ids)
         w0 = self.global_weights
-        self.meter.record_download(n)
-        net = self.env.network
-        lats = (
-            np.zeros(n) if net.is_instant
-            else net.server_transfer_times(cohort_ids, 1.0)
-        )
-        self._down_refs: dict[int, np.ndarray] = (
-            {} if self.codec.is_identity else dict.fromkeys(ids, w0)
-        )
+        lats = self.provision(cohort_ids, w0)
         self._emit(BROADCAST_ARRIVAL, lats, cohort_ids, [w0] * n, [0] * n)
 
         sched.run()

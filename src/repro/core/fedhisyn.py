@@ -142,15 +142,11 @@ class FedHiSynServer(FederatedServer):
             batched=self.batched_trainer,
         )
         self.last_round_stats = stats
-        if self.codec.is_identity:
-            self.peer_send(stats.peer_sends)
-        else:
-            # One meter entry for the whole round's hops: on-wire units
-            # from the engine, raw (uncompressed) units = hop count.
-            self.peer_send(
-                1, model_units=stats.peer_units,
-                raw_units=float(stats.peer_sends),
-            )
+        # One meter entry for the whole round's hops: on-wire units from
+        # the engine, raw (uncompressed) units = hop count.
+        self.peer_send(
+            1, model_units=stats.peer_units, raw_units=float(stats.peer_sends)
+        )
         self.clock.advance_by(duration)
 
         # (5) synchronous upload + aggregation (line 17).

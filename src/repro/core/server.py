@@ -9,9 +9,10 @@ assembly — so method comparisons differ only in the algorithm itself.
 
 Server↔device traffic flows through the **channel API** —
 :meth:`~FederatedServer.broadcast_model`,
-:meth:`~FederatedServer.collect_models`,
+:meth:`~FederatedServer.collect_models` for cohorts,
+:meth:`~FederatedServer.link_send` for single-device messages,
 :meth:`~FederatedServer.peer_send` — which meters every transfer, charges
-link transfer time to the virtual clock and applies the
+or reports link transfer time and applies the
 :class:`~repro.env.environment.Environment`'s message drops, so method
 implementations never touch the meter or the network model directly.
 It is the only such accounting: a transport backend moves bytes and
@@ -37,6 +38,7 @@ from repro.datasets.core import ClassificationDataset
 from repro.device.batched import BatchedTrainer
 from repro.device.fleet import DeviceFleet
 from repro.env.environment import Environment
+from repro.env.network import SERVER
 from repro.faults.model import FaultModel, NoFaults
 from repro.nn.serialization import get_flat_params, set_flat_params
 from repro.simulation.clock import VirtualClock
@@ -122,8 +124,9 @@ class FederatedServer:
     Subclasses set ``method`` and implement ``run_round(round_idx, ids,
     global_weights) -> new_global_weights``, where ``ids`` is the round's
     participant id array in participant order; they move models through
-    :meth:`broadcast_model`/:meth:`collect_models`/:meth:`peer_send`
-    (which own all metering and environment effects) and advance
+    :meth:`broadcast_model`/:meth:`collect_models`/:meth:`link_send`/
+    :meth:`peer_send` (which own all metering and environment effects)
+    and advance
     ``self.clock`` by the round's compute duration.
     """
 
@@ -177,9 +180,14 @@ class FederatedServer:
         # codec="none" stays bit-identical to pre-codec runs.  Assigned
         # post-construction by build_experiment, like selection_policy.
         self.codec: UpdateCodec = IdentityCodec()
-        # Last model the population decoded from a server broadcast — the
-        # downlink delta/residual reference shared by server and devices.
+        # Downlink references.  A cohort broadcast is one shared stream,
+        # encoded against the last model the population decoded from one.
+        # A single-device push rides its own link, encoded against
+        # {id: the last view delivered to that device} — by a broadcast,
+        # the provisioning push or a push of its own; written only under
+        # a codec and only on delivery.
         self._codec_down_ref: np.ndarray | None = None
+        self._down_refs: dict[int, np.ndarray] = {}
         # Transport backend (repro.transport): who executes a round's
         # device training and over what medium the bytes move.  The sim
         # default keeps everything in-process and bit-identical; assigned
@@ -437,24 +445,23 @@ class FederatedServer:
         received.  ``extra_units`` rides along uncompressed (SCAFFOLD's
         control variate — server state, not a model update).
         ``ensure_one=True`` (round-level calls) guarantees at least one
-        delivery so a round can never stall; event-level callers (FedAT
-        tier rounds, TAFedAvg replies) pass ``False`` and handle an empty
-        delivery themselves.
+        delivery so a round can never stall; FedAT's tier rounds pass
+        ``False`` and handle an empty delivery themselves.  A message to
+        one device alone goes through :meth:`link_send` instead.
         """
         if not len(ids):
             return ids, weights
-        codec = self.codec
-        enc = None
-        units = 1.0 + extra_units
-        if not codec.is_identity:
-            enc = codec.encode(weights, key="server-down", reference=self._codec_down_ref)
-            units = enc.model_units + extra_units
+        enc, view, units = self.codec.transmit(
+            weights, "server-down", self._codec_down_ref
+        )
+        units += extra_units
         self.meter.record_download(len(ids), units, raw_units=1.0 + extra_units)
         self._charge_transfer(ids, units)
         delivered = self._apply_drops(ids, ensure_one)
-        view = weights
+        self._codec_down_ref = view
         if enc is not None:
-            view = self._codec_down_ref = codec.decode(enc)
+            # Every receiver now holds the view: its link's reference too.
+            self._down_refs.update(dict.fromkeys(delivered.tolist(), view))
         self.transport.downlink(self, weights, enc, view)
         return delivered, view
 
@@ -497,6 +504,54 @@ class FederatedServer:
             )
         self._charge_transfer(senders, units)
         return self._apply_drops(present, ensure_one), decoded
+
+    def link_send(
+        self,
+        dev_id: int,
+        vec: np.ndarray,
+        up_from: np.ndarray | None = None,
+    ) -> tuple[np.ndarray | None, float]:
+        """One single-device message over ``dev_id``'s server link: a push
+        of ``vec``, or with ``up_from`` (the model the unit ran from, which
+        both endpoints hold) an upload.
+
+        The per-link twin of :meth:`broadcast_model`/:meth:`collect_models`
+        for event-level traffic: a push rides stream ``("down", dev_id)``
+        against the last view delivered to the device, an upload stream
+        ``dev_id``; one transfer is metered and the loss drawn from the
+        shared ``(0, 101)`` stream.  Returns ``(view, seconds)``: what the
+        receiver decodes — None when lost, and a lost push leaves the
+        link's reference — and the link time, which the caller charges (a
+        barrier method) or schedules (the event loop).
+        """
+        if up_from is not None:
+            enc, view, units = self.codec.transmit(vec, dev_id, up_from)
+            self.meter.record_upload(1, units, raw_units=1.0)
+            src, dst = dev_id, SERVER
+        else:
+            enc, view, units = self.codec.transmit(
+                vec, ("down", dev_id), self._down_refs.get(dev_id)
+            )
+            self.meter.record_download(1, units, raw_units=1.0)
+            src, dst = SERVER, dev_id
+        p = self.env.network.drop_prob
+        if p > 0.0 and self._drops.random() < p:
+            self.dropped_messages += 1
+            view = None
+        elif enc is not None and src == SERVER:
+            self._down_refs[dev_id] = view
+        return view, self.env.network.transfer_time(src, dst, units)
+
+    def provision(self, ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The event loop's t=0 push of ``weights`` to every device of
+        ``ids``: one dense download each, lossless (a fleet is provisioned
+        out of band; a "lost" push would re-deliver the same vector).
+        Establishes each link's downlink reference under a codec; returns
+        the per-link transfer times."""
+        self.meter.record_download(len(ids))
+        if not self.codec.is_identity:
+            self._down_refs.update(dict.fromkeys(ids.tolist(), weights))
+        return self.env.network.server_transfer_times(ids, 1.0)
 
     def start_views(
         self,
@@ -575,9 +630,7 @@ class FederatedServer:
         p = self.env.network.drop_prob
         if p <= 0.0:
             return items
-        if self._drop_rng is None:
-            self._drop_rng = self._seeds.generator(*_DROP_STREAM_KEY)
-        rng = self._drop_rng
+        rng = self._drops
         kept = items[rng.random(len(items)) >= p]
         if not len(kept) and ensure_one:
             pick = int(rng.integers(len(items)))
@@ -585,20 +638,13 @@ class FederatedServer:
         self.dropped_messages += len(items) - len(kept)
         return kept
 
-    def _drop_one(self) -> bool:
-        """One message's loss draw from the persistent drop stream — the
-        event-level twin of :meth:`_apply_drops` for channels that move
-        single messages (the async servers' per-link sends).  No draw (and
-        never a loss) when the environment is lossless."""
-        p = self.env.network.drop_prob
-        if p <= 0.0:
-            return False
+    @property
+    def _drops(self) -> np.random.Generator:
+        """The persistent ``(0, 101)`` message-drop stream, opened at the
+        first lossy send so a lossless run never touches it."""
         if self._drop_rng is None:
             self._drop_rng = self._seeds.generator(*_DROP_STREAM_KEY)
-        if self._drop_rng.random() < p:
-            self.dropped_messages += 1
-            return True
-        return False
+        return self._drop_rng
 
     def round_duration(self, ids: np.ndarray) -> float:
         """Paper convention: the slowest participant's unit time."""

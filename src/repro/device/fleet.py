@@ -59,14 +59,6 @@ class FleetState:
         self._pool = np.empty((0, dim))
         self._row_of: dict[int, int] = {}
 
-    def is_materialized(self, device_id: int) -> bool:
-        return device_id in self._row_of
-
-    @property
-    def materialized(self) -> int:
-        """Number of devices whose row has been written."""
-        return len(self._row_of)
-
     @property
     def nbytes(self) -> int:
         """Bytes held by materialized rows (pool capacity, not count)."""

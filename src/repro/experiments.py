@@ -491,9 +491,10 @@ def run_experiment(spec: ExperimentSpec, logger: RunLogger | None = None):
         model_preset=spec.model_preset,
     )
     # Echo only what was moved off its default (env has none, so it is
-    # always echoed).  The method (AXES[0]) is ``result.method``.
-    for name_field, kwargs_field, default in AXES[1:]:
-        if getattr(spec, name_field) != default:
+    # always echoed).  The method's name (AXES[0]) is ``result.method``;
+    # its kwargs are echoed like every axis's.
+    for name_field, kwargs_field, default in AXES:
+        if name_field != "method" and getattr(spec, name_field) != default:
             result.config[name_field] = getattr(spec, name_field)
         if getattr(spec, kwargs_field):
             result.config[kwargs_field] = dict(getattr(spec, kwargs_field))

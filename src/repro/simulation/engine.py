@@ -23,6 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.compression.base import UpdateCodec
+from repro.compression.codecs import IdentityCodec
 from repro.device.batched import BatchedTrainer, run_units
 from repro.device.fleet import DeviceFleet
 from repro.env.network import NetworkModel
@@ -125,7 +127,7 @@ class RingRoundEngine:
         global_weights: np.ndarray | dict[int, np.ndarray],
         duration: float,
         round_idx: int = 0,
-        codec=None,
+        codec: UpdateCodec = IdentityCodec(),
         codec_reference: np.ndarray | None = None,
         batched: BatchedTrainer | None = None,
     ) -> RingRoundStats:
@@ -136,8 +138,9 @@ class RingRoundEngine:
         (FedHiSyn's server round) or a per-device-id dict (decentralized
         continuation, used by the Section 3 observation experiments).
 
-        ``codec`` (an :class:`~repro.compression.base.UpdateCodec`, or
-        None/identity for dense hops) compresses every ring forward
+        ``codec`` (an :class:`~repro.compression.base.UpdateCodec`; the
+        stateless identity default hops dense) carries every ring forward
+        through one :meth:`~repro.compression.base.UpdateCodec.transmit`
         against ``codec_reference`` — the round's shared decoded broadcast
         (None after a lossy broadcast: hops then go dense).  The successor
         receives the *decoded* model and the hop's link time scales with
@@ -196,8 +199,6 @@ class RingRoundEngine:
             unit_start_model[dev_id] = start
             sched.at(unit_time[dev_id], UNIT_COMPLETE, dev_id)
 
-        if codec is not None and codec.is_identity:
-            codec = None  # dense fast path below is bit-identical
         network = self.network
         drop_prob = network.drop_prob
         peer_sends = 0
@@ -243,14 +244,9 @@ class RingRoundEngine:
                 succ = successor[dev_id]
                 if succ != dev_id:  # singleton rings do not self-send
                     peer_sends += 1
-                    if codec is None:
-                        forwarded, hop_units = trained, 1.0
-                    else:
-                        enc = codec.encode(
-                            trained, key=("peer", dev_id),
-                            reference=codec_reference,
-                        )
-                        forwarded, hop_units = codec.decode(enc), enc.model_units
+                    _, forwarded, hop_units = codec.transmit(
+                        trained, ("peer", dev_id), codec_reference
+                    )
                     peer_units += hop_units
                     if drop_prob and self._drop_rng.random() < drop_prob:
                         self.dropped_sends += 1

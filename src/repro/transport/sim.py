@@ -84,9 +84,9 @@ class SimTransport(Transport):
         reference: np.ndarray | dict[int, np.ndarray] | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Every sender is present.  Under the identity codec the server
-        reads ``stack`` itself; otherwise each row is encoded against its
-        sender's reference (a dict is keyed by device id) and decoded
-        into a fresh stack."""
+        reads ``stack`` itself; otherwise each row makes one codec
+        round-trip against its sender's reference (a dict is keyed by
+        device id) into a fresh stack."""
         present = np.arange(len(ids))
         codec = server.codec
         if codec.is_identity:
@@ -96,7 +96,5 @@ class SimTransport(Transport):
         by_id = reference if isinstance(reference, dict) else None
         for i, dev_id in enumerate(ids.tolist()):
             ref = by_id.get(dev_id) if by_id is not None else reference
-            enc = codec.encode(stack[i], key=dev_id, reference=ref)
-            units[i] = enc.model_units
-            decoded[i] = codec.decode(enc)
+            _, decoded[i], units[i] = codec.transmit(stack[i], dev_id, ref)
         return present, decoded, units

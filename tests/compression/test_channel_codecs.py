@@ -255,3 +255,29 @@ class TestRingCodec:
         )
         assert a.peer_sends == b.peer_sends
         assert a.peer_units == b.peer_units
+
+
+class TestPerLinkReplies:
+    """TAFedAvg's one-device replies ride their own link stream.
+
+    On the cohort's shared ``"server-down"`` stream the error-feedback
+    residual of every reply was folded into the next device's, which
+    never received it: top-k TAFedAvg went non-finite (accuracy 0.1).
+    On per-link streams each top-k cell stays finite and lands within
+    0.05 of its qsgd twin.
+    """
+
+    @staticmethod
+    def run(codec, drop_prob):
+        return run_experiment(ExperimentSpec(
+            method="tafedavg", num_devices=16, rounds=6, seed=0, codec=codec,
+            env_kwargs={"drop_prob": drop_prob} if drop_prob else {},
+        ))
+
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.3])
+    def test_topk_learns_like_qsgd(self, drop_prob):
+        topk = self.run("topk", drop_prob)
+        qsgd = self.run("qsgd", drop_prob)
+        assert np.isfinite(topk.final_weights).all()
+        assert np.isfinite(qsgd.final_weights).all()
+        assert abs(topk.final_accuracy - qsgd.final_accuracy) <= 0.05

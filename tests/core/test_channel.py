@@ -1,5 +1,5 @@
 """Tests for the FederatedServer channel API (broadcast_model/
-collect_models/peer_send).
+collect_models/link_send/peer_send).
 
 The channel owns everything the environment does to server↔device traffic:
 metering, transfer-time clock charges, message drops and availability
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.fedavg import FedAvgConfig, FedAvgServer
+from repro.compression import TopKCodec
 from repro.env import (
     BernoulliAvailability,
     Environment,
@@ -214,24 +215,106 @@ class TestAvailability:
         assert len(result.history.rounds) == 3
 
 
+class TestLinkSend:
+    """``link_send``: one device's message over its own server link."""
+
+    def test_push_decodes_against_the_last_delivered_view(
+        self, tiny_devices, tiny_split
+    ):
+        srv = make_server(tiny_devices, tiny_split)
+        srv.codec = TopKCodec(fraction=0.25)
+        ids = tiny_devices.device_ids
+        w0 = srv.global_weights
+        srv.broadcast_model(ids, w0)  # first contact: dense, view == w0
+        w1 = w0 + np.linspace(0.0, 1.0, w0.size)
+        view1, _ = srv.link_send(3, w1)
+        # Top-k of the delta against what device 3 holds (w0): the kept
+        # coordinates move by their float32 delta, the rest stay at w0.
+        kept = view1 != w0
+        assert 0 < kept.sum() < w0.size
+        step = (w1 - w0)[kept].astype(np.float32).astype(np.float64)
+        np.testing.assert_array_equal(view1[kept], w0[kept] + step)
+        np.testing.assert_array_equal(view1[~kept], w0[~kept])
+        view2, _ = srv.link_send(3, w1)  # now against view1, not w0
+        assert not np.array_equal(view2, view1)
+        np.testing.assert_array_equal(view2[kept], view1[kept])
+        # Another device's link still holds the broadcast view.
+        np.testing.assert_array_equal(srv.link_send(4, w0)[0], w0)
+        assert srv.meter.server_down == pytest.approx(
+            len(ids) + 3 * (4 + 8 * round(0.25 * w0.size)) / (8 * w0.size)
+        )
+        assert srv.meter.raw_down == len(ids) + 3
+
+    def test_dropped_push_leaves_the_link_reference(self, tiny_devices, tiny_split):
+        env = Environment(NetworkModel(drop_prob=0.5))
+        srv = make_server(tiny_devices, tiny_split, env=env)
+        srv.codec = TopKCodec(fraction=0.25)
+        srv.provision(tiny_devices.device_ids, srv.global_weights)
+        w = srv.global_weights
+        held = w
+        for step in range(1, 30):
+            before = srv.dropped_messages
+            view, _ = srv.link_send(2, w + step)
+            lost = srv.dropped_messages - before
+            assert lost == (view is None)
+            if view is not None:
+                # Decoded against exactly what the device held.
+                moved = view != held
+                np.testing.assert_array_equal(view[~moved], held[~moved])
+                held = view
+            assert srv._down_refs[2] is held
+        assert 0 < srv.dropped_messages < 29
+
+    def test_returns_the_link_time_and_leaves_the_clock(self, tiny_devices, tiny_split):
+        env = Environment(NetworkModel(latency=0.1, bandwidth=2.0))
+        srv = make_server(tiny_devices, tiny_split, env=env)
+        w = srv.global_weights
+        view, down_s = srv.link_send(1, w)
+        trained, up_s = srv.link_send(1, w + 1.0, up_from=w)
+        assert view is w and down_s == pytest.approx(0.6)
+        np.testing.assert_array_equal(trained, w + 1.0)
+        assert up_s == pytest.approx(0.6)
+        assert srv.clock.now == 0.0  # the caller charges or schedules it
+        assert srv.meter.server_down == srv.meter.server_up == 1.0
+        assert srv._down_refs == {}  # identity: no per-link state
+
+    def test_lossless_send_draws_nothing(self, tiny_devices, tiny_split):
+        srv = make_server(tiny_devices, tiny_split)
+        srv.link_send(0, srv.global_weights)
+        srv.link_send(0, srv.global_weights, up_from=srv.global_weights)
+        assert srv._drop_rng is None
+
+
 class TestNoDirectMeterCalls:
     def test_method_files_use_channel_api_only(self):
         """Acceptance criterion: the channel is the one copy of the
-        accounting — no method file or transport backend meters, charges
-        the clock, draws drops or moves the downlink codec reference."""
+        accounting — no method file, transport backend, event loop or ring
+        engine meters, charges the clock, draws server drops or moves a
+        downlink codec reference, and no method file, event loop or ring
+        engine calls the codec's encode/decode itself (one round-trip,
+        ``UpdateCodec.transmit``, serves every link)."""
         src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
         method_files = [
             *(src / "baselines").glob("*.py"),
             src / "core" / "fedhisyn.py",
         ]
+        runtime_files = [
+            src / "core" / "async_server.py",
+            src / "simulation" / "engine.py",
+        ]
         transport_files = list((src / "transport").glob("*.py"))
         assert len(method_files) >= 8  # 6 baselines + __init__ + fedhisyn
         assert any(p.name == "live.py" for p in transport_files)
-        pattern = re.compile(
-            r"meter\.record_|_charge_transfer\(|_apply_drops\(|_codec_down_ref"
+        accounting = re.compile(
+            r"meter\.record_|_charge_transfer\(|_apply_drops\(|_drops\b"
+            r"|_codec_down_ref|_down_refs"
         )
-        for path in method_files + transport_files:
-            hit = pattern.search(path.read_text())
+        codec_calls = re.compile(r"codec\.(?:encode|decode)\(")
+        for path in method_files + runtime_files + transport_files:
+            text = path.read_text()
+            hit = accounting.search(text)
+            if hit is None and path not in transport_files:
+                hit = codec_calls.search(text)
             assert hit is None, (
                 f"{path.name} bypasses the channel API: {hit.group()}"
             )

@@ -220,14 +220,16 @@ class TestFleetState:
         row = state.row(7)
         np.testing.assert_array_equal(row, 0.0)
         assert not row.flags.writeable  # accidental writes raise
-        assert state.materialized == 0
-        assert not state.is_materialized(7)
+        assert state.row(3) is row  # one shared vector, nothing allocated
+        assert state.nbytes == 0
 
     def test_set_and_rekey_by_device_id(self):
         state = FleetState(10, 4)
         state.set(7, np.arange(4.0))
         state.set(2, np.full(4, 5.0))
-        assert state.materialized == 2
+        assert state.row(7).flags.writeable and state.row(2).flags.writeable
+        assert not state.row(3).flags.writeable  # never written: shared zeros
+        assert state.nbytes == 4 * 4 * 8  # the pool's first growth: 4 rows
         np.testing.assert_array_equal(state.row(7), np.arange(4.0))
         np.testing.assert_array_equal(state.row(2), np.full(4, 5.0))
         # Pool growth must not invalidate values.

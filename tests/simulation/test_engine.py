@@ -9,6 +9,7 @@ directly assertable.
 import numpy as np
 import pytest
 
+from repro.compression import IdentityCodec
 from repro.datasets.core import ClassificationDataset
 from repro.device.fleet import DeviceFleet
 from repro.env.network import NetworkModel
@@ -236,10 +237,10 @@ class TestWaveTraining:
             else:
                 batched = None
             start = w0 if start_of is None else start_of(w0)
-            coder = None if codec is None else codec()
+            coder = IdentityCodec() if codec is None else codec()
             stats = engine.run_round(
                 self.RINGS, start, duration=1.0, round_idx=2, codec=coder,
-                codec_reference=None if coder is None else w0, batched=batched,
+                codec_reference=w0, batched=batched,
             )
             rounds.append((engine, stats, coder))
         (auto, auto_stats, auto_codec), (off, off_stats, off_codec) = rounds
@@ -300,14 +301,14 @@ class TestWaveTraining:
                 units.append(model_units)
                 return super().transfer_time(src, dst, model_units)
 
-        for codec in (None, TopKCodec(fraction=0.2)):
+        for codec in (IdentityCodec(), TopKCodec(fraction=0.2)):
             units.clear()
             engine, _, w0 = self._engine(network=Recording(peer_bandwidth=8.0))
             stats = engine.run_round(self.RINGS, w0, duration=1.0, codec=codec,
                                      codec_reference=w0)
             assert len(units) == stats.peer_sends > 0
             assert sum(units) == pytest.approx(stats.peer_units)
-            if codec is None:
+            if codec.is_identity:
                 assert set(units) == {1.0}
             else:
                 assert max(units) < 1.0

@@ -328,6 +328,12 @@ class TestRunExperiment:
         assert "aggregator" not in result.config
         assert "buffer_goal" not in result.config
 
+    def test_echo_includes_method_kwargs(self):
+        result = run_experiment(fast_spec(method="fedprox", method_kwargs={"mu": 0.05}))
+        assert result.config["method_kwargs"] == {"mu": 0.05}
+        plain = run_experiment(fast_spec(method="fedavg", method_kwargs={}))
+        assert "method_kwargs" not in plain.config
+
     def test_echo_omits_fields_method_kwargs_override(self):
         spec = fast_spec(method="fedavg", aggregator="median",
                          method_kwargs={"aggregator": "krum"})
