@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = ["ClassificationDataset", "train_test_split"]
+__all__ = ["ClassificationDataset", "split_indices", "train_test_split"]
 
 
 @dataclass
@@ -80,28 +80,38 @@ def train_test_split(
     set of overall data are the same" (Section 3.2) — stratification
     enforces exactly that.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = as_generator(seed)
-    n = len(dataset)
-    if stratified:
-        test_idx: list[np.ndarray] = []
-        train_idx: list[np.ndarray] = []
-        for k in range(dataset.num_classes):
-            members = np.flatnonzero(dataset.y == k)
-            members = rng.permutation(members)
-            cut = int(round(len(members) * test_fraction))
-            test_idx.append(members[:cut])
-            train_idx.append(members[cut:])
-        test = np.concatenate(test_idx) if test_idx else np.empty(0, dtype=np.intp)
-        train = np.concatenate(train_idx) if train_idx else np.empty(0, dtype=np.intp)
-        test = rng.permutation(test)
-        train = rng.permutation(train)
-    else:
-        perm = rng.permutation(n)
-        cut = int(round(n * test_fraction))
-        test, train = perm[:cut], perm[cut:]
+    train, test = split_indices(
+        dataset.y, dataset.num_classes, test_fraction, seed, stratified
+    )
     return (
         dataset.subset(train, name=f"{dataset.name}/train"),
         dataset.subset(test, name=f"{dataset.name}/test"),
     )
+
+
+def split_indices(
+    y: np.ndarray,
+    num_classes: int,
+    test_fraction: float = 0.2,
+    seed: int | np.random.Generator | None = 0,
+    stratified: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(train, test)`` sample indices :func:`train_test_split` selects,
+    computed from the labels alone."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    rng = as_generator(seed)
+    if not stratified:
+        perm = rng.permutation(y.size)
+        cut = int(round(y.size * test_fraction))
+        return perm[cut:], perm[:cut]
+    train: list[np.ndarray] = []
+    test: list[np.ndarray] = []
+    for k in range(num_classes):
+        members = rng.permutation(np.flatnonzero(y == k))
+        cut = int(round(members.size * test_fraction))
+        test.append(members[:cut])
+        train.append(members[cut:])
+    # Test before train: the stream order every recorded run depends on.
+    test_idx = rng.permutation(np.concatenate(test))
+    return rng.permutation(np.concatenate(train)), test_idx

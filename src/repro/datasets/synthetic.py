@@ -24,6 +24,7 @@ difficulty (see DESIGN.md).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +76,29 @@ def _sample_labels(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, spec.num_classes, size=spec.num_samples)
 
 
+#: ``arrange(y, num_classes) -> order``: the row order of a generated dataset.
+Arrange = Callable[[np.ndarray, int], np.ndarray]
+
+#: Samples generated per GEMM: the generator's working set beyond the
+#: result is ``_CHUNK_ROWS`` feature rows, however many samples it makes.
+_CHUNK_ROWS = 2048
+
+
 def make_synthetic(
-    spec: SyntheticSpec, seed: int | np.random.Generator | None = 0
+    spec: SyntheticSpec,
+    seed: int | np.random.Generator | None = 0,
+    arrange: Arrange | None = None,
 ) -> ClassificationDataset:
-    """Generate the dataset described by ``spec`` deterministically from ``seed``."""
+    """Generate the dataset described by ``spec`` deterministically from ``seed``.
+
+    ``arrange(y, num_classes) -> order`` sees the labels before any feature
+    is drawn and sets the row order of the result: row ``i`` is sample
+    ``order[i]``, where ``order`` is a permutation of the sample indices.
+    Each sample is written once, straight to its row, so arranging copies
+    no features; the samples themselves do not depend on ``arrange``.
+    """
     rng = as_generator(seed)
-    d_feat = int(np.prod(spec.feature_shape))
+    n, d_feat = spec.num_samples, int(np.prod(spec.feature_shape))
 
     # Class prototypes on a sphere in latent space.
     protos = rng.normal(size=(spec.num_classes, spec.latent_dim))
@@ -92,21 +110,41 @@ def make_synthetic(
     proj = rng.normal(size=(spec.latent_dim, d_feat)) / np.sqrt(spec.latent_dim)
 
     y = _sample_labels(spec, rng)
-    latent = protos[y] + spec.sigma_within * rng.normal(
-        size=(spec.num_samples, spec.latent_dim)
-    )
-    x = latent @ proj
-    x += spec.sigma_noise * rng.normal(size=x.shape)
-    if spec.squash:
-        np.tanh(x, out=x)
-    x = x.reshape((spec.num_samples, *spec.feature_shape))
-    return ClassificationDataset(x, y, spec.num_classes, name=spec.name)
+    order = np.arange(n) if arrange is None else arrange(y, spec.num_classes)
+    rows = np.full(n, -1)  # sample -> row: the inverse of ``order``
+    rows[order] = np.arange(len(order))
+    if len(order) != n or rows.min() < 0:
+        raise ValueError("arrange must return a permutation of the sample indices")
+
+    # The latent noise is drawn whole, then the feature noise one chunk of
+    # samples at a time, in sample order: the stream is consumed exactly as
+    # by one draw of each (``standard_normal`` draws what ``normal(0, 1)``
+    # draws), and each chunk's rows land at their final rows.
+    latent = rng.standard_normal((n, spec.latent_dim))
+    latent *= spec.sigma_within
+    x = np.empty((n, d_feat))
+    # A one-row product runs as a GEMV, whose row is not bit-identical to
+    # a GEMM's: a lone trailing sample joins the chunk before it.
+    bounds = [*range(0, n - 1, _CHUNK_ROWS), n]  # n >= num_classes >= 2
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk = slice(start, stop)
+        latent[chunk] += protos[y[chunk]]
+        features = latent[chunk] @ proj
+        noise = rng.standard_normal(features.shape)
+        noise *= spec.sigma_noise
+        features += noise
+        if spec.squash:
+            np.tanh(features, out=features)
+        x[rows[chunk]] = features
+    x = x.reshape((n, *spec.feature_shape))
+    return ClassificationDataset(x, y[order], spec.num_classes, name=spec.name)
 
 
 def mnist_like(
     num_samples: int = 4000,
     seed: int | np.random.Generator | None = 0,
     feature_dim: int = 64,
+    arrange: Arrange | None = None,
 ) -> ClassificationDataset:
     """10 well-separated classes, flat features — easiest task (MNIST role)."""
     spec = SyntheticSpec(
@@ -119,13 +157,14 @@ def mnist_like(
         sigma_within=0.9,
         sigma_noise=0.4,
     )
-    return make_synthetic(spec, seed)
+    return make_synthetic(spec, seed, arrange)
 
 
 def emnist_like(
     num_samples: int = 5000,
     seed: int | np.random.Generator | None = 0,
     feature_dim: int = 64,
+    arrange: Arrange | None = None,
 ) -> ClassificationDataset:
     """26 classes, flat features, more class crowding (EMNIST-Letters role)."""
     spec = SyntheticSpec(
@@ -138,7 +177,7 @@ def emnist_like(
         sigma_within=1.0,
         sigma_noise=0.5,
     )
-    return make_synthetic(spec, seed)
+    return make_synthetic(spec, seed, arrange)
 
 
 def cifar10_like(
@@ -146,6 +185,7 @@ def cifar10_like(
     seed: int | np.random.Generator | None = 0,
     image_size: int = 8,
     channels: int = 3,
+    arrange: Arrange | None = None,
 ) -> ClassificationDataset:
     """10 classes, image tensor, squashed — hard task (CIFAR10 role)."""
     spec = SyntheticSpec(
@@ -159,7 +199,7 @@ def cifar10_like(
         sigma_noise=0.7,
         squash=True,
     )
-    return make_synthetic(spec, seed)
+    return make_synthetic(spec, seed, arrange)
 
 
 def cifar100_like(
@@ -167,6 +207,7 @@ def cifar100_like(
     seed: int | np.random.Generator | None = 0,
     image_size: int = 8,
     channels: int = 3,
+    arrange: Arrange | None = None,
 ) -> ClassificationDataset:
     """100 classes, image tensor, squashed — hardest task (CIFAR100 role)."""
     spec = SyntheticSpec(
@@ -180,4 +221,4 @@ def cifar100_like(
         sigma_noise=0.6,
         squash=True,
     )
-    return make_synthetic(spec, seed)
+    return make_synthetic(spec, seed, arrange)

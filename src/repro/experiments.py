@@ -27,8 +27,8 @@ from repro.core.async_server import STALENESS_DECAYS
 from repro.core.registry import METHODS
 from repro.core.selection import SELECTION_POLICIES, make_policy
 from repro.core.server import FederatedServer
-from repro.datasets import make_dataset, partition_by_name, train_test_split
-from repro.datasets.core import ClassificationDataset
+from repro.datasets import Partition, make_dataset, partition_by_name
+from repro.datasets.core import ClassificationDataset, split_indices
 from repro.datasets.registry import DATASETS
 from repro.device import LocalTrainer, make_fleet, unit_times_from_counts, unit_times_from_ratio
 from repro.device.heterogeneity import sample_unit_counts
@@ -103,8 +103,8 @@ FLEET_PROFILES: dict[str, dict[str, Any]] = {
     "campus": {"num_devices": 1_000, "num_samples": 20_000, "participation": 0.5},
     "city": {"num_devices": 5_000, "num_samples": 50_000, "participation": 0.1},
     "metro": {"num_devices": 20_000, "num_samples": 100_000, "participation": 0.02},
-    # Million-device runs: contiguous shards alias the dataset block (no
-    # gather, no per-device index copies), participation keeps the active
+    # Million-device runs: contiguous shards are one ``arange`` (no
+    # per-device index copies), participation keeps the active
     # cohort around a thousand, and the small test fraction keeps eval off
     # the critical path.  Pairs with the async servers' batched events —
     # see the "million-device runs" quickstart in the README.
@@ -369,17 +369,35 @@ def build_experiment(
     """Assemble dataset, devices, trainer and server for ``spec``."""
     entry = METHODS.entry(spec.method)
 
-    dataset = make_dataset(spec.dataset, num_samples=spec.num_samples, seed=spec.seed)
-    train_set, test_set = train_test_split(
-        dataset, spec.test_fraction, seed=spec.seed + 1
-    )
+    # The dataset is generated straight into fleet order: ``fleet_order``
+    # splits and partitions the labels before any feature is drawn, and
+    # every sample is written once, to its final row — the devices' shards
+    # back to back, then the test set.
+    parts: Partition | None = None
 
-    parts = partition_by_name(
-        spec.partition,
-        train_set,
-        spec.num_devices,
-        seed=spec.seed + 2,
-        **({"beta": spec.beta} if spec.partition == "dirichlet" else {}),
+    def fleet_order(y: np.ndarray, num_classes: int) -> np.ndarray:
+        nonlocal parts
+        train, test = split_indices(y, num_classes, spec.test_fraction, seed=spec.seed + 1)
+        parts = partition_by_name(
+            spec.partition,
+            ClassificationDataset(np.empty((train.size, 0)), y[train], num_classes),
+            spec.num_devices,
+            seed=spec.seed + 2,
+            **({"beta": spec.beta} if spec.partition == "dirichlet" else {}),
+        )
+        return np.concatenate([train[parts.indices], test])
+
+    dataset = make_dataset(
+        spec.dataset, num_samples=spec.num_samples, seed=spec.seed, arrange=fleet_order
+    )
+    # Shards and test set share this block: a stray in-place write raises.
+    dataset.x.flags.writeable = dataset.y.flags.writeable = False
+    x, y, n_train = dataset.x, dataset.y, parts.indices.size
+    train_set = ClassificationDataset(
+        x[:n_train], y[:n_train], dataset.num_classes, name=f"{dataset.name}/train"
+    )
+    test_set = ClassificationDataset(
+        x[n_train:], y[n_train:], dataset.num_classes, name=f"{dataset.name}/test"
     )
 
     if spec.het_ratio is not None:
@@ -397,10 +415,10 @@ def build_experiment(
     trainer = LocalTrainer(
         model, lr=spec.lr, batch_size=spec.batch_size, seed=spec.seed + 5
     )
-    # Struct-of-arrays population: one gathered data block, per-device
-    # zero-copy shard slices, lazily materialized weight rows — O(active)
-    # memory at any fleet size (see repro.device.fleet).
-    devices = make_fleet(train_set, parts, unit_times, trainer)
+    # The train rows are already in fleet order: the fleet aliases them
+    # (zero-copy shard slices) instead of gathering (see repro.device.fleet).
+    in_order = Partition(np.arange(n_train), parts.offsets, n_train)
+    devices = make_fleet(train_set, in_order, unit_times, trainer)
 
     config = entry.config_cls(
         rounds=spec.rounds,
